@@ -100,6 +100,10 @@ class WrongOrder(CycloffError, ArithmeticError):
     code = "WrongOrder"
 
 
+class WrongRamification(CycloffError, ArithmeticError):
+    code = "WrongRamification"
+
+
 class NonCentralInvolution(CycloffError, ArithmeticError):
     code = "NonCentralInvolution"
 

@@ -570,18 +570,14 @@ def _embed_powers(src, tgt):
         raise NoEmbedding(f"different characteristic: {src.name} vs {tgt.name}")
     if tgt.n % src.n:
         raise NoEmbedding(f"{src.n} does not divide {tgt.n}")
+    # polyalg imports this module, so the import waits for the first call
+    from .polyalg import Poly, roots_in
     # least root of the source modulus in the target, lex order
-    root = None
-    for e in tgt.iter_elements():
-        acc = tgt.zero
-        for coef in reversed(src.modulus):
-            acc = acc * e + tgt.elem(coef)
-        if acc.is_zero():
-            root = e
-            break
-    if root is None:
+    roots = roots_in(Poly(tgt, [tgt.elem(c) for c in src.modulus]), tgt)
+    if not roots:
         raise NoEmbedding("source modulus has no root in target; impossible "
                           "for compatible degrees")
+    root = roots[0]
     powers = [tgt.one]
     for _ in range(src.n - 1):
         powers.append(powers[-1] * root)

@@ -27,6 +27,7 @@ from .errors import (
     NotCoprime,
     ReducibleModulus,
     ReducibleResult,
+    WrongRamification,
     ZeroElement,
 )
 from .polyalg import (
@@ -114,17 +115,33 @@ class KummerCurve(KummerAlgebra):
 
     def _check_ramification_profile(self):
         """Valuations of h: -1 at each rational v, q-2 at infinity, +1 at
-        the two conjugate roots of the numerator; each coprime to q-1."""
+        the two conjugate roots of the numerator; each coprime to q-1.
+
+        Keeps the two quadratic roots, sorted by ``to_int``, as
+        ``quad_roots``; the place layer books the quadratic point by them.
+        """
         q, ctx = self.q, self.ctx
-        assert gcd(q - 2, q - 1) == 1
+        if gcd(q - 2, q - 1) != 1:
+            raise WrongRamification(f"q-2 and q-1 share a factor at q={q}")
         for alpha in ctx.iter_elements():
-            assert self.h.valuation(alpha) == -1
-        assert self.h.valuation(INFINITY) == q - 2
+            if self.h.valuation(alpha) != -1:
+                raise WrongRamification(
+                    f"h has no simple pole at v={gf.format_element(alpha)}")
+        if self.h.valuation(INFINITY) != q - 2:
+            raise WrongRamification(f"h has no zero of order {q - 2} at "
+                                    "infinity")
         ext = gf.create_field(ctx.p, 2 * ctx.n)
         quad_roots = roots_in(self.ram_numerator, ext)
-        assert len(quad_roots) == 2 and quad_roots[0] != quad_roots[1]
+        if len(quad_roots) != 2 or quad_roots[0] == quad_roots[1]:
+            found = ", ".join(gf.format_element(r) for r in quad_roots)
+            raise WrongRamification(
+                f"the numerator of h needs two distinct roots in {ext.name}, "
+                f"found [{found}]")
         for rt in quad_roots:
-            assert self.h.valuation(rt) == 1
+            if self.h.valuation(rt) != 1:
+                raise WrongRamification(
+                    f"h has no simple zero at v={gf.format_element(rt)}")
+        self.quad_roots = tuple(sorted(quad_roots, key=lambda r: r.to_int()))
 
     def __repr__(self):
         return (f"<curve y^{self.q - 1} = {self.h} "

@@ -31,7 +31,15 @@ from .errors import (
 )
 from .gf import create_field, embed
 from .kummer import FFElem, KummerCurve
-from .polyalg import INFINITY, Poly, RatFunc, format_poly, poly_gcd, roots_in
+from .polyalg import (
+    INFINITY,
+    Poly,
+    RatFunc,
+    _xq_power,
+    format_poly,
+    poly_gcd,
+    roots_in,
+)
 
 COUNT_CAP = 1 << 22
 # a count this small stays in pure python; anything larger goes to the
@@ -203,20 +211,12 @@ class Divisor:
 # -- the ramified catalog ----------------------------------------------------
 
 
-def _quad_roots(curve):
-    ctx = curve.ctx
-    ext = create_field(ctx.p, 2 * ctx.n)
-    roots = roots_in(curve.ram_numerator, ext)
-    # tame profile check at construction already guarantees two distinct roots
-    return sorted(set(roots), key=lambda r: r.to_int())
-
-
 def ramified_places(curve):
     """All q+3 ramified places: q rational, infinity, two conjugate quadratic."""
     ctx = curve.ctx
     out = [RamFinite(a) for a in ctx.iter_elements()]
     out.append(RamInfinity(curve.q))
-    out.extend(RamQuadratic(r) for r in _quad_roots(curve))
+    out.extend(RamQuadratic(r) for r in curve.quad_roots)
     return out
 
 
@@ -467,7 +467,8 @@ def _closed_point_candidates(curve, polys):
     """
     ctx = curve.ctx
     p, n, q = ctx.p, ctx.n, curve.q
-    quad = set(_quad_roots(curve))
+    quad = set(curve.quad_roots)
+    x = Poly.gen(ctx)
     seen = set()
     out = []
     done = set()
@@ -478,35 +479,38 @@ def _closed_point_candidates(curve, polys):
         if f in done:
             continue
         done.add(f)
-        rad = _radical(f)
-        remaining = rad.degree
-        for d in range(1, min(_SPLIT_DEG_CAP, rad.degree) + 1):
-            if remaining == 0:
+        rest = _radical(f)
+        for d in range(1, min(_SPLIT_DEG_CAP, rest.degree) + 1):
+            if rest.is_constant():
                 break
             if q ** d > gf.ORDER_CAP:
                 break
+            # every factor of degree < d is gone, so this is the product of
+            # the irreducible factors of degree exactly d
+            part = poly_gcd(rest, _xq_power(rest, d) - x)
+            if part.is_constant():
+                continue
+            rest = rest // part
+            if d == 1:
+                continue  # rational points are ramified, booked separately
             Ed = create_field(p, n * d)
             claimed = set()
-            for r in sorted(set(roots_in(rad, Ed)), key=lambda x: x.to_int()):
+            for r in sorted(roots_in(part, Ed), key=lambda e: e.to_int()):
                 if r in claimed:
                     continue
-                # exact degree of r = its orbit size under x -> x^q
+                # the least root of each Frobenius orbit comes first
                 orbit = [r]
                 nxt = r.frob(n)
                 while nxt != r:
                     orbit.append(nxt)
                     nxt = nxt.frob(n)
                 claimed.update(orbit)
-                if len(orbit) != d:
-                    continue
-                remaining -= d
-                rep = min(orbit, key=lambda x: x.to_int())
-                if d == 1 or (d == 2 and rep in quad):
+                if d == 2 and r in quad:
                     continue  # ramified support, booked separately
-                if (d, rep) not in seen:
-                    seen.add((d, rep))
-                    out.append((d, rep))
-        if remaining:
+                if (d, r) not in seen:
+                    seen.add((d, r))
+                    out.append((d, r))
+        if not rest.is_constant():
             raise GenericPlaceUnsupported(
                 f"support of {format_poly(f, 'v')} does not split within "
                 f"degree {_SPLIT_DEG_CAP} under the field cap")
@@ -567,7 +571,7 @@ def divisor(e):
                                curve.h.valuation(INFINITY))
     if val:
         coeffs[RamInfinity(curve.q)] = val
-    qroot = _quad_roots(curve)[0]
+    qroot = curve.quad_roots[0]
     val = _ram_point_valuation(curve, e.coords, qroot,
                                curve.h.valuation(qroot))
     if val:

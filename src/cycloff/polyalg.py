@@ -6,9 +6,10 @@ Rational functions are stored fully reduced with monic denominator, so
 structural equality is semantic equality.
 
 Everything here is exact.  The irreducibility test uses root search up to
-degree 3 and the T^(q^d) = T criterion with gcd refinements above that;
-root finding in extensions is an exhaustive scan, which is all the desk
-scale here ever needs.
+degree 3 and the T^(q^d) = T criterion with gcd refinements above that.
+Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
+equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
 """
 
 from . import gf
@@ -168,7 +169,8 @@ class Poly:
         zero = self.ctx.zero
         rem = list(self.coeffs)
         dg = other.degree
-        inv_lc = other.lc.inverse()
+        # monic divisors are the common case; skip a full inversion there
+        inv_lc = None if other.lc == self.ctx.one else other.lc.inverse()
         q = [zero] * max(0, len(rem) - dg)
         while len(rem) - 1 >= dg and rem:
             while rem and rem[-1].is_zero():
@@ -176,7 +178,7 @@ class Poly:
             if len(rem) - 1 < dg:
                 break
             d = len(rem) - 1 - dg
-            c = rem[-1] * inv_lc
+            c = rem[-1] if inv_lc is None else rem[-1] * inv_lc
             q[d] = c
             for j, y in enumerate(other.coeffs):
                 rem[d + j] = rem[d + j] - c * y
@@ -337,15 +339,66 @@ def _powmod(base, e, mod):
 
 
 def roots_in(f, ext):
-    """All roots of f in the extension context, with multiplicity, lex order."""
+    """All roots of f in the extension context, with multiplicity, lex order.
+
+    The distinct roots are the linear factors of g = gcd(f, X^Q - X), which
+    _split_linear separates; lex order of coefficient vectors is the order
+    of ``ext.iter_elements()``.
+    """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of 0")
     fe = f.embed_into(ext) if ext is not f.ctx else f
+    if fe.is_constant():
+        return []
+    fe = fe.monic()
+    g = poly_gcd(fe, _xq_power(fe, 1) - Poly.gen(ext))
     roots = []
-    for e in ext.iter_elements():
-        m = root_multiplicity(fe, e)
-        roots.extend([e] * m)
+    for e in sorted(_split_linear(g), key=lambda r: r.coeffs):
+        roots.extend([e] * root_multiplicity(fe, e))
     return roots
+
+
+def _split_linear(g):
+    """Roots of a monic g that splits into distinct linear factors.
+
+    Deterministic equal-degree splitting: the shift a runs through the
+    field in ``iter_elements`` order, and each value splits every factor
+    whose roots it separates.  For odd p the test polynomial is
+    (X+a)^((Q-1)/2) - 1, which vanishes at r iff r+a is a nonzero square;
+    for p = 2 it is the trace Tr(aX) = sum_{i<n} (aX)^(2^i), which vanishes
+    at r iff Tr(ar) = 0.  Every pair of distinct roots is separated by some
+    a (for p = 2, any a with Tr(a(r-s)) = 1), so one pass over the field
+    always finishes.
+    """
+    linear, todo = [], [g]
+    shifts = g.ctx.iter_elements()
+    while True:
+        linear += [h for h in todo if h.degree == 1]
+        todo = [h for h in todo if h.degree > 1]
+        if not todo:
+            return [-h.coeffs[0] for h in linear]
+        a = next(shifts)
+        nxt = []
+        for h in todo:
+            part = poly_gcd(h, _splitter(h, a))
+            if 0 < part.degree < h.degree:
+                nxt += [part, h // part]
+            else:
+                nxt.append(h)
+        todo = nxt
+
+
+def _splitter(h, a):
+    """The test polynomial of _split_linear for the shift a, reduced mod h."""
+    ctx = h.ctx
+    if ctx.p == 2:
+        t = Poly(ctx, (ctx.zero, a)) % h
+        acc = t
+        for _ in range(ctx.n - 1):
+            t = (t * t) % h
+            acc = acc + t
+        return acc
+    return _powmod(Poly(ctx, (a, ctx.one)), (ctx.order - 1) // 2, h) - 1
 
 
 def root_multiplicity(f, c):

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cycloff import gf
+from cycloff import gf, kummer
 from cycloff.carlitz import Modulus, iter_irreducible_moduli
 from cycloff.errors import (
     CtxMismatch,
@@ -14,6 +14,7 @@ from cycloff.errors import (
     NotCoprime,
     ReducibleModulus,
     ReducibleResult,
+    WrongRamification,
     ZeroElement,
 )
 from cycloff.kummer import (
@@ -63,6 +64,15 @@ def test_curve_guards():
         KummerAlgebra(F3, 2, RatFunc.zero(F3))
     with pytest.raises(ValueError):
         KummerAlgebra(F3, 0, RatFunc.one(F3))
+
+
+def test_repeated_quadratic_root_is_a_typed_error(monkeypatch):
+    # the profile check must raise, not assert, so python -O keeps it
+    real = kummer.roots_in
+    monkeypatch.setattr(kummer, "roots_in",
+                        lambda f, ext: [real(f, ext)[0]] * 2)
+    with pytest.raises(WrongRamification):
+        curve_q3(1)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])

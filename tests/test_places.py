@@ -7,6 +7,9 @@ rational ramified places by hand.  The library's character-sum lane must
 reproduce it exactly.
 """
 
+import functools
+import itertools
+import operator
 import random
 from collections import Counter
 
@@ -24,6 +27,7 @@ from cycloff.errors import (
 from cycloff.gf import create_field, embed
 from cycloff.kummer import KummerCurve
 from cycloff.places import (
+    _closed_point_candidates,
     Divisor,
     Generic,
     RamFinite,
@@ -410,6 +414,62 @@ def test_unsupported_split_raises():
     e = scal(C3, RatFunc(f, vpoly(C3, 1)))
     with pytest.raises(GenericPlaceUnsupported):
         divisor(e)
+
+
+def scan_closed_points(curve, f, maxdeg):
+    """(degree, lex-least rep) of the unramified closed points under the
+    roots of a squarefree f, by trying every element of GF(q^d) per degree."""
+    ctx = curve.ctx
+    quad = set(curve.quad_roots)
+    out = []
+    for d in range(1, maxdeg + 1):
+        Ed = create_field(ctx.p, ctx.n * d)
+        roots = [e for e in Ed.iter_elements() if f(e).is_zero()]
+        claimed = set()
+        for r in sorted(roots, key=lambda e: e.to_int()):
+            if r in claimed:
+                continue
+            orbit = [r]
+            while orbit[-1].frob(ctx.n) != r:
+                orbit.append(orbit[-1].frob(ctx.n))
+            claimed.update(orbit)
+            if len(orbit) == d > 1 and not (d == 2 and r in quad):
+                out.append((d, r))
+    return out
+
+
+def least_irreducibles(ctx, d, count, skip=None):
+    out = []
+    for tail in itertools.product(range(ctx.order), repeat=d):
+        f = Poly(ctx, [ctx.from_int(c) for c in reversed(tail)] + [ctx.one])
+        if f != skip and is_irreducible(f):
+            out.append(f)
+            if len(out) == count:
+                return out
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5], ids=["q3", "q4", "q5"])
+def test_closed_points_match_the_per_degree_scan(curve):
+    # two irreducibles of each degree 1..4, one squared, and the
+    # ramified quadratic point, which must be left out
+    ram = curve.ram_numerator.monic()
+    factors = [f for d in range(1, 5)
+               for f in least_irreducibles(curve.ctx, d, 2, skip=ram)]
+    f = functools.reduce(operator.mul, factors) * ram
+    want = scan_closed_points(curve, f, 4)
+    assert [d for d, _ in want] == [2, 2, 3, 3, 4, 4]
+    assert _closed_point_candidates(curve, [f * factors[3]]) == want
+
+
+@pytest.mark.parametrize("curve,deg", [(C3, 9), (C7, 8)],
+                         ids=["degree-cap", "field-cap"])
+def test_closed_points_beyond_the_cap_raise(curve, deg):
+    # GF(3^9) is past the degree cap, GF(7^8) past the field-order cap;
+    # the split quadratic factor alongside must not hide the leftover
+    (big,) = least_irreducibles(curve.ctx, deg, 1)
+    (quad,) = least_irreducibles(curve.ctx, 2, 1)
+    with pytest.raises(GenericPlaceUnsupported):
+        _closed_point_candidates(curve, [big * quad])
 
 
 # -- divisor arithmetic ------------------------------------------------------

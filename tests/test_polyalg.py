@@ -2,10 +2,13 @@
 
 The division/irreducibility oracles below work on plain coefficient lists
 with their own long division, so they share only the field element layer
-with the code under test.
+with the code under test.  The root oracle scans the whole extension, one
+multiplicity test per element.
 """
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +86,15 @@ def oracle_is_irreducible(f):
 def all_monic(ctx, d):
     for tail in itertools.product(ctx.iter_elements(), repeat=d):
         yield Poly(ctx, tuple(tail) + (ctx.one,))
+
+
+def scan_roots(f, ext):
+    """Roots by trying every element of ext, with multiplicity, lex order."""
+    fe = f.embed_into(ext) if ext is not f.ctx else f
+    roots = []
+    for e in ext.iter_elements():
+        roots.extend([e] * root_multiplicity(fe, e))
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +178,15 @@ def test_root_multiplicity():
         roots_in(Poly.zero(F5), F5)
 
 
+@pytest.mark.parametrize("src,tgt", [((2, 2), (2, 4)), ((2, 3), (2, 6)),
+                                     ((3, 2), (3, 4))])
+def test_embedding_uses_the_lex_least_root(src, tgt):
+    src, tgt = gf.create_field(*src), gf.create_field(*tgt)
+    modulus = Poly(tgt, [tgt.elem(c) for c in src.modulus])
+    first = next(e for e in tgt.iter_elements() if modulus(e).is_zero())
+    assert gf._embed_powers(src, tgt)[1] == first
+
+
 def test_division_guards():
     f = Poly.from_ints(F3, [1, 1])
     with pytest.raises(DivisionByZero):
@@ -180,6 +201,29 @@ def test_division_guards():
 def polys(ctx, maxdeg=5):
     return st.lists(st.integers(0, ctx.order - 1), max_size=maxdeg + 1).map(
         lambda cs: Poly.from_ints(ctx, cs))
+
+
+def factored_polys(ctx):
+    """Products of small factors with repeats, times T^k; constants too."""
+    coeff = st.integers(0, ctx.order - 1).map(ctx.from_int)
+    factor = st.lists(coeff, min_size=1, max_size=3).map(
+        lambda cs: Poly(ctx, cs)).filter(bool)
+    return st.tuples(
+        st.lists(st.tuples(factor, st.integers(1, 2)), max_size=3),
+        st.integers(0, 2),
+    ).map(lambda t: functools.reduce(
+        operator.mul, [f ** m for f, m in t[0]], Poly.gen(ctx) ** t[1]))
+
+
+@pytest.mark.parametrize("pn", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                (5, 1), (7, 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_roots_in_matches_the_scan(pn, data):
+    base = gf.create_field(*pn)
+    f = data.draw(factored_polys(base))
+    ext = gf.create_field(pn[0], pn[1] * data.draw(st.integers(1, 4)))
+    assert roots_in(f, ext) == scan_roots(f, ext)
 
 
 @settings(max_examples=60, deadline=None)
