@@ -15,18 +15,12 @@ import time
 from cycloff import (
     CycModel,
     KummerCurve,
-    closure,
     count_degree_one,
     create_field,
     format_poly,
     genus_formula,
     genus_from_zeta,
     group_report,
-    make_epsilon,
-    make_mu,
-    make_omega,
-    make_rho,
-    quotient_is_pgl23,
     rh_check,
     verify_prop31,
     zeta,
@@ -77,18 +71,13 @@ def run(qs, threads):
             print(f"   L = {list(zd.coeffs)} | zeta genus {gz}")
             bad = bad or gz != g
 
-        rho = make_rho(curve, model)
-        gens = [rho, make_omega(curve) if ctx.p == 2 else make_mu(curve)]
-        if q == 3:
-            gens.append(make_epsilon(curve))
-        table = closure(gens)
-        expected = 6 * (q * q - 1) if q == 3 else 2 * (q * q - 1)
         rep = group_report(curve, model)
-        print(f"   aut order {table.order} (want {expected}) | "
+        expected = 6 * (q * q - 1) if q == 3 else 2 * (q * q - 1)
+        print(f"   aut order {rep['order']} (want {expected}) | "
               f"orbit sizes {rep['orbit_sizes']}")
-        bad = bad or table.order != expected
+        bad = bad or rep["order"] != expected
         if q == 3:
-            pgl = quotient_is_pgl23(table)
+            pgl = rep["q3_pgl23"]
             print(f"   central quotient acts as S_4: {pgl}")
             bad = bad or pgl is not True
 

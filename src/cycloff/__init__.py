@@ -29,7 +29,6 @@ from .carlitz import (
     carlitz_of,
     galois_map,
     iter_irreducible_moduli,
-    torsion_minpoly,
 )
 from .errors import CycloffError
 from .gf import FieldCtx, FieldElem, create_field, embed, field_from_order

@@ -365,9 +365,8 @@ def closure(gens):
                     elems[z] = None
                     nxt.append(z)
         frontier = nxt
-    # words in the generators; finiteness plus cancellation forces a group
-    for z in elems:
-        assert is_automorphism(z, curve)
+    # words in the generators; finiteness plus cancellation forces a group.
+    # Every element passed the law check once, in Aut.__init__.
     return GroupTable(tuple(elems), gens)
 
 

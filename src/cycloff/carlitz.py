@@ -9,13 +9,14 @@ GF(q)(x)[y]/(P) with
 
     P(y) = y^(q^2-1) + (x^q + x + a) y^(q-1) + (x^2 + a x + b),
 
-and y * P(y) = C_M(y).  Quotient elements are dense coefficient vectors of
-RatFunc in the basis 1, y, ..., y^(q^2-2).  Products and q-th powers reduce
-exponent overflow one step at a time with
+and y * P(y) = C_M(y).  CycModel is the polyalg.QuotientAlgebra with that
+trinomial relation: elements are dense RatFunc vectors in the basis
+1, y, ..., y^(q^2-2), and products and q-th powers fold exponent overflow
+with
 
-    y^e = -(x^q+x+a) y^(e-(q^2-1)+(q-1)) - (x^2+ax+b) y^(e-(q^2-1)),
+    y^e = -(x^q+x+a) y^(e-(q^2-1)+(q-1)) - (x^2+ax+b) y^(e-(q^2-1)).
 
-and q-th powers cost almost nothing in characteristic p because they just
+q-th powers cost almost nothing in characteristic p because they just
 move coefficients: (sum r_i y^i)^q = sum r_i^q y^(iq).
 
 The unit group of GF(q)[x]/(M) is cyclic of order q^2 - 1 and acts on the
@@ -28,13 +29,13 @@ from dataclasses import dataclass
 
 from . import gf
 from .errors import (
+    CertificateFailed,
     CtxMismatch,
-    DivisionByZero,
     NotAUnit,
     ReducibleModulus,
     ZeroPolynomial,
 )
-from .polyalg import Poly, RatFunc, format_poly, invert_mod, is_irreducible
+from .polyalg import Poly, QuotientAlgebra, format_poly, is_irreducible
 
 
 class CarlitzPoly:
@@ -92,11 +93,11 @@ class CarlitzPoly:
 
     def act(self, w):
         """Apply to a quotient element: sum c_j(x) * w^(q^j)."""
-        acc = w.model.zero()
+        acc = w.alg.zero()
         power = w
         for j, c in enumerate(self.coeffs):
             if not c.is_zero():
-                acc = acc + power.scale(RatFunc.from_poly(c))
+                acc = acc + power.scale(c)
             if j + 1 < len(self.coeffs):
                 power = power.qpow()
         return acc
@@ -251,219 +252,30 @@ class UnitClass:
         return format_poly(self.rep, var="x")
 
 
-class CycModel:
+class CycModel(QuotientAlgebra):
     """The torsion field GF(q)(x)[y]/(P) for a quadratic modulus."""
 
     def __init__(self, modulus):
         ctx = modulus.ctx
         q = ctx.order
         self.modulus = modulus
-        self.ctx = ctx
-        self.q = q
-        self.dim = q * q - 1
         self.carlitz_m = carlitz_of(modulus.as_poly())
-        c0, c1, lead = self.carlitz_m.coeffs
-        # frozen shape of C_M for a monic quadratic
+        # the frozen shape of C_M for a monic quadratic; c0 != 0 is also
+        # separability, since d/dz of an additive polynomial is its
+        # z-coefficient
         x = Poly.gen(ctx)
-        assert lead.is_one()
-        assert c1 == x.frob_power(ctx.n) + x + Poly.constant(modulus.a)
-        assert c0 == x * x + Poly.constant(modulus.a) * x + Poly.constant(modulus.b)
+        c0, c1 = modulus.as_poly(), x.frob_power(ctx.n) + x + modulus.a
+        if self.carlitz_m.coeffs != (c0, c1, Poly.one(ctx)):
+            raise CertificateFailed(f"unexpected C_M = {self.carlitz_m}")
         self.c0 = c0
         self.c1 = c1
-        # separability: d/dz of an additive polynomial is its z-coefficient
-        assert not c0.is_zero()
-        minpoly = [Poly.zero(ctx)] * (self.dim + 1)
-        minpoly[0] = c0
-        minpoly[q - 1] = c1
-        minpoly[self.dim] = Poly.one(ctx)
-        self.minpoly = tuple(minpoly)
-        # y * P(y) = C_M(y), checked structurally: shifting P by one slot
-        # must land the three C_M coefficients at z-degrees 1, q, q^2
-        assert [self.minpoly[i] for i in (0, q - 1, self.dim)] == [c0, c1, lead]
-        self._rf_zero = RatFunc.zero(ctx)
-        self._rf_one = RatFunc.one(ctx)
-        self._neg_c1 = RatFunc.from_poly(-c1)
-        self._neg_c0 = RatFunc.from_poly(-c0)
-
-    # -- element constructors ----------------------------------------------
-
-    def zero(self):
-        return CycElem(self, (self._rf_zero,) * self.dim)
-
-    def one(self):
-        return self.scalar(self._rf_one)
-
-    def scalar(self, r):
-        if isinstance(r, Poly):
-            r = RatFunc.from_poly(r)
-        elif isinstance(r, (int, gf.FieldElem)):
-            r = RatFunc.constant(self.ctx.elem(r) if isinstance(r, int) else r)
-        vec = [self._rf_zero] * self.dim
-        vec[0] = r
-        return CycElem(self, tuple(vec))
-
-    def y(self):
-        vec = [self._rf_zero] * self.dim
-        vec[1] = self._rf_one
-        return CycElem(self, tuple(vec))
-
-    def from_pairs(self, pairs):
-        """Element from (exponent, RatFunc) pairs; exponents may overflow."""
-        return CycElem(self, self._fold(list(pairs)))
-
-    def _fold(self, pairs):
-        """Scatter (exp, coeff) into a reduced dense vector."""
-        top = max((e for e, _ in pairs), default=0)
-        buf = [None] * (max(top + 1, self.dim))
-        for e, c in pairs:
-            buf[e] = c if buf[e] is None else buf[e] + c
-        q = self.q
-        for e in range(len(buf) - 1, self.dim - 1, -1):
-            c = buf[e]
-            if c is None or c.is_zero():
-                continue
-            buf[e] = None
-            lo, hi = e - self.dim, e - self.dim + q - 1
-            t = self._neg_c1 * c
-            buf[hi] = t if buf[hi] is None else buf[hi] + t
-            t = self._neg_c0 * c
-            buf[lo] = t if buf[lo] is None else buf[lo] + t
-        return tuple(c if c is not None else self._rf_zero
-                     for c in buf[:self.dim])
+        # y * P(y) = C_M(y): P carries the three C_M coefficients one slot
+        # lower, at y-degrees 0, q-1 and q^2-1
+        super().__init__(ctx, q * q - 1, {0: c0, q - 1: c1})
+        self.minpoly = tuple(r.num for r in self._modulus)
 
     def __repr__(self):
         return f"<torsion field for {self.modulus} over {self.ctx.name}>"
-
-
-def torsion_minpoly(modulus):
-    """Model whose defining polynomial is C_M(z)/z for the given modulus."""
-    return CycModel(modulus)
-
-
-class CycElem:
-    """Dense vector of RatFunc in the basis 1, y, ..., y^(q^2-2)."""
-
-    __slots__ = ("model", "vec")
-
-    def __init__(self, model, vec):
-        assert len(vec) == model.dim
-        self.model = model
-        self.vec = tuple(vec)
-
-    def is_zero(self):
-        return all(not c for c in self.vec)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        return self.model is other.model and self.vec == other.vec
-
-    def __hash__(self):
-        return hash((id(self.model), self.vec))
-
-    def _chk(self, other):
-        if not isinstance(other, CycElem):
-            raise CtxMismatch("expected a torsion-field element")
-        if other.model is not self.model:
-            raise CtxMismatch("elements of different torsion fields")
-        return other
-
-    def __add__(self, other):
-        other = self._chk(other)
-        return CycElem(self.model,
-                       tuple(a + b for a, b in zip(self.vec, other.vec)))
-
-    def __sub__(self, other):
-        other = self._chk(other)
-        return CycElem(self.model,
-                       tuple(a - b for a, b in zip(self.vec, other.vec)))
-
-    def __neg__(self):
-        return CycElem(self.model, tuple(-a for a in self.vec))
-
-    def scale(self, r):
-        """Multiply by a scalar from GF(q)(x)."""
-        if not isinstance(r, RatFunc):
-            r = RatFunc.from_poly(r) if isinstance(r, Poly) else \
-                RatFunc.constant(self.model.ctx.elem(r) if isinstance(r, int)
-                                 else r)
-        return CycElem(self.model, tuple(a * r for a in self.vec))
-
-    def __mul__(self, other):
-        if isinstance(other, (RatFunc, Poly, gf.FieldElem, int)):
-            return self.scale(other)
-        other = self._chk(other)
-        pairs = []
-        for i, a in enumerate(self.vec):
-            if not a:
-                continue
-            for j, b in enumerate(other.vec):
-                if b:
-                    pairs.append((i + j, a * b))
-        return self.model.from_pairs(pairs)
-
-    __rmul__ = __mul__
-
-    def qpow(self):
-        """q-th power: coefficients move to q-times-higher basis slots."""
-        n = self.model.ctx.n
-        q = self.model.q
-        pairs = [(i * q, c.frob_power(n))
-                 for i, c in enumerate(self.vec) if c]
-        return self.model.from_pairs(pairs)
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("quotient powers take non-negative ints")
-        acc = self.model.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inverse(self):
-        """Extended Euclid against the defining polynomial, over GF(q)(x)."""
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero in the torsion field")
-        model = self.model
-        p_vec = [RatFunc.from_poly(c) for c in model.minpoly]
-        out = invert_mod(list(self.vec), p_vec, model.ctx)
-        out += [model._rf_zero] * (model.dim - len(out))
-        return CycElem(model, tuple(out))
-
-    def __str__(self):
-        parts = []
-        for i in range(len(self.vec) - 1, -1, -1):
-            c = self.vec[i]
-            if not c:
-                continue
-            yp = "1" if i == 0 else ("y" if i == 1 else f"y^{i}")
-            parts.append(yp if (c.is_one() and i) else
-                         (str(c) if i == 0 else f"({c})*{yp}"))
-        return "+".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<{self}>"
-
-
-def cyc_arith(u, w, op):
-    """Quotient-ring arithmetic: op in {"add", "mul", "inv"}.
-
-    For "inv" the first operand is ignored (pass None) and w is inverted.
-    """
-    if op == "add":
-        return u + w
-    if op == "mul":
-        return u * w
-    if op == "inv":
-        return w.inverse()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def galois_map(u, model):
@@ -479,7 +291,8 @@ def galois_map(u, model):
     w = carlitz_of(u.rep).act(model.y())
     if w.is_zero():
         raise NotAUnit("unit maps the generator to zero")
-    assert model.carlitz_m.act(w).is_zero(), "image is not a torsion root"
+    if not model.carlitz_m.act(w).is_zero():
+        raise CertificateFailed(f"C_M(C_u(y)) != 0 for u = {u}")
     return w
 
 

@@ -4,8 +4,7 @@ Key order in every payload is fixed by construction, so identical
 configurations give byte-identical output.  Exit codes: ``verify``
 returns 0 only when every entry of the ``paper_claims`` block is true
 and 1 otherwise; any library error becomes ``{"error": {"code",
-"message"}}`` with exit code 2.  ``CFF_SEED`` is reserved but unread;
-every pipeline is deterministic.
+"message"}}`` with exit code 2.  Every pipeline is deterministic.
 """
 
 import argparse
@@ -87,7 +86,7 @@ def _resolve(cfg):
 
 def _minpoly_str(model):
     parts = []
-    for i in range(model.dim, -1, -1):
+    for i in range(model.n, -1, -1):
         c = model.minpoly[i]
         if c.is_zero():
             continue
@@ -258,8 +257,7 @@ def build_config(argv):
     parser = argparse.ArgumentParser(
         prog="cycloff",
         description="Exact verification pipelines for torsion function "
-                    "fields with a quadratic modulus.",
-        epilog="CFF_SEED is reserved; all pipelines are deterministic.")
+                    "fields with a quadratic modulus.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("construct", "genus", "count", "zeta", "aut", "lspaces",
                  "verify"):

@@ -104,6 +104,10 @@ class WrongRamification(CycloffError, ArithmeticError):
     code = "WrongRamification"
 
 
+class CertificateFailed(CycloffError, ArithmeticError):
+    code = "CertificateFailed"
+
+
 class NonCentralInvolution(CycloffError, ArithmeticError):
     code = "NonCentralInvolution"
 

@@ -597,11 +597,6 @@ def embed(e, tgt):
     return acc
 
 
-def primitive_element(ctx):
-    """The context's fixed generator (least element of full order)."""
-    return ctx.generator
-
-
 # ---------------------------------------------------------------------------
 # Literal syntax: "2", "g", "g+2", "2*g^3+1"
 

@@ -5,8 +5,10 @@ v, y with
 
     y^(q-1) = h(v) = -(g v^2 + a v + b/g) / (v^q - v),      g = gamma,
 
-one such curve for every nonzero gamma.  verify_prop31 replays that
-elimination inside the degree-(q^2-1) quotient ring and hands back the
+one such curve for every nonzero gamma.  KummerAlgebra is the
+polyalg.QuotientAlgebra with the binomial relation Y^n = H, and
+KummerCurve is the one with n = q-1 and H = h.  verify_prop31 replays the
+elimination inside the degree-(q^2-1) torsion field and hands back the
 residual, which must be zero.
 
 The other direction starts from a curve y^(q-1) = lambda * u(v)^r and
@@ -20,10 +22,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import gf
-from .carlitz import Modulus, torsion_minpoly
+from .carlitz import CycModel, Modulus
 from .errors import (
     CtxMismatch,
-    DivisionByZero,
     NotCoprime,
     ReducibleModulus,
     ReducibleResult,
@@ -33,14 +34,14 @@ from .errors import (
 from .polyalg import (
     INFINITY,
     Poly,
+    QuotientAlgebra,
     RatFunc,
-    invert_mod,
     is_irreducible,
     roots_in,
 )
 
 
-class KummerAlgebra:
+class KummerAlgebra(QuotientAlgebra):
     """Quotient GF(q)(v)[Y] / (Y^n - H) for a nonzero scalar H."""
 
     def __init__(self, ctx, n, H):
@@ -50,39 +51,8 @@ class KummerAlgebra:
             H = RatFunc.from_poly(H)
         if H.is_zero():
             raise ZeroElement("defining scalar H must be nonzero")
-        self.ctx = ctx
-        self.n = n
+        super().__init__(ctx, n, {0: -H})
         self.H = H
-        self._zero = RatFunc.zero(ctx)
-        self._one = RatFunc.one(ctx)
-
-    def zero(self):
-        return FFElem(self, (self._zero,) * self.n)
-
-    def one(self):
-        return self.scalar(self._one)
-
-    def scalar(self, r):
-        if isinstance(r, Poly):
-            r = RatFunc.from_poly(r)
-        elif isinstance(r, (int, gf.FieldElem)):
-            r = RatFunc.constant(self.ctx.elem(r) if isinstance(r, int) else r)
-        vec = [self._zero] * self.n
-        vec[0] = r
-        return FFElem(self, tuple(vec))
-
-    def y(self):
-        if self.n == 1:
-            # Y = H is a scalar in the degenerate rank-1 algebra
-            return self.scalar(self.H)
-        vec = [self._zero] * self.n
-        vec[1] = self._one
-        return FFElem(self, tuple(vec))
-
-    def from_coords(self, coords):
-        coords = list(coords)
-        assert len(coords) == self.n
-        return FFElem(self, tuple(coords))
 
     def __repr__(self):
         return f"<algebra Y^{self.n} = {self.H} over {self.ctx.name}(v)>"
@@ -148,138 +118,6 @@ class KummerCurve(KummerAlgebra):
                 f"(modulus {self.modulus}, gamma={self.gamma})>")
 
 
-class FFElem:
-    """Element sum coords_i y^i of a Kummer algebra; y^n folds to H."""
-
-    __slots__ = ("alg", "coords")
-
-    def __init__(self, alg, coords):
-        assert len(coords) == alg.n
-        self.alg = alg
-        self.coords = tuple(coords)
-
-    def is_zero(self):
-        return all(not c for c in self.coords)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, FFElem):
-            return NotImplemented
-        return self.alg is other.alg and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((id(self.alg), self.coords))
-
-    def _chk(self, other):
-        if not isinstance(other, FFElem):
-            raise CtxMismatch("expected a Kummer-algebra element")
-        if other.alg is not self.alg:
-            raise CtxMismatch("elements of different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._chk(other)
-        return FFElem(self.alg,
-                      tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        other = self._chk(other)
-        return FFElem(self.alg,
-                      tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return FFElem(self.alg, tuple(-a for a in self.coords))
-
-    def scale(self, r):
-        if isinstance(r, Poly):
-            r = RatFunc.from_poly(r)
-        elif isinstance(r, (int, gf.FieldElem)):
-            r = RatFunc.constant(self.alg.ctx.elem(r) if isinstance(r, int)
-                                 else r)
-        return FFElem(self.alg, tuple(a * r for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (RatFunc, Poly, gf.FieldElem, int)):
-            return self.scale(other)
-        other = self._chk(other)
-        n = self.alg.n
-        out = [self.alg._zero] * n
-        H = self.alg.H
-        for i, ai in enumerate(self.coords):
-            if not ai:
-                continue
-            for j, bj in enumerate(other.coords):
-                if not bj:
-                    continue
-                e = i + j
-                t = ai * bj
-                if e >= n:
-                    e -= n
-                    t = t * H
-                out[e] = out[e] + t
-        return FFElem(self.alg, tuple(out))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        alg = self.alg
-        mod = [-alg.H] + [alg._zero] * (alg.n - 1) + [alg._one]
-        out = invert_mod(list(self.coords), mod, alg.ctx)
-        out += [alg._zero] * (alg.n - len(out))
-        return FFElem(alg, tuple(out))
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = self.alg.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def __truediv__(self, other):
-        if isinstance(other, FFElem):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __str__(self):
-        parts = []
-        for i in range(len(self.coords) - 1, -1, -1):
-            c = self.coords[i]
-            if not c:
-                continue
-            yp = "1" if i == 0 else ("y" if i == 1 else f"y^{i}")
-            parts.append(yp if (c.is_one() and i) else
-                         (str(c) if i == 0 else f"({c})*{yp}"))
-        return "+".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<{self}>"
-
-
-def ff_arith(u, w, op):
-    """Kummer-algebra arithmetic: op in {"add", "mul", "inv"}.
-
-    For "inv" the first operand is ignored (pass None) and w is inverted.
-    """
-    if op == "add":
-        return u + w
-    if op == "mul":
-        return u * w
-    if op == "inv":
-        if w.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return w.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -288,7 +126,7 @@ class EliminationCertificate:
     """Outcome of replaying the x-elimination in the quotient ring."""
 
     ok: bool
-    residual: object  # CycElem; zero exactly when ok
+    residual: object  # element of the torsion field; zero exactly when ok
 
 
 def _coerce_scalar(ctx, value):
@@ -313,7 +151,7 @@ def verify_prop31(q, a, b, gamma):
     if gamma.is_zero():
         raise ZeroElement("gamma must be a nonzero scalar")
     modulus = Modulus(a, b)  # ReducibleModulus for a bad pair
-    model = torsion_minpoly(modulus)
+    model = CycModel(modulus)
     yq1 = model.from_pairs([(q - 1, RatFunc.one(ctx))])
     x_scalar = model.scalar(Poly.gen(ctx))
     v = (x_scalar + yq1).scale(gamma.inverse())

@@ -30,7 +30,7 @@ from .errors import (
     ZeroElement,
 )
 from .gf import create_field, embed
-from .kummer import FFElem, KummerCurve
+from .kummer import KummerCurve
 from .polyalg import (
     INFINITY,
     Poly,

@@ -10,6 +10,11 @@ degree 3 and the T^(q^d) = T criterion with gcd refinements above that.
 Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
 equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
+
+QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
+dense RatFunc coordinate vectors as elements.  The torsion field
+(carlitz.CycModel) and the Kummer algebras (kummer.KummerAlgebra) are its
+two instances; each only supplies its relation.
 """
 
 from . import gf
@@ -635,8 +640,9 @@ def _homogenized(f, np_, dp_, d):
 
 # ---------------------------------------------------------------------------
 # Dense polynomials in a second variable Y with RatFunc coefficients,
-# as plain lists (constant term first).  Only what quotient-algebra
-# inversion needs; everything else in those algebras is sparse folding.
+# as plain lists (constant term first), and the quotient algebras
+# GF(q)(T)[Y]/(relation) built on them.  Inversion runs on the lists;
+# products share _yp_product, then fold sparsely against the relation.
 
 def yp_deg(v):
     for i in range(len(v) - 1, -1, -1):
@@ -652,17 +658,28 @@ def _yp_sub(a, b, zero):
     return [x - y for x, y in zip(a, b)]
 
 
+def _yp_product(a, b):
+    """Coefficients of a*b, None where no term lands.
+
+    Accumulating into None slots skips the gcd that a RatFunc sum with a
+    zero summand would pay.
+    """
+    buf = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    t = x * y
+                    buf[i + j] = t if buf[i + j] is None else buf[i + j] + t
+    return buf
+
+
 def _yp_mul(a, b, zero):
     da, db = yp_deg(a), yp_deg(b)
     if da < 0 or db < 0:
         return [zero]
-    out = [zero] * (da + db + 1)
-    for i in range(da + 1):
-        if a[i]:
-            for j in range(db + 1):
-                if b[j]:
-                    out[i + j] = out[i + j] + a[i] * b[j]
-    return out
+    return [zero if c is None else c
+            for c in _yp_product(a[:da + 1], b[:db + 1])]
 
 
 def _yp_divmod(a, b, zero):
@@ -704,6 +721,186 @@ def invert_mod(vec, mod, ctx):
     out = [c * inv for c in s1]
     assert yp_deg(out) < yp_deg(list(mod))  # cofactor stays below deg mod
     return out
+
+
+def _as_ratfunc(ctx, r):
+    if isinstance(r, RatFunc):
+        return r
+    if isinstance(r, Poly):
+        return RatFunc.from_poly(r)
+    return RatFunc.constant(ctx.elem(r) if isinstance(r, int) else r)
+
+
+class QuotientAlgebra:
+    """GF(q)(T)[Y] modulo a monic relation Y^n = -sum_{i<n} r_i Y^i.
+
+    Elements are dense RatFunc vectors in the basis 1, Y, ..., Y^(n-1).
+    The relation is kept only at its nonzero exponents, so folding one
+    overflowing exponent costs one product per nonzero r_i: two for the
+    torsion field's trinomial, one for a Kummer binomial.
+    """
+
+    def __init__(self, ctx, n, relation):
+        """``relation`` maps each exponent i < n with r_i != 0 to r_i."""
+        self.ctx = ctx
+        self.n = n
+        self._zero = RatFunc.zero(ctx)
+        self._one = RatFunc.one(ctx)
+        modulus = [self._zero] * n + [self._one]
+        for i, r in relation.items():
+            modulus[i] = _as_ratfunc(ctx, r)
+        self._modulus = tuple(modulus)
+        # Y^e = sum_i (-r_i) Y^(e-n+i) for every e >= n
+        self._fold_terms = tuple((i, -r) for i, r in enumerate(modulus[:n])
+                                 if r)
+
+    def zero(self):
+        return QuotientElem(self, (self._zero,) * self.n)
+
+    def one(self):
+        return self.scalar(self._one)
+
+    def scalar(self, r):
+        return self.from_pairs([(0, _as_ratfunc(self.ctx, r))])
+
+    def y(self):
+        return self.from_pairs([(1, self._one)])
+
+    def from_pairs(self, pairs):
+        """Element from (exponent, RatFunc) pairs; exponents may overflow."""
+        pairs = list(pairs)
+        top = max((e for e, _ in pairs), default=0)
+        buf = [None] * max(top + 1, self.n)
+        for e, c in pairs:
+            buf[e] = c if buf[e] is None else buf[e] + c
+        return QuotientElem(self, self._fold(buf))
+
+    def from_coords(self, coords):
+        coords = tuple(coords)
+        if len(coords) != self.n:
+            raise ValueError(f"{len(coords)} coordinates for rank {self.n}")
+        return QuotientElem(self, coords)
+
+    def _fold(self, buf):
+        """Reduce a None-padded coefficient buffer, highest exponent first.
+
+        Each overflowing slot is folded once, after every term that lands
+        on it has been added.
+        """
+        n = self.n
+        for e in range(len(buf) - 1, n - 1, -1):
+            c = buf[e]
+            if c is None or not c:
+                continue
+            for i, r in self._fold_terms:
+                k = e - n + i
+                t = r * c
+                buf[k] = t if buf[k] is None else buf[k] + t
+        return tuple(self._zero if c is None else c for c in buf[:n])
+
+
+class QuotientElem:
+    """Element sum coords_i Y^i of a QuotientAlgebra; immutable."""
+
+    __slots__ = ("alg", "coords")
+
+    def __init__(self, alg, coords):
+        self.alg = alg
+        self.coords = coords
+
+    def is_zero(self):
+        return all(not c for c in self.coords)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, QuotientElem):
+            return NotImplemented
+        return self.alg is other.alg and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((id(self.alg), self.coords))
+
+    def _chk(self, other):
+        if not isinstance(other, QuotientElem):
+            raise CtxMismatch("expected a quotient-algebra element")
+        if other.alg is not self.alg:
+            raise CtxMismatch("elements of different algebras")
+        return other
+
+    def __add__(self, other):
+        other = self._chk(other)
+        return QuotientElem(self.alg, tuple(
+            a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        other = self._chk(other)
+        return QuotientElem(self.alg, tuple(
+            a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return QuotientElem(self.alg, tuple(-a for a in self.coords))
+
+    def scale(self, r):
+        """Multiply by a scalar from GF(q)(T)."""
+        r = _as_ratfunc(self.alg.ctx, r)
+        return QuotientElem(self.alg, tuple(a * r for a in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, (RatFunc, Poly, gf.FieldElem, int)):
+            return self.scale(other)
+        other = self._chk(other)
+        buf = _yp_product(self.coords, other.coords)
+        return QuotientElem(self.alg, self.alg._fold(buf))
+
+    __rmul__ = __mul__
+
+    def qpow(self):
+        """q-th power: coefficients move to q-times-higher basis slots."""
+        ctx = self.alg.ctx
+        return self.alg.from_pairs((i * ctx.order, c.frob_power(ctx.n))
+                                   for i, c in enumerate(self.coords) if c)
+
+    def __pow__(self, e):
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            return self.inverse() ** (-e)
+        acc = self.alg.one()
+        base = self
+        while e:
+            if e & 1:
+                acc = acc * base
+            base = base * base
+            e >>= 1
+        return acc
+
+    def inverse(self):
+        """Extended Euclid against the relation, over GF(q)(T)."""
+        alg = self.alg
+        out = invert_mod(self.coords, alg._modulus, alg.ctx)
+        out += [alg._zero] * (alg.n - len(out))
+        return QuotientElem(alg, tuple(out))
+
+    def __truediv__(self, other):
+        if isinstance(other, QuotientElem):
+            return self * other.inverse()
+        return NotImplemented
+
+    def __str__(self):
+        parts = []
+        for i in range(len(self.coords) - 1, -1, -1):
+            c = self.coords[i]
+            if not c:
+                continue
+            yp = "1" if i == 0 else ("y" if i == 1 else f"y^{i}")
+            parts.append(yp if (c.is_one() and i) else
+                         (str(c) if i == 0 else f"({c})*{yp}"))
+        return "+".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"<{self}>"
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloff import gf
+from cycloff import carlitz, gf
 from cycloff.carlitz import (
     CarlitzPoly,
-    CycElem,
     CycModel,
     Modulus,
     UnitClass,
     act_on_torsion,
     carlitz_of,
-    cyc_arith,
     galois_map,
     iter_irreducible_moduli,
-    torsion_minpoly,
 )
 from cycloff.errors import (
+    CertificateFailed,
     CtxMismatch,
     DivisionByZero,
     NotAUnit,
@@ -138,7 +136,7 @@ def test_ring_action_laws(ctx):
 
 
 def test_scalar_linearity_in_model():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     f = Poly.from_ints(F3, [1, 2, 1])
     cp = carlitz_of(f)
     y = model.y()
@@ -201,23 +199,31 @@ def test_unit_guards():
 # the torsion field model
 
 def test_minpoly_frozen_q3():
-    model = torsion_minpoly(M31)
-    assert model.dim == 8
+    model = CycModel(M31)
+    assert model.n == 8
     x = Poly.gen(F3)
     want = {0: x * x + 1, 2: x ** 3 + x, 8: Poly.one(F3)}
     for i, c in enumerate(model.minpoly):
         assert c == want.get(i, Poly.zero(F3))
 
 
+def test_misshapen_carlitz_operator_is_a_typed_error(monkeypatch):
+    # the shape check must raise, not assert, so python -O keeps it
+    real = carlitz.carlitz_of
+    monkeypatch.setattr(carlitz, "carlitz_of", lambda f: real(f + 1))
+    with pytest.raises(CertificateFailed):
+        CycModel(M31)
+
+
 def test_minpoly_degree_counts_torsion():
     for mod in [M31, Modulus(F5.elem(0), F5.elem(2))]:
-        model = torsion_minpoly(mod)
+        model = CycModel(mod)
         assert len(model.minpoly) - 1 == mod.q ** 2 - 1
 
 
 def test_reduction_step_frozen():
     # y * y^(q^2-2): one overflow fold against the defining polynomial
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     top = model.from_pairs([(7, RatFunc.one(F3))])
     prod = top * model.y()
     want = model.from_pairs([(2, RatFunc.from_poly(-model.c1)),
@@ -226,11 +232,11 @@ def test_reduction_step_frozen():
 
 
 def test_quotient_ring_ops():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     rng = random.Random(31)
 
     def rand_elem():
-        pairs = [(rng.randrange(model.dim),
+        pairs = [(rng.randrange(model.n),
                   RatFunc.from_poly(Poly.from_ints(F3, [rng.randrange(3)
                                                         for _ in range(3)])))
                  for _ in range(3)]
@@ -239,23 +245,21 @@ def test_quotient_ring_ops():
     one = model.one()
     for _ in range(5):
         u, w = rand_elem(), rand_elem()
-        assert cyc_arith(u, one, "mul") == u
-        assert cyc_arith(u, w, "add") == cyc_arith(w, u, "add")
-        assert cyc_arith(u, w, "mul") == cyc_arith(w, u, "mul")
+        assert u * one == u
+        assert u + w == w + u
+        assert u * w == w * u
         if not u.is_zero():
-            assert cyc_arith(u, cyc_arith(None, u, "inv"), "mul") == one
+            assert u * u.inverse() == one
     with pytest.raises(DivisionByZero):
-        cyc_arith(None, model.zero(), "inv")
-    with pytest.raises(ValueError):
-        cyc_arith(one, one, "frobnicate")
+        model.zero().inverse()
 
 
 def test_mul_associative_and_distributive():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     rng = random.Random(47)
 
     def rand_elem():
-        return model.from_pairs([(rng.randrange(model.dim),
+        return model.from_pairs([(rng.randrange(model.n),
                                   RatFunc.from_poly(
                                       Poly.from_ints(F3, [rng.randrange(3),
                                                           rng.randrange(3)])))
@@ -268,15 +272,15 @@ def test_mul_associative_and_distributive():
 
 
 def test_qpow_is_cubing():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     e = model.from_pairs([(1, RatFunc.one(F3)),
                           (3, RatFunc.from_poly(Poly.gen(F3)))])
     assert e.qpow() == e * e * e
 
 
 def test_model_mismatch_guard():
-    m1 = torsion_minpoly(M31)
-    m2 = torsion_minpoly(Modulus(F3.elem(1), F3.elem(2)))
+    m1 = CycModel(M31)
+    m2 = CycModel(Modulus(F3.elem(1), F3.elem(2)))
     with pytest.raises(CtxMismatch):
         m1.y() + m2.y()
 
@@ -285,13 +289,23 @@ def test_model_mismatch_guard():
 # Galois action
 
 def test_identity_unit_fixes_generator():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     assert galois_map(M31.unit(1), model) == model.y()
+
+
+def test_non_torsion_image_is_a_typed_error(monkeypatch):
+    # checked against C_x instead of C_M, the image y is no root, since
+    # y^3 + x y = 0 would give y degree 2 over GF(3)(x).  The check must
+    # raise, not assert, so python -O keeps it.
+    model = CycModel(M31)
+    monkeypatch.setattr(model, "carlitz_m", carlitz_of(Poly.gen(F3)))
+    with pytest.raises(CertificateFailed):
+        galois_map(M31.unit(1), model)
 
 
 def test_galois_images_are_roots_dense_q3():
     # beyond the built-in sparse check: literally evaluate P at the image
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     c0 = RatFunc.from_poly(model.c0)
     c1 = RatFunc.from_poly(model.c1)
     for u in M31.iter_units():
@@ -302,7 +316,7 @@ def test_galois_images_are_roots_dense_q3():
 
 def test_galois_image_is_root_dense_q5():
     mod = Modulus(F5.elem(0), F5.elem(2))
-    model = torsion_minpoly(mod)
+    model = CycModel(mod)
     u = mod.unit(Poly.from_ints(F5, [1, 2]))
     w = galois_map(u, model)
     lit = (w ** 24 + (w ** 4).scale(RatFunc.from_poly(model.c1))
@@ -312,7 +326,7 @@ def test_galois_image_is_root_dense_q5():
 
 def test_composition_matches_unit_product_q3():
     # sigma_x then sigma_{x+1} lands on sigma_{x+2}: x(x+1) = x^2+x = x-1
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     u = M31.unit(Poly.gen(F3))
     w = M31.unit(Poly.from_ints(F3, [1, 1]))
     uw = M31.unit_mul(u, w)
@@ -327,7 +341,7 @@ def test_composition_matches_unit_product_q3():
                                  Modulus(F5.elem(0), F5.elem(2))],
                          ids=["q4", "q5"])
 def test_composition_random_samples(mod):
-    model = torsion_minpoly(mod)
+    model = CycModel(mod)
     ctx = mod.ctx
     rng = random.Random(ctx.order)
     for _ in range(6):
@@ -343,13 +357,13 @@ def test_composition_random_samples(mod):
 
 
 def test_galois_kernel_trivial_q3_exhaustive():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     images = {galois_map(u, model) for u in M31.iter_units()}
     assert len(images) == 8
 
 
 def test_generator_action_has_full_order():
-    model = torsion_minpoly(M31)
+    model = CycModel(M31)
     gen = M31.unit_group_generator()
     w = model.y()
     seen = []

@@ -111,7 +111,7 @@ def oracle_order(ctx, e):
 ])
 def test_primitive_element_frozen(q, expected_coeffs):
     ctx = gf.field_from_order(q)
-    g = gf.primitive_element(ctx)
+    g = ctx.generator
     assert g.coeffs == expected_coeffs
     assert oracle_order(ctx, g) == q - 1
 

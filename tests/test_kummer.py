@@ -17,11 +17,10 @@ from cycloff.errors import (
     WrongRamification,
     ZeroElement,
 )
+from cycloff.carlitz import CycModel
 from cycloff.kummer import (
-    FFElem,
     KummerAlgebra,
     KummerCurve,
-    ff_arith,
     kummer_normalize,
     recognize_cyclotomic,
     roundtrip_certificate,
@@ -118,19 +117,17 @@ def test_inverse_of_y_frozen():
     inv = c.y().inverse()
     # coords of 1/y: y^(q-2) / h
     assert inv.coords == (RatFunc.zero(F3), c.h.inverse())
-    assert ff_arith(inv, c.y(), "mul") == c.one()
+    assert inv * c.y() == c.one()
 
 
-def test_ff_arith_dispatch():
+def test_kummer_operators():
     c = curve_q3()
     u, w = c.y(), c.scalar(Poly.gen(F3))
-    assert ff_arith(u, w, "add") == u + w
-    assert ff_arith(u, w, "mul") == u * w
-    assert ff_arith(None, u, "inv") * u == c.one()
+    assert (u + w).coords == (RatFunc.gen(F3), RatFunc.one(F3))
+    assert (u * w).coords == (RatFunc.zero(F3), RatFunc.gen(F3))
+    assert u.inverse() * u == c.one()
     with pytest.raises(DivisionByZero):
-        ff_arith(None, c.zero(), "inv")
-    with pytest.raises(ValueError):
-        ff_arith(u, w, "pow")
+        c.zero().inverse()
 
 
 def test_algebra_field_axioms_random():
@@ -196,9 +193,8 @@ def test_elimination_other_fields(q, a, b):
 
 def test_elimination_detects_wrong_relation():
     # flipping the constant term must leave a nonzero residual
-    from cycloff.carlitz import torsion_minpoly
     mod = Modulus(F3.elem(0), F3.elem(1))
-    model = torsion_minpoly(mod)
+    model = CycModel(mod)
     yq1 = model.from_pairs([(2, RatFunc.one(F3))])
     v = yq1 + model.scalar(Poly.gen(F3))
     residual = yq1 * (v.qpow() - v) + v * v - model.one()   # b = -1 is wrong

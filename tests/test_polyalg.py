@@ -9,11 +9,13 @@ multiplicity test per element.
 import functools
 import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloff import gf
+from cycloff.carlitz import CycModel, Modulus
 from cycloff.errors import (
     BothZero,
     ConstantPolynomial,
@@ -23,6 +25,7 @@ from cycloff.errors import (
     ZeroPolynomial,
     ZeroValuation,
 )
+from cycloff.kummer import KummerAlgebra, KummerCurve
 from cycloff.polyalg import (
     INFINITY,
     NEG_INF,
@@ -391,3 +394,63 @@ def test_parse_errors():
 def test_format_descending_order():
     f = Poly.from_ints(F5, [1, 0, 3])
     assert format_poly(f) == "3*T^2+1"
+
+
+# ---------------------------------------------------------------------------
+# the quotient algebra shared by the torsion field and the Kummer curves
+
+
+def _torsion_q3():
+    model = CycModel(Modulus(F3.zero, F3.one))
+    c0, c1 = RatFunc.from_poly(model.c0), RatFunc.from_poly(model.c1)
+    zero = RatFunc.zero(F3)
+    return model, [-c0, zero, -c1] + [zero] * 5
+
+
+def _curve(q):
+    ctx = gf.field_from_order(q)
+    curve = KummerCurve(ctx.zero, ctx.elem(2) if q == 5 else ctx.one, ctx.one)
+    return curve, [curve.h] + [RatFunc.zero(ctx)] * (q - 2)
+
+
+def _rank_one():
+    H = RatFunc(Poly.from_ints(F5, [1, 0, 1]), Poly.from_ints(F5, [0, 1]))
+    return KummerAlgebra(F5, 1, H), [H]
+
+
+@pytest.mark.parametrize("build", [_torsion_q3, lambda: _curve(3),
+                                   lambda: _curve(5), _rank_one],
+                         ids=["torsion-q3", "curve-q3", "curve-q5", "rank1"])
+def test_quotient_algebra_laws(build):
+    alg, folded = build()
+    ctx = alg.ctx
+    q = ctx.order
+    rng = random.Random(alg.n * q)
+
+    def rand_elem():
+        coords = [RatFunc.zero(ctx)] * alg.n
+        for i in rng.sample(range(alg.n), min(2, alg.n)):
+            coords[i] = RatFunc.from_poly(Poly.from_ints(ctx, [
+                rng.randrange(q), 1]))
+        return alg.from_coords(coords)
+
+    # y^n is the relation folded once: -sum r_i y^i
+    y = alg.y()
+    assert (y ** alg.n).coords == tuple(folded)
+    one = alg.one()
+    assert y ** -3 * y ** 3 == one
+    assert y ** -2 == (y * y).inverse()
+    for _ in range(2):
+        a, b, c = rand_elem(), rand_elem(), rand_elem()
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a * a.inverse() == one
+        assert a.qpow() == a ** q
+
+
+def test_from_coords_rejects_wrong_length():
+    curve = KummerCurve(F3.zero, F3.one, F3.one)
+    with pytest.raises(ValueError):
+        curve.from_coords([RatFunc.one(F3)] * 3)
+    with pytest.raises(ValueError):
+        curve.from_coords([RatFunc.one(F3)])
