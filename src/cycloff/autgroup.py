@@ -17,9 +17,12 @@ generator of the residue units through x = gamma v - y^(q-1) inside the
 curve algebra and reads the fractional-linear shape off the result;
 TransportFailure fires if that shape ever fails to emerge.
 
-compose(a, b) applies b first, then a.  Tables produced by closure are
-immutable, as are Auts, so orbit and stabilizer queries are safe to run
-concurrently once a table exists.
+compose(a, b) applies b first, then a.  closure composes each generator
+with each element once, and each of those products is law-checked once,
+in Aut.__init__; the rest of the Cayley table is read off those products,
+and later products (multiply, stabilizers, the q=3 quotient) are read from
+the table.  Tables produced by closure are immutable, as are Auts, so orbit
+and stabilizer queries are safe to run concurrently once a table exists.
 """
 
 from functools import lru_cache
@@ -27,6 +30,7 @@ from math import gcd
 
 from . import gf
 from .errors import (
+    CertificateFailed,
     ClosureOverflow,
     CtxMismatch,
     GenericPlaceUnsupported,
@@ -202,7 +206,8 @@ def invert(a):
     if s:
         fv = fv * _ext_h(curve).compose_fractional(np_, dp_) ** (-s)
     out = Aut(curve, (ad, -ab, -ac, aa), kinv, fv)
-    assert compose(a, out).is_identity and compose(out, a).is_identity
+    if not (compose(a, out).is_identity and compose(out, a).is_identity):
+        raise CertificateFailed("inverse does not compose to the identity")
     return out
 
 
@@ -248,10 +253,12 @@ def make_rho(curve, model):
         raise TransportFailure("image of v is not fractional-linear")
     rho = Aut(curve, (w.num.coeff(1), w.num.coeff(0),
                       w.den.coeff(1), w.den.coeff(0)), 1, f)
-    assert _order_of(rho) == q * q - 1
+    order = _order_of(rho)
+    if order != q * q - 1:
+        raise WrongOrder(f"rho has order {order}, expected {q * q - 1}")
     for pl in ramified_places(curve):
-        if isinstance(pl, RamQuadratic):
-            assert act_on_place(rho, pl) == pl
+        if isinstance(pl, RamQuadratic) and act_on_place(rho, pl) != pl:
+            raise TransportFailure(f"rho moves the quadratic place {pl}")
     return rho
 
 
@@ -262,14 +269,19 @@ def make_mu(curve):
     q = curve.q
     ext = _ext_ctx(curve.h.ctx)
     lam = ext.generator ** ((q + 1) // 2)
-    assert lam ** (q - 1) == -ext.one
+    if lam ** (q - 1) != -ext.one:
+        raise CertificateFailed("lambda^(q-1) is not -1")
     shift = curve.a * curve.gamma.inverse()
     mu = Aut(curve, (-ext.one, -gf.embed(shift, ext), ext.zero, ext.one),
              1, lam)
     # mu^2 fixes v and rescales y by a generator of the scaling subgroup
     sq = compose(mu, mu)
-    assert sq.k == 1 and sq.f.is_constant()
-    assert sq.f.num.coeff(0).order() == q - 1
+    if not (sq.k == 1 and sq.f.is_constant()):
+        raise CertificateFailed("mu^2 is not a constant rescaling of y")
+    scale_order = sq.f.num.coeff(0).order()
+    if scale_order != q - 1:
+        raise WrongOrder(f"mu^2 rescales y by an element of order "
+                         f"{scale_order}, expected {q - 1}")
     return mu
 
 
@@ -280,7 +292,8 @@ def make_omega(curve):
     ext = _ext_ctx(curve.h.ctx)
     shift = curve.a * curve.gamma.inverse()
     w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1, 1)
-    assert compose(w, w).is_identity
+    if not compose(w, w).is_identity:
+        raise WrongOrder("omega is not an involution")
     return w
 
 
@@ -299,7 +312,9 @@ def make_epsilon(curve):
     num = Poly(ext, (-c, ext.zero, c))
     den = Poly(ext, (i, ext.one))
     eps = Aut(curve, (-ext.one, -i, ext.one, -i), 1, RatFunc(num, den))
-    assert _order_of(eps) == 3
+    order = _order_of(eps)
+    if order != 3:
+        raise WrongOrder(f"epsilon has order {order}, expected 3")
     return eps
 
 
@@ -307,17 +322,30 @@ def make_epsilon(curve):
 
 
 class GroupTable:
-    """Closed set of Auts with its generators; immutable once built."""
+    """Closed set of Auts with its generators and Cayley table; immutable.
 
-    __slots__ = ("elements", "generators", "curve", "_members")
+    ``elements`` are sorted by canonical key, and ``mul[i][j]`` is the index
+    of ``compose(elements[i], elements[j])``.  The constructor takes the
+    elements in any order, with ``mul`` indexed in that order, and re-indexes
+    both.
+    """
 
-    def __init__(self, elements, generators):
-        assert elements, "a table holds at least the identity"
-        self.elements = tuple(sorted(elements, key=lambda z: z._key))
+    __slots__ = ("elements", "generators", "curve", "mul", "_index")
+
+    def __init__(self, elements, generators, mul):
+        if not elements:
+            raise CertificateFailed("a table holds at least the identity")
+        perm = sorted(range(len(elements)), key=lambda i: elements[i]._key)
+        pos = [0] * len(perm)
+        for new, old in enumerate(perm):
+            pos[old] = new
+        self.elements = tuple(elements[i] for i in perm)
+        self.mul = tuple(tuple(pos[mul[a][b]] for b in perm) for a in perm)
         self.generators = tuple(generators)
         self.curve = self.elements[0].curve
-        self._members = frozenset(self.elements)
-        assert any(z.is_identity for z in self.elements)
+        self._index = {z: i for i, z in enumerate(self.elements)}
+        if not any(z.is_identity for z in self.elements):
+            raise CertificateFailed("table lacks the identity")
 
     @property
     def order(self):
@@ -330,19 +358,23 @@ class GroupTable:
         return iter(self.elements)
 
     def __contains__(self, a):
-        return a in self._members
+        return a in self._index
 
     def multiply(self, a, b):
-        z = compose(a, b)
-        assert z in self._members, "table is not closed"
-        return z
+        """compose(a, b) for members, read from the table."""
+        return self.elements[self.mul[self._index[a]][self._index[b]]]
 
     def __repr__(self):
         return f"<table of {self.order} automorphisms>"
 
 
 def closure(gens):
-    """Breadth-first closure of the generators, capped at CLOSURE_CAP."""
+    """Breadth-first closure of the generators, capped at CLOSURE_CAP.
+
+    Each element is reached as g o x for a generator g and an element x
+    found before it; its row of the Cayley table is then g's row of left
+    products permuted by x's row, so no product beyond g o x is composed.
+    """
     gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -350,24 +382,31 @@ def closure(gens):
     for g in gens:
         if g.curve is not curve:
             raise CtxMismatch("generators live on different curves")
-    ident = identity(curve)
-    elems = {ident: None}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                z = compose(g, x)
-                if z not in elems:
-                    if len(elems) >= CLOSURE_CAP:
-                        raise ClosureOverflow(
-                            f"closure exceeded {CLOSURE_CAP} elements")
-                    elems[z] = None
-                    nxt.append(z)
-        frontier = nxt
+    found = [identity(curve)]
+    index = {found[0]: 0}
+    parent = [None]
+    left = [[] for _ in gens]  # left[i][x]: index of gens[i] o found[x]
+    x = 0
+    while x < len(found):  # found doubles as the breadth-first queue
+        for i, g in enumerate(gens):
+            z = compose(g, found[x])
+            j = index.get(z)
+            if j is None:
+                if len(found) >= CLOSURE_CAP:
+                    raise ClosureOverflow(
+                        f"closure exceeded {CLOSURE_CAP} elements")
+                j = index[z] = len(found)
+                found.append(z)
+                parent.append((i, x))
+            left[i].append(j)
+        x += 1
     # words in the generators; finiteness plus cancellation forces a group.
     # Every element passed the law check once, in Aut.__init__.
-    return GroupTable(tuple(elems), gens)
+    rows = [range(len(found))]
+    for i, x in parent[1:]:
+        # found[a] = g o found[x], so (g o found[x]) o b = g o (found[x] o b)
+        rows.append([left[i][c] for c in rows[x]])
+    return GroupTable(found, gens, rows)
 
 
 # -- action on the ramified places ------------------------------------------
@@ -426,39 +465,49 @@ def orbits(table):
 
 
 def stabilizer(table, place):
-    kept = tuple(s for s in table.elements if act_on_place(s, place) == place)
-    return GroupTable(kept, kept)
+    kept = [i for i, s in enumerate(table.elements)
+            if act_on_place(s, place) == place]
+    pos = {k: i for i, k in enumerate(kept)}
+    mul = table.mul
+    try:
+        sub = [[pos[mul[a][b]] for b in kept] for a in kept]
+    except KeyError:
+        raise CertificateFailed("stabilizer is not closed") from None
+    elems = [table.elements[k] for k in kept]
+    return GroupTable(elems, elems, sub)
 
 
 # -- the q = 3 exceptional quotient -----------------------------------------
 
 
 def quotient_is_pgl23(table):
-    """Is table/center the symmetric group on its four 3-Sylows?"""
+    """Is table/center the symmetric group on its four 3-Sylows?
+
+    Runs on indices into the table; index order is canonical-key order.
+    """
     if table.curve.q != 3:
         raise WrongQ("the exceptional quotient is a q = 3 statement")
     if table.order != 48:
         raise WrongOrder(f"expected 48 elements, table has {table.order}")
-    elems = table.elements
-    ident = next(z for z in elems if z.is_identity)
-    central = [z for z in elems
-               if not z.is_identity and compose(z, z).is_identity
-               and all(compose(z, x) == compose(x, z) for x in elems)]
+    mul = table.mul
+    span = range(table.order)
+    ident = next(i for i, z in enumerate(table.elements) if z.is_identity)
+    central = [z for z in span
+               if z != ident and mul[z][z] == ident
+               and all(mul[z][x] == mul[x][z] for x in span)]
     if len(central) != 1:
         raise NonCentralInvolution(
             f"found {len(central)} central involutions, expected one")
     iota = central[0]
 
-    rep = {}
-    for z in elems:
-        w = compose(z, iota)
-        rep[z] = z if z._key <= w._key else w
-    classes = tuple(dict.fromkeys(rep.values()))
-    assert len(classes) == 24
+    rep = [min(z, mul[z][iota]) for z in span]
+    classes = tuple(dict.fromkeys(rep))
+    if len(classes) != 24:
+        raise WrongOrder(f"quotient has {len(classes)} classes, expected 24")
     id_rep = rep[ident]
 
     def qmul(x, y):
-        return rep[compose(x, y)]
+        return rep[mul[x][y]]
 
     def qorder(x):
         acc, m = x, 1
@@ -473,13 +522,13 @@ def quotient_is_pgl23(table):
     sylows = {frozenset((id_rep, x, qmul(x, x))) for x in third}
     if len(sylows) != 4:
         return False
-    ordered = sorted(sylows, key=lambda sub: sorted(z._key for z in sub))
+    ordered = sorted(sylows, key=sorted)
     perms = set()
     for g in classes:
-        gi = invert(g)
+        gi = mul[g].index(ident)
         images = []
         for sub in ordered:
-            img = frozenset(rep[compose(compose(g, z), gi)] for z in sub)
+            img = frozenset(rep[mul[mul[g][z]][gi]] for z in sub)
             if img not in sylows:
                 return False
             images.append(ordered.index(img))

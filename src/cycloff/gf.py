@@ -10,6 +10,12 @@ Elements are coefficient tuples over GF(p) in the power basis of the residue
 class of T.  Contexts are cached singletons, so ``create_field(3, 2) is
 create_field(3, 2)`` and context identity doubles as field identity; mixing
 elements of different contexts raises CtxMismatch rather than coercing.
+
+A field of order 3..2^10 multiplies, inverts, raises to powers and takes
+discrete logs by lookup in log/antilog tables on the generator, built once
+when the context is made (Lidl-Niederreiter, *Finite Fields*).  The
+elements are still coefficient tuples, so every printed or hashed value is
+the same as on the convolution/Euclid path that larger fields keep.
 """
 
 import functools
@@ -27,6 +33,11 @@ from .errors import (
 
 ORDER_CAP = 1 << 20          # public desk-scale cap for create_field
 _INTERNAL_ORDER_CAP = 1 << 22  # counting lane may go this far
+# Largest order that gets log/antilog tables.  2^10 covers every field the
+# verify sweep touches (up to GF(2^10) at q=4) and adds about 0.1 MB to the
+# peak memory of a divisor session; a cap of 2^13 added 1.5 MB (6 %) there
+# and saved no time.
+TABLE_CAP = 1 << 10
 
 
 def is_prime(m):
@@ -331,7 +342,8 @@ class FieldCtx:
     """GF(p^n) with deterministic modulus and generator; cached singleton."""
 
     __slots__ = ("p", "n", "order", "modulus", "_red", "_zero", "_one",
-                 "_gen", "_factors", "_baby", "__weakref__")
+                 "_gen", "_factors", "_baby", "_exp", "_log", "_mul", "_inv",
+                 "_pow", "__weakref__")
 
     def __init__(self, p, n, modulus):
         self.p = p
@@ -351,6 +363,11 @@ class FieldCtx:
         self._gen = None
         self._factors = None
         self._baby = None
+        self._exp = self._log = None
+        self._mul, self._inv, self._pow = (
+            self._poly_mul, self._poly_inv, self._poly_pow)
+        if 3 <= self.order <= TABLE_CAP:
+            self._build_tables()
 
     # -- context identity ---------------------------------------------------
 
@@ -418,7 +435,10 @@ class FieldCtx:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def _mul(self, a, b):
+    # _mul, _inv and _pow are bound per context: the convolution/Euclid
+    # methods below, or the table lookups once _build_tables has run.
+
+    def _poly_mul(self, a, b):
         p, n = self.p, self.n
         if n == 1:
             return ((a[0] * b[0]) % p,)
@@ -436,7 +456,7 @@ class FieldCtx:
                     out[i] += c * row[i]
         return tuple(c % p for c in out)
 
-    def _inv(self, a):
+    def _poly_inv(self, a):
         if not any(a):
             raise DivisionByZero(f"division by zero in {self.name}")
         p = self.p
@@ -448,15 +468,51 @@ class FieldCtx:
         u = _pfmod(p, u, self.modulus)
         return tuple(u) + (0,) * (self.n - len(u))
 
-    def _pow(self, a, e):
+    def _poly_pow(self, a, e):
         result = self._one.coeffs
         base = a
         while e:
             if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                result = self._poly_mul(result, base)
+            base = self._poly_mul(base, base)
             e >>= 1
         return result
+
+    def _build_tables(self):
+        """Antilog table ``_exp`` (generator powers, twice round) and ``_log``.
+
+        The generator is found on the polynomial path first.  Zero is the
+        one tuple missing from ``_log``.
+        """
+        g = self.generator.coeffs
+        powers = [self._one.coeffs]
+        for _ in range(self.order - 2):
+            powers.append(self._poly_mul(powers[-1], g))
+        self._log = {a: i for i, a in enumerate(powers)}
+        # doubled, so a product's exponent i + j needs no reduction
+        self._exp = tuple(powers) * 2
+        self._mul, self._inv, self._pow = (
+            self._table_mul, self._table_inv, self._table_pow)
+
+    def _table_mul(self, a, b):
+        log = self._log
+        i = log.get(a)
+        j = log.get(b)
+        if i is None or j is None:
+            return self._zero.coeffs
+        return self._exp[i + j]
+
+    def _table_inv(self, a):
+        i = self._log.get(a)
+        if i is None:
+            raise DivisionByZero(f"division by zero in {self.name}")
+        return self._exp[self.order - 1 - i]
+
+    def _table_pow(self, a, e):
+        i = self._log.get(a)
+        if i is None:
+            return a if e else self._one.coeffs
+        return self._exp[i * e % (self.order - 1)]
 
     # -- deterministic generator -------------------------------------------
 
@@ -478,12 +534,14 @@ class FieldCtx:
                     break
         return self._gen
 
-    # -- discrete logs (baby-step giant-step on the fixed generator) --------
+    # -- discrete logs (table, or baby-step giant-step above TABLE_CAP) -----
 
     def dlog(self, w):
         """Discrete log of w base ``generator``; ZeroElement for 0."""
         if w.is_zero():
             raise ZeroElement("0 has no discrete log")
+        if self._log is not None:
+            return self._log[w.coeffs]
         order = self.order - 1
         if self._baby is None:
             m = isqrt(order - 1) + 1 if order > 1 else 1

@@ -20,6 +20,7 @@ two instances; each only supplies its relation.
 from . import gf
 from .errors import (
     BothZero,
+    CertificateFailed,
     ConstantPolynomial,
     CtxMismatch,
     DivisionByZero,
@@ -719,7 +720,8 @@ def invert_mod(vec, mod, ctx):
         raise DivisionByZero("element shares a factor with the modulus")
     inv = r1[0].inverse()
     out = [c * inv for c in s1]
-    assert yp_deg(out) < yp_deg(list(mod))  # cofactor stays below deg mod
+    if yp_deg(out) >= yp_deg(list(mod)):
+        raise CertificateFailed("inverse cofactor reaches the modulus degree")
     return out
 
 

@@ -10,6 +10,7 @@ import pytest
 from cycloff import autgroup as ag
 from cycloff.carlitz import CycModel, Modulus
 from cycloff.errors import (
+    CertificateFailed,
     ClosureOverflow,
     CtxMismatch,
     GenericPlaceUnsupported,
@@ -102,6 +103,16 @@ def norm3():
     mu = ag.make_mu(C3N)
     eps = ag.make_epsilon(C3N)
     return rho, mu, eps, ag.closure([rho, mu, eps])
+
+
+@pytest.fixture(scope="module")
+def table3n(norm3):
+    return norm3[3]
+
+
+@pytest.fixture(scope="module")
+def table4():
+    return ag.closure([ag.make_rho(C4, MODEL4), ag.make_omega(C4)])
 
 
 # -- construction and the defining relation ---------------------------------
@@ -277,7 +288,7 @@ def test_closure_rejects_mixed_curves(rho3):
 def test_group_axioms_on_the_q5_table(table5):
     assert any(z.is_identity for z in table5)
     for x in table5:
-        inv = ag.invert(x)  # invert itself asserts x inv = inv x = id
+        inv = ag.invert(x)  # invert raises unless x inv = inv x = id
         assert inv in table5
     rng = random.Random(20260822)
     elems = table5.elements
@@ -286,6 +297,58 @@ def test_group_axioms_on_the_q5_table(table5):
         assert ag.compose(ag.compose(a, b), c) == ag.compose(
             a, ag.compose(b, c))
         assert table5.multiply(a, b) == ag.compose(a, b)
+
+
+@pytest.mark.parametrize("name,order", [("table3n", 48), ("table4", 30),
+                                        ("table5", 48)])
+def test_cayley_table_matches_compose_on_every_pair(name, order, request):
+    table = request.getfixturevalue(name)
+    assert table.order == order
+    elems = table.elements
+    assert list(elems) == sorted(elems, key=lambda z: z._key)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert elems[table.mul[i][j]] == ag.compose(a, b)
+
+
+def test_stabilizer_table_is_closed(table5):
+    quads = [p for p in ramified_places(C5) if isinstance(p, RamQuadratic)]
+    for place in (RamInfinity(5), quads[0]):
+        sub = ag.stabilizer(table5, place)
+        n = sub.order
+        assert len(sub.mul) == n and all(len(row) == n for row in sub.mul)
+        for i, a in enumerate(sub.elements):
+            for j, b in enumerate(sub.elements):
+                assert sub.elements[sub.mul[i][j]] == table5.multiply(a, b)
+
+
+def test_stabilizer_rejects_a_set_that_is_not_closed(monkeypatch, table5,
+                                                     rho5):
+    # keep only the identity and rho: rho^2 falls outside, so no subgroup
+    keep = {ag.identity(C5), rho5}
+    monkeypatch.setattr(ag, "act_on_place",
+                        lambda s, pl: pl if s in keep else None)
+    with pytest.raises(CertificateFailed):
+        ag.stabilizer(table5, RamInfinity(5))
+
+
+def test_group_table_invariants_are_typed_errors(rho5):
+    with pytest.raises(CertificateFailed):
+        ag.GroupTable((), (), ())
+    with pytest.raises(CertificateFailed):
+        ag.GroupTable((rho5,), (rho5,), ((0,),))  # no identity
+
+
+def test_make_rho_order_check_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(ag, "_order_of", lambda a: 2)
+    with pytest.raises(WrongOrder):
+        ag.make_rho(C3, MODEL3)
+
+
+def test_invert_check_is_a_typed_error(monkeypatch, rho5):
+    monkeypatch.setattr(ag, "compose", lambda a, b: rho5)
+    with pytest.raises(CertificateFailed):
+        ag.invert(rho5)
 
 
 def test_every_table_element_satisfies_the_relation(table5):

@@ -245,6 +245,96 @@ def test_dlog_and_nth_roots():
             assert roots == []
 
 
+# ---------------------------------------------------------------------------
+# Log/antilog tables against the convolution/Euclid path they replace.
+
+def oracle_field_mul(ctx, a, b):
+    """Schoolbook product reduced by long division by the modulus."""
+    prod = list(oracle_poly_mul(ctx.p, a, b))
+    mod = ctx.modulus
+    while len(prod) >= len(mod):
+        c = prod[-1]
+        for k in range(len(mod)):
+            prod[len(prod) - len(mod) + k] = (
+                prod[len(prod) - len(mod) + k] - c * mod[k]) % ctx.p
+        prod.pop()
+    return tuple(prod) + (0,) * (ctx.n - len(prod))
+
+
+def check_table_ops(ctx, a, b, e):
+    assert ctx._mul(a, b) == ctx._poly_mul(a, b)
+    assert ctx._pow(a, e) == ctx._poly_pow(a, e)
+    x = gf.FieldElem(ctx, a)
+    if any(a):
+        assert ctx._inv(a) == ctx._poly_inv(a)
+        assert (x ** -1).coeffs == ctx._poly_inv(a)
+    else:
+        with pytest.raises(DivisionByZero):
+            ctx._inv(a)
+        with pytest.raises(DivisionByZero):
+            x ** -1
+    assert (x ** 0) == ctx.one
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_tables_match_the_polynomial_path_exhaustively(p, n):
+    ctx = gf.create_field(p, n)
+    assert ctx._log is not None and len(ctx._log) == ctx.order - 1
+    elems = [e.coeffs for e in ctx.iter_elements()]
+    for i, a in enumerate(elems):
+        for b in elems:
+            check_table_ops(ctx, a, b, i)
+    assert ctx._pow(ctx.zero.coeffs, 0) == ctx.one.coeffs
+    assert ctx._pow(ctx.zero.coeffs, 5) == ctx.zero.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 6), (2, 10)]), st.integers(-3, 3 ** 6 + 3),
+       st.integers(-3, 2 ** 10 + 3), st.integers(-1, 5000))
+def test_tables_match_the_polynomial_path_at_the_cap(pn, ia, ib, e):
+    ctx = gf.create_field(*pn)
+    assert ctx._log is not None
+    # negative draws stand for zero, so both operands hit it often
+    a = ctx.from_int(max(ia, 0) % ctx.order).coeffs
+    b = ctx.from_int(max(ib, 0) % ctx.order).coeffs
+    check_table_ops(ctx, a, b, max(e, 0))
+
+
+def test_field_above_the_cap_keeps_the_polynomial_path():
+    ctx = gf.create_field(2, 11)
+    assert ctx.order > gf.TABLE_CAP
+    assert ctx._log is None and ctx._exp is None
+    g = ctx.generator
+    acc = ctx.one
+    for k in range(40):
+        assert ctx.dlog(acc) == k  # baby-step giant-step
+        nxt = acc * g
+        assert nxt.coeffs == oracle_field_mul(ctx, acc.coeffs, g.coeffs)
+        assert (nxt * nxt.inverse()) == ctx.one
+        acc = nxt
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (5, 2), (3, 4)])
+def test_table_products_match_an_independent_oracle(p, n):
+    ctx = gf.create_field(p, n)
+    elems = list(ctx.iter_elements())
+    for a in elems[::3]:
+        for b in elems[::5]:
+            assert (a * b).coeffs == oracle_field_mul(ctx, a.coeffs, b.coeffs)
+
+
+def test_table_dlog_and_nth_roots_match_brute_force():
+    ctx = gf.create_field(5, 2)
+    g = ctx.generator
+    assert [ctx.dlog(g ** k) for k in range(ctx.order - 1)] == list(
+        range(ctx.order - 1))
+    elems = list(ctx.iter_elements())
+    for k in (2, 3, 4, 6, 8, 24):
+        for w in elems:
+            brute = [y for y in elems if y ** k == w]
+            assert ctx.nth_roots(w, k) == brute  # lex order either way
+
+
 def test_element_literals_round_trip():
     ctx9 = gf.create_field(3, 2)
     for e in ctx9.iter_elements():
