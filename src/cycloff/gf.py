@@ -7,15 +7,21 @@ constant term first.  The distinguished generator is the least element (same
 ordering) of multiplicative order p^n - 1.  For n = 1 the modulus is T itself.
 
 Elements are coefficient tuples over GF(p) in the power basis of the residue
-class of T.  Contexts are cached singletons, so ``create_field(3, 2) is
-create_field(3, 2)`` and context identity doubles as field identity; mixing
-elements of different contexts raises CtxMismatch rather than coercing.
+class of T.  Contexts are cached singletons, one per (p, n) whatever the
+size cap of the constructor, so ``create_field(3, 2) is _big_field(3, 2)``
+and context identity doubles as field identity; mixing elements of
+different contexts raises CtxMismatch rather than coercing.
 
 A field of order 3..2^10 multiplies, inverts, raises to powers and takes
 discrete logs by lookup in log/antilog tables on the generator, built once
-when the context is made (Lidl-Niederreiter, *Finite Fields*).  The
-elements are still coefficient tuples, so every printed or hashed value is
-the same as on the convolution/Euclid path that larger fields keep.
+when the context is made (Lidl-Niederreiter, *Finite Fields*).  The same
+step builds what arithmetic on exponents needs: Zech's logarithm table
+``_zech`` (g^zech[k] = 1 + g^k, None where the sum is 0), the exponent
+``_neg_exp`` of -1 ((q-1)/2 for odd p, 0 for p = 2) and one shared element
+``_elems[k]`` per exponent k, which polyalg's kernels hand back the way
+``zero`` is shared.  The elements are still coefficient tuples, so every
+printed or hashed value is the same as on the convolution/Euclid path that
+larger fields keep.
 """
 
 import functools
@@ -342,8 +348,8 @@ class FieldCtx:
     """GF(p^n) with deterministic modulus and generator; cached singleton."""
 
     __slots__ = ("p", "n", "order", "modulus", "_red", "_zero", "_one",
-                 "_gen", "_factors", "_baby", "_exp", "_log", "_mul", "_inv",
-                 "_pow", "__weakref__")
+                 "_gen", "_factors", "_baby", "_exp", "_log", "_zech",
+                 "_neg_exp", "_elems", "_mul", "_inv", "_pow", "__weakref__")
 
     def __init__(self, p, n, modulus):
         self.p = p
@@ -363,7 +369,7 @@ class FieldCtx:
         self._gen = None
         self._factors = None
         self._baby = None
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = self._neg_exp = self._elems = None
         self._mul, self._inv, self._pow = (
             self._poly_mul, self._poly_inv, self._poly_pow)
         if 3 <= self.order <= TABLE_CAP:
@@ -479,18 +485,26 @@ class FieldCtx:
         return result
 
     def _build_tables(self):
-        """Antilog table ``_exp`` (generator powers, twice round) and ``_log``.
+        """Antilog table ``_exp`` (generator powers, twice round), ``_log``,
+        the Zech table ``_zech``, the exponent ``_neg_exp`` of -1 and one
+        shared element ``_elems[k]`` per exponent k.
 
         The generator is found on the polynomial path first.  Zero is the
-        one tuple missing from ``_log``.
+        one tuple missing from ``_log``, and None in ``_zech``.
         """
         g = self.generator.coeffs
-        powers = [self._one.coeffs]
+        one = self._one.coeffs
+        powers = [one]
         for _ in range(self.order - 2):
             powers.append(self._poly_mul(powers[-1], g))
-        self._log = {a: i for i, a in enumerate(powers)}
+        self._log = log = {a: i for i, a in enumerate(powers)}
         # doubled, so a product's exponent i + j needs no reduction
         self._exp = tuple(powers) * 2
+        # g^_zech[k] = 1 + g^k (Lidl-Niederreiter, Finite Fields, 10.1)
+        self._zech = tuple([log.get(self._add(one, a)) for a in powers])
+        self._neg_exp = (self.order - 1) // 2 if self.p != 2 else 0
+        self._elems = tuple([self._one] + [FieldElem(self, a)
+                                           for a in powers[1:]])
         self._mul, self._inv, self._pow = (
             self._table_mul, self._table_inv, self._table_pow)
 
@@ -590,24 +604,30 @@ def _lex_to_packed(ctx, v):
 
 
 @functools.lru_cache(maxsize=None)
-def _field_ctx(p, n, cap):
+def _field_ctx(p, n):
+    """The one context of GF(p^n); callers check p, n and their cap first."""
+    return FieldCtx(p, n, _least_irreducible(p, n))
+
+
+def _checked_field(p, n, cap):
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     if p ** n > cap:
         raise TooLarge(f"GF({p}^{n}) exceeds the size cap {cap}")
-    return FieldCtx(p, n, _least_irreducible(p, n))
+    return _field_ctx(p, n)
 
 
 def create_field(p, n=1):
     """GF(p^n) context; deterministic and cached.  Caps at p^n <= 2^20."""
-    return _field_ctx(p, n, ORDER_CAP)
+    return _checked_field(p, n, ORDER_CAP)
 
 
 def _big_field(p, n):
-    """Internal constructor for the counting lane; cap 2^22."""
-    return _field_ctx(p, n, _INTERNAL_ORDER_CAP)
+    """Internal constructor for the counting lane; cap 2^22.  Below 2^20 it
+    returns the same context as create_field."""
+    return _checked_field(p, n, _INTERNAL_ORDER_CAP)
 
 
 def field_from_order(q):

@@ -89,12 +89,18 @@ class KummerCurve(KummerAlgebra):
 
         Keeps the two quadratic roots, sorted by ``to_int``, as
         ``quad_roots``; the place layer books the quadratic point by them.
+
+        h is reduced, so it has a simple pole at alpha iff den(alpha) = 0,
+        den'(alpha) != 0 and num(alpha) != 0, and a simple zero at a root
+        of num iff num' does not vanish there: evaluations, not valuations.
         """
         q, ctx = self.q, self.ctx
+        num, den = self.h.num, self.h.den
+        dnum, dden = num.derivative(), den.derivative()
         if gcd(q - 2, q - 1) != 1:
             raise WrongRamification(f"q-2 and q-1 share a factor at q={q}")
         for alpha in ctx.iter_elements():
-            if self.h.valuation(alpha) != -1:
+            if den(alpha) or not dden(alpha) or not num(alpha):
                 raise WrongRamification(
                     f"h has no simple pole at v={gf.format_element(alpha)}")
         if self.h.valuation(INFINITY) != q - 2:
@@ -108,7 +114,7 @@ class KummerCurve(KummerAlgebra):
                 f"the numerator of h needs two distinct roots in {ext.name}, "
                 f"found [{found}]")
         for rt in quad_roots:
-            if self.h.valuation(rt) != 1:
+            if num(rt) or not dnum(rt):
                 raise WrongRamification(
                     f"h has no simple zero at v={gf.format_element(rt)}")
         self.quad_roots = tuple(sorted(quad_roots, key=lambda r: r.to_int()))

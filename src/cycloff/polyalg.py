@@ -11,6 +11,11 @@ Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
 equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
 
+Over a field with log/antilog tables (order 3..gf.TABLE_CAP), product,
+division, gcd and modular powering run on lists of generator exponents,
+adding with Zech's logarithm table; gcd and powering convert once on entry
+and once on exit.  GF(2) and fields above the cap keep the FieldElem loops.
+
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field
 (carlitz.CycModel) and the Kummer algebras (kummer.KummerAlgebra) are its
@@ -153,10 +158,14 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        ctx = self.ctx
+        if ctx._zech is not None:
+            return _from_exps(ctx, _exp_mul(_to_exps(self, ctx),
+                                            _to_exps(other, ctx), ctx))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(self.ctx)
-        zero = self.ctx.zero
+            return Poly.zero(ctx)
+        zero = ctx.zero
         out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x.is_zero():
@@ -172,7 +181,11 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        zero = self.ctx.zero
+        ctx = self.ctx
+        if ctx._zech is not None:
+            q, r = _exp_divmod(_to_exps(self, ctx), _to_exps(other, ctx), ctx)
+            return _from_exps(ctx, q), _from_exps(ctx, r)
+        zero = ctx.zero
         rem = list(self.coeffs)
         dg = other.degree
         # monic divisors are the common case; skip a full inversion there
@@ -292,6 +305,10 @@ def xgcd(f, g):
 def poly_gcd(f, g):
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
+    ctx = f.ctx
+    if ctx._zech is not None:
+        return _from_exps(ctx, _exp_gcd(_to_exps(f, ctx), _to_exps(g, ctx),
+                                        ctx))
     while not g.is_zero():
         f, g = g, f % g
     return f.monic()
@@ -334,13 +351,118 @@ def _xq_power(f, j):
 
 
 def _powmod(base, e, mod):
-    result = Poly.one(mod.ctx) % mod
+    ctx = mod.ctx
+    if ctx._zech is not None:
+        if mod.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        return _from_exps(ctx, _exp_powmod(_to_exps(base, ctx), e,
+                                           _to_exps(mod, ctx), ctx))
+    result = Poly.one(ctx) % mod
     base = base % mod
     while e:
         if e & 1:
             result = (result * base) % mod
         base = (base * base) % mod
         e >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Kernels on generator exponents, for contexts with log/antilog tables.
+# A polynomial is a list of exponents k (the coefficient g^k), None for a
+# zero coefficient, constant term first and no trailing None.  A sum of two
+# nonzero terms is g^c + g^t = g^(c + zech[t - c]), so no FieldElem is made
+# between entry and exit.
+
+
+def _to_exps(f, ctx):
+    if f.ctx is not ctx:
+        raise CtxMismatch("polynomials over different fields")
+    log = ctx._log
+    return [log.get(c.coeffs) for c in f.coeffs]
+
+
+def _from_exps(ctx, a):
+    elems, zero = ctx._elems, ctx._zero
+    return Poly(ctx, [zero if k is None else elems[k] for k in a])
+
+
+def _exp_mul(a, b, ctx):
+    if not a or not b:
+        return []
+    zech, m = ctx._zech, ctx.order - 1
+    terms = [(j, y) for j, y in enumerate(b) if y is not None]
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x is None:
+            continue
+        for j, y in terms:
+            j += i
+            t = x + y
+            c = out[j]
+            if c is None:
+                out[j] = t % m
+            else:
+                z = zech[(t - c) % m]
+                out[j] = None if z is None else (c + z) % m
+    return out
+
+
+def _exp_reduce(rem, b, ctx, quo=None):
+    """Reduce the list rem modulo b in place and return the remainder.
+
+    With a list ``quo`` of length len(rem) - deg b, the quotient's
+    exponents are written into it.
+    """
+    zech, m = ctx._zech, ctx.order - 1
+    db = len(b) - 1
+    lb = b[-1]
+    # -(g^(top - lb)) * g^y = g^(top + y + neg - lb)
+    shift = ctx._neg_exp - lb
+    terms = [(j, y + shift) for j, y in enumerate(b[:db]) if y is not None]
+    for d in range(len(rem) - 1 - db, -1, -1):
+        top = rem[d + db]
+        if top is None:
+            continue
+        if quo is not None:
+            quo[d] = (top - lb) % m
+        for j, y in terms:
+            j += d
+            t = top + y
+            c = rem[j]
+            if c is None:
+                rem[j] = t % m
+            else:
+                z = zech[(t - c) % m]
+                rem[j] = None if z is None else (c + z) % m
+    del rem[db:]
+    while rem and rem[-1] is None:
+        rem.pop()
+    return rem
+
+
+def _exp_divmod(a, b, ctx):
+    quo = [None] * max(0, len(a) - len(b) + 1)
+    return quo, _exp_reduce(a, b, ctx, quo)
+
+
+def _exp_gcd(a, b, ctx):
+    """Monic gcd; a and b are consumed."""
+    while b:
+        a, b = b, _exp_reduce(a, b, ctx)
+    m, lc = ctx.order - 1, a[-1]
+    return [None if k is None else (k - lc) % m for k in a]
+
+
+def _exp_powmod(base, e, mod, ctx):
+    result = _exp_reduce([0], mod, ctx)
+    base = _exp_reduce(base, mod, ctx)
+    while e:
+        if e & 1:
+            result = _exp_reduce(_exp_mul(result, base, ctx), mod, ctx)
+        e >>= 1
+        if e:
+            base = _exp_reduce(_exp_mul(base, base, ctx), mod, ctx)
     return result
 
 

@@ -74,6 +74,31 @@ def test_repeated_quadratic_root_is_a_typed_error(monkeypatch):
         curve_q3(1)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_profile_by_evaluation_agrees_with_valuations(q):
+    # criterion 01's sweep: the constructor checks by evaluation, and
+    # h.valuation (root multiplicities) must give the same profile
+    ctx = gf.field_from_order(q)
+    for mod in iter_irreducible_moduli(ctx):
+        curve = KummerCurve(mod.a, mod.b, ctx.one)
+        assert all(curve.h.valuation(a) == -1 for a in ctx.iter_elements())
+        assert [curve.h.valuation(rt) for rt in curve.quad_roots] == [1, 1]
+
+
+def test_profile_by_evaluation_rejects_higher_orders():
+    c = curve_q3(1)
+    v = RatFunc.gen(F3)
+    other = RatFunc.from_poly(Poly.from_ints(F3, [2, 1, 1]))  # v^2+v+2
+    # a double pole at v = 0; a double zero at both roots of v^2+1, with
+    # the order at infinity kept
+    for h, msg in ((c.h / v, "simple pole"),
+                   (c.h * RatFunc.from_poly(c.ram_numerator) / other,
+                    "simple zero")):
+        c.h = h
+        with pytest.raises(WrongRamification, match=msg):
+            c._check_ramification_profile()
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 def test_ramification_profile_all_moduli(q):
     """h has valuation -1 at rational points, q-2 at infinity, +1 at the

@@ -31,6 +31,7 @@ from cycloff.polyalg import (
     NEG_INF,
     Poly,
     RatFunc,
+    _powmod,
     format_poly,
     is_irreducible,
     parse_poly,
@@ -252,6 +253,114 @@ def test_xgcd_invariants(f, g):
     assert (f % d).is_zero() and (g % d).is_zero()
     if not f.is_zero() and not g.is_zero():
         assert poly_gcd(f // d, g // d).is_one()
+
+
+# ---------------------------------------------------------------------------
+# Exponent (Zech logarithm) kernels against a FieldElem schoolbook oracle.
+# The oracle works on coefficient lists with FieldElem operations only, so
+# it never reaches the kernels that Poly dispatches to.
+
+TABLE_FIELDS = [(3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4),
+                (3, 6), (2, 10)]
+LOOP_FIELDS = [(2, 1), (2, 11)]
+
+
+def school_mul(f, g):
+    ctx = f.ctx
+    out = [ctx.zero] * max(0, len(f.coeffs) + len(g.coeffs) - 1)
+    for i, x in enumerate(f.coeffs):
+        for j, y in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(ctx, out)
+
+
+def school_gcd(f, g):
+    while not g.is_zero():
+        f, g = g, oracle_divmod(f, g)[1]
+    inv = f.lc.inverse()
+    return Poly(f.ctx, [c * inv for c in f.coeffs])
+
+
+def school_powmod(f, e, m):
+    acc = oracle_divmod(Poly.one(f.ctx), m)[1]
+    for _ in range(e):
+        acc = oracle_divmod(school_mul(acc, f), m)[1]
+    return acc
+
+
+def check_against_oracle(f, g, e):
+    assert f * g == school_mul(f, g)
+    if g.is_zero():
+        with pytest.raises(DivisionByZero):
+            divmod(f, g)
+        with pytest.raises(DivisionByZero):
+            _powmod(f, e, g)
+    else:
+        assert divmod(f, g) == oracle_divmod(f, g)
+        assert _powmod(f, e, g) == school_powmod(f, e, g)
+    if f.is_zero() and g.is_zero():
+        with pytest.raises(BothZero):
+            poly_gcd(f, g)
+    else:
+        assert poly_gcd(f, g) == school_gcd(f, g)
+
+
+@pytest.mark.parametrize("fields", [TABLE_FIELDS, LOOP_FIELDS],
+                         ids=["tables", "loops"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_kernels_match_the_schoolbook_oracle(fields, data):
+    ctx = gf.create_field(*data.draw(st.sampled_from(fields)))
+    assert (ctx._zech is not None) == (fields is TABLE_FIELDS)
+    # zero and one often, so sparse and monic polynomials come up
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    f, g = (Poly(ctx, [ctx.from_int(c) for c in data.draw(
+        st.lists(coeff, max_size=8))]) for _ in range(2))
+    e = data.draw(st.integers(0, 12))
+    check_against_oracle(f, g, e)
+    # a shared factor makes the gcd nontrivial
+    if not g.is_zero():
+        check_against_oracle(school_mul(f, g), g, e)
+
+
+@pytest.mark.parametrize("pn", TABLE_FIELDS + LOOP_FIELDS)
+def test_kernel_edge_cases(pn):
+    ctx = gf.create_field(*pn)
+    c = ctx.from_int(ctx.order - 1)
+    zero, one = Poly.zero(ctx), Poly.one(ctx)
+    x = Poly.gen(ctx)
+    long_ = Poly(ctx, [c, ctx.zero, ctx.zero, ctx.one, ctx.zero, c])
+    non_monic = Poly(ctx, [ctx.one, c, c])
+    cases = [(zero, long_), (long_, zero), (Poly.constant(c), long_),
+             (long_, Poly.constant(c)), (x, long_), (long_, non_monic),
+             (non_monic * non_monic, non_monic), (one, one)]
+    for f, g in cases:
+        for e in (0, 1, 2, 27):
+            check_against_oracle(f, g, e)
+    # x + 1 squared in characteristic 2 has no middle term
+    if ctx.p == 2:
+        assert (x + 1) * (x + 1) == x * x + 1
+
+
+def test_table_kernels_make_no_field_elements(monkeypatch):
+    ctx = gf.create_field(3, 4)
+    assert ctx._zech is not None
+    rng = random.Random(81)
+    f, g, m = (Poly(ctx, [ctx.from_int(rng.randrange(ctx.order))
+                          for _ in range(d)]) for d in (9, 6, 5))
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__"):
+        real = getattr(gf.FieldElem, name)
+
+        def counted(self, other, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, other)
+        monkeypatch.setattr(gf.FieldElem, name, counted)
+    f * g
+    divmod(f, g)
+    poly_gcd(f * m, g * m)
+    _powmod(f, ctx.order, m)
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)
