@@ -81,9 +81,10 @@ def bulk_affine_count(curve, k, threads=1):
     red, frob_p = _tables(E)
     frob_q = _matpow(frob_p, n, p)
     mul_gam = _mul_const_matrix(E, embed(curve.gamma, E))
-    mul_a = _mul_const_matrix(E, embed(curve.a, E))
-    b_over_g = np.array(embed(curve.b * curve.gamma.inverse(), E).coeffs,
-                        dtype=np.int64)
+    mul_a = _mul_const_matrix(E, embed(curve.modulus.a, E))
+    b_over_g = np.array(
+        embed(curve.modulus.b * curve.gamma.inverse(), E).coeffs,
+        dtype=np.int64)
     pows = p ** np.arange(m, dtype=np.int64)
     total_order = p ** m
 

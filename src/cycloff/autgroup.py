@@ -230,7 +230,7 @@ def make_rho(curve, model):
     if not isinstance(curve, KummerCurve):
         raise CtxMismatch("rho lives on a Kummer curve")
     mod = model.modulus
-    if mod.a != curve.a or mod.b != curve.b:
+    if mod != curve.modulus:
         raise CtxMismatch("curve and torsion model disagree on (a, b)")
     q, ctx = curve.q, curve.ctx
     u = mod.unit_group_generator()
@@ -271,7 +271,7 @@ def make_mu(curve):
     lam = ext.generator ** ((q + 1) // 2)
     if lam ** (q - 1) != -ext.one:
         raise CertificateFailed("lambda^(q-1) is not -1")
-    shift = curve.a * curve.gamma.inverse()
+    shift = curve.modulus.a * curve.gamma.inverse()
     mu = Aut(curve, (-ext.one, -gf.embed(shift, ext), ext.zero, ext.one),
              1, lam)
     # mu^2 fixes v and rescales y by a generator of the scaling subgroup
@@ -290,7 +290,7 @@ def make_omega(curve):
     if curve.ctx.p != 2:
         raise WrongCharacteristic("omega needs characteristic two")
     ext = _ext_ctx(curve.h.ctx)
-    shift = curve.a * curve.gamma.inverse()
+    shift = curve.modulus.a * curve.gamma.inverse()
     w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1, 1)
     if not compose(w, w).is_identity:
         raise WrongOrder("omega is not an involution")
@@ -302,7 +302,7 @@ def make_epsilon(curve):
     if curve.q != 3:
         raise WrongQ("epsilon exists for q = 3 only")
     ctx = curve.ctx
-    if not (curve.a.is_zero() and curve.b == ctx.one
+    if not (curve.modulus.a.is_zero() and curve.modulus.b == ctx.one
             and curve.gamma == ctx.elem(2)):
         raise ValueError("epsilon needs the model y^2 = (v^2+1)/(v^3-v)")
     ext = _ext_ctx(curve.h.ctx)

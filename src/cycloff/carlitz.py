@@ -35,7 +35,13 @@ from .errors import (
     ReducibleModulus,
     ZeroPolynomial,
 )
-from .polyalg import Poly, QuotientAlgebra, format_poly, is_irreducible
+from .polyalg import (
+    Poly,
+    QuotientAlgebra,
+    _powmod,
+    format_poly,
+    is_irreducible,
+)
 
 
 class CarlitzPoly:
@@ -185,15 +191,7 @@ class Modulus:
         return self.unit(u.rep * w.rep)
 
     def unit_pow(self, u, e):
-        e %= self.q ** 2 - 1
-        acc = self.unit(1)
-        base = u
-        while e:
-            if e & 1:
-                acc = self.unit_mul(acc, base)
-            base = self.unit_mul(base, base)
-            e >>= 1
-        return acc
+        return UnitClass(_powmod(u.rep, e % (self.q ** 2 - 1), self.as_poly()))
 
     def unit_order(self, u):
         n = self.q ** 2 - 1

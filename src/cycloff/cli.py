@@ -8,6 +8,7 @@ and 1 otherwise; any library error becomes ``{"error": {"code",
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from . import gf
 from .autgroup import group_report
 from .carlitz import CycModel, Modulus
 from .errors import CycloffError, ParseError, TooLarge, ZeroElement
-from .kummer import KummerCurve, verify_prop31
+from .kummer import KummerCurve, elimination_certificate
 from .places import (
     Divisor,
     RamInfinity,
@@ -49,12 +50,6 @@ class RunConfig:
     which: Optional[str] = None
 
 
-def _context_for(q):
-    if q > PIPELINE_Q_CAP:
-        raise TooLarge(f"pipelines are capped at q <= {PIPELINE_Q_CAP}")
-    return gf.field_from_order(q)
-
-
 def _parse_modulus(ctx, literal):
     f = parse_poly(ctx, literal, var="T")
     if f.degree != 2 or f.coeff(2) != 1:
@@ -77,11 +72,35 @@ def _pick_gamma(cfg, ctx, mod):
     return ctx.one
 
 
-def _resolve(cfg):
-    ctx = _context_for(cfg.q)
-    mod = _parse_modulus(ctx, cfg.modulus)
-    gamma = _pick_gamma(cfg, ctx, mod)
-    return ctx, mod, gamma
+class _Run:
+    """One configuration, resolved on first use.
+
+    The modulus and gamma, the curve and the torsion model are each built
+    once and shared by every section of a ``verify`` run.  Nothing is
+    resolved up front, so ``zeta`` still reports its own cap before any
+    modulus error.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @functools.cached_property
+    def resolved(self):
+        cfg = self.cfg
+        if cfg.q > PIPELINE_Q_CAP:
+            raise TooLarge(f"pipelines are capped at q <= {PIPELINE_Q_CAP}")
+        ctx = gf.field_from_order(cfg.q)
+        mod = _parse_modulus(ctx, cfg.modulus)
+        return mod, _pick_gamma(cfg, ctx, mod)
+
+    @functools.cached_property
+    def curve(self):
+        mod, gamma = self.resolved
+        return KummerCurve(mod.a, mod.b, gamma)
+
+    @functools.cached_property
+    def model(self):
+        return CycModel(self.resolved[0])
 
 
 def _minpoly_str(model):
@@ -99,36 +118,34 @@ def _minpoly_str(model):
     return "+".join(parts)
 
 
-def _model_header(cfg, ctx, mod, gamma):
+def _model_header(run):
+    mod, gamma = run.resolved
     return {
-        "q": cfg.q,
+        "q": run.cfg.q,
         "modulus": format_poly(mod.as_poly(), "T"),
         "gamma": gf.format_element(gamma),
     }
 
 
-def cmd_construct(cfg):
-    ctx, mod, gamma = _resolve(cfg)
-    model = CycModel(mod)
-    curve = KummerCurve(mod.a, mod.b, gamma)
-    cert = verify_prop31(cfg.q, mod.a, mod.b, gamma)
-    report = _model_header(cfg, ctx, mod, gamma)
+def cmd_construct(run):
+    model, curve = run.model, run.curve
+    cert = elimination_certificate(model, curve.gamma)
+    report = _model_header(run)
     report.update({
         "carlitz_operator": str(model.carlitz_m),
         "torsion_minpoly": _minpoly_str(model),
         "kummer_model": (
-            f"y^{cfg.q - 1} = ({format_poly(curve.h.num, 'v')})"
+            f"y^{curve.q - 1} = ({format_poly(curve.h.num, 'v')})"
             f"/({format_poly(curve.h.den, 'v')})"),
         "elimination_ok": cert.ok,
     })
     return report, {"elimination_certificate": cert.ok}
 
 
-def cmd_genus(cfg):
-    ctx, mod, gamma = _resolve(cfg)
-    rc = rh_check(cfg.q)
-    gform = genus_formula(cfg.q)
-    report = _model_header(cfg, ctx, mod, gamma)
+def cmd_genus(run):
+    report = _model_header(run)
+    rc = rh_check(run.cfg.q)
+    gform = genus_formula(run.cfg.q)
     report.update({
         "genus_formula": gform,
         "genus_rh": rc.genus,
@@ -137,25 +154,24 @@ def cmd_genus(cfg):
     return report, {"genus_formula_matches_rh": rc.ok and rc.genus == gform}
 
 
-def cmd_count(cfg):
-    ctx, mod, gamma = _resolve(cfg)
-    curve = KummerCurve(mod.a, mod.b, gamma)
+def cmd_count(run):
+    cfg, curve = run.cfg, run.curve
     counts = [count_degree_one(curve, j, threads=cfg.threads)
               for j in range(1, cfg.k + 1)]
-    report = _model_header(cfg, ctx, mod, gamma)
+    report = _model_header(run)
     report["N"] = counts
     return report, {"rational_places_q_plus_1": counts[0] == cfg.q + 1}
 
 
-def cmd_zeta(cfg):
+def cmd_zeta(run):
+    cfg = run.cfg
     if cfg.q > ZETA_Q_CAP:
         raise TooLarge(f"the zeta pipeline is capped at q <= {ZETA_Q_CAP}; "
                        f"counts to degree 2g are out of reach for q={cfg.q}")
-    ctx, mod, gamma = _resolve(cfg)
-    curve = KummerCurve(mod.a, mod.b, gamma)
+    curve = run.curve
     row = report_row(curve, threads=cfg.threads)
     report = {"q": row["q"], "modulus": row["modulus"],
-              "gamma": gf.format_element(gamma)}
+              "gamma": gf.format_element(curve.gamma)}
     for key in ("N", "L", "genus_zeta", "genus_formula", "rh_ok"):
         report[key] = row[key]
     claims = {
@@ -172,31 +188,28 @@ def _expects_exceptional_group(q, mod, gamma):
             and gamma == ctx.elem(2))
 
 
-def cmd_aut(cfg):
-    ctx, mod, gamma = _resolve(cfg)
-    curve = KummerCurve(mod.a, mod.b, gamma)
-    rep = group_report(curve, CycModel(mod))
-    if _expects_exceptional_group(cfg.q, mod, gamma):
-        expected = 6 * (cfg.q ** 2 - 1)
+def cmd_aut(run):
+    q, curve = run.cfg.q, run.curve
+    rep = group_report(curve, run.model)
+    if _expects_exceptional_group(q, curve.modulus, curve.gamma):
+        expected = 6 * (q ** 2 - 1)
         claims = {
             "aut_order_matches": rep["order"] == expected,
             "aut_quotient_pgl23": rep["q3_pgl23"] is True,
         }
     else:
-        expected = 2 * (cfg.q ** 2 - 1)
+        expected = 2 * (q ** 2 - 1)
         claims = {"aut_order_matches": rep["order"] == expected}
     return rep, claims
 
 
-def cmd_lspaces(cfg):
-    ctx, mod, gamma = _resolve(cfg)
-    curve = KummerCurve(mod.a, mod.b, gamma)
-    q = cfg.q
+def cmd_lspaces(run):
+    q, curve = run.cfg.q, run.curve
     pinf = RamInfinity(q)
     qb, qg = [p for p in ramified_places(curve)
               if isinstance(p, RamQuadratic)]
     one_el = curve.one()
-    v_el = curve.scalar(Poly.gen(ctx))
+    v_el = curve.scalar(Poly.gen(curve.ctx))
     y_inv = curve.y().inverse()
     v_over_y = v_el * y_inv
 
@@ -213,7 +226,7 @@ def cmd_lspaces(cfg):
             top.divisors[0].coeff(pinf) == -(2 * q - 3),
         "inv_y_outside_plain_space": not plain.members[0],
     }
-    report = _model_header(cfg, ctx, mod, gamma)
+    report = _model_header(run)
     report.update(checks)
     return report, {"lspace_memberships": all(checks.values())}
 
@@ -228,20 +241,20 @@ _SECTIONS = (
 )
 
 
-def cmd_verify(cfg):
-    ctx, mod, gamma = _resolve(cfg)
+def cmd_verify(run):
+    cfg = run.cfg
+    report = _model_header(run)
     if cfg.which == "all":
         targets = [name for name, _ in _SECTIONS
                    if name != "zeta" or cfg.q <= ZETA_Q_CAP]
     else:
         targets = [cfg.which]
-    report = _model_header(cfg, ctx, mod, gamma)
     reports = {}
     claims = {}
     for name, fn in _SECTIONS:
         if name not in targets:
             continue
-        section, section_claims = fn(cfg)
+        section, section_claims = fn(run)
         reports[name] = section
         claims.update(section_claims)
     if "aut" in reports:
@@ -287,12 +300,13 @@ _COMMANDS = dict(_SECTIONS)
 
 def main(argv=None):
     cfg = build_config(argv)
+    run = _Run(cfg)
     try:
         if cfg.command == "verify":
-            report, ok = cmd_verify(cfg)
+            report, ok = cmd_verify(run)
             code = 0 if ok else 1
         else:
-            report, _ = _COMMANDS[cfg.command](cfg)
+            report, _ = _COMMANDS[cfg.command](run)
             code = 0
     except CycloffError as exc:
         report = {"error": {"code": type(exc).__name__, "message": str(exc)}}

@@ -3,8 +3,10 @@
 Construction is fully deterministic.  The defining modulus of GF(p^n) is the
 lexicographically least monic irreducible polynomial of degree n over GF(p),
 where coefficient vectors (c_0, ..., c_{n-1}) are compared as integer tuples,
-constant term first.  The distinguished generator is the least element (same
-ordering) of multiplicative order p^n - 1.  For n = 1 the modulus is T itself.
+constant term first; the search tests each candidate with
+polyalg.is_irreducible over GF(p), so polyalg is the one polynomial layer.
+The distinguished generator is the least element (same ordering) of
+multiplicative order p^n - 1.  For n = 1 the modulus is T itself.
 
 Elements are coefficient tuples over GF(p) in the power basis of the residue
 class of T.  Contexts are cached singletons, one per (p, n) whatever the
@@ -12,16 +14,17 @@ size cap of the constructor, so ``create_field(3, 2) is _big_field(3, 2)``
 and context identity doubles as field identity; mixing elements of
 different contexts raises CtxMismatch rather than coercing.
 
-A field of order 3..2^10 multiplies, inverts, raises to powers and takes
-discrete logs by lookup in log/antilog tables on the generator, built once
-when the context is made (Lidl-Niederreiter, *Finite Fields*).  The same
-step builds what arithmetic on exponents needs: Zech's logarithm table
-``_zech`` (g^zech[k] = 1 + g^k, None where the sum is 0), the exponent
-``_neg_exp`` of -1 ((q-1)/2 for odd p, 0 for p = 2) and one shared element
-``_elems[k]`` per exponent k, which polyalg's kernels hand back the way
-``zero`` is shared.  The elements are still coefficient tuples, so every
-printed or hashed value is the same as on the convolution/Euclid path that
-larger fields keep.
+Every field of order at most 2^10, GF(2) included, multiplies, inverts,
+raises to powers and takes discrete logs by lookup in log/antilog tables on
+the generator, built once when the context is made (Lidl-Niederreiter,
+*Finite Fields*).  The same step builds what arithmetic on exponents needs:
+Zech's logarithm table ``_zech`` (g^zech[k] = 1 + g^k, None where the sum
+is 0), the exponent ``_neg_exp`` of -1 ((q-1)/2 for odd p, 0 for p = 2)
+and one shared element ``_elems[k]`` per exponent k, which polyalg's
+kernels hand back the way ``zero`` is shared.  The elements are still
+coefficient tuples, so every printed or hashed value is the same as on the
+convolution path that larger fields keep; there an inverse is a^(Q-2)
+(Fermat).
 """
 
 import functools
@@ -69,153 +72,17 @@ def factorize(m):
     return fs
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over the prime field, on plain int tuples.
-# Used to bootstrap modulus selection and element inversion; kept free of
-# FieldCtx so the selection of GF(p^n)'s modulus needs nothing but p.
-
-def _pftrim(c):
-    i = len(c)
-    while i and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pfadd(p, f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, x in enumerate(g):
-        out[i] = (out[i] + x) % p
-    return _pftrim(out)
-
-
-def _pfsub(p, f, g):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, x in enumerate(g):
-        out[i] = (out[i] - x) % p
-    return _pftrim(out)
-
-
-def _pfmul(p, f, g):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-    return _pftrim([c % p for c in out])
-
-
-def _pfdivmod(p, f, g):
-    if not g:
-        raise DivisionByZero("polynomial division by zero")
-    f = list(f)
-    dg = len(g) - 1
-    inv_lc = pow(g[-1], -1, p)
-    q = [0] * max(0, len(f) - dg)
-    while len(_pftrim(f)) - 1 >= dg:
-        f = list(_pftrim(f))
-        d = len(f) - 1 - dg
-        c = (f[-1] * inv_lc) % p
-        q[d] = c
-        for j, y in enumerate(g):
-            f[d + j] = (f[d + j] - c * y) % p
-    return _pftrim(q), _pftrim(f)
-
-
-def _pfmod(p, f, g):
-    return _pfdivmod(p, f, g)[1]
-
-
-def _pfgcd(p, f, g):
-    while g:
-        f, g = g, _pfmod(p, f, g)
-    if f:
-        inv_lc = pow(f[-1], -1, p)
-        f = tuple((c * inv_lc) % p for c in f)
-    return f
-
-
-def _pfxgcd(p, f, g):
-    """Extended Euclid: returns (d, u, w) with u*f + w*g = d, d monic or ()."""
-    r0, r1 = f, g
-    u0, u1 = (1,), ()
-    w0, w1 = (), (1,)
-    while r1:
-        q, r = _pfdivmod(p, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _pfsub(p, u0, _pfmul(p, q, u1))
-        w0, w1 = w1, _pfsub(p, w0, _pfmul(p, q, w1))
-    if r0:
-        inv_lc = pow(r0[-1], -1, p)
-        scale = (inv_lc,)
-        r0 = _pfmul(p, r0, scale)
-        u0 = _pfmul(p, u0, scale)
-        w0 = _pfmul(p, w0, scale)
-    return r0, u0, w0
-
-
-def _pfpowmod(p, base, e, mod):
-    result = (1,)
-    base = _pfmod(p, base, mod)
-    while e:
-        if e & 1:
-            result = _pfmod(p, _pfmul(p, result, base), mod)
-        base = _pfmod(p, _pfmul(p, base, base), mod)
-        e >>= 1
-    return result
-
-
-def _pf_xq_power(p, j, mod):
-    """T^(p^j) mod ``mod`` via j rounds of p-th powering."""
-    t = _pfmod(p, (0, 1), mod)
-    for _ in range(j):
-        t = _pfpowmod(p, t, p, mod)
-    return t
-
-
-def _pf_is_irreducible(p, f):
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if d <= 3:
-        # cubic or quadratic: irreducible iff it has no root
-        return all(_pfeval(p, f, c) for c in range(p))
-    for c in range(p):
-        # a rational root settles it without the Frobenius ladder
-        if _pfeval(p, f, c) == 0:
-            return False
-    t = _pf_xq_power(p, d, f)
-    if t != _pfmod(p, (0, 1), f):
-        return False
-    for r in factorize(d):
-        tr = _pf_xq_power(p, d // r, f)
-        if _pfgcd(p, f, _pfsub(p, tr, (0, 1))) != (1,):
-            return False
-    return True
-
-
-def _pfeval(p, f, c):
-    acc = 0
-    for coef in reversed(f):
-        acc = (acc * c + coef) % p
-    return acc
-
-
 def _least_irreducible(p, n):
     """Lex-least monic irreducible of degree n over GF(p); T itself for n=1."""
     if n == 1:
         return (0, 1)
-    tail = [0] * n
-    while True:
-        # zero constant term means divisible by T; skip the full test
-        if tail[0] and _pf_is_irreducible(p, tuple(tail) + (1,)):
-            return tuple(tail) + (1,)
-        # increment the (c_0, ..., c_{n-1}) tuple in integer-tuple order
+    # polyalg imports this module, so the import waits for the first call
+    from .polyalg import Poly, is_irreducible
+    fp = _field_ctx(p, 1)
+    # tails with c_0 = 0 are divisible by T, so the walk starts past them
+    tail = [1] + [0] * (n - 1)
+    while not is_irreducible(Poly.from_ints(fp, tail + [1])):
+        # next (c_0, ..., c_{n-1}) tuple in integer-tuple order
         i = n - 1
         while i >= 0 and tail[i] == p - 1:
             tail[i] = 0
@@ -223,9 +90,7 @@ def _least_irreducible(p, n):
         if i < 0:
             raise RuntimeError("no irreducible found; unreachable for prime p")
         tail[i] += 1
-
-
-# ---------------------------------------------------------------------------
+    return tuple(tail) + (1,)
 
 
 class FieldElem:
@@ -356,13 +221,16 @@ class FieldCtx:
         self.n = n
         self.order = p ** n
         self.modulus = modulus
-        # reduction rows: T^(n+j) mod modulus for j = 0..n-2
+        # reduction rows: T^(n+j) mod modulus for j = 0..n-2, from
+        # T^n = -sum m_i T^i, then shift by T and fold the top coefficient
+        first = tuple((-c) % p for c in modulus[:n])
         red = []
-        base = _pfmod(p, (0,) * n + (1,), modulus)
-        row = base
-        for _ in range(max(0, n - 1)):
-            red.append(tuple(row) + (0,) * (n - len(row)))
-            row = _pfmod(p, _pfmul(p, row, (0, 1)), modulus)
+        row = first
+        for _ in range(n - 1):
+            red.append(row)
+            top = row[-1]
+            row = tuple((c + top * f) % p
+                        for c, f in zip((0,) + row[:-1], first))
         self._red = tuple(red)
         self._zero = FieldElem(self, (0,) * n)
         self._one = FieldElem(self, (1,) + (0,) * (n - 1))
@@ -372,7 +240,7 @@ class FieldCtx:
         self._exp = self._log = self._zech = self._neg_exp = self._elems = None
         self._mul, self._inv, self._pow = (
             self._poly_mul, self._poly_inv, self._poly_pow)
-        if 3 <= self.order <= TABLE_CAP:
+        if self.order <= TABLE_CAP:
             self._build_tables()
 
     # -- context identity ---------------------------------------------------
@@ -441,7 +309,7 @@ class FieldCtx:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    # _mul, _inv and _pow are bound per context: the convolution/Euclid
+    # _mul, _inv and _pow are bound per context: the convolution/Fermat
     # methods below, or the table lookups once _build_tables has run.
 
     def _poly_mul(self, a, b):
@@ -465,14 +333,8 @@ class FieldCtx:
     def _poly_inv(self, a):
         if not any(a):
             raise DivisionByZero(f"division by zero in {self.name}")
-        p = self.p
-        if self.n == 1:
-            return (pow(a[0], -1, p),)
-        d, u, _ = _pfxgcd(p, _pftrim(a), self.modulus)
-        if d != (1,):
-            raise DivisionByZero("element not invertible; modulus not irreducible?")
-        u = _pfmod(p, u, self.modulus)
-        return tuple(u) + (0,) * (self.n - len(u))
+        # Fermat: a^(Q-1) = 1, so a^(Q-2) is the inverse
+        return self._poly_pow(a, self.order - 2)
 
     def _poly_pow(self, a, e):
         result = self._one.coeffs

@@ -6,10 +6,10 @@ v, y with
     y^(q-1) = h(v) = -(g v^2 + a v + b/g) / (v^q - v),      g = gamma,
 
 one such curve for every nonzero gamma.  KummerAlgebra is the
-polyalg.QuotientAlgebra with the binomial relation Y^n = H, and
-KummerCurve is the one with n = q-1 and H = h.  verify_prop31 replays the
-elimination inside the degree-(q^2-1) torsion field and hands back the
-residual, which must be zero.
+polyalg.QuotientAlgebra with the binomial relation Y^n = h for a scalar
+h, and KummerCurve is the one with n = q-1 and h as above.  verify_prop31
+replays the elimination inside the degree-(q^2-1) torsion field and hands
+back the residual, which must be zero.
 
 The other direction starts from a curve y^(q-1) = lambda * u(v)^r and
 recovers a quadratic modulus whose curve is the same field in disguise;
@@ -42,20 +42,20 @@ from .polyalg import (
 
 
 class KummerAlgebra(QuotientAlgebra):
-    """Quotient GF(q)(v)[Y] / (Y^n - H) for a nonzero scalar H."""
+    """Quotient GF(q)(v)[Y] / (Y^n - h) for a nonzero scalar h."""
 
-    def __init__(self, ctx, n, H):
+    def __init__(self, ctx, n, h):
         if n < 1:
             raise ValueError("relation degree must be positive")
-        if isinstance(H, Poly):
-            H = RatFunc.from_poly(H)
-        if H.is_zero():
-            raise ZeroElement("defining scalar H must be nonzero")
-        super().__init__(ctx, n, {0: -H})
-        self.H = H
+        if isinstance(h, Poly):
+            h = RatFunc.from_poly(h)
+        if h.is_zero():
+            raise ZeroElement("defining scalar h must be nonzero")
+        super().__init__(ctx, n, {0: -h})
+        self.h = h
 
     def __repr__(self):
-        return f"<algebra Y^{self.n} = {self.H} over {self.ctx.name}(v)>"
+        return f"<algebra Y^{self.n} = {self.h} over {self.ctx.name}(v)>"
 
 
 class KummerCurve(KummerAlgebra):
@@ -72,14 +72,10 @@ class KummerCurve(KummerAlgebra):
         num = -(Poly.constant(gamma) * v * v + Poly.constant(a) * v
                 + Poly.constant(binv_g))
         den = v.frob_power(ctx.n) - v
-        h = RatFunc(num, den)
-        super().__init__(ctx, q - 1, h)
+        super().__init__(ctx, q - 1, RatFunc(num, den))
         self.modulus = modulus
-        self.a = a
-        self.b = b
         self.gamma = gamma
         self.q = q
-        self.h = h
         self.ram_numerator = -num  # g v^2 + a v + b/g, monic up to gamma
         self._check_ramification_profile()
 
@@ -157,7 +153,13 @@ def verify_prop31(q, a, b, gamma):
     if gamma.is_zero():
         raise ZeroElement("gamma must be a nonzero scalar")
     modulus = Modulus(a, b)  # ReducibleModulus for a bad pair
-    model = CycModel(modulus)
+    return elimination_certificate(CycModel(modulus), gamma)
+
+
+def elimination_certificate(model, gamma):
+    """verify_prop31 inside an existing torsion model, for a nonzero gamma."""
+    ctx, a, b = model.ctx, model.modulus.a, model.modulus.b
+    q = ctx.order
     yq1 = model.from_pairs([(q - 1, RatFunc.one(ctx))])
     x_scalar = model.scalar(Poly.gen(ctx))
     v = (x_scalar + yq1).scale(gamma.inverse())

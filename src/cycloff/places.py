@@ -718,8 +718,8 @@ def _count_affine_scalar(curve, k):
     p, n, q = ctx.p, ctx.n, curve.q
     E = gf._big_field(p, n * k)
     gam = embed(curve.gamma, E)
-    a = embed(curve.a, E)
-    bg = embed(curve.b * curve.gamma.inverse(), E)
+    a = embed(curve.modulus.a, E)
+    bg = embed(curve.modulus.b * curve.gamma.inverse(), E)
     m = (q ** k - 1) // (q - 1)
     one = E.one
     total = 0

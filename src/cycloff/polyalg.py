@@ -11,10 +11,12 @@ Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
 equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
 
-Over a field with log/antilog tables (order 3..gf.TABLE_CAP), product,
-division, gcd and modular powering run on lists of generator exponents,
-adding with Zech's logarithm table; gcd and powering convert once on entry
-and once on exit.  GF(2) and fields above the cap keep the FieldElem loops.
+Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
+included), product, division, gcd and modular powering run on lists of
+generator exponents, adding with Zech's logarithm table; gcd and powering
+convert once on entry and once on exit.  Only fields above the cap keep the
+FieldElem loops.  gf finds each field's modulus with is_irreducible here,
+over GF(p).
 
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field

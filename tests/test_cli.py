@@ -1,10 +1,14 @@
 """End-to-end checks of the command line front end and its JSON contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from cycloff import cli
+
+# read only: the benchmark's reference reports, one per sweep modulus
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def _run(argv, capsys):
@@ -92,6 +96,35 @@ def test_verify_all_q3(capsys):
         "lspace_memberships",
     }
     assert all(doc["paper_claims"].values())
+
+
+def test_verify_all_builds_one_curve_and_one_model(monkeypatch, capsys):
+    calls = []
+    for name in ("KummerCurve", "CycModel"):
+        owner = getattr(cli, name)
+
+        def counted(self, *args, _real=owner.__init__, _name=name):
+            calls.append(_name)
+            _real(self, *args)
+        monkeypatch.setattr(owner, "__init__", counted)
+    real_parse = cli._parse_modulus
+
+    def parse(*args):
+        calls.append("resolve")
+        return real_parse(*args)
+    monkeypatch.setattr(cli, "_parse_modulus", parse)
+    code, _ = _run(["verify", "-q", "3", "-M", "T^2+1", "all"], capsys)
+    assert code == 0
+    assert sorted(calls) == ["CycModel", "KummerCurve", "resolve"]
+
+
+@pytest.mark.parametrize("q,modulus", [(3, "T^2+1"), (4, "T^2+T+g"),
+                                       (7, "T^2+1"), (8, "T^2+T+1"),
+                                       (9, "T^2+g+1")])
+def test_verify_all_matches_the_golden_report(q, modulus, capsys):
+    code, out = _run(["verify", "-q", str(q), "-M", modulus, "all"], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"verify_q{q}.json").read_bytes()
 
 
 def test_verify_zeta_capped(capsys):

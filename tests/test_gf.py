@@ -66,6 +66,18 @@ EXPECTED_MODULI = {
     (2, 4): (1, 0, 0, 1, 1),     # T^4+T^3+1
     (3, 4): (1, 0, 1, 1, 1),     # T^4+T^3+T^2+1
     (5, 1): (0, 1),              # T
+    # every further field the pipelines and the divisor session build
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (7, 6): (1, 0, 0, 0, 1, 0, 1),
 }
 
 
@@ -261,7 +273,7 @@ def test_dlog_and_nth_roots():
 
 
 # ---------------------------------------------------------------------------
-# Log/antilog tables against the convolution/Euclid path they replace.
+# Log/antilog tables against the convolution/Fermat path they replace.
 
 def oracle_field_mul(ctx, a, b):
     """Schoolbook product reduced by long division by the modulus."""
@@ -291,7 +303,8 @@ def check_table_ops(ctx, a, b, e):
     assert (x ** 0) == ctx.one
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                 (3, 3)])
 def test_tables_match_the_polynomial_path_exhaustively(p, n):
     ctx = gf.create_field(p, n)
     assert ctx._log is not None and len(ctx._log) == ctx.order - 1
@@ -316,17 +329,22 @@ def test_tables_match_the_polynomial_path_at_the_cap(pn, ia, ib, e):
 
 
 def test_field_above_the_cap_keeps_the_polynomial_path():
-    ctx = gf.create_field(2, 11)
-    assert ctx.order > gf.TABLE_CAP
-    assert ctx._log is None and ctx._exp is None
-    g = ctx.generator
-    acc = ctx.one
-    for k in range(40):
-        assert ctx.dlog(acc) == k  # baby-step giant-step
-        nxt = acc * g
-        assert nxt.coeffs == oracle_field_mul(ctx, acc.coeffs, g.coeffs)
-        assert (nxt * nxt.inverse()) == ctx.one
-        acc = nxt
+    # characteristic 2 and an odd one; above the cap, inversion is by Fermat
+    for p, n in ((2, 11), (3, 7)):
+        ctx = gf.create_field(p, n)
+        assert ctx.order > gf.TABLE_CAP
+        assert ctx._log is None and ctx._exp is None
+        g = ctx.generator
+        acc = ctx.one
+        for k in range(40):
+            assert ctx.dlog(acc) == k  # baby-step giant-step
+            nxt = acc * g
+            assert nxt.coeffs == oracle_field_mul(ctx, acc.coeffs, g.coeffs)
+            inv = nxt.inverse()
+            assert nxt * inv == ctx.one
+            assert oracle_field_mul(ctx, nxt.coeffs, inv.coeffs) == (
+                ctx.one.coeffs)
+            acc = nxt
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (5, 2), (3, 4)])

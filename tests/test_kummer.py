@@ -44,7 +44,7 @@ def test_curve_q3_frozen_h():
     c = curve_q3(1)
     assert c.h.num == Poly.from_ints(F3, [2, 0, 2])      # -(v^2+1)
     assert c.h.den == Poly.from_ints(F3, [0, 2, 0, 1])   # v^3 - v
-    assert c.n == 2 and c.H == c.h
+    assert c.n == 2
 
 
 def test_curve_q3_gamma2_frozen_h():

@@ -76,8 +76,8 @@ def oracle_degree_one(curve, k):
     ctx = curve.ctx
     E = gf._big_field(ctx.p, ctx.n * k)
     gam = embed(curve.gamma, E)
-    a = embed(curve.a, E)
-    bg = embed(curve.b * curve.gamma.inverse(), E)
+    a = embed(curve.modulus.a, E)
+    bg = embed(curve.modulus.b * curve.gamma.inverse(), E)
     powers = Counter()
     for y in E.iter_elements():
         powers[y ** (curve.q - 1)] += 1

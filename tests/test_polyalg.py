@@ -260,9 +260,9 @@ def test_xgcd_invariants(f, g):
 # The oracle works on coefficient lists with FieldElem operations only, so
 # it never reaches the kernels that Poly dispatches to.
 
-TABLE_FIELDS = [(3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4),
-                (3, 6), (2, 10)]
-LOOP_FIELDS = [(2, 1), (2, 11)]
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                (3, 4), (3, 6), (2, 10)]
+LOOP_FIELDS = [(2, 11)]
 
 
 def school_mul(f, g):
