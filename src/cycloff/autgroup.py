@@ -18,11 +18,15 @@ curve algebra and reads the fractional-linear shape off the result;
 TransportFailure fires if that shape ever fails to emerge.
 
 compose(a, b) applies b first, then a.  closure composes each generator
-with each element once, and each of those products is law-checked once,
-in Aut.__init__; the rest of the Cayley table is read off those products,
-and later products (multiply, stabilizers, the q=3 quotient) are read from
-the table.  Tables produced by closure are immutable, as are Auts, so orbit
-and stabilizer queries are safe to run concurrently once a table exists.
+with each element once; the rest of the Cayley table is read off those
+products, and later products (multiply, stabilizers, the q=3 quotient) are
+read from the table.  Every Aut passes the law in Aut.__init__, but the law
+is evaluated once per distinct map (curve, Mobius part, k, f), h o mobius
+once per Mobius part, and the action on a ramified place once per (Mobius
+part, place) pair; the caches key on the canonical entries and on the
+curve's identity, so a repeat reuses an exact result for the same input.
+Tables produced by closure are immutable, as are Auts, so orbit and
+stabilizer queries are safe to run concurrently once a table exists.
 """
 
 from functools import lru_cache
@@ -64,6 +68,21 @@ def _ext_ctx(ctx):
 @lru_cache(maxsize=None)
 def _ext_h(curve):
     return curve.h.embed_into(_ext_ctx(curve.h.ctx))
+
+
+@lru_cache(maxsize=None)
+def _h_after(curve, mobius):
+    """h o mobius, the right side of the law; one per Mobius part."""
+    a_, b_, c_, d_ = mobius
+    ext = a_.ctx
+    return _ext_h(curve).compose_fractional(Poly(ext, (b_, a_)),
+                                            Poly(ext, (d_, c_)))
+
+
+@lru_cache(maxsize=None)
+def _law_holds(curve, mobius, k, f):
+    """f^(q-1) * h^k == h o mobius, exactly; one evaluation per map."""
+    return f ** (curve.q - 1) * _ext_h(curve) ** k == _h_after(curve, mobius)
 
 
 def _to_ext(value, ext):
@@ -129,10 +148,7 @@ class Aut:
         ext = _ext_ctx(curve.h.ctx)
         if self.f.ctx is not ext or self.mobius[0].ctx is not ext:
             return False
-        he = _ext_h(curve)
-        a_, b_, c_, d_ = self.mobius
-        rhs = he.compose_fractional(Poly(ext, (b_, a_)), Poly(ext, (d_, c_)))
-        return self.f ** (curve.q - 1) * he ** self.k == rhs
+        return _law_holds(curve, self.mobius, self.k, self.f)
 
     @property
     def is_identity(self):
@@ -401,7 +417,7 @@ def closure(gens):
             left[i].append(j)
         x += 1
     # words in the generators; finiteness plus cancellation forces a group.
-    # Every element passed the law check once, in Aut.__init__.
+    # Every element passed the law check in Aut.__init__.
     rows = [range(len(found))]
     for i, x in parent[1:]:
         # found[a] = g o found[x], so (g o found[x]) o b = g o (found[x] o b)
@@ -413,13 +429,22 @@ def closure(gens):
 
 
 def act_on_place(a, place):
-    curve = a.curve
+    return _place_image(a.curve, a.mobius, place)
+
+
+@lru_cache(maxsize=None)
+def _place_image(curve, mobius, place):
+    """Image of a ramified place under a Mobius part.
+
+    lru_cache stores no exception, so an invalid or generic place raises on
+    every call.
+    """
     _validate_place(curve, place)
     if isinstance(place, Generic):
         raise GenericPlaceUnsupported(
             "the group action is computed on the ramified places only")
     ext = _ext_ctx(curve.h.ctx)
-    aa, ab, ac, ad = a.mobius
+    aa, ab, ac, ad = mobius
     # the inverse matrix moves the coordinate of the place
     ai, bi, ci, di = ad, -ab, -ac, aa
     if isinstance(place, RamInfinity):

@@ -254,8 +254,10 @@ class Poly:
         return self.map_coeffs(lambda c: gf.embed(c, tgt_ctx), tgt_ctx)
 
     def derivative(self):
-        return Poly(self.ctx,
-                    [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        ctx = self.ctx
+        p, zero = ctx.p, ctx.zero
+        return Poly(ctx, [zero if i % p == 0 else c * ctx.elem(i % p)
+                          for i, c in enumerate(self.coeffs) if i])
 
     def compose(self, inner):
         """self(inner) for a polynomial inner."""
@@ -537,6 +539,15 @@ def root_multiplicity(f, c):
     fe = f.embed_into(ext) if ext is not f.ctx else f
     lin = Poly(ext, (-c, ext.one))
     m = 0
+    if ext._zech is not None:
+        # peel (X - c) on exponent lists; convert once, not per division
+        a, lin = _to_exps(fe, ext), _to_exps(lin, ext)
+        while a:
+            a, r = _exp_divmod(a, lin, ext)
+            if r:
+                break
+            m += 1
+        return m
     while not fe.is_zero():
         q, r = divmod(fe, lin)
         if not r.is_zero():

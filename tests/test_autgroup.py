@@ -429,6 +429,96 @@ def test_act_on_place_guards(rho3):
         ag.act_on_place(rho3, RamInfinity(5))
 
 
+# -- the law, h o mobius and the place action are cached exactly -----------
+
+
+def test_cached_law_still_rejects_a_wrong_multiplier(mu5, rho5):
+    zeta = E25.generator ** 6  # order 4: y -> zeta y is in the kernel
+    c = E25.generator  # order 24, so c^(q-1) != 1
+    assert zeta ** (C5.q - 1) == E25.one and c ** (C5.q - 1) != E25.one
+    for lawful in (mu5, rho5):
+        assert ag.Aut(C5, lawful.mobius, lawful.k, lawful.f) == lawful
+        twisted = ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * zeta)
+        assert twisted.mobius == lawful.mobius
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * c)
+
+
+def test_cached_law_keys_on_the_curve(mu5):
+    assert ag.is_automorphism(mu5, C5) is True
+    assert ag.is_automorphism(mu5, C5B) is False
+    assert ag.is_automorphism(mu5, C5) is True
+
+
+def test_cached_place_action_still_raises(mu5, rho3):
+    for pl in ramified_places(C5):
+        ag.act_on_place(mu5, pl)
+    other_quad = next(p for p in ramified_places(C5B)
+                      if isinstance(p, RamQuadratic))
+    assert other_quad not in ramified_places(C5)
+    v_el = C3.scalar(Poly.gen(F3))
+    gen_place = next(p for p in divisor(v_el + C3.y()).support
+                     if isinstance(p, Generic))
+    for pl in ramified_places(C3):
+        ag.act_on_place(rho3, pl)
+    # the identity has the same Mobius part on both curves
+    quad5 = next(p for p in ramified_places(C5) if isinstance(p, RamQuadratic))
+    assert ag.act_on_place(ag.identity(C5), quad5) == quad5
+    for _ in range(2):
+        with pytest.raises(UnknownPlace):
+            ag.act_on_place(ag.identity(C5B), quad5)
+        with pytest.raises(UnknownPlace):
+            ag.act_on_place(mu5, other_quad)
+        with pytest.raises(UnknownPlace):
+            ag.act_on_place(mu5, RamInfinity(3))
+        with pytest.raises(UnknownPlace):
+            ag.act_on_place(mu5, RamFinite(F3.zero))
+        with pytest.raises(GenericPlaceUnsupported):
+            ag.act_on_place(rho3, gen_place)
+
+
+def test_each_law_and_place_image_is_computed_once(monkeypatch):
+    # a fresh curve, so no cache entry exists for it yet
+    F7 = create_field(7)
+    curve = KummerCurve(F7.zero, F7.one, F7.one)
+    model = CycModel(Modulus(F7.zero, F7.one))
+    he = ag._ext_h(curve)
+    h_after, places_seen, laws = [], [], []
+
+    real_cf = RatFunc.compose_fractional
+
+    def counted_cf(self, np_, dp_):
+        if self is he:
+            h_after.append((np_.coeffs, dp_.coeffs))
+        return real_cf(self, np_, dp_)
+
+    real_h_after = ag._h_after
+
+    def counted_h_after(c, mobius):
+        laws.append(mobius)  # one call per evaluation of the law
+        return real_h_after(c, mobius)
+
+    real_validate = ag._validate_place
+
+    def counted_validate(c, pl):
+        places_seen.append(pl)  # twice per image: the place and its image
+        return real_validate(c, pl)
+
+    monkeypatch.setattr(RatFunc, "compose_fractional", counted_cf)
+    monkeypatch.setattr(ag, "_h_after", counted_h_after)
+    monkeypatch.setattr(ag, "_validate_place", counted_validate)
+    table = ag.closure([ag.make_rho(curve, model), ag.make_mu(curve)])
+    places = ramified_places(curve)
+    stabs = [ag.stabilizer(table, pl).order for pl in places]
+    assert table.order == 96 and sorted(stabs) == [12] * 8 + [48] * 2
+    mobius = {z.mobius for z in table}
+    assert len(mobius) == table.order // (curve.q - 1)
+    assert len(h_after) == len(set(h_after)) == len(mobius)
+    assert len(laws) == table.order
+    assert len(places_seen) == 2 * len(mobius) * len(places)
+
+
 # -- the q = 3 exceptional group --------------------------------------------
 
 

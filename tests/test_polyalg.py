@@ -363,6 +363,84 @@ def test_table_kernels_make_no_field_elements(monkeypatch):
     assert calls == []
 
 
+# ---------------------------------------------------------------------------
+# root_multiplicity and derivative against coefficient-level oracles
+
+
+def oracle_multiplicity(f, c):
+    """Peel (X - c) with the oracle's own long division."""
+    ext = c.ctx
+    fe = f.embed_into(ext) if ext is not f.ctx else f
+    lin = Poly(ext, (-c, ext.one))
+    m = 0
+    while not fe.is_zero():
+        quo, rem = oracle_divmod(fe, lin)
+        if not rem.is_zero():
+            break
+        m, fe = m + 1, quo
+    return m
+
+
+def _irreducible_of_degree(ctx, d):
+    return next(f for f in all_monic(ctx, d) if oracle_is_irreducible(f))
+
+
+def _multiplicity_cases(base, ext, seed):
+    """(f, c, m): f over base is P^m times a cofactor with no root at c,
+    where P over base has c as a root (P = X - c when ext is base)."""
+    rng = random.Random(seed)
+    if ext is base:
+        c = ext.from_int(rng.randrange(1, ext.order))
+        minpoly = Poly(ext, (-c, ext.one))
+    else:
+        minpoly = _irreducible_of_degree(base, ext.n // base.n)
+        c = next(e for e in ext.iter_elements() if minpoly(e).is_zero())
+    for m in range(4):
+        while True:
+            cof = Poly(base, [base.from_int(rng.randrange(base.order))
+                              for _ in range(rng.randrange(1, 6))])
+            if not cof.is_zero() and not cof(c).is_zero():
+                break
+        yield minpoly ** m * cof, c, m
+
+
+@pytest.mark.parametrize("base,ext", [((3, 2), (3, 2)), ((3, 1), (3, 4)),
+                                      ((2, 11), (2, 11))],
+                         ids=["table", "extension", "above-cap"])
+def test_root_multiplicity_matches_the_division_oracle(base, ext):
+    base, ext = gf.create_field(*base), gf.create_field(*ext)
+    assert (ext._zech is None) == (ext.order > gf.TABLE_CAP)
+    seen = set()
+    for f, c, m in _multiplicity_cases(base, ext, ext.order):
+        assert root_multiplicity(f, c) == oracle_multiplicity(f, c) == m
+        seen.add(m)
+        # a second root of the cofactor side does not disturb the count
+        g = f * Poly(base, (base.one, base.one))
+        assert root_multiplicity(g, c) == oracle_multiplicity(g, c)
+    assert seen == {0, 1, 2, 3}
+    assert root_multiplicity(Poly.zero(base), c) == 0
+
+
+@pytest.mark.parametrize("pn", [(2, 1), (2, 3), (3, 1), (3, 2), (7, 1),
+                                (2, 11)])
+def test_derivative_matches_the_coefficient_formula(pn):
+    ctx = gf.create_field(*pn)
+    rng = random.Random(ctx.order)
+    for deg in (0, 1, ctx.p - 1, ctx.p, ctx.p + 1, 2 * ctx.p + 3, 17):
+        f = Poly(ctx, [ctx.from_int(rng.randrange(ctx.order))
+                       for _ in range(deg)] + [ctx.one])
+        # i * c_i as c_i added i times: no int coercion, no table product
+        expected = []
+        for i, c in enumerate(f.coeffs):
+            acc = ctx.zero
+            for _ in range(i):
+                acc = acc + c
+            expected.append(acc)
+        assert f.derivative() == Poly(ctx, expected[1:])
+        if deg >= ctx.p:
+            assert f.derivative().coeff(ctx.p - 1).is_zero()
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(F9, 4), polys(F9, 4))
 def test_product_rule(f, g):
