@@ -42,7 +42,7 @@ def standard_modulus(q, ctx):
     return Modulus(ctx.zero, ctx.one)
 
 
-def run(qs, threads):
+def run(qs):
     failures = 0
     for q in qs:
         t0 = time.monotonic()
@@ -56,7 +56,7 @@ def run(qs, threads):
               f"gamma = {gamma}")
 
         cert = verify_prop31(q, mod.a, mod.b, gamma)
-        n1 = count_degree_one(curve, 1, threads=threads)
+        n1 = count_degree_one(curve, 1)
         g = genus_formula(q)
         rc = rh_check(q)
         line = (f"   certificate {'ok' if cert.ok else 'FAIL'} | "
@@ -66,7 +66,7 @@ def run(qs, threads):
         print(line)
 
         if q <= 5:
-            zd = zeta(curve, threads=threads)
+            zd = zeta(curve)
             gz = genus_from_zeta(zd)
             print(f"   L = {list(zd.coeffs)} | zeta genus {gz}")
             bad = bad or gz != g
@@ -91,10 +91,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q", type=int, action="append",
                     help="restrict to one or more field sizes")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     qs = args.q or sorted(QSPECS)
-    bad = run(qs, args.threads)
+    bad = run(qs)
     if bad:
         print(f"{bad} field size(s) FAILED")
         return 1

@@ -46,7 +46,6 @@ class RunConfig:
     gamma: Optional[str] = None
     k: int = 1
     out: Optional[str] = None
-    threads: int = 1
     which: Optional[str] = None
 
 
@@ -156,8 +155,9 @@ def cmd_genus(run):
 
 def cmd_count(run):
     cfg, curve = run.cfg, run.curve
-    counts = [count_degree_one(curve, j, threads=cfg.threads)
-              for j in range(1, cfg.k + 1)]
+    if cfg.k < 1:
+        raise ParseError(f"-k must be a positive degree, not {cfg.k}")
+    counts = [count_degree_one(curve, j) for j in range(1, cfg.k + 1)]
     report = _model_header(run)
     report["N"] = counts
     return report, {"rational_places_q_plus_1": counts[0] == cfg.q + 1}
@@ -166,10 +166,10 @@ def cmd_count(run):
 def cmd_zeta(run):
     cfg = run.cfg
     if cfg.q > ZETA_Q_CAP:
-        raise TooLarge(f"the zeta pipeline is capped at q <= {ZETA_Q_CAP}; "
-                       f"counts to degree 2g are out of reach for q={cfg.q}")
+        raise TooLarge(f"the zeta pipeline is capped at q <= {ZETA_Q_CAP}, "
+                       f"where its reports are recorded; got q={cfg.q}")
     curve = run.curve
-    row = report_row(curve, threads=cfg.threads)
+    row = report_row(curve)
     report = {"q": row["q"], "modulus": row["modulus"],
               "gamma": gf.format_element(curve.gamma)}
     for key in ("N", "L", "genus_zeta", "genus_formula", "rh_ok"):
@@ -285,13 +285,11 @@ def build_config(argv):
                         help="largest constant-field extension degree")
         sp.add_argument("--out", default=None,
                         help="also write the JSON payload to this path")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker hint for the counting stage")
         if name == "verify":
             sp.add_argument("which", choices=VERIFY_TARGETS)
     ns = parser.parse_args(argv)
     return RunConfig(command=ns.command, q=ns.q, modulus=ns.modulus,
-                     gamma=ns.gamma, k=ns.k, out=ns.out, threads=ns.threads,
+                     gamma=ns.gamma, k=ns.k, out=ns.out,
                      which=getattr(ns, "which", None))
 
 

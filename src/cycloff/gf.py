@@ -9,10 +9,10 @@ The distinguished generator is the least element (same ordering) of
 multiplicative order p^n - 1.  For n = 1 the modulus is T itself.
 
 Elements are coefficient tuples over GF(p) in the power basis of the residue
-class of T.  Contexts are cached singletons, one per (p, n) whatever the
-size cap of the constructor, so ``create_field(3, 2) is _big_field(3, 2)``
-and context identity doubles as field identity; mixing elements of
-different contexts raises CtxMismatch rather than coercing.
+class of T.  Contexts are cached singletons, one per (p, n), so
+``create_field(3, 2) is create_field(3, 2)`` and context identity doubles
+as field identity; mixing elements of different contexts raises
+CtxMismatch rather than coercing.
 
 Every field of order at most 2^10, GF(2) included, multiplies, inverts,
 raises to powers and takes discrete logs by lookup in log/antilog tables on
@@ -40,8 +40,7 @@ from .errors import (
     ZeroElement,
 )
 
-ORDER_CAP = 1 << 20          # public desk-scale cap for create_field
-_INTERNAL_ORDER_CAP = 1 << 22  # counting lane may go this far
+ORDER_CAP = 1 << 20  # desk-scale cap for create_field
 # Largest order that gets log/antilog tables.  2^10 covers every field the
 # verify sweep touches (up to GF(2^10) at q=4) and adds about 0.1 MB to the
 # peak memory of a divisor session; a cap of 2^13 added 1.5 MB (6 %) there
@@ -467,29 +466,19 @@ def _lex_to_packed(ctx, v):
 
 @functools.lru_cache(maxsize=None)
 def _field_ctx(p, n):
-    """The one context of GF(p^n); callers check p, n and their cap first."""
+    """The one context of GF(p^n); create_field checks p, n and the cap."""
     return FieldCtx(p, n, _least_irreducible(p, n))
-
-
-def _checked_field(p, n, cap):
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p ** n > cap:
-        raise TooLarge(f"GF({p}^{n}) exceeds the size cap {cap}")
-    return _field_ctx(p, n)
 
 
 def create_field(p, n=1):
     """GF(p^n) context; deterministic and cached.  Caps at p^n <= 2^20."""
-    return _checked_field(p, n, ORDER_CAP)
-
-
-def _big_field(p, n):
-    """Internal constructor for the counting lane; cap 2^22.  Below 2^20 it
-    returns the same context as create_field."""
-    return _checked_field(p, n, _INTERNAL_ORDER_CAP)
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
+    if p ** n > ORDER_CAP:
+        raise TooLarge(f"GF({p}^{n}) exceeds the size cap {ORDER_CAP}")
+    return _field_ctx(p, n)
 
 
 def field_from_order(q):

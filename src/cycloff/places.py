@@ -4,9 +4,9 @@ The function field GF(q)(v, y) with y^(q-1) = h(v) is a tame Kummer cover of
 the rational field GF(q)(v).  Over each v-place the cover is either fully
 ramified (index q-1; this happens over the q rational points, over infinity,
 and over one closed quadratic point) or unramified.  This module materializes
-places, computes exact valuations and principal divisors, counts degree-one
-places over extension fields, and recovers the L-polynomial and genus from
-the counts with exact integer arithmetic throughout.
+places, computes exact valuations and principal divisors, finds the
+L-polynomial from Dirichlet character sums, and counts degree-one places
+over GF(q^k): by points up to order 2^11, which L must match, then by L.
 
 Divisors are booked on closed points: the two conjugate quadratic ramified
 points form a single closed point of degree 2, represented by the lex-least
@@ -14,9 +14,9 @@ root.  `ramified_places` still lists both conjugates, since group actions
 must tell them apart.
 """
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import gf
 from .errors import (
@@ -42,8 +42,7 @@ from .polyalg import (
 )
 
 COUNT_CAP = 1 << 22
-# a count this small stays in pure python; anything larger goes to the
-# vectorized lane
+# counts enumerate GF(q^k) up to this order, and read L-polynomials above it
 _SCALAR_LIMIT = 1 << 11
 _SPLIT_DEG_CAP = 8
 _SERIES_PREC_CAP = 512
@@ -689,34 +688,22 @@ def _gf_rank(rows, ctx):
 # -- point counting ----------------------------------------------------------
 
 
-def count_degree_one(curve, k, threads=1, method="auto"):
+def count_degree_one(curve, k):
     """Number of degree-one places over GF(q^k), exactly.
 
     Affine contribution: (q-1) for each c off the ramification support with
     h(c) a (q-1)-th power, i.e. of trivial norm down to GF(q).  Plus the q+1
     rational ramified places, plus the quadratic pair once it is rational.
+    Above order _SCALAR_LIMIT: q^k + 1 - S_k from `l_polynomial`'s roots.
     """
-    q = curve.q
+    p, n, q = curve.ctx.p, curve.ctx.n, curve.q
     if k < 1:
         raise ValueError("extension degree must be positive")
     if q ** k > COUNT_CAP:
         raise TooLarge(f"GF({q}^{k}) exceeds the counting cap 2^22")
-    if method == "auto":
-        method = "scalar" if q ** k <= _SCALAR_LIMIT else "bulk"
-    if method == "scalar":
-        affine = _count_affine_scalar(curve, k)
-    elif method == "bulk":
-        from . import _bulk
-        affine = _bulk.bulk_affine_count(curve, k, threads)
-    else:
-        raise ValueError(f"unknown counting method {method!r}")
-    return affine + (q + 1) + (2 if k % 2 == 0 else 0)
-
-
-def _count_affine_scalar(curve, k):
-    ctx = curve.ctx
-    p, n, q = ctx.p, ctx.n, curve.q
-    E = gf._big_field(p, n * k)
+    if q ** k > _SCALAR_LIMIT:
+        return q ** k + 1 - _power_sums_from_coeffs(l_polynomial(curve), k)[k]
+    E = create_field(p, n * k)
     gam = embed(curve.gamma, E)
     a = embed(curve.modulus.a, E)
     bg = embed(curve.modulus.b * curve.gamma.inverse(), E)
@@ -732,7 +719,159 @@ def _count_affine_scalar(curve, k):
             continue
         if ((-u) * w.inverse()) ** m == one:
             total += q - 1
-    return total
+    return total + (q + 1) + (2 if k % 2 == 0 else 0)
+
+
+# -- the L-polynomial from Dirichlet character sums ---------------------------
+
+# Phi_n, constant term first, for n = q-1 with q <= 9
+_CYCLOTOMIC = {2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1),
+               7: (1, 1, 1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1)}
+
+
+def _char_histograms(curve, top):
+    """hist[d][i] = #{monic f of degree d: psi(f) = zeta^i}, for d <= top.
+
+    psi(f) = chi(gamma^d N(f(beta)) / prod_{a in GF(q)} f(a)), 0 when a
+    factor vanishes, for beta = quad_roots[0], N the norm from GF(q^2) and
+    chi(g^(q+1)) = zeta for g the generator of GF(q^2).  One Horner walk
+    over monic prefixes carries f(a) and f(beta) as indices into GF(q^2).
+    """
+    q, n = curve.q, curve.q - 1
+    beta = curve.quad_roots[0]
+    K = beta.ctx
+    base = [embed(c, K) for c in curve.ctx.iter_elements()]
+    # chi-index of each factor: -log f(a) at a rational a, log N f(beta) at
+    # beta; a zero value weighs `dead`, more than any sum of live weights
+    dead = (q + 1) * n
+    elems = [K.from_int(i) for i in range(K.order)]
+    logs = [None if e.is_zero() else K.dlog(e) for e in elems]
+    rational = [dead if e is None else -(e // (q + 1)) % n for e in logs]
+    quadratic = [dead if e is None else e % n for e in logs]
+    points = [(a, rational) for a in base] + [(beta, quadratic)]
+    step = [[tuple((e * x + c).to_int() for c in base) for e in elems]
+            for x, _ in points]
+    weight = [[tuple(w[i] for i in row) for row in rows]
+              for rows, (_, w) in zip(step, points)]
+    raw = [[0] * ((q + 1) * dead + 1) for _ in range(top + 1)]
+
+    def walk(vals, d):
+        # the children f*v + c of the degree d-1 prefix f with values vals
+        h = raw[d]
+        for s in map(sum, zip(*[weight[x][v] for x, v in enumerate(vals)])):
+            h[s] += 1
+        if d < top:
+            for child in zip(*[step[x][v] for x, v in enumerate(vals)]):
+                walk(child, d + 1)
+
+    walk((K.one.to_int(),) * (q + 1), 1)
+    raw[0][0] = 1
+    shift = K.dlog(embed(curve.gamma, K)) // (q + 1)
+    return [[sum(raw[d][(i - d * shift) % n:dead:n]) for i in range(n)]
+            for d in range(top + 1)]
+
+
+def _zreduce(vec, n):
+    # sum vec[e] zeta_n^e as a vector of length deg Phi_n
+    phi = _CYCLOTOMIC[n]
+    m = len(phi) - 1
+    v = list(vec) + [0] * m
+    for i in range(len(v) - 1, m - 1, -1):
+        for j in range(m + 1):
+            v[i - m + j] -= v[i] * phi[j]
+    return tuple(v[:m])
+
+
+def _zmul(a, b, n):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _zreduce(out, n)
+
+
+def _zsigma(a, u, n):
+    # the Galois automorphism zeta -> zeta^u; u = -1 is complex conjugation
+    out = [0] * n
+    for e, x in enumerate(a):
+        out[e * u % n] += x
+    return _zreduce(out, n)
+
+
+def _l_factor(hist, j, q):
+    """c_0..c_D of L(psi^j, T), D = q+1, from c_0..c_top in the histogram.
+
+    The functional equation q^i c_{D-i} = c_D conj(c_i) gives the rest,
+    with c_D from the first pair (i, D-i) in the histogram with c_i != 0
+    (None if there is none).  Every i must then satisfy it exactly.
+    """
+    n, D, top = q - 1, q + 1, len(hist) - 1
+    c = [_zsigma(row, j, n) for row in hist]
+    i = next((i for i in range(D - top, top + 1) if any(c[i])), None)
+    if i is None:
+        return None
+    # c_D = q^i c_{D-i} / conj(c_i), through the norm of conj(c_i); rounded
+    # down where the division is not exact, which the checks below catch
+    co = _zreduce([1], n)
+    for u in range(2, n):
+        if gcd(u, n) == 1:
+            co = _zmul(co, _zsigma(c[i], -u, n), n)
+    norm = _zmul(co, _zsigma(c[i], -1, n), n)[0]
+    lead = tuple(q ** i * x // norm for x in _zmul(c[D - i], co, n))
+    c += [tuple(x // q ** (D - i)
+                for x in _zmul(lead, _zsigma(c[D - i], -1, n), n))
+          for i in range(top + 1, D + 1)]
+    for i in range(D + 1):
+        dual = _zmul(lead, _zsigma(c[i], -1, n), n)
+        if tuple(q ** i * x for x in c[D - i]) != dual:
+            raise FunctionalEquationViolated(
+                f"L(psi^{j}) breaks the functional equation at degree {i}")
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def l_polynomial(curve):
+    """L(T) = prod_{j=1..q-2} L(psi^j, T), integers, constant term first.
+
+    psi is the character of `_char_histograms`, and the curve
+    y^(q-1) = h(v) makes L the product (Rosen, *Number Theory in Function
+    Fields*, GTM 210, ch. 4).  The histogram runs to degree ceil((q+1)/2),
+    one further while some factor lacks a pair.  The product must be a
+    polynomial over Z of degree 2g whose N_k, k <= g, equal the point
+    counts up to order _SCALAR_LIMIT (the functional equation leaves low
+    degrees free); FunctionalEquationViolated otherwise.
+    """
+    q, n = curve.q, curve.q - 1
+    if n not in _CYCLOTOMIC:
+        raise TooLarge(f"character sums are tabulated for q <= 9, not q={q}")
+    top = (q + 2) // 2
+    while True:
+        hist = _char_histograms(curve, top)
+        factors = [_l_factor(hist, j, q) for j in range(1, n)]
+        if None not in factors:
+            break
+        top += 1
+    prod = [_zreduce([1], n)]
+    for f in factors:
+        out = [[0] * len(prod[0]) for _ in range(len(prod) + q + 1)]
+        for i, x in enumerate(prod):
+            for k, y in enumerate(f):
+                for t, z in enumerate(_zmul(x, y, n)):
+                    out[i + k][t] += z
+        prod = out
+    if any(any(x[1:]) for x in prod) or not prod[-1][0]:
+        raise FunctionalEquationViolated(
+            "the character L-functions multiply to no integer polynomial "
+            "of degree 2g")
+    coeffs = tuple(x[0] for x in prod)
+    g = genus_formula(q)
+    S = _power_sums_from_coeffs(coeffs, g)
+    for k in range(1, g + 1):
+        if q ** k <= _SCALAR_LIMIT and (
+                count_degree_one(curve, k) != q ** k + 1 - S[k]):
+            raise FunctionalEquationViolated(
+                f"L-polynomial does not reproduce N_{k}")
+    return coeffs
 
 
 # -- zeta data ---------------------------------------------------------------
@@ -790,44 +929,26 @@ def _power_sums_from_coeffs(coeffs, upto):
     return out
 
 
-def zeta(curve, threads=1):
-    """Exact ZetaData from degree-one counts N_1..N_g.
-
-    Newton's identities produce a_1..a_g from the power sums; the functional
-    equation fills the top half.  Any non-integrality, count mismatch, or
-    Weil-envelope breach signals a counting bug and raises.
+def zeta(curve):
+    """Exact ZetaData: `l_polynomial`, already matched to the point counts,
+    and the counts N_1..N_g it implies.  It must also pass the functional
+    equation and the Weil envelope; FunctionalEquationViolated otherwise.
     """
     q = curve.q
     if q not in (3, 4, 5):
-        raise TooLarge(
-            "zeta needs N_1..N_g; beyond q=5 the counts leave desk scale")
+        raise TooLarge("zeta is capped at q <= 5, the field sizes whose "
+                       "zeta reports are recorded")
     g = genus_formula(q)
-    counts = tuple(count_degree_one(curve, k, threads=threads)
-                   for k in range(1, g + 1))
-    S = [0] + [q ** k + 1 - counts[k - 1] for k in range(1, g + 1)]
-    elem = [Fraction(1)]
-    for k in range(1, g + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += (-1) ** (j - 1) * elem[k - j] * S[j]
-        ek = acc / k
-        if ek.denominator != 1:
-            raise FunctionalEquationViolated(
-                f"Newton identity at k={k} is non-integral: {ek}")
-        elem.append(ek)
-    coeffs = [(-1) ** i * int(elem[i]) for i in range(g + 1)]
-    for i in range(g - 1, -1, -1):
-        coeffs.append(q ** (g - i) * coeffs[i])
-    back = _power_sums_from_coeffs(coeffs, 2 * g)
-    for k in range(1, g + 1):
-        if back[k] != S[k]:
-            raise FunctionalEquationViolated(
-                f"L-polynomial does not reproduce N_{k}")
+    coeffs = l_polynomial(curve)
+    S = _power_sums_from_coeffs(coeffs, 2 * g)
+    counts = tuple(q ** k + 1 - S[k] for k in range(1, g + 1))
     for k in range(1, 2 * g + 1):
-        if back[k] ** 2 > 4 * g * g * q ** k:
+        if S[k] ** 2 > 4 * g * g * q ** k:
             raise FunctionalEquationViolated(
                 f"Weil envelope breached at k={k}")
-    return ZetaData(q=q, counts=counts, coeffs=tuple(coeffs), genus=g)
+    zd = ZetaData(q=q, counts=counts, coeffs=coeffs, genus=g)
+    genus_from_zeta(zd)  # the functional equation, coefficient by coefficient
+    return zd
 
 
 def genus_from_zeta(zd):
@@ -849,9 +970,9 @@ def genus_from_zeta(zd):
     return g
 
 
-def report_row(curve, threads=1):
+def report_row(curve):
     """One verification row: counts, L-polynomial, and the three genus routes."""
-    zd = zeta(curve, threads=threads)
+    zd = zeta(curve)
     rc = rh_check(curve.q)
     return {
         "q": curve.q,

@@ -25,9 +25,11 @@ from cycloff.places import (
     Divisor,
     RamInfinity,
     RamQuadratic,
+    _power_sums_from_coeffs,
     count_degree_one,
     genus_formula,
     genus_from_zeta,
+    l_polynomial,
     lspace_check,
     ramified_places,
     rh_check,
@@ -303,10 +305,12 @@ def test_criterion_10_counting_cross_check():
         ctx = _ctx(q)
         mod = _modulus_for(q, ctx)
         curve = KummerCurve(mod.a, mod.b, ctx.one)
+        coeffs = l_polynomial(curve)
         for k in ks:
             brute = _brute_place_count(curve, k)
-            scalar = count_degree_one(curve, k, method="scalar")
-            bulk = count_degree_one(curve, k, method="bulk")
-            assert brute == scalar == bulk
-    print("criterion 10: PASS - norm-condition counts match raw pair "
-          "enumeration for q=3 (k<=4) and q=4 (k<=2)")
+            scalar = count_degree_one(curve, k)
+            from_l = q ** k + 1 - _power_sums_from_coeffs(coeffs, k)[k]
+            assert brute == scalar == from_l
+    print("criterion 10: PASS - norm-condition counts and the character-sum "
+          "L-polynomial match raw pair enumeration for q=3 (k<=4) and q=4 "
+          "(k<=2)")

@@ -1,6 +1,9 @@
 """End-to-end checks of the command line front end and its JSON contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,8 +122,8 @@ def test_verify_all_builds_one_curve_and_one_model(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("q,modulus", [(3, "T^2+1"), (4, "T^2+T+g"),
-                                       (7, "T^2+1"), (8, "T^2+T+1"),
-                                       (9, "T^2+g+1")])
+                                       (5, "T^2+2"), (7, "T^2+1"),
+                                       (8, "T^2+T+1"), (9, "T^2+g+1")])
 def test_verify_all_matches_the_golden_report(q, modulus, capsys):
     code, out = _run(["verify", "-q", str(q), "-M", modulus, "all"], capsys)
     assert code == 0
@@ -207,11 +210,33 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
-def test_threads_hint_does_not_change_the_payload(capsys):
-    base = ["count", "-q", "5", "-M", "T^2+2", "-k", "3"]
-    _, one = _run(base + ["--threads", "1"], capsys)
-    _, two = _run(base + ["--threads", "2"], capsys)
-    assert one == two
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_count_rejects_a_nonpositive_degree(k, capsys):
+    code, doc = _run_json(["count", "-q", "3", "-M", "T^2+1", "-k", k],
+                          capsys)
+    assert code == 2
+    assert doc["error"]["code"] == "ParseError"
+
+
+def test_zeta_and_counts_do_not_import_numpy():
+    # a fresh interpreter, so no other test has imported numpy first
+    script = (
+        "import io, sys, contextlib\n"
+        "from cycloff import cli, gf\n"
+        "from cycloff.kummer import KummerCurve\n"
+        "from cycloff.places import count_degree_one\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['zeta', '-q', '5', '-M', 'T^2+2']) == 0\n"
+        "F = gf.create_field(3)\n"
+        "assert count_degree_one(KummerCurve(F.zero, F.one, F.one), 12) "
+        "== 530126\n"
+        "assert 'numpy' not in sys.modules\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_failed_claim_exits_one(monkeypatch, capsys):

@@ -98,18 +98,16 @@ def test_caching_gives_identical_contexts():
 
 
 def test_one_context_per_field_across_caps():
-    # the counting lane's constructor shares create_field's context
-    assert gf._big_field(3, 2) is gf.create_field(3, 2)
-    assert gf.create_field(2, 10) is gf._big_field(2, 10)
-    assert (gf._big_field(3, 2).one + gf.create_field(3, 2).one).coeffs == (2, 0)
-    # a field only the counting lane may build keeps create_field's cap
-    assert gf._big_field(5, 9).order > gf.ORDER_CAP
+    # create_field is the one constructor: it shares the cached context and
+    # refuses every field above its cap, GF(5^9) included
+    assert gf._field_ctx(3, 2) is gf.create_field(3, 2)
+    assert gf.create_field(2, 10) is gf._field_ctx(2, 10)
     with pytest.raises(TooLarge):
         gf.create_field(5, 9)
     with pytest.raises(TooLarge):
-        gf._big_field(2, 23)
+        gf.create_field(2, 23)
     with pytest.raises(NotPrime):
-        gf._big_field(4, 2)
+        gf.create_field(4, 2)
 
 
 def test_create_field_guards():

@@ -34,10 +34,14 @@ from cycloff.places import (
     RamInfinity,
     RamQuadratic,
     ZetaData,
+    _SCALAR_LIMIT,
+    _char_histograms,
+    _power_sums_from_coeffs,
     count_degree_one,
     divisor,
     genus_formula,
     genus_from_zeta,
+    l_polynomial,
     lspace_check,
     norm_to_base,
     ramified_places,
@@ -58,6 +62,10 @@ C3G2 = KummerCurve(F3.zero, F3.one, F3.elem(2))
 C4 = KummerCurve(F4.one, F4.t_class, F4.one)
 C5 = KummerCurve(F5.zero, F5.elem(2), F5.one)
 C7 = KummerCurve(F7.zero, F7.one, F7.one)
+F8 = create_field(2, 3)
+F9 = create_field(3, 2)
+C8 = KummerCurve(F8.one, F8.one, F8.one)
+C9 = KummerCurve(F9.zero, gf.parse_element(F9, "g+1"), F9.one)
 
 
 def vpoly(curve, *coeffs):
@@ -74,7 +82,7 @@ def vfun(curve, num, den=(1,)):
 def oracle_degree_one(curve, k):
     """Brute affine enumeration plus the hand-counted rational ramified places."""
     ctx = curve.ctx
-    E = gf._big_field(ctx.p, ctx.n * k)
+    E = create_field(ctx.p, ctx.n * k)
     gam = embed(curve.gamma, E)
     a = embed(curve.modulus.a, E)
     bg = embed(curve.modulus.b * curve.gamma.inverse(), E)
@@ -589,26 +597,51 @@ def test_frozen_counts_q3():
     assert got == FROZEN_N_Q3
 
 
+# N_1, N_2, ... for the six standard moduli with gamma = 1, each up to the
+# largest k under COUNT_CAP that point counting over GF(q^k) reached
+FROZEN_N = {
+    "q3": (C3, (4, 6, 28, 110, 244, 822, 2188, 6494, 19684, 58086, 177148,
+                530126)),
+    "q4": (C4, (5, 37, 5, 157, 1205, 3997, 15125, 65917, 264245)),
+    "q5": (C5, (6, 56, 174, 824, 2886, 14648, 77454, 392432, 1956486)),
+    "q7": (C7, (8, 106, 440, 2458, 15368, 116170, 827576)),
+    "q8": (C8, (9, 11, 135, 4799, 30879, 250751, 2055951)),
+    "q9": (C9, (10, 172, 970, 7212, 59290, 525292)),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k", [(name, k) for name, (_, ns) in FROZEN_N.items()
+               for k in range(1, len(ns) + 1)],
+    ids=lambda v: v if isinstance(v, str) else f"k{v}")
+def test_counts_frozen_per_q(name, k):
+    curve, ns = FROZEN_N[name]
+    assert count_degree_one(curve, k) == ns[k - 1]
+
+
 @pytest.mark.parametrize("curve", [C3, C4, C5, C7], ids=["q3", "q4", "q5", "q7"])
 def test_rational_count_is_q_plus_one(curve):
     assert count_degree_one(curve, 1) == curve.q + 1
 
 
+def _l_count(curve, k):
+    # N_k read off the character-sum L-polynomial, whatever q^k is
+    s = _power_sums_from_coeffs(l_polynomial(curve), k)[k]
+    return curve.q ** k + 1 - s
+
+
 @pytest.mark.parametrize("curve,ks", [(C3, (1, 2, 3, 4, 5)),
                                       (C4, (1, 2)),
-                                      (C5, (1, 2))],
-                         ids=["q3", "q4", "q5"])
+                                      (C5, (1, 2)),
+                                      (C7, (1, 2, 3)),
+                                      (C8, (1, 2, 3)),
+                                      (C9, (1, 2, 3))],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
 def test_scalar_and_bulk_lanes_agree(curve, ks):
+    # the point count against the L-polynomial that serves larger k
     for k in ks:
-        a = count_degree_one(curve, k, method="scalar")
-        b = count_degree_one(curve, k, method="bulk")
-        assert a == b
-
-
-def test_bulk_threads_agree():
-    a = count_degree_one(C3, 6, method="bulk", threads=1)
-    b = count_degree_one(C3, 6, method="bulk", threads=4)
-    assert a == b
+        assert curve.q ** k <= _SCALAR_LIMIT
+        assert count_degree_one(curve, k) == _l_count(curve, k)
 
 
 def test_count_guards():
@@ -616,8 +649,36 @@ def test_count_guards():
         count_degree_one(C5, 10)
     with pytest.raises(ValueError):
         count_degree_one(C3, 0)
-    with pytest.raises(ValueError):
-        count_degree_one(C3, 2, method="nonsense")
+    # above 2^11 the count needs the L-polynomial, tabulated for q <= 9
+    F11 = create_field(11)
+    C11 = KummerCurve(F11.zero, F11.one, F11.one)
+    assert count_degree_one(C11, 1) == 12
+    with pytest.raises(TooLarge):
+        count_degree_one(C11, 4)
+
+
+@pytest.mark.parametrize("curve,top", [(C3, 2), (C4, 3), (C5, 4), (C7, 4),
+                                       (C8, 5), (C9, 6)],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
+def test_corrupt_histogram_raises(curve, top, monkeypatch):
+    # every entry of every degree the walk reaches, off by one either way,
+    # is caught; __wrapped__ skips the per-curve cache of the true answer,
+    # and the true histograms and point counts are computed once
+    true = {t: _char_histograms(curve, t) for t in (top - 1, top)}
+    monkeypatch.setattr("cycloff.places.count_degree_one",
+                        functools.lru_cache(maxsize=None)(count_degree_one))
+    for d in range(1, top + 1):
+        for i in range(curve.q - 1):
+            for delta in (1, -1):
+                def corrupt(c, t, d=d, i=i, delta=delta):
+                    hist = [list(row) for row in true[t]]
+                    if d <= t:
+                        hist[d][i] += delta
+                    return hist
+                monkeypatch.setattr("cycloff.places._char_histograms",
+                                    corrupt)
+                with pytest.raises(FunctionalEquationViolated):
+                    l_polynomial.__wrapped__(curve)
 
 
 # -- zeta --------------------------------------------------------------------
@@ -635,7 +696,7 @@ def zeta4():
 
 @pytest.fixture(scope="module")
 def zeta5():
-    return zeta(C5, threads=2)
+    return zeta(C5)
 
 
 def test_zeta_q3_frozen(zeta3):
