@@ -12,10 +12,15 @@ the defining relation
     f^(q-1) * h^k = h o mobius
 
 exactly, so an Aut that exists at all really is an automorphism of the
-function field.  make_rho does not guess its matrix: it pushes the
-generator of the residue units through x = gamma v - y^(q-1) inside the
-curve algebra and reads the fractional-linear shape off the result;
-TransportFailure fires if that shape ever fails to emerge.
+function field.  Every denominator is monic, so the law is compared
+cross-multiplied, num(f)^(q-1) num(h)^k den(H) = num(H) den(f)^(q-1)
+den(h)^k with H = h o mobius, without reducing a product to lowest terms.
+make_rho does not guess its matrix: it pushes the generator of the residue
+units through x = gamma v - y^(q-1) inside the curve algebra and reads the
+fractional-linear shape off the result; TransportFailure fires if that
+shape ever fails to emerge.  Its order q^2 - 1 is certified by powering:
+rho^N = 1 and rho^(N/r) != 1 for every prime r | N, each power by
+square-and-multiply compose (epsilon's order 3 likewise).
 
 compose(a, b) applies b first, then a.  closure composes each generator
 with each element once; the rest of the Cayley table is read off those
@@ -81,8 +86,16 @@ def _h_after(curve, mobius):
 
 @lru_cache(maxsize=None)
 def _law_holds(curve, mobius, k, f):
-    """f^(q-1) * h^k == h o mobius, exactly; one evaluation per map."""
-    return f ** (curve.q - 1) * _ext_h(curve) ** k == _h_after(curve, mobius)
+    """f^(q-1) * h^k == h o mobius, exactly; one evaluation per map.
+
+    Every denominator is monic, so nonzero, and the identity is compared
+    cross-multiplied: f.num^(q-1) h.num^k H.den == H.num f.den^(q-1) h.den^k
+    with H = h o mobius.  No gcd reduction is needed for that.
+    """
+    h, big = _ext_h(curve), _h_after(curve, mobius)
+    n = curve.q - 1
+    return (f.num ** n * h.num ** k * big.den
+            == big.num * f.den ** n * h.den ** k)
 
 
 def _to_ext(value, ext):
@@ -152,10 +165,8 @@ class Aut:
 
     @property
     def is_identity(self):
-        a_, b_, c_, d_ = self.mobius
-        one = a_.ctx.one
-        return (a_ == one and b_.is_zero() and c_.is_zero() and d_ == one
-                and self.k == 1 and self.f.is_one())
+        # canonical key of v -> v, y -> y: to_int packs 1 as 1 and 0 as 0
+        return self._key == ((1, 0, 0, 1), 1, (1,), (1,))
 
     def __eq__(self, other):
         if not isinstance(other, Aut):
@@ -227,15 +238,24 @@ def invert(a):
     return out
 
 
-def _order_of(a, cap=CLOSURE_CAP):
-    acc = a
-    n = 1
-    while not acc.is_identity:
-        acc = compose(a, acc)
-        n += 1
-        if n > cap:
-            raise ClosureOverflow(f"no identity power within {cap} steps")
-    return n
+def _power(a, e):
+    """a^e for e >= 1 by square-and-multiply compose."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else compose(a, result)
+        e >>= 1
+        if e:
+            a = compose(a, a)
+    return result
+
+
+def _has_order(a, n):
+    """Is the order of a exactly n?  a^n = 1 and a^(n/r) != 1 for every
+    prime r | n; a handful of powerings instead of n steps."""
+    if not _power(a, n).is_identity:
+        return False
+    return not any(_power(a, n // r).is_identity for r in gf.factorize(n))
 
 
 # -- the concrete generators ------------------------------------------------
@@ -269,9 +289,8 @@ def make_rho(curve, model):
         raise TransportFailure("image of v is not fractional-linear")
     rho = Aut(curve, (w.num.coeff(1), w.num.coeff(0),
                       w.den.coeff(1), w.den.coeff(0)), 1, f)
-    order = _order_of(rho)
-    if order != q * q - 1:
-        raise WrongOrder(f"rho has order {order}, expected {q * q - 1}")
+    if not _has_order(rho, q * q - 1):
+        raise WrongOrder(f"rho does not have order {q * q - 1}")
     for pl in ramified_places(curve):
         if isinstance(pl, RamQuadratic) and act_on_place(rho, pl) != pl:
             raise TransportFailure(f"rho moves the quadratic place {pl}")
@@ -328,9 +347,8 @@ def make_epsilon(curve):
     num = Poly(ext, (-c, ext.zero, c))
     den = Poly(ext, (i, ext.one))
     eps = Aut(curve, (-ext.one, -i, ext.one, -i), 1, RatFunc(num, den))
-    order = _order_of(eps)
-    if order != 3:
-        raise WrongOrder(f"epsilon has order {order}, expected 3")
+    if not _has_order(eps, 3):
+        raise WrongOrder("epsilon does not have order 3")
     return eps
 
 
@@ -428,6 +446,12 @@ def closure(gens):
 # -- action on the ramified places ------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _base_of(ctx, ext):
+    """{embed(c): c} over the base field, to read rational images back."""
+    return {gf.embed(c, ext): c for c in ctx.iter_elements()}
+
+
 def act_on_place(a, place):
     return _place_image(a.curve, a.mobius, place)
 
@@ -457,9 +481,7 @@ def _place_image(curve, mobius, place):
     if img is INFINITY:
         out = RamInfinity(curve.q)
     elif img.frob(curve.ctx.n) == img:
-        base = next(c for c in curve.ctx.iter_elements()
-                    if gf.embed(c, ext) == img)
-        out = RamFinite(base)
+        out = RamFinite(_base_of(curve.ctx, ext)[img])
     else:
         out = RamQuadratic(img)
     _validate_place(curve, out)
@@ -490,8 +512,15 @@ def orbits(table):
 
 
 def stabilizer(table, place):
-    kept = [i for i, s in enumerate(table.elements)
-            if act_on_place(s, place) == place]
+    # the action reads only the Mobius part, which q-1 elements share
+    fixes = {}
+    kept = []
+    for i, s in enumerate(table.elements):
+        m = s._key[0]
+        if m not in fixes:
+            fixes[m] = act_on_place(s, place) == place
+        if fixes[m]:
+            kept.append(i)
     pos = {k: i for i, k in enumerate(kept)}
     mul = table.mul
     try:

@@ -853,12 +853,18 @@ def l_polynomial(curve):
         top += 1
     prod = [_zreduce([1], n)]
     for f in factors:
-        out = [[0] * len(prod[0]) for _ in range(len(prod) + q + 1)]
+        # each output coefficient collects its unreduced Z[zeta] products
+        # and is reduced mod Phi_n once
+        width = len(prod[0]) + len(f[0]) - 1
+        out = [[0] * width for _ in range(len(prod) + q + 1)]
         for i, x in enumerate(prod):
             for k, y in enumerate(f):
-                for t, z in enumerate(_zmul(x, y, n)):
-                    out[i + k][t] += z
-        prod = out
+                acc = out[i + k]
+                for s, a in enumerate(x):
+                    if a:
+                        for t, b in enumerate(y):
+                            acc[s + t] += a * b
+        prod = [_zreduce(v, n) for v in out]
     if any(any(x[1:]) for x in prod) or not prod[-1][0]:
         raise FunctionalEquationViolated(
             "the character L-functions multiply to no integer polynomial "

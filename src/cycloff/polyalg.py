@@ -6,17 +6,18 @@ Rational functions are stored fully reduced with monic denominator, so
 structural equality is semantic equality.
 
 Everything here is exact.  The irreducibility test uses root search up to
-degree 3 and the T^(q^d) = T criterion with gcd refinements above that.
+degree 3 and Ben-Or's incremental gcd(f, T^(q^i) - T) test above that.
 Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
 equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
-included), product, division, gcd and modular powering run on lists of
-generator exponents, adding with Zech's logarithm table; gcd and powering
-convert once on entry and once on exit.  Only fields above the cap keep the
-FieldElem loops.  gf finds each field's modulus with is_irreducible here,
-over GF(p).
+included), product, division, gcd, powers, modular powering, RatFunc
+products and reduction to lowest terms, and Mobius substitution
+(RatFunc.compose_fractional) run on lists of generator exponents, adding
+with Zech's logarithm table; each converts once on entry and once on exit.
+Only fields above the cap keep the FieldElem loops.  gf finds each field's
+modulus with is_irreducible here, over GF(p).
 
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field
@@ -215,7 +216,10 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take non-negative ints")
-        result = Poly.one(self.ctx)
+        ctx = self.ctx
+        if ctx._zech is not None:
+            return _from_exps(ctx, _exp_pow(_to_exps(self, ctx), e, ctx))
+        result = Poly.one(ctx)
         base = self
         while e:
             if e & 1:
@@ -321,9 +325,10 @@ def poly_gcd(f, g):
 def is_irreducible(f):
     """Irreducibility over the coefficient field GF(q).
 
-    Degree 2 and 3 short-circuit through root search; higher degrees use
-    T^(q^d) = T mod f together with gcd(T^(q^(d/r)) - T, f) = 1 for the
-    prime divisors r of d.
+    Degree 2 and 3 short-circuit through root search.  Higher degrees use
+    Ben-Or's test: f is irreducible iff gcd(f, T^(q^i) - T) = 1 for
+    i = 1..floor(d/2), with one q-th powering mod f per step, so a
+    candidate with a factor of degree i is rejected after i powerings.
     """
     d = f.degree
     if d is NEG_INF or d < 1:
@@ -336,11 +341,10 @@ def is_irreducible(f):
     if d <= 3:
         return all(f(e) for e in ctx.iter_elements())
     x = Poly.gen(ctx)
-    if _xq_power(f, d) != x % f:
-        return False
-    for r in gf.factorize(d):
-        t = _xq_power(f, d // r)
-        if poly_gcd(f, t - x) != Poly.one(ctx):
+    t = x
+    for _ in range(d // 2):
+        t = _powmod(t, ctx.order, f)
+        if not poly_gcd(f, t - x).is_one():
             return False
     return True
 
@@ -458,6 +462,53 @@ def _exp_gcd(a, b, ctx):
     return [None if k is None else (k - lc) % m for k in a]
 
 
+def _exp_pow(a, e, ctx):
+    """a^e by square-and-multiply; a^0 = [0], the constant 1."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else _exp_mul(result, a, ctx)
+        e >>= 1
+        if e:
+            a = _exp_mul(a, a, ctx)
+    return [0] if result is None else result
+
+
+def _exp_add_scaled(acc, c, b, ctx):
+    """acc += g^c * b in place; acc may be shorter than b.  Returns acc."""
+    zech, m = ctx._zech, ctx.order - 1
+    if len(acc) < len(b):
+        acc.extend([None] * (len(b) - len(acc)))
+    for j, y in enumerate(b):
+        if y is None:
+            continue
+        t = y + c
+        u = acc[j]
+        if u is None:
+            acc[j] = t % m
+        else:
+            z = zech[(t - u) % m]
+            acc[j] = None if z is None else (u + z) % m
+    while acc and acc[-1] is None:
+        acc.pop()
+    return acc
+
+
+def _exp_reduce_fraction(num, den, ctx):
+    """num/den in lowest terms with monic denominator; both are consumed."""
+    if not num:
+        return [], [0]
+    g = _exp_gcd(list(num), list(den), ctx)
+    if len(g) > 1:
+        num = _exp_divmod(num, g, ctx)[0]
+        den = _exp_divmod(den, g, ctx)[0]
+    m, lc = ctx.order - 1, den[-1]
+    if lc:
+        num = [None if k is None else (k - lc) % m for k in num]
+        den = [None if k is None else (k - lc) % m for k in den]
+    return num, den
+
+
 def _exp_powmod(base, e, mod, ctx):
     result = _exp_reduce([0], mod, ctx)
     base = _exp_reduce(base, mod, ctx)
@@ -571,15 +622,7 @@ class RatFunc:
         if num.ctx is not den.ctx:
             raise CtxMismatch("numerator and denominator over different fields")
         if not _reduced:
-            if num.is_zero():
-                den = Poly.one(num.ctx)
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num, den = num // g, den // g
-                if den.lc != den.ctx.one:
-                    inv = den.lc.inverse()
-                    num, den = num * inv, den * inv
+            num, den = _lowest_terms(num, den)
         self.num = num
         self.den = den
 
@@ -672,6 +715,14 @@ class RatFunc:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num * other.num)
+        ctx = self.ctx
+        if ctx._zech is not None:
+            a, b, c, d = (_to_exps(p, ctx) for p in (self.num, self.den,
+                                                     other.num, other.den))
+            num, den = _exp_reduce_fraction(_exp_mul(a, c, ctx),
+                                            _exp_mul(b, d, ctx), ctx)
+            return RatFunc(_from_exps(ctx, num), _from_exps(ctx, den),
+                           _reduced=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -700,6 +751,8 @@ class RatFunc:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
+        if e == 1:
+            return self
         num, den = self.num ** e, self.den ** e
         # gcd-free and den monic already; powers preserve both
         return RatFunc(num, den, _reduced=True)
@@ -744,6 +797,16 @@ class RatFunc:
         d = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
         if d < 0:
             return self
+        ctx = np_.ctx
+        if ctx._zech is not None:
+            num, den = _exp_homogenized(
+                *[_to_exps(p, ctx) for p in (self.num, self.den, np_, dp_)],
+                d, ctx)
+            if not den:
+                raise DivisionByZero("rational function with zero denominator")
+            num, den = _exp_reduce_fraction(num, den, ctx)
+            return RatFunc(_from_exps(ctx, num), _from_exps(ctx, den),
+                           _reduced=True)
         num = _homogenized(self.num, np_, dp_, d)
         den = _homogenized(self.den, np_, dp_, d)
         return RatFunc(num, den)
@@ -755,6 +818,43 @@ class RatFunc:
 
     def __repr__(self):
         return f"<{self} over {self.ctx.name}>"
+
+
+def _lowest_terms(num, den):
+    """num/den reduced, with monic denominator; den is nonzero."""
+    ctx = num.ctx
+    if num.is_zero():
+        return num, Poly.one(ctx)
+    if ctx._zech is not None:
+        num, den = _exp_reduce_fraction(_to_exps(num, ctx), _to_exps(den, ctx),
+                                        ctx)
+        return _from_exps(ctx, num), _from_exps(ctx, den)
+    g = poly_gcd(num, den)
+    if not g.is_one():
+        num, den = num // g, den // g
+    if den.lc != ctx.one:
+        inv = den.lc.inverse()
+        num, den = num * inv, den * inv
+    return num, den
+
+
+def _exp_homogenized(num, den, np_, dp_, d, ctx):
+    """_homogenized of num and den on exponent lists; each product
+    np_^i * dp_^(d-i) is formed once and shared by both sums."""
+    npows, dpows = [[0]], [[0]]
+    for _ in range(d):
+        npows.append(_exp_mul(npows[-1], np_, ctx))
+        dpows.append(_exp_mul(dpows[-1], dp_, ctx))
+    out = ([], [])
+    for i in range(d + 1):
+        cs = [f[i] if i < len(f) else None for f in (num, den)]
+        if cs == [None, None]:
+            continue
+        term = _exp_mul(npows[i], dpows[d - i], ctx)
+        for acc, c in zip(out, cs):
+            if c is not None:
+                _exp_add_scaled(acc, c, term, ctx)
+    return out
 
 
 def _homogenized(f, np_, dp_, d):

@@ -166,7 +166,7 @@ def test_mu_square_generates_the_scaling_subgroup(mu5):
     assert sq.k == 1 and sq.f.is_constant()
     xi = sq.f.num.coeff(0)
     assert xi.order() == 4  # primitive (q-1)-th root of unity
-    assert ag._order_of(mu5) == 2 * (C5.q - 1)
+    assert ag._has_order(mu5, 2 * (C5.q - 1))
 
 
 def test_omega_q4_involution():
@@ -228,9 +228,25 @@ def test_rho_q4_frozen_transport():
                                          (C5, MODEL5)])
 def test_rho_order_exactly_q2_minus_1(curve, model):
     rho = ag.make_rho(curve, model)
-    # _order_of returns the least identity power, so equality here rules
-    # out every proper divisor at once
-    assert ag._order_of(rho) == curve.q ** 2 - 1
+    n = curve.q ** 2 - 1
+    # the exact order: each n/r for a prime r | n and the multiple 2n
+    # are rejected
+    assert ag._has_order(rho, n)
+    for r in (2, 3, 5):
+        if n % r == 0:
+            assert not ag._has_order(rho, n // r)
+    assert not ag._has_order(rho, 2 * n)
+
+
+def test_order_certificate_matches_a_linear_walk():
+    # the exact order by brute force agrees with the powering certificate
+    for a, n in ((ag.make_rho(C3, MODEL3), 8), (ag.make_mu(C5), 8)):
+        acc, m = a, 1
+        while not acc.is_identity:
+            acc, m = ag.compose(a, acc), m + 1
+        assert m == n
+        assert ag._has_order(a, n)
+        assert not any(ag._has_order(a, d) for d in range(1, n))
 
 
 @pytest.mark.parametrize("curve,model", [(C3, MODEL3), (C5, MODEL5)])
@@ -340,7 +356,7 @@ def test_group_table_invariants_are_typed_errors(rho5):
 
 
 def test_make_rho_order_check_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(ag, "_order_of", lambda a: 2)
+    monkeypatch.setattr(ag, "_has_order", lambda a, n: False)
     with pytest.raises(WrongOrder):
         ag.make_rho(C3, MODEL3)
 
@@ -532,6 +548,8 @@ def test_epsilon_frozen(norm3):
     sq = ag.compose(eps, eps)
     assert not sq.is_identity
     assert ag.compose(eps, sq).is_identity  # order exactly 3
+    assert ag._has_order(eps, 3)
+    assert not ag._has_order(eps, 1) and not ag._has_order(eps, 6)
     assert ag.is_automorphism(eps, C3N)
 
 

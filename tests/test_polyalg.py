@@ -288,8 +288,74 @@ def school_powmod(f, e, m):
     return acc
 
 
-def check_against_oracle(f, g, e):
+def school_pow(f, e):
+    acc = Poly(f.ctx, [f.ctx.one])
+    for _ in range(e):
+        acc = school_mul(acc, f)
+    return acc
+
+
+def school_add(f, g):
+    a, b = list(f.coeffs), list(g.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    for i, y in enumerate(b):
+        a[i] = a[i] + y
+    return Poly(f.ctx, a)
+
+
+def school_lowest_terms(num, den):
+    """(num, den) coefficient tuples of num/den reduced, den monic."""
+    ctx = num.ctx
+    if num.is_zero():
+        return (), (ctx.one,)
+    g = school_gcd(num, den)
+    num, den = oracle_divmod(num, g)[0], oracle_divmod(den, g)[0]
+    inv = den.lc.inverse()
+    return (tuple(c * inv for c in num.coeffs),
+            tuple(c * inv for c in den.coeffs))
+
+
+def school_compose(f, g, np_, dp_):
+    """f/g with the variable replaced by np_/dp_, as school_lowest_terms;
+    None where the substituted denominator vanishes."""
+    ctx = f.ctx
+    num, den = (Poly(ctx, c) for c in school_lowest_terms(f, g))
+    d = max(len(num.coeffs), len(den.coeffs)) - 1
+
+    def hom(p):
+        acc = Poly(ctx, [])
+        for i, c in enumerate(p.coeffs):
+            term = school_mul(school_pow(np_, i), school_pow(dp_, d - i))
+            acc = school_add(acc, Poly(ctx, [c * t for t in term.coeffs]))
+        return acc
+
+    top, bottom = hom(num), hom(den)
+    if bottom.is_zero():
+        return None
+    return school_lowest_terms(top, bottom)
+
+
+def check_against_oracle(f, g, e, sub):
+    """Every kernel on (f, g) against the schoolbook; ``sub`` is a
+    (numerator, denominator) pair substituted into f/g and multiplied
+    with it."""
     assert f * g == school_mul(f, g)
+    assert f ** e == school_pow(f, e)
+    if not g.is_zero():
+        r = RatFunc(f, g)
+        assert (r.num.coeffs, r.den.coeffs) == school_lowest_terms(f, g)
+        if not sub[1].is_zero():
+            prod = r * RatFunc(*sub)
+            assert (prod.num.coeffs, prod.den.coeffs) == school_lowest_terms(
+                school_mul(f, sub[0]), school_mul(g, sub[1]))
+        want = school_compose(f, g, *sub)
+        if want is None:
+            with pytest.raises(DivisionByZero):
+                r.compose_fractional(*sub)
+        else:
+            out = r.compose_fractional(*sub)
+            assert (out.num.coeffs, out.den.coeffs) == want
     if g.is_zero():
         with pytest.raises(DivisionByZero):
             divmod(f, g)
@@ -316,11 +382,13 @@ def test_kernels_match_the_schoolbook_oracle(fields, data):
     coeff = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
     f, g = (Poly(ctx, [ctx.from_int(c) for c in data.draw(
         st.lists(coeff, max_size=8))]) for _ in range(2))
+    sub = tuple(Poly(ctx, [ctx.from_int(c) for c in data.draw(
+        st.lists(coeff, max_size=3))]) for _ in range(2))
     e = data.draw(st.integers(0, 12))
-    check_against_oracle(f, g, e)
+    check_against_oracle(f, g, e, sub)
     # a shared factor makes the gcd nontrivial
     if not g.is_zero():
-        check_against_oracle(school_mul(f, g), g, e)
+        check_against_oracle(school_mul(f, g), g, e, sub)
 
 
 @pytest.mark.parametrize("pn", TABLE_FIELDS + LOOP_FIELDS)
@@ -334,9 +402,14 @@ def test_kernel_edge_cases(pn):
     cases = [(zero, long_), (long_, zero), (Poly.constant(c), long_),
              (long_, Poly.constant(c)), (x, long_), (long_, non_monic),
              (non_monic * non_monic, non_monic), (one, one)]
+    # substitutions: a zero coefficient over a non-monic denominator, a
+    # constant denominator, and numerator and denominator of unequal degree
+    subs = [(Poly(ctx, [ctx.zero, c]), Poly(ctx, [ctx.one, c])),
+            (x + 1, Poly.constant(c)),
+            (non_monic, x + c)]
     for f, g in cases:
-        for e in (0, 1, 2, 27):
-            check_against_oracle(f, g, e)
+        for e, sub in zip((0, 1, 2, 27), itertools.cycle(subs)):
+            check_against_oracle(f, g, e, sub)
     # x + 1 squared in characteristic 2 has no middle term
     if ctx.p == 2:
         assert (x + 1) * (x + 1) == x * x + 1
@@ -360,6 +433,10 @@ def test_table_kernels_make_no_field_elements(monkeypatch):
     divmod(f, g)
     poly_gcd(f * m, g * m)
     _powmod(f, ctx.order, m)
+    f ** 7
+    r = RatFunc(f * m, g * m)
+    r.compose_fractional(m, g)
+    r * RatFunc(m, g)
     assert calls == []
 
 

@@ -1,7 +1,10 @@
 """Source-level guards over the cycloff package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import cycloff
 
@@ -18,3 +21,20 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_acceptance_passes_under_python_O():
+    # -O strips every assert in the package; pytest still rewrites the
+    # test file's own asserts, so the headline checks keep their force
+    tests = pathlib.Path(__file__).resolve().parent
+    path = [str(SRC.parent)] + [p for p in os.environ.get(
+        "PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_acceptance.py")],
+        cwd=tests.parent, env=env, capture_output=True, text=True,
+        timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    assert " passed" in run.stdout and "failed" not in run.stdout
