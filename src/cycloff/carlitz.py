@@ -22,9 +22,11 @@ move coefficients: (sum r_i y^i)^q = sum r_i^q y^(iq).
 The unit group of GF(q)[x]/(M) is cyclic of order q^2 - 1 and acts on the
 model by y |-> C_u(y); galois_map materializes that action and proves it
 well defined on the spot by checking C_M(C_u(y)) = 0 with C_u(y) != 0,
-which forces P(C_u(y)) = 0 in the field.
+which forces P(C_u(y)) = 0 in the field.  That action is the whole Galois
+group, so the generator's images give CycModel its norms and inverses.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import gf
@@ -270,7 +272,18 @@ class CycModel(QuotientAlgebra):
         # y * P(y) = C_M(y): P carries the three C_M coefficients one slot
         # lower, at y-degrees 0, q-1 and q^2-1
         super().__init__(ctx, q * q - 1, {0: c0, q - 1: c1})
-        self.minpoly = tuple(r.num for r in self._modulus)
+        minpoly = [Poly.zero(ctx)] * (q * q)
+        minpoly[0], minpoly[q - 1], minpoly[-1] = c0, c1, Poly.one(ctx)
+        self.minpoly = tuple(minpoly)
+
+    @functools.cached_property
+    def _unit_generator(self):
+        return self.modulus.unit_group_generator()
+
+    def galois_image(self, k):
+        """C_(u^k)(y) for the least generator u of the unit group."""
+        u = self.modulus.unit_pow(self._unit_generator, k)
+        return galois_map(u, self)
 
     def __repr__(self):
         return f"<torsion field for {self.modulus} over {self.ctx.name}>"

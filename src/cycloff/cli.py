@@ -20,6 +20,7 @@ from .carlitz import CycModel, Modulus
 from .errors import CycloffError, ParseError, TooLarge, ZeroElement
 from .kummer import KummerCurve, elimination_certificate
 from .places import (
+    ZETA_Q_CAP,
     Divisor,
     RamInfinity,
     RamQuadratic,
@@ -33,7 +34,6 @@ from .places import (
 from .polyalg import Poly, format_poly, parse_poly
 
 PIPELINE_Q_CAP = 9
-ZETA_Q_CAP = 5
 
 VERIFY_TARGETS = ("genus", "count", "zeta", "aut", "lspaces", "all")
 

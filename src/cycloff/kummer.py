@@ -7,9 +7,11 @@ v, y with
 
 one such curve for every nonzero gamma.  KummerAlgebra is the
 polyalg.QuotientAlgebra with the binomial relation Y^n = h for a scalar
-h, and KummerCurve is the one with n = q-1 and h as above.  verify_prop31
-replays the elimination inside the degree-(q^2-1) torsion field and hands
-back the residual, which must be zero.
+h and n | q-1; its Galois group is generated by y -> zeta y, zeta a
+primitive n-th root of unity in GF(q).  KummerCurve is the one with
+n = q-1 and h as above.  verify_prop31 replays the elimination inside the
+degree-(q^2-1) torsion field and hands back the residual, which must be
+zero.
 
 The other direction starts from a curve y^(q-1) = lambda * u(v)^r and
 recovers a quadratic modulus whose curve is the same field in disguise;
@@ -28,6 +30,7 @@ from .errors import (
     NotCoprime,
     ReducibleModulus,
     ReducibleResult,
+    WrongOrder,
     WrongRamification,
     ZeroElement,
 )
@@ -47,12 +50,21 @@ class KummerAlgebra(QuotientAlgebra):
     def __init__(self, ctx, n, h):
         if n < 1:
             raise ValueError("relation degree must be positive")
+        if (ctx.order - 1) % n:
+            raise WrongOrder(f"{ctx.name} has no primitive {n}-th root of "
+                             "unity, so Y^n - h has no cyclic Galois group")
         if isinstance(h, Poly):
             h = RatFunc.from_poly(h)
         if h.is_zero():
             raise ZeroElement("defining scalar h must be nonzero")
         super().__init__(ctx, n, {0: -h})
         self.h = h
+
+    def galois_image(self, k):
+        """zeta^k y, with zeta = g^((q-1)/n) for the generator g of GF(q)*."""
+        ctx = self.ctx
+        zeta = ctx.generator ** ((ctx.order - 1) // self.n * k)
+        return self.from_pairs([(1, RatFunc.constant(zeta))])
 
     def __repr__(self):
         return f"<algebra Y^{self.n} = {self.h} over {self.ctx.name}(v)>"

@@ -15,7 +15,7 @@ must tell them apart.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 from . import gf
@@ -34,7 +34,6 @@ from .kummer import KummerCurve
 from .polyalg import (
     INFINITY,
     Poly,
-    RatFunc,
     _xq_power,
     format_poly,
     poly_gcd,
@@ -42,9 +41,10 @@ from .polyalg import (
 )
 
 COUNT_CAP = 1 << 22
+# zeta runs for the field sizes whose zeta reports are recorded
+ZETA_Q_CAP = 5
 # counts enumerate GF(q^k) up to this order, and read L-polynomials above it
 _SCALAR_LIMIT = 1 << 11
-_SPLIT_DEG_CAP = 8
 _SERIES_PREC_CAP = 512
 
 
@@ -419,44 +419,6 @@ def _radical(f):
     return out.monic()
 
 
-def _det(mat, ctx):
-    # exact determinant over the rational function field
-    m = [row[:] for row in mat]
-    size = len(m)
-    det = RatFunc.one(ctx)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if not m[r][col].is_zero()),
-                   None)
-        if piv is None:
-            return RatFunc.zero(ctx)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, size):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * inv
-            for c2 in range(col, size):
-                m[r][c2] = m[r][c2] - f * m[col][c2]
-    return det
-
-
-def norm_to_base(e):
-    """Norm down to GF(q)(v): determinant of multiplication by e."""
-    alg = _curve_of(e)
-    n = alg.n
-    cols = []
-    acc = e
-    y = alg.y()
-    for _ in range(n):
-        cols.append(acc.coords)
-        acc = acc * y
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return _det(mat, alg.ctx)
-
-
 def _closed_point_candidates(curve, polys):
     """Closed points (degree, lex-least rep) under all roots of the inputs.
 
@@ -479,10 +441,8 @@ def _closed_point_candidates(curve, polys):
             continue
         done.add(f)
         rest = _radical(f)
-        for d in range(1, min(_SPLIT_DEG_CAP, rest.degree) + 1):
-            if rest.is_constant():
-                break
-            if q ** d > gf.ORDER_CAP:
+        for d in range(1, rest.degree + 1):
+            if rest.is_constant() or q ** d > gf.ORDER_CAP:
                 break
             # every factor of degree < d is gone, so this is the product of
             # the irreducible factors of degree exactly d
@@ -511,8 +471,8 @@ def _closed_point_candidates(curve, polys):
                     out.append((d, r))
         if not rest.is_constant():
             raise GenericPlaceUnsupported(
-                f"support of {format_poly(f, 'v')} does not split within "
-                f"degree {_SPLIT_DEG_CAP} under the field cap")
+                f"support of {format_poly(f, 'v')} does not split under "
+                f"the field cap {gf.ORDER_CAP}")
     return out
 
 
@@ -579,7 +539,7 @@ def divisor(e):
     for r in e.coords:
         if not r.is_zero():
             cands.extend([r.num, r.den])
-    nm = norm_to_base(e)
+    nm = e.norm()
     cands.extend([nm.num, nm.den])
     for d, c in _closed_point_candidates(curve, cands):
         for P in _fiber_places(curve, d, c):
@@ -941,9 +901,9 @@ def zeta(curve):
     equation and the Weil envelope; FunctionalEquationViolated otherwise.
     """
     q = curve.q
-    if q not in (3, 4, 5):
-        raise TooLarge("zeta is capped at q <= 5, the field sizes whose "
-                       "zeta reports are recorded")
+    if not 3 <= q <= ZETA_Q_CAP:
+        raise TooLarge(f"zeta is capped at q <= {ZETA_Q_CAP}, the field sizes "
+                       "whose zeta reports are recorded")
     g = genus_formula(q)
     coeffs = l_polynomial(curve)
     S = _power_sums_from_coeffs(coeffs, 2 * g)
@@ -952,9 +912,10 @@ def zeta(curve):
         if S[k] ** 2 > 4 * g * g * q ** k:
             raise FunctionalEquationViolated(
                 f"Weil envelope breached at k={k}")
-    zd = ZetaData(q=q, counts=counts, coeffs=coeffs, genus=g)
-    genus_from_zeta(zd)  # the functional equation, coefficient by coefficient
-    return zd
+    zd = ZetaData(q=q, counts=counts, coeffs=coeffs, genus=None)
+    # the functional equation, coefficient by coefficient; deg(L)/2 is the
+    # genus it certifies
+    return replace(zd, genus=genus_from_zeta(zd))
 
 
 def genus_from_zeta(zd):
@@ -985,7 +946,7 @@ def report_row(curve):
         "modulus": format_poly(curve.modulus.as_poly(), "T"),
         "N": list(zd.counts),
         "L": list(zd.coeffs),
-        "genus_zeta": genus_from_zeta(zd),
+        "genus_zeta": zd.genus,
         "genus_formula": genus_formula(curve.q),
         "rh_ok": rc.ok and rc.genus == genus_formula(curve.q),
     }

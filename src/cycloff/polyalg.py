@@ -22,7 +22,11 @@ modulus with is_irreducible here, over GF(p).
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field
 (carlitz.CycModel) and the Kummer algebras (kummer.KummerAlgebra) are its
-two instances; each only supplies its relation.
+two instances.  Each is Galois over GF(q)(T) with a cyclic group of order
+n, and supplies its relation and the image of Y under a generator sigma.
+Norms are products of the n conjugates, taken one prime-order subgroup at
+a time; the inverse is the cofactor of that product over the norm, so no
+extended Euclid runs over GF(q)(T).
 """
 
 from . import gf
@@ -292,23 +296,6 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # gcd machinery
-
-def xgcd(f, g):
-    """Extended Euclid: (d, u, w) with u*f + w*g = d and d monic."""
-    if f.is_zero() and g.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
-    ctx = f.ctx
-    r0, r1 = f, g
-    u0, u1 = Poly.one(ctx), Poly.zero(ctx)
-    w0, w1 = Poly.zero(ctx), Poly.one(ctx)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        w0, w1 = w1, w0 - q * w1
-    inv = r0.lc.inverse()
-    return r0 * inv, u0 * inv, w0 * inv
-
 
 def poly_gcd(f, g):
     if f.is_zero() and g.is_zero():
@@ -875,24 +862,9 @@ def _homogenized(f, np_, dp_, d):
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials in a second variable Y with RatFunc coefficients,
-# as plain lists (constant term first), and the quotient algebras
-# GF(q)(T)[Y]/(relation) built on them.  Inversion runs on the lists;
-# products share _yp_product, then fold sparsely against the relation.
-
-def yp_deg(v):
-    for i in range(len(v) - 1, -1, -1):
-        if v[i]:
-            return i
-    return -1
-
-
-def _yp_sub(a, b, zero):
-    n = max(len(a), len(b))
-    a = a + [zero] * (n - len(a))
-    b = b + [zero] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
+# The quotient algebras GF(q)(T)[Y]/(relation), with dense RatFunc
+# coordinate lists.  Products share _yp_product, then fold sparsely against
+# the relation; norms and inverses multiply Galois conjugates.
 
 def _yp_product(a, b):
     """Coefficients of a*b, None where no term lands.
@@ -908,56 +880,6 @@ def _yp_product(a, b):
                     t = x * y
                     buf[i + j] = t if buf[i + j] is None else buf[i + j] + t
     return buf
-
-
-def _yp_mul(a, b, zero):
-    da, db = yp_deg(a), yp_deg(b)
-    if da < 0 or db < 0:
-        return [zero]
-    return [zero if c is None else c
-            for c in _yp_product(a[:da + 1], b[:db + 1])]
-
-
-def _yp_divmod(a, b, zero):
-    db = yp_deg(b)
-    rem = list(a)
-    quo = [zero] * max(1, len(rem) - db)
-    inv = b[db].inverse()
-    while yp_deg(rem) >= db:
-        d = yp_deg(rem)
-        c = rem[d] * inv
-        quo[d - db] = c
-        for j in range(db + 1):
-            rem[d - db + j] = rem[d - db + j] - c * b[j]
-        rem = rem[:d]
-        while rem and not rem[-1]:
-            rem.pop()
-    return quo, rem if rem else [zero]
-
-
-def invert_mod(vec, mod, ctx):
-    """Inverse of vec in GF(q)(T)[Y]/(mod) by extended Euclid.
-
-    Both arguments are RatFunc coefficient lists, constant term first.
-    Raises DivisionByZero when vec is zero or shares a factor with mod
-    (only possible when the quotient is not a field).
-    """
-    zero, one = RatFunc.zero(ctx), RatFunc.one(ctx)
-    r0, r1 = list(mod), list(vec)
-    s0, s1 = [zero], [one]
-    if yp_deg(r1) < 0:
-        raise DivisionByZero("inverse of zero in a quotient algebra")
-    while yp_deg(r1) > 0:
-        q, r = _yp_divmod(r0, r1, zero)
-        r0, r1 = r1, r
-        s0, s1 = s1, _yp_sub(s0, _yp_mul(q, s1, zero), zero)
-    if yp_deg(r1) < 0:
-        raise DivisionByZero("element shares a factor with the modulus")
-    inv = r1[0].inverse()
-    out = [c * inv for c in s1]
-    if yp_deg(out) >= yp_deg(list(mod)):
-        raise CertificateFailed("inverse cofactor reaches the modulus degree")
-    return out
 
 
 def _as_ratfunc(ctx, r):
@@ -983,13 +905,14 @@ class QuotientAlgebra:
         self.n = n
         self._zero = RatFunc.zero(ctx)
         self._one = RatFunc.one(ctx)
-        modulus = [self._zero] * n + [self._one]
-        for i, r in relation.items():
-            modulus[i] = _as_ratfunc(ctx, r)
-        self._modulus = tuple(modulus)
         # Y^e = sum_i (-r_i) Y^(e-n+i) for every e >= n
-        self._fold_terms = tuple((i, -r) for i, r in enumerate(modulus[:n])
-                                 if r)
+        self._fold_terms = tuple((i, -_as_ratfunc(ctx, r))
+                                 for i, r in sorted(relation.items()))
+
+    def galois_image(self, k):
+        """sigma^k(y) for a fixed generator sigma of the cyclic Galois group
+        of order n over GF(q)(T); each instance supplies it."""
+        raise NotImplementedError
 
     def zero(self):
         return QuotientElem(self, (self._zero,) * self.n)
@@ -1113,12 +1036,77 @@ class QuotientElem:
             e >>= 1
         return acc
 
+    def conjugate(self, k):
+        """sigma^k(self): the algebra's sigma^k(y) substituted for y.
+
+        When sigma^k(y) = c*y for a constant c, coordinate i only scales by
+        c^i; otherwise the substitution runs by Horner.
+        """
+        alg, ctx = self.alg, self.alg.ctx
+        w = alg.galois_image(k).coords
+        if w[1:] and w[1].is_constant() and not any(w[:1] + w[2:]):
+            c, ci, out = w[1].num.coeff(0), ctx.one, []
+            for r in self.coords:
+                out.append(r if not r else RatFunc(
+                    Poly(ctx, [x * ci for x in r.num.coeffs]), r.den,
+                    _reduced=True))
+                ci = ci * c
+            return QuotientElem(alg, tuple(out))
+        w = QuotientElem(alg, w)
+        acc = alg.scalar(self.coords[-1])
+        for r in reversed(self.coords[:-1]):
+            acc = acc * w
+            acc = QuotientElem(alg, (acc.coords[0] + r,) + acc.coords[1:])
+        return acc
+
+    def _conjugate_product(self, step, count):
+        """prod of sigma^(j*step)(self) for j = 1..count, by doubling:
+        P_2k = P_k * sigma^(k*step)(P_k)."""
+        if count == 1:
+            return self.conjugate(step)
+        half = self._conjugate_product(step, count // 2)
+        out = half * half.conjugate(count // 2 * step)
+        if count % 2:
+            out = out * self.conjugate(count * step)
+        return out
+
+    def _norm_tower(self):
+        """(N, factors): N is the norm, the product of all n conjugates,
+        and self times the product of the factors is N.
+
+        The cyclic group is peeled one prime r | m at a time.  Multiplying
+        by the r-1 other conjugates under the order-r subgroup
+        <sigma^(m/r)> leaves an element fixed by it, so only the quotient
+        of order m/r still acts, and a fixed element stays sparse.  The
+        result must be a scalar; CertificateFailed otherwise.
+        """
+        a, m, factors = self, self.alg.n, []
+        for r, e in gf.factorize(m).items():
+            for _ in range(e):
+                m //= r
+                b = a._conjugate_product(m, r - 1)
+                factors.append(b)
+                a = a * b
+        if any(a.coords[1:]):
+            raise CertificateFailed("the product of the Galois conjugates "
+                                    "is not a scalar")
+        return a.coords[0], factors
+
+    def norm(self):
+        """Norm down to GF(q)(T): the product of the Galois conjugates."""
+        return self._norm_tower()[0]
+
     def inverse(self):
-        """Extended Euclid against the relation, over GF(q)(T)."""
-        alg = self.alg
-        out = invert_mod(self.coords, alg._modulus, alg.ctx)
-        out += [alg._zero] * (alg.n - len(out))
-        return QuotientElem(alg, tuple(out))
+        """The conjugate cofactor over the norm."""
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero in a quotient algebra")
+        nm, factors = self._norm_tower()
+        if not nm:
+            raise DivisionByZero("element shares a factor with the modulus")
+        acc = factors[0] if factors else self.alg.one()
+        for b in factors[1:]:
+            acc = acc * b
+        return acc.scale(nm.inverse())
 
     def __truediv__(self, other):
         if isinstance(other, QuotientElem):

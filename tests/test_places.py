@@ -43,7 +43,6 @@ from cycloff.places import (
     genus_from_zeta,
     l_polynomial,
     lspace_check,
-    norm_to_base,
     ramified_places,
     report_row,
     rh_check,
@@ -267,7 +266,7 @@ def test_divisor_of_v_plus_y_hand_derived():
 def test_generic_valuation_agrees_with_norm_aggregation():
     # v_closed(Norm e) = sum of f(P|closed) * v_P(e) over the fiber
     e = scal(C3, vfun(C3, (0, 1))) + yelem(C3)
-    nm = norm_to_base(e)
+    nm = e.norm()
     E5 = create_field(3, 5)
     root = roots_in(nm.num, E5)[0]
     dv = divisor(e)
@@ -411,17 +410,23 @@ def test_monomial_divisors_have_degree_zero(i, packed, shift):
 
 
 def test_unsupported_split_raises():
-    # lex-least irreducible of degree 9 over GF(3) exceeds the split cap
-    f = None
-    for packed in range(3 ** 9):
-        coeffs = [(packed // 3 ** j) % 3 for j in range(9)] + [1]
-        cand = Poly(F3, [F3.elem(c) for c in coeffs])
-        if is_irreducible(cand):
-            f = cand
-            break
+    # the lex-least irreducible of degree 13 over GF(3): GF(3^13) is past
+    # the field-order cap, so its roots cannot be found
+    (f,) = least_irreducibles(F3, 13, 1)
     e = scal(C3, RatFunc(f, vpoly(C3, 1)))
-    with pytest.raises(GenericPlaceUnsupported):
+    with pytest.raises(GenericPlaceUnsupported, match="field cap"):
         divisor(e)
+
+
+def test_degree_nine_support_splits_under_the_order_cap():
+    # GF(3^9) is under the field-order cap, and h is a square at the roots
+    # of f = v^9+2v^3+v^2+1, so the fiber splits into two places of degree 9
+    (f,) = least_irreducibles(F3, 9, 1)
+    dv = divisor(scal(C3, RatFunc(f, vpoly(C3, 1))))
+    gens = [P for P in dv.support if isinstance(P, Generic)]
+    assert [(P.k, P.degree, dv.coeff(P)) for P in gens] == [(9, 9, 1)] * 2
+    assert len(dv.support) == 3
+    assert dv.coeff(RamInfinity(3)) == -18 and dv.degree == 0
 
 
 def scan_closed_points(curve, f, maxdeg):
@@ -469,11 +474,12 @@ def test_closed_points_match_the_per_degree_scan(curve):
     assert _closed_point_candidates(curve, [f * factors[3]]) == want
 
 
-@pytest.mark.parametrize("curve,deg", [(C3, 9), (C7, 8)],
+@pytest.mark.parametrize("curve,deg", [(C3, 13), (C7, 8)],
                          ids=["degree-cap", "field-cap"])
 def test_closed_points_beyond_the_cap_raise(curve, deg):
-    # GF(3^9) is past the degree cap, GF(7^8) past the field-order cap;
-    # the split quadratic factor alongside must not hide the leftover
+    # the support degree d is bounded by q^d <= ORDER_CAP alone: GF(3^13)
+    # and GF(7^8) are both past it; the split quadratic factor alongside
+    # must not hide the leftover
     (big,) = least_irreducibles(curve.ctx, deg, 1)
     (quad,) = least_irreducibles(curve.ctx, 2, 1)
     with pytest.raises(GenericPlaceUnsupported):

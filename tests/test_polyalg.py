@@ -15,13 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloff import gf
-from cycloff.carlitz import CycModel, Modulus
+from cycloff.carlitz import CycModel, Modulus, iter_irreducible_moduli
 from cycloff.errors import (
     BothZero,
+    CertificateFailed,
     ConstantPolynomial,
     CtxMismatch,
     DivisionByZero,
     ParseError,
+    WrongOrder,
     ZeroPolynomial,
     ZeroValuation,
 )
@@ -38,7 +40,6 @@ from cycloff.polyalg import (
     poly_gcd,
     roots_in,
     root_multiplicity,
-    xgcd,
 )
 
 F3 = gf.create_field(3)
@@ -112,22 +113,18 @@ def test_divmod_frozen_gf3():
     assert r.is_zero()
 
 
-def test_gcd_frozen_gf5_with_bezout():
+def test_gcd_frozen_gf5():
     # T = -2 = 3 is a shared root: 3^2 + 1 = 10 = 0 in GF(5)
     f = Poly.from_ints(F5, [1, 0, 1])      # T^2 + 1
     g = Poly.from_ints(F5, [2, 1])         # T + 2
-    d, u, w = xgcd(f, g)
-    assert d == g
-    assert u * f + w * g == d
     assert poly_gcd(f, g) == g
+    assert poly_gcd(f, Poly.from_ints(F5, [1, 1])).is_one()
 
 
 def test_gcd_both_zero():
     z = Poly.zero(F5)
     with pytest.raises(BothZero):
         poly_gcd(z, z)
-    with pytest.raises(BothZero):
-        xgcd(z, z)
 
 
 def test_degree_sentinel():
@@ -244,11 +241,10 @@ def test_divmod_reconstruction(f, g):
 
 @settings(max_examples=60, deadline=None)
 @given(polys(F4), polys(F4))
-def test_xgcd_invariants(f, g):
+def test_gcd_invariants(f, g):
     if f.is_zero() and g.is_zero():
         return
-    d, u, w = xgcd(f, g)
-    assert u * f + w * g == d
+    d = poly_gcd(f, g)
     assert d.lc == F4.one
     assert (f % d).is_zero() and (g % d).is_zero()
     if not f.is_zero() and not g.is_zero():
@@ -710,6 +706,105 @@ def test_quotient_algebra_laws(build):
         assert a * (b + c) == a * b + a * c
         assert a * a.inverse() == one
         assert a.qpow() == a ** q
+
+
+def _mult_det(e):
+    """Norm as the determinant of multiplication by e, by Gaussian
+    elimination over GF(q)(T): a route that uses no Galois conjugate."""
+    alg, n = e.alg, e.alg.n
+    cols, acc = [], e
+    for _ in range(n):
+        cols.append(acc.coords)
+        acc = acc * alg.y()
+    m = [[cols[j][i] for j in range(n)] for i in range(n)]
+    det = RatFunc.one(alg.ctx)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return RatFunc.zero(alg.ctx)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = m[col][col].inverse()
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] = m[r][c] - f * m[col][c]
+    return det
+
+
+def _sparse_torsion(q):
+    # (x+1) y + y^(n-2)/x: two terms, one with a pole at x = 0
+    ctx = gf.field_from_order(q)
+    model = CycModel(next(iter_irreducible_moduli(ctx)))
+    x = Poly.gen(ctx)
+    return model.from_pairs([(1, RatFunc.from_poly(x + ctx.one)),
+                             (model.n - 2, RatFunc(Poly.one(ctx), x))])
+
+
+def _dense_kummer(q):
+    ctx, rng = gf.field_from_order(q), random.Random(q)
+    m = next(iter_irreducible_moduli(ctx))
+    curve = KummerCurve(m.a, m.b, ctx.one)
+    return curve.from_coords([
+        RatFunc(Poly.from_ints(ctx, [rng.randrange(q) for _ in range(3)]),
+                Poly.from_ints(ctx, [rng.randrange(1, q), 1]))
+        for _ in range(curve.n)])
+
+
+@pytest.mark.parametrize("build,q", [
+    (_sparse_torsion, 3), (_sparse_torsion, 4), (_sparse_torsion, 5),
+    (_dense_kummer, 3), (_dense_kummer, 4), (_dense_kummer, 5),
+    (_dense_kummer, 8)],
+    ids=["torsion-q3", "torsion-q4", "torsion-q5", "curve-q3", "curve-q4",
+         "curve-q5", "curve-q8"])
+def test_norm_is_the_multiplication_determinant(build, q):
+    e = build(q)
+    nm = e.norm()
+    assert nm == _mult_det(e)
+    assert e * e.inverse() == e.alg.one()
+    assert (e * e).norm() == nm * nm
+    assert e.alg.y().norm() == _mult_det(e.alg.y())
+
+
+@pytest.mark.parametrize("i,j", [(7, 6), (2, 7)])
+def test_inverse_of_squared_torsion_binomials(i, j):
+    # dense squares whose inverses carry large rational coefficients
+    model = CycModel(Modulus(F3.zero, F3.one))
+    x = Poly.gen(F3)
+    for c in range(3):
+        a = model.from_pairs([(i, RatFunc.from_poly(x + F3.elem(c))),
+                              (j, RatFunc.from_poly(x + F3.elem(c + 1)))])
+        sq = a * a
+        assert sq * sq.inverse() == model.one()
+
+
+@pytest.mark.parametrize("build", [lambda: _curve(5)[0],
+                                   lambda: CycModel(Modulus(F3.zero, F3.one))],
+                         ids=["curve-q5", "torsion-q3"])
+def test_sigma_of_the_wrong_order_is_caught(build):
+    alg = build()
+    real = alg.galois_image
+    alg.galois_image = lambda k: real(2 * k)   # sigma^2 has order n/2
+    e = alg.one() + alg.y()
+    with pytest.raises(CertificateFailed):
+        e.norm()
+    with pytest.raises(CertificateFailed):
+        e.inverse()
+
+
+def test_kummer_algebra_needs_roots_of_unity():
+    # y -> zeta y generates the Galois group only if zeta of order n is
+    # in GF(q), that is n | q-1
+    h = RatFunc.from_poly(Poly.gen(F5))
+    alg = KummerAlgebra(F5, 2, h)
+    assert alg.galois_image(1) == -alg.y()
+    with pytest.raises(WrongOrder):
+        KummerAlgebra(F5, 3, h)
+    with pytest.raises(WrongOrder):
+        KummerAlgebra(F4, 2, RatFunc.from_poly(Poly.gen(F4)))
 
 
 def test_from_coords_rejects_wrong_length():

@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -38,3 +39,24 @@ def test_acceptance_passes_under_python_O():
         timeout=600)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
     assert " passed" in run.stdout and "failed" not in run.stdout
+
+
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE name that nothing in the package reads is
+    # a reserved knob that does nothing
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {t.id: name for name, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)
+               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert sorted(f"{mod}:{name}" for name, mod in defined.items()
+                  if name not in read) == []
