@@ -23,11 +23,14 @@ is 0), the exponent ``_neg_exp`` of -1 ((q-1)/2 for odd p, 0 for p = 2)
 and one shared element ``_elems[k]`` per exponent k, which polyalg's
 kernels hand back the way ``zero`` is shared.  The elements are still
 coefficient tuples, so every printed or hashed value is the same as on the
-convolution path that larger fields keep; there an inverse is a^(Q-2)
-(Fermat).
+packed path that larger fields keep.  There a product is two integer
+products: the coefficient vectors packed one slot per coefficient
+(Kronecker substitution), then the packed reduction matrix of
+``_packed_kernel``; an inverse is a^(Q-2) (Fermat).
 """
 
 import functools
+import struct
 from math import isqrt
 
 from .errors import (
@@ -211,7 +214,7 @@ class FieldElem:
 class FieldCtx:
     """GF(p^n) with deterministic modulus and generator; cached singleton."""
 
-    __slots__ = ("p", "n", "order", "modulus", "_red", "_zero", "_one",
+    __slots__ = ("p", "n", "order", "modulus", "_packed", "_zero", "_one",
                  "_gen", "_factors", "_baby", "_exp", "_log", "_zech",
                  "_neg_exp", "_elems", "_mul", "_inv", "_pow", "__weakref__")
 
@@ -220,17 +223,7 @@ class FieldCtx:
         self.n = n
         self.order = p ** n
         self.modulus = modulus
-        # reduction rows: T^(n+j) mod modulus for j = 0..n-2, from
-        # T^n = -sum m_i T^i, then shift by T and fold the top coefficient
-        first = tuple((-c) % p for c in modulus[:n])
-        red = []
-        row = first
-        for _ in range(n - 1):
-            red.append(row)
-            top = row[-1]
-            row = tuple((c + top * f) % p
-                        for c, f in zip((0,) + row[:-1], first))
-        self._red = tuple(red)
+        self._packed = _packed_kernel(p, n, modulus) if n > 1 else None
         self._zero = FieldElem(self, (0,) * n)
         self._one = FieldElem(self, (1,) + (0,) * (n - 1))
         self._gen = None
@@ -308,26 +301,19 @@ class FieldCtx:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    # _mul, _inv and _pow are bound per context: the convolution/Fermat
+    # _mul, _inv and _pow are bound per context: the packed-product/Fermat
     # methods below, or the table lookups once _build_tables has run.
 
     def _poly_mul(self, a, b):
-        p, n = self.p, self.n
-        if n == 1:
+        """a*b mod the modulus on packed integers (see _packed_kernel)."""
+        p = self.p
+        if self.n == 1:
             return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = conv[:n]
-        for j in range(n - 1):
-            c = conv[n + j]
-            if c:
-                row = self._red[j]
-                for i in range(n):
-                    out[i] += c * row[i]
-        return tuple(c % p for c in out)
+        pack, unpack, rows = self._packed
+        prod = (int.from_bytes(pack.pack(*a), "little")
+                * int.from_bytes(pack.pack(*b), "little") * rows)
+        return tuple([c % p for c in unpack.unpack(
+            prod.to_bytes(unpack.size, "little"))])
 
     def _poly_inv(self, a):
         if not any(a):
@@ -451,6 +437,52 @@ class FieldCtx:
         return sorted(roots, key=lambda e: e.coeffs)
 
 
+def _slot_typecode(p, n):
+    """Narrowest unsigned ``struct`` code (B, H, I, Q: 1, 2, 4, 8 bytes)
+    whose slot holds (2n-1) n (p-1)^3, the largest value a slot of a packed
+    product over GF(p^n) can reach; None if none does.
+    """
+    bound = (2 * n - 1) * n * (p - 1) ** 3
+    return next((code for code in "BHIQ"
+                 if bound < 1 << 8 * struct.calcsize("<" + code)), None)
+
+
+def _packed_kernel(p, n, modulus):
+    """(packer, unpacker, R) for products by Kronecker substitution
+    (von zur Gathen-Gerhard, *Modern Computer Algebra*, 8.4).
+
+    Coefficient vectors become little-endian integers with one slot per
+    entry, so one integer product holds the convolution c_k, k = 0..2n-2.
+    Row k of the reduction matrix M is T^k mod the modulus, entries in
+    0..p-1: the identity for k < n, then T^n = -sum m_i T^i shifted by T
+    with the top coefficient folded back.  R holds column i of M, reversed,
+    in slots i S .. i S + 2n-2 with stride S = 2n-1, so slot 2n-2 + i S of
+    (a b) R is sum_k c_k M[k][i], coefficient i of a b before the last
+    reduction mod p; the unpacker reads those n slots and skips the rest.
+    Every slot of (a b) R sums at most 2n-1 terms c_k M[k][j] with
+    c_k <= n (p-1)^2, which is the bound the slot holds, so no slot carries
+    into the next.
+    """
+    code = _slot_typecode(p, n)
+    width = struct.calcsize("<" + code)
+    stride = 2 * n - 1
+    first = tuple((-c) % p for c in modulus[:n])
+    rows = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    row = first
+    for _ in range(n - 1):
+        rows.append(row)
+        top = row[-1]
+        row = tuple((c + top * f) % p for c, f in zip((0,) + row[:-1], first))
+    packed = 0
+    for k, row in enumerate(rows):
+        for i, m in enumerate(row):
+            packed |= m << 8 * width * (i * stride + 2 * n - 2 - k)
+    edge = f"{(2 * n - 2) * width}x"
+    slots = f"{(stride - 1) * width}x".join([code] * n)
+    return (struct.Struct(f"<{n}{code}"),
+            struct.Struct(f"<{edge}{slots}{edge}"), packed)
+
+
 def _lex_to_packed(ctx, v):
     """Map a lex rank (c_0 most significant) to the packed base-p integer."""
     digits = []
@@ -513,12 +545,31 @@ def _embed_powers(src, tgt):
     return tuple(powers)
 
 
+@functools.lru_cache(maxsize=None)
+def _embed_images(src, tgt):
+    """Coefficient tuple -> image in tgt, filled on demand by ``embed``.
+
+    A proper subfield of a field under ORDER_CAP has order at most
+    sqrt(ORDER_CAP) = TABLE_CAP, so each map has at most that many entries.
+    """
+    return {}
+
+
 def embed(e, tgt):
     """Canonical embedding GF(p^m) -> GF(p^n) for m | n (identity if same)."""
     src = e.ctx
     if src is tgt:
         return e
-    powers = _embed_powers(src, tgt)
+    images = _embed_images(src, tgt)
+    out = images.get(e.coeffs)
+    if out is None:
+        out = images[e.coeffs] = _embed_sum(e, tgt)
+    return out
+
+
+def _embed_sum(e, tgt):
+    """sum c_i w^i for the image w of the source's T."""
+    powers = _embed_powers(e.ctx, tgt)
     acc = tgt.zero
     for c, w in zip(e.coeffs, powers):
         if c:

@@ -15,11 +15,13 @@ must tell them apart.
 """
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 from . import gf
 from .errors import (
+    CertificateFailed,
     CtxMismatch,
     DivisionByZero,
     FunctionalEquationViolated,
@@ -36,8 +38,8 @@ from .polyalg import (
     Poly,
     _xq_power,
     format_poly,
+    one_root,
     poly_gcd,
-    roots_in,
 )
 
 COUNT_CAP = 1 << 22
@@ -424,7 +426,8 @@ def _closed_point_candidates(curve, polys):
 
     Rational and quadratic ramification support is filtered out; a candidate
     polynomial whose roots do not all split within the degree/order caps
-    raises rather than silently dropping support.
+    raises rather than silently dropping support.  The points of each
+    degree d come from `_orbit_leaders`, one root per closed point.
     """
     ctx = curve.ctx
     p, n, q = ctx.p, ctx.n, curve.q
@@ -452,18 +455,7 @@ def _closed_point_candidates(curve, polys):
             rest = rest // part
             if d == 1:
                 continue  # rational points are ramified, booked separately
-            Ed = create_field(p, n * d)
-            claimed = set()
-            for r in sorted(roots_in(part, Ed), key=lambda e: e.to_int()):
-                if r in claimed:
-                    continue
-                # the least root of each Frobenius orbit comes first
-                orbit = [r]
-                nxt = r.frob(n)
-                while nxt != r:
-                    orbit.append(nxt)
-                    nxt = nxt.frob(n)
-                claimed.update(orbit)
+            for r in _orbit_leaders(part, create_field(p, n * d), n, d):
                 if d == 2 and r in quad:
                     continue  # ramified support, booked separately
                 if (d, r) not in seen:
@@ -474,6 +466,40 @@ def _closed_point_candidates(curve, polys):
                 f"support of {format_poly(f, 'v')} does not split under "
                 f"the field cap {gf.ORDER_CAP}")
     return out
+
+
+def _orbit_leaders(part, E, n, d):
+    """Least root by ``to_int`` of each Frobenius orbit of the roots in
+    E = GF(p^(nd)) of ``part``, a product of distinct irreducibles of
+    degree d over GF(p^n); sorted by ``to_int``.
+
+    Each round takes one root r of what is left (``one_root``) and divides
+    out prod_i (X - r^(q^i)) over its orbit, so the product of the
+    irreducibles is never split further than one root per factor.  An
+    orbit of length other than d or a nonzero remainder raises
+    CertificateFailed.
+    """
+    g = part.embed_into(E)
+    x = Poly.gen(E)
+    leaders = []
+    while not g.is_constant():
+        r = one_root(g)
+        orbit = [r]
+        nxt = r.frob(n)
+        while nxt != r:
+            orbit.append(nxt)
+            nxt = nxt.frob(n)
+        if len(orbit) != d:
+            raise CertificateFailed(
+                f"a root of a degree-{d} factor has a Frobenius orbit of "
+                f"length {len(orbit)}")
+        g, rem = divmod(g, functools.reduce(
+            operator.mul, [x - s for s in orbit]))
+        if rem:
+            raise CertificateFailed(
+                f"a Frobenius orbit does not divide the degree-{d} part")
+        leaders.append(min(orbit, key=lambda e: e.to_int()))
+    return sorted(leaders, key=lambda e: e.to_int())
 
 
 def _fiber_places(curve, d, c):
@@ -516,7 +542,19 @@ def _fiber_places(curve, d, c):
 
 
 def divisor(e):
-    """Principal divisor of a nonzero element, booked on closed points."""
+    """Principal divisor of a nonzero element, booked on closed points.
+
+    The ramified places are read off the coordinates.  An unramified closed
+    point c carries support only if it is a pole of some coordinate or a
+    zero of the numerator of N(e), so only those polynomials are split.  At
+    a place P over c, y is a unit (h has no zero or pole there) and
+    e(P|c) = 1, so v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate
+    pole.  If no coordinate has a pole at c, every v_P(e) >= 0, and
+    v_c(N e) = sum_{P|c} f(P|c) v_P(e) (Stichtenoth, *Algebraic Function
+    Fields and Codes*, ch. 3) is positive once one v_P(e) is.  The same
+    formula makes v_c(N e) < 0 force a coordinate pole, so neither the
+    coordinate numerators nor the denominator of N(e) can add a point.
+    """
     curve = _curve_of(e)
     if all(r.is_zero() for r in e.coords):
         raise ZeroElement("the zero element has no divisor")
@@ -535,12 +573,8 @@ def divisor(e):
                                curve.h.valuation(qroot))
     if val:
         coeffs[RamQuadratic(qroot)] = val
-    cands = []
-    for r in e.coords:
-        if not r.is_zero():
-            cands.extend([r.num, r.den])
-    nm = e.norm()
-    cands.extend([nm.num, nm.den])
+    cands = [r.den for r in e.coords if not r.is_zero()]
+    cands.append(e.norm().num)
     for d, c in _closed_point_candidates(curve, cands):
         for P in _fiber_places(curve, d, c):
             val = _generic_valuation(curve, e.coords, embed(P.c, P.ys.ctx),

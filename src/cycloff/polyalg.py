@@ -10,6 +10,10 @@ degree 3 and Ben-Or's incremental gcd(f, T^(q^i) - T) test above that.
 Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
 equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
+A polynomial known to split needs no gcd: one_root follows one branch of
+the same splitting to a single root, and a caller that wants one root per
+Frobenius orbit takes that root's q-th powers and divides their product
+out.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, division, gcd, powers, modular powering, RatFunc
@@ -556,6 +560,26 @@ def _split_linear(g):
             else:
                 nxt.append(h)
         todo = nxt
+
+
+def one_root(g):
+    """One root of a monic g that splits into distinct linear factors.
+
+    The shifts of _split_linear, in the same order, split g, but only the
+    smaller factor is kept, so each split at least halves the degree;
+    CertificateFailed if no shift splits what is left.
+    """
+    for a in g.ctx.iter_elements():
+        if g.degree == 1:
+            break
+        part = poly_gcd(g, _splitter(g, a))
+        if 0 < part.degree < g.degree:
+            rest = g // part
+            g = part if part.degree <= rest.degree else rest
+    if g.degree != 1:
+        raise CertificateFailed(f"{format_poly(g, 'X')} does not split into "
+                                "distinct linear factors")
+    return -g.coeffs[0]
 
 
 def _splitter(h, a):

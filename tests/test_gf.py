@@ -1,6 +1,9 @@
 """Field layer: deterministic construction against brute-force oracles."""
 
 import itertools
+import random
+import struct
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +249,19 @@ def test_embed_gf9_into_gf81():
     assert gf.embed(a * b, tgt) == gf.embed(a, tgt) * gf.embed(b, tgt)
 
 
+def test_embed_reads_each_image_from_its_map():
+    # GF(9) into a table field and into one above the cap: the first call
+    # computes the power-basis sum, the second returns the stored image
+    assert isqrt(gf.ORDER_CAP) == gf.TABLE_CAP
+    src = gf.create_field(3, 2)
+    for tgt in (gf.create_field(3, 4), gf.create_field(3, 8)):
+        for a in src.iter_elements():
+            img = gf.embed(a, tgt)
+            assert img == gf._embed_sum(a, tgt)
+            assert gf.embed(a, tgt) is img
+        assert len(gf._embed_images(src, tgt)) == src.order
+
+
 def test_embed_rejects_bad_degrees():
     with pytest.raises(NoEmbedding):
         gf.embed(gf.create_field(3, 2).one, gf.create_field(3, 3))
@@ -271,7 +287,7 @@ def test_dlog_and_nth_roots():
 
 
 # ---------------------------------------------------------------------------
-# Log/antilog tables against the convolution/Fermat path they replace.
+# Log/antilog tables against the packed/Fermat path they replace.
 
 def oracle_field_mul(ctx, a, b):
     """Schoolbook product reduced by long division by the modulus."""
@@ -327,7 +343,8 @@ def test_tables_match_the_polynomial_path_at_the_cap(pn, ia, ib, e):
 
 
 def test_field_above_the_cap_keeps_the_polynomial_path():
-    # characteristic 2 and an odd one; above the cap, inversion is by Fermat
+    """Above the cap, products take the packed-integer kernel and inverses
+    are by Fermat; characteristic 2 and an odd one, against the oracle."""
     for p, n in ((2, 11), (3, 7)):
         ctx = gf.create_field(p, n)
         assert ctx.order > gf.TABLE_CAP
@@ -343,6 +360,53 @@ def test_field_above_the_cap_keeps_the_polynomial_path():
             assert oracle_field_mul(ctx, nxt.coeffs, inv.coeffs) == (
                 ctx.one.coeffs)
             acc = nxt
+
+
+# ---------------------------------------------------------------------------
+# The packed-integer kernel of fields above the table cap.
+
+def primes_up_to(m):
+    return [p for p in range(2, m + 1) if gf.is_prime(p)]
+
+
+def test_every_capped_extension_gets_a_slot_typecode():
+    # without building fields: every (p, n >= 2) under the order cap
+    pairs = [(p, n) for p in primes_up_to(isqrt(gf.ORDER_CAP))
+             for n in range(2, gf.ORDER_CAP.bit_length())
+             if p ** n <= gf.ORDER_CAP]
+    assert (2, 20) in pairs and (1021, 2) in pairs
+    for p, n in pairs:
+        code = gf._slot_typecode(p, n)
+        assert code is not None, (p, n)
+        # the narrowest: the next narrower slot could overflow
+        bound = (2 * n - 1) * n * (p - 1) ** 3
+        narrower = "BHIQ"[:"BHIQ".index(code)]
+        assert all(bound >= 1 << 8 * struct.calcsize("<" + c)
+                   for c in narrower)
+
+
+@pytest.mark.parametrize("p,n,code", [(2, 11, "B"), (3, 7, "H"),
+                                      (101, 3, "I"), (1021, 2, "Q")])
+def test_packed_products_match_the_oracle_per_typecode(p, n, code):
+    ctx = gf.create_field(p, n)
+    assert ctx._log is None and ctx._packed[0].format == f"<{n}{code}"
+    rng = random.Random(p * 100 + n)
+    # all-(p-1) vectors give the largest convolution sums
+    vals = [(p - 1,) * n, (0,) * n, (1,) + (0,) * (n - 1)] + [
+        tuple(rng.randrange(p) for _ in range(n)) for _ in range(30)]
+    for a in vals:
+        for b in vals:
+            assert ctx._poly_mul(a, b) == oracle_field_mul(ctx, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(5, 8), (7, 6)]), st.data())
+def test_packed_products_match_the_oracle(pn, data):
+    ctx = gf.create_field(*pn)
+    vec = st.tuples(*[st.integers(0, ctx.p - 1)] * ctx.n)
+    a, b = data.draw(vec), data.draw(vec)
+    assert (gf.FieldElem(ctx, a) * gf.FieldElem(ctx, b)).coeffs == (
+        oracle_field_mul(ctx, a, b))
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (5, 2), (3, 4)])

@@ -16,8 +16,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloff import gf
+from cycloff import gf, places
 from cycloff.errors import (
+    CertificateFailed,
     FunctionalEquationViolated,
     GenericPlaceUnsupported,
     TooLarge,
@@ -324,6 +325,71 @@ def test_series_resolves_leading_cancellation():
     assert valuation(e, Generic(k=3, c=c, ys=-ys, degree=3)) == 0
 
 
+def test_zero_and_pole_over_one_closed_point():
+    # h - 1 = -(v^3+v^2+2v+1)/(v^3-v) on the q=3 curve, and that cubic is
+    # irreducible, so over its closed point c the fiber is y = 1 and y = -1.
+    # e = (y-1)/(y+1) has a zero at one and a pole at the other, and
+    # N(e) = (1-h)/(1-h) = 1 carries no support at c, so the coordinate
+    # denominators must bring c in
+    y = yelem(C3)
+    one = C3.one()
+    e = (y - one) / (y + one)
+    assert e.norm() == 1
+    dv = divisor(e)
+    assert len(dv.support) == 2
+    P, Q = dv.support
+    assert isinstance(P, Generic) and isinstance(Q, Generic)
+    assert (P.k, P.degree, Q.k, Q.degree) == (3, 3, 3, 3) and P.c == Q.c
+    assert is_irreducible(vpoly(C3, 1, 2, 1, 1))
+    assert vpoly(C3, 1, 2, 1, 1)(P.c).is_zero()
+    assert {P.ys, Q.ys} == {P.ys.ctx.one, -P.ys.ctx.one}
+    assert dv.coeff(P) == (1 if P.ys == P.ys.ctx.one else -1)
+    assert dv.coeff(Q) == -dv.coeff(P)
+
+
+def divisor_from_every_candidate(e, monkeypatch):
+    """divisor(e) from the full candidate list: the coordinate numerators
+    and the denominator of N(e) are split too."""
+    extra = [r.num for r in e.coords if r] + [e.norm().den]
+    split = places._closed_point_candidates
+    with monkeypatch.context() as m:
+        m.setattr(places, "_closed_point_candidates",
+                  lambda curve, polys: split(curve, list(polys) + extra))
+        return divisor(e)
+
+
+@pytest.mark.parametrize("curve,slots", [(C3, None), (C5, 1), (C7, 1)],
+                         ids=["q3", "q5", "q7"])
+def test_pruned_candidates_give_the_same_divisor(curve, slots, monkeypatch):
+    # denominators with unramified factors, so the coordinate poles matter
+    rng = random.Random(curve.q * 1009)
+    ctx = curve.ctx
+    dens = [vpoly(curve, 1), vpoly(curve, 0, 1), vpoly(curve, 1, 1),
+            *least_irreducibles(ctx, 2, 2, skip=curve.ram_numerator.monic())]
+    n = curve.q - 1
+    compared = 0
+    for _ in range(12):
+        coords = [RatFunc.zero(ctx) for _ in range(n)]
+        idxs = (rng.sample(range(n), slots) if slots
+                else [i for i in range(n) if rng.random() < 0.6] or [0])
+        for i in idxs:
+            num = vpoly(curve, *[rng.randrange(ctx.order)
+                                 for _ in range(rng.randint(1, 3))])
+            if num:
+                den = dens[rng.randrange(len(dens))] * dens[rng.randrange(3)]
+                coords[i] = RatFunc(num, den)
+        if not any(coords):
+            continue
+        e = curve.from_coords(coords)
+        try:
+            full = divisor_from_every_candidate(e, monkeypatch)
+        except GenericPlaceUnsupported:
+            continue  # a numerator past the caps; the pruned list skips it
+        assert divisor(e) == full
+        compared += 1
+    assert compared >= 8
+
+
 def test_divisor_multiplicativity_frozen():
     y = yelem(C3)
     v = scal(C3, vfun(C3, (0, 1)))
@@ -461,7 +527,8 @@ def least_irreducibles(ctx, d, count, skip=None):
                 return out
 
 
-@pytest.mark.parametrize("curve", [C3, C4, C5], ids=["q3", "q4", "q5"])
+@pytest.mark.parametrize("curve", [C3, C4, C5, C8, C9],
+                         ids=["q3", "q4", "q5", "q8", "q9"])
 def test_closed_points_match_the_per_degree_scan(curve):
     # two irreducibles of each degree 1..4, one squared, and the
     # ramified quadratic point, which must be left out
@@ -472,6 +539,53 @@ def test_closed_points_match_the_per_degree_scan(curve):
     want = scan_closed_points(curve, f, 4)
     assert [d for d, _ in want] == [2, 2, 3, 3, 4, 4]
     assert _closed_point_candidates(curve, [f * factors[3]]) == want
+
+
+def leaders_by_roots_in(f, E, n):
+    """Least root by to_int of each Frobenius orbit, from all of f's roots."""
+    roots = sorted(set(roots_in(f, E)), key=lambda e: e.to_int())
+    claimed, out = set(), []
+    for r in roots:
+        if r not in claimed:
+            orbit = {r}
+            while r.frob(n) not in orbit:
+                r = r.frob(n)
+                orbit.add(r)
+            claimed |= orbit
+            out.append(min(orbit, key=lambda e: e.to_int()))
+    return out
+
+
+@pytest.mark.parametrize("degrees", [(7,), (8,), (9,), (7, 7)],
+                         ids=["d7", "d8", "d9", "d7-twice"])
+def test_orbit_leaders_match_roots_in(degrees):
+    # the least irreducibles of degree 7, 8 and 9 over GF(3), and the
+    # product of the first two of degree 7: GF(3^7) has no tables, so the
+    # orbit products are divided out on the packed-kernel path
+    d = degrees[0]
+    fs = least_irreducibles(F3, d, len(degrees))
+    f = functools.reduce(operator.mul, fs)
+    E = create_field(3, d)
+    want = leaders_by_roots_in(f, E, 1)
+    assert len(want) == len(degrees)
+    assert places._orbit_leaders(f, E, 1, d) == want
+    assert _closed_point_candidates(C3, [f]) == [(d, r) for r in want]
+
+
+def test_a_wrong_root_fails_the_orbit_certificate(monkeypatch):
+    # a patched non-root with a full orbit leaves a remainder
+    (f,) = least_irreducibles(F3, 7, 1)
+    real = places.one_root
+    monkeypatch.setattr(places, "one_root", lambda g: real(g) + 1)
+    with pytest.raises(CertificateFailed, match="does not divide"):
+        places._orbit_leaders(f, create_field(3, 7), 1, 7)
+
+
+def test_a_short_orbit_fails_the_orbit_certificate():
+    # a rational root hidden in a degree-7 part has an orbit of length 1
+    (f,) = least_irreducibles(F3, 7, 1)
+    with pytest.raises(CertificateFailed, match="length 1"):
+        places._orbit_leaders(f * vpoly(C3, 2, 1), create_field(3, 7), 1, 7)
 
 
 @pytest.mark.parametrize("curve,deg", [(C3, 13), (C7, 8)],

@@ -36,6 +36,7 @@ from cycloff.polyalg import (
     _powmod,
     format_poly,
     is_irreducible,
+    one_root,
     parse_poly,
     poly_gcd,
     roots_in,
@@ -177,6 +178,22 @@ def test_root_multiplicity():
     assert root_multiplicity(f, F5.elem(2)) == 0
     with pytest.raises(ZeroPolynomial):
         roots_in(Poly.zero(F5), F5)
+
+
+@pytest.mark.parametrize("pn", [(3, 2), (2, 3), (5, 2)])
+def test_one_root_finds_a_root_or_refuses(pn):
+    # every product of three distinct linear factors has a root found; an
+    # irreducible quadratic has none, and no shift splits it
+    ctx = gf.create_field(*pn)
+    x = Poly.gen(ctx)
+    elems = list(ctx.iter_elements())
+    for roots in itertools.combinations(elems, 3):
+        g = functools.reduce(operator.mul, [x - r for r in roots])
+        assert one_root(g) in roots
+    irreducible = next(f for f in (x * x + x * b + c for b in elems
+                                   for c in elems) if is_irreducible(f))
+    with pytest.raises(CertificateFailed, match="distinct linear"):
+        one_root(irreducible)
 
 
 @pytest.mark.parametrize("src,tgt", [((2, 2), (2, 4)), ((2, 3), (2, 6)),
