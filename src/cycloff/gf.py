@@ -34,6 +34,7 @@ import struct
 from math import isqrt
 
 from .errors import (
+    CertificateFailed,
     CtxMismatch,
     DivisionByZero,
     NoEmbedding,
@@ -532,13 +533,18 @@ def _embed_powers(src, tgt):
     if tgt.n % src.n:
         raise NoEmbedding(f"{src.n} does not divide {tgt.n}")
     # polyalg imports this module, so the import waits for the first call
-    from .polyalg import Poly, roots_in
-    # least root of the source modulus in the target, lex order
-    roots = roots_in(Poly(tgt, [tgt.elem(c) for c in src.modulus]), tgt)
-    if not roots:
-        raise NoEmbedding("source modulus has no root in target; impossible "
-                          "for compatible degrees")
-    root = roots[0]
+    from .polyalg import Poly, one_root
+    # The source modulus is irreducible over GF(p) of degree src.n, so its
+    # roots in the target are the p-power orbit of any one of them; the
+    # image of T is the least root in lex order of coefficient vectors.
+    f = Poly(tgt, [tgt.elem(c) for c in src.modulus])
+    r = one_root(f)
+    orbit = [r.frob(i) for i in range(src.n)]
+    if f(r) or len(set(orbit)) != src.n:
+        raise CertificateFailed(
+            f"{format_element(r)} is no root of the modulus of {src.name} "
+            f"with a Frobenius orbit of length {src.n} in {tgt.name}")
+    root = min(orbit, key=lambda e: e.coeffs)
     powers = [tgt.one]
     for _ in range(src.n - 1):
         powers.append(powers[-1] * root)

@@ -231,18 +231,20 @@ def _curve_of(e):
     return alg
 
 
-def _ram_point_valuation(curve, coords, at, vh):
-    # v_P(sum r_i y^i) = min_i [(q-1) v'(r_i) + i vh]; the i-terms are
-    # pairwise distinct mod q-1 because gcd(vh, q-1) = 1, so no ties
+def _ramified_valuation(curve, coords, P):
+    # v_P(h) is -1 over a rational point, q-2 over infinity and +1 over a
+    # quadratic root, as KummerCurve._check_ramification_profile certifies.
+    # v_P(sum r_i y^i) = min_i [(q-1) v'(r_i) + i v_P(h)]; the i-terms are
+    # pairwise distinct mod q-1 because v_P(h) is prime to q-1, so no ties
     n = curve.q - 1
-    best = None
-    for i, r in enumerate(coords):
-        if r.is_zero():
-            continue
-        t = n * r.valuation(at) + i * vh
-        if best is None or t < best:
-            best = t
-    return best
+    if isinstance(P, RamFinite):
+        at, vh = P.alpha, -1
+    elif isinstance(P, RamInfinity):
+        at, vh = INFINITY, n - 1
+    else:
+        at, vh = P.root, 1
+    return min(n * r.valuation(at) + i * vh
+               for i, r in enumerate(coords) if not r.is_zero())
 
 
 def _validate_place(curve, P):
@@ -281,114 +283,77 @@ def valuation(e, P):
     if all(r.is_zero() for r in e.coords):
         raise ZeroElement("the zero element has no valuation")
     _validate_place(curve, P)
-    if isinstance(P, RamFinite):
-        return _ram_point_valuation(curve, e.coords, P.alpha,
-                                    curve.h.valuation(P.alpha))
-    if isinstance(P, RamInfinity):
-        return _ram_point_valuation(curve, e.coords, INFINITY,
-                                    curve.h.valuation(INFINITY))
-    if isinstance(P, RamQuadratic):
-        return _ram_point_valuation(curve, e.coords, P.root,
-                                    curve.h.valuation(P.root))
-    cE = embed(P.c, P.ys.ctx)
-    return _generic_valuation(curve, e.coords, cE, P.ys)
+    if not isinstance(P, Generic):
+        return _ramified_valuation(curve, e.coords, P)
+    return _generic_valuation(curve, e.coords, embed(P.c, P.ys.ctx), P.ys)
 
 
 # -- truncated power series over a field context -----------------------------
-# local helpers for generic-place expansions; coefficient lists, index = order
+# A series in t = v - c is a Poly in t cut to its first m coefficients, so
+# products run on the polyalg kernels (exponent lists over table fields).
+# Inverses and the y-branch are Newton iterations that double the precision
+# at each step (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 9).
 
 
-def _ser_mul(E, a, b, m):
-    out = [E.zero] * m
-    for i, ai in enumerate(a[:m]):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b[: m - i]):
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-def _ser_inv(E, a, m):
-    inv0 = a[0].inverse()
-    out = [inv0] + [E.zero] * (m - 1)
-    for i in range(1, m):
-        s = E.zero
-        top = min(i, len(a) - 1)
-        for j in range(1, top + 1):
-            if not a[j].is_zero():
-                s = s + a[j] * out[i - j]
-        out[i] = -(inv0 * s)
-    return out
-
-def _ser_pow(E, a, k, m):
-    out = [E.one] + [E.zero] * (m - 1)
-    for _ in range(k):
-        out = _ser_mul(E, out, a, m)
-    return out
+def _trunc(f, m):
+    return Poly(f.ctx, f.coeffs[:m])
 
 
-def _shifted(f, E, c):
-    # coefficient list of f(c + t)
-    fe = f.embed_into(E) if f.ctx is not E else f
-    return list(fe.compose(Poly(E, (c, E.one))).coeffs)
-
-
-def _laurent(r, E, c, m):
-    # (shift, unit-series) of r at v = c + t
-    nc = _shifted(r.num, E, c)
-    dc = _shifted(r.den, E, c)
-    on = next(i for i, x in enumerate(nc) if not x.is_zero())
-    od = next(i for i, x in enumerate(dc) if not x.is_zero())
-    nu = nc[on:on + m]
-    nu += [E.zero] * (m - len(nu))
-    du = dc[od:od + m]
-    du += [E.zero] * (m - len(du))
-    return on - od, _ser_mul(E, nu, _ser_inv(E, du, m), m)
-
-
-def _y_branch(E, H, y0, n, m):
-    # Newton lift of Y^n = H from Y(0) = y0; n is a unit in E
-    nsc = E.elem(n)
-    y = [y0]
+def _series_inv(a, m):
+    # g <- g (2 - a g) from g = 1/a(0)
+    g = Poly.constant(a.coeff(0).inverse())
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
-        cur = y + [E.zero] * (prec - len(y))
-        pw = _ser_pow(E, cur, n - 1, prec)
-        f = _ser_mul(E, pw, cur, prec)
-        diff = [f[i] - (H[i] if i < len(H) else E.zero) for i in range(prec)]
-        dinv = _ser_inv(E, [nsc * x for x in pw], prec)
-        corr = _ser_mul(E, diff, dinv, prec)
-        y = [cur[i] - corr[i] for i in range(prec)]
+        g = _trunc(g * (2 - _trunc(_trunc(a, prec) * g, prec)), prec)
+    return g
+
+
+def _laurent(r, c, m):
+    # (order, unit series mod t^m) of r at v = c + t
+    E = c.ctx
+    shift = Poly(E, (c, E.one))
+    units = []
+    for f in (r.num, r.den):
+        coeffs = f.embed_into(E).compose(shift).coeffs
+        o = next(i for i, x in enumerate(coeffs) if not x.is_zero())
+        units.append((o, Poly(E, coeffs[o:o + m])))
+    (on, nu), (od, du) = units
+    return on - od, _trunc(nu * _series_inv(du, m), m)
+
+
+def _y_branch(H, y0, n, m):
+    # Newton lift of Y^n = H mod t^m from Y(0) = y0; n is a unit in E
+    E = y0.ctx
+    y = Poly.constant(y0)
+    prec = 1
+    while prec < m:
+        prec = min(2 * prec, m)
+        pw = Poly.one(E)
+        for _ in range(n - 1):
+            pw = _trunc(pw * y, prec)
+        diff = _trunc(pw * y, prec) - _trunc(H, prec)
+        y = y - _trunc(diff * _series_inv(pw * n, prec), prec)
     return y
 
 
 def _generic_valuation(curve, coords, cE, ys):
     E = cE.ctx
-    n = curve.q - 1
     m = 8
     while m <= _SERIES_PREC_CAP:
-        _, hu = _laurent(curve.h, E, cE, m)
-        ybr = _y_branch(E, hu, ys, n, m)
-        parts = []
-        ypow = [E.one] + [E.zero] * (m - 1)
-        for i, r in enumerate(coords):
-            if i:
-                ypow = _ser_mul(E, ypow, ybr, m)
-            if not r.is_zero():
-                sh, ru = _laurent(r, E, cE, m)
-                parts.append((sh, _ser_mul(E, ru, ypow, m)))
-        s0 = min(sh for sh, _ in parts)
-        worst = max(sh for sh, _ in parts) - s0
-        acc = [E.zero] * m
-        for sh, ser in parts:
-            off = sh - s0
-            for j, x in enumerate(ser[: m - off]):
-                acc[off + j] = acc[off + j] + x
-        for j in range(m - worst):
-            if not acc[j].is_zero():
-                return s0 + j
+        ybr = _y_branch(_laurent(curve.h, cE, m)[1], ys, curve.q - 1, m)
+        terms = {i: _laurent(r, cE, m) for i, r in enumerate(coords) if r}
+        s0 = min(sh for sh, _ in terms.values())
+        # Horner in y on t^(-s0) e; every term is exact mod t^m, so acc is too
+        acc = Poly.zero(E)
+        for i in range(max(terms), -1, -1):
+            acc = _trunc(acc * ybr, m)
+            if i in terms:
+                sh, ru = terms[i]
+                acc = acc + Poly(E, (E.zero,) * (sh - s0) + ru.coeffs)
+        lead = next((j for j, x in enumerate(acc.coeffs[:m]) if x), None)
+        if lead is not None:
+            return s0 + lead
         m *= 2
     raise GenericPlaceUnsupported(
         "cancellation beyond the supported series precision")
@@ -502,42 +467,42 @@ def _orbit_leaders(part, E, n, d):
     return sorted(leaders, key=lambda e: e.to_int())
 
 
+def _fiber_norm(curve, d, c):
+    """N = h(c)^((q^d-1)/(q-1)), in GF(q)*, for c in GF(q^d).
+
+    A root y of Y^(q-1) = h(c) has y^(q^d) = y N, so y^(q^(dj)) = y N^j:
+    the fiber over c splits exactly in GF(q^(dj)) for j the order of N.
+    """
+    q = curve.q
+    return curve.h(c) ** ((q ** d - 1) // (q - 1))
+
+
 def _fiber_places(curve, d, c):
-    """Places above the closed point of c in GF(q^d), canonical reps."""
-    ctx = curve.ctx
-    p, n, q = ctx.p, ctx.n, curve.q
-    roots = []
-    E = None
-    for j in range(1, q):
-        if (q - 1) % j and j != 1:
-            # fiber orbit lengths divide q-1; other extension degrees
-            # cannot be minimal splitting fields
-            continue
-        if p ** (n * d * j) > gf.ORDER_CAP:
-            raise GenericPlaceUnsupported(
-                f"fiber splitting field GF({q}^{d * j}) exceeds the cap")
-        E = create_field(p, n * d * j)
-        hc = curve.h(embed(c, E))
-        roots = E.nth_roots(hc, q - 1)
-        if roots:
-            break
+    """Places above the closed point of c in GF(q^d), canonical reps.
+
+    Frobenius moves (c, y) back over c after d steps, as (c, y N), so the
+    places over c are the classes y <N> of its y-values, each of degree dj.
+    """
+    p, n, q = curve.ctx.p, curve.ctx.n, curve.q
+    norm = _fiber_norm(curve, d, c)
+    j = norm.order()
+    if p ** (n * d * j) > gf.ORDER_CAP:
+        raise GenericPlaceUnsupported(
+            f"fiber splitting field GF({q}^{d * j}) exceeds the cap")
+    E = create_field(p, n * d * j)
+    roots = E.nth_roots(curve.h(embed(c, E)), q - 1)
     if not roots:
-        raise GenericPlaceUnsupported("no splitting field found for fiber")
-    cE = embed(c, E)
-    out = []
-    claimed = set()
+        raise CertificateFailed(
+            f"Y^{q - 1} = h(c) has no root in {E.name}, where its fiber "
+            "must split")
+    steps = [embed(norm, E) ** i for i in range(j)]
+    out, claimed = [], set()
     for r in roots:
-        if (cE, r) in claimed:
-            continue
-        orbit = [(cE, r)]
-        a, b = cE.frob(n), r.frob(n)
-        while (a, b) != (cE, r):
-            orbit.append((a, b))
-            a, b = a.frob(n), b.frob(n)
-        claimed.update(pt for pt in orbit if pt[0] == cE)
-        ys = min((pt[1] for pt in orbit if pt[0] == cE),
-                 key=lambda x: x.to_int())
-        out.append(Generic(k=d, c=c, ys=ys, degree=len(orbit)))
+        if r not in claimed:
+            ys = [r * s for s in steps]
+            claimed.update(ys)
+            out.append(Generic(k=d, c=c, ys=min(ys, key=lambda x: x.to_int()),
+                               degree=d * j))
     return sorted(out, key=_place_key)
 
 
@@ -559,20 +524,11 @@ def divisor(e):
     if all(r.is_zero() for r in e.coords):
         raise ZeroElement("the zero element has no divisor")
     coeffs = {}
-    ctx = curve.ctx
-    for a in ctx.iter_elements():
-        val = _ram_point_valuation(curve, e.coords, a, curve.h.valuation(a))
-        if val:
-            coeffs[RamFinite(a)] = val
-    val = _ram_point_valuation(curve, e.coords, INFINITY,
-                               curve.h.valuation(INFINITY))
-    if val:
-        coeffs[RamInfinity(curve.q)] = val
-    qroot = curve.quad_roots[0]
-    val = _ram_point_valuation(curve, e.coords, qroot,
-                               curve.h.valuation(qroot))
-    if val:
-        coeffs[RamQuadratic(qroot)] = val
+    # the conjugate quadratic pair is one closed point, booked by quad_roots[0]
+    twin = RamQuadratic(curve.quad_roots[1])
+    for P in ramified_places(curve):
+        if P != twin:
+            coeffs[P] = _ramified_valuation(curve, e.coords, P)
     cands = [r.den for r in e.coords if not r.is_zero()]
     cands.append(e.norm().num)
     for d, c in _closed_point_candidates(curve, cands):

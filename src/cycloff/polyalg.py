@@ -7,13 +7,13 @@ structural equality is semantic equality.
 
 Everything here is exact.  The irreducibility test uses root search up to
 degree 3 and Ben-Or's incremental gcd(f, T^(q^i) - T) test above that.
-Roots in an extension GF(Q) come from gcd(f, X^Q - X) and deterministic
-equal-degree splitting (von zur Gathen-Gerhard, Modern Computer Algebra,
-ch. 14; Cantor-Zassenhaus 1981), so their cost grows with log Q, not Q.
-A polynomial known to split needs no gcd: one_root follows one branch of
-the same splitting to a single root, and a caller that wants one root per
-Frobenius orbit takes that root's q-th powers and divides their product
-out.
+Roots in an extension GF(Q) come from one splitting routine, one_root:
+deterministic equal-degree splitting (von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 14; Cantor-Zassenhaus 1981) that follows one branch
+to a single root, so its cost grows with log Q, not Q.  roots_in applies
+it to gcd(f, X^Q - X), dividing out one root at a time; a caller that
+wants one root per Frobenius orbit, or the roots of an irreducible,
+takes that root's Frobenius powers instead.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, division, gcd, powers, modular powering, RatFunc
@@ -515,9 +515,9 @@ def _exp_powmod(base, e, mod, ctx):
 def roots_in(f, ext):
     """All roots of f in the extension context, with multiplicity, lex order.
 
-    The distinct roots are the linear factors of g = gcd(f, X^Q - X), which
-    _split_linear separates; lex order of coefficient vectors is the order
-    of ``ext.iter_elements()``.
+    The distinct roots are those of g = gcd(f, X^Q - X); each round takes
+    one of them with ``one_root`` and divides its linear factor out.  Lex
+    order of coefficient vectors is the order of ``ext.iter_elements()``.
     """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of 0")
@@ -526,47 +526,24 @@ def roots_in(f, ext):
         return []
     fe = fe.monic()
     g = poly_gcd(fe, _xq_power(fe, 1) - Poly.gen(ext))
+    distinct = []
+    while not g.is_constant():
+        distinct.append(one_root(g))
+        g = g // Poly(ext, (-distinct[-1], ext.one))
     roots = []
-    for e in sorted(_split_linear(g), key=lambda r: r.coeffs):
+    for e in sorted(distinct, key=lambda r: r.coeffs):
         roots.extend([e] * root_multiplicity(fe, e))
     return roots
-
-
-def _split_linear(g):
-    """Roots of a monic g that splits into distinct linear factors.
-
-    Deterministic equal-degree splitting: the shift a runs through the
-    field in ``iter_elements`` order, and each value splits every factor
-    whose roots it separates.  For odd p the test polynomial is
-    (X+a)^((Q-1)/2) - 1, which vanishes at r iff r+a is a nonzero square;
-    for p = 2 it is the trace Tr(aX) = sum_{i<n} (aX)^(2^i), which vanishes
-    at r iff Tr(ar) = 0.  Every pair of distinct roots is separated by some
-    a (for p = 2, any a with Tr(a(r-s)) = 1), so one pass over the field
-    always finishes.
-    """
-    linear, todo = [], [g]
-    shifts = g.ctx.iter_elements()
-    while True:
-        linear += [h for h in todo if h.degree == 1]
-        todo = [h for h in todo if h.degree > 1]
-        if not todo:
-            return [-h.coeffs[0] for h in linear]
-        a = next(shifts)
-        nxt = []
-        for h in todo:
-            part = poly_gcd(h, _splitter(h, a))
-            if 0 < part.degree < h.degree:
-                nxt += [part, h // part]
-            else:
-                nxt.append(h)
-        todo = nxt
 
 
 def one_root(g):
     """One root of a monic g that splits into distinct linear factors.
 
-    The shifts of _split_linear, in the same order, split g, but only the
-    smaller factor is kept, so each split at least halves the degree;
+    Deterministic equal-degree splitting: the shift a runs through the
+    field in ``iter_elements`` order, and each shift that separates roots
+    of g splits it; only the smaller factor is kept, so each split at least
+    halves the degree.  Every pair of distinct roots is separated by some
+    a, so one pass over the field always reaches a linear factor;
     CertificateFailed if no shift splits what is left.
     """
     for a in g.ctx.iter_elements():
@@ -583,7 +560,13 @@ def one_root(g):
 
 
 def _splitter(h, a):
-    """The test polynomial of _split_linear for the shift a, reduced mod h."""
+    """The test polynomial of ``one_root`` for the shift a, reduced mod h.
+
+    For odd p it is (X+a)^((Q-1)/2) - 1, which vanishes at r iff r+a is a
+    nonzero square; for p = 2 it is the trace Tr(aX) = sum_{i<n} (aX)^(2^i),
+    which vanishes at r iff Tr(ar) = 0, so any a with Tr(a(r-s)) = 1
+    separates r and s.
+    """
     ctx = h.ctx
     if ctx.p == 2:
         t = Poly(ctx, (ctx.zero, a)) % h

@@ -156,7 +156,9 @@ def test_verify_aut_q5(capsys):
 
 
 def test_verify_aut_q3_untwisted_model(capsys):
-    # gamma = 1 pins the plain model: only the two-generator group exists
+    # gamma = 1 pins the plain model; it is isomorphic to the gamma = 2
+    # model and has the order-48 group too, but make_epsilon constructs
+    # epsilon only at gamma = 2, so the closure stops at the two generators
     code, doc = _run_json(["verify", "-q", "3", "-M", "T^2+1",
                            "--gamma", "1", "aut"], capsys)
     assert code == 0

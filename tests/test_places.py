@@ -325,6 +325,72 @@ def test_series_resolves_leading_cancellation():
     assert valuation(e, Generic(k=3, c=c, ys=-ys, degree=3)) == 0
 
 
+SERIES_FIELDS = pytest.mark.parametrize("pn", [(3, 2), (2, 11)],
+                                        ids=["GF(3^2)", "GF(2^11)"])
+
+
+def random_unit(E, rng, m):
+    """m random coefficients, the constant one nonzero."""
+    return Poly(E, [E.from_int(rng.randrange(0 if i else 1, E.order))
+                    for i in range(m)])
+
+
+@SERIES_FIELDS
+def test_series_inverse_is_exact_to_the_precision(pn):
+    # GF(2^11) is above gf.TABLE_CAP, so its products keep FieldElem loops
+    E = create_field(*pn)
+    rng = random.Random(f"inverse:{pn}")
+    for m in (1, 2, 7, 16):
+        a = random_unit(E, rng, m + 3)
+        assert places._trunc(places._series_inv(a, m) * a, m) == Poly.one(E)
+
+
+@SERIES_FIELDS
+def test_y_branch_is_an_nth_root_to_the_precision(pn):
+    E = create_field(*pn)
+    rng = random.Random(f"branch:{pn}")
+    for n in (k for k in (2, 3, 4, 7, 8) if k % E.p):
+        for m in (1, 5, 16):
+            y0 = E.from_int(rng.randrange(1, E.order))
+            H = random_unit(E, rng, m)
+            H = Poly(E, (y0 ** n,) + H.coeffs[1:])
+            y = places._y_branch(H, y0, n, m)
+            assert y.coeff(0) == y0
+            assert places._trunc(y ** n, m) == places._trunc(H, m)
+
+
+@SERIES_FIELDS
+def test_laurent_order_is_the_valuation(pn):
+    # r = (v-c)^a u / ((v-c)^b w) with units u, w at c; its expansion at
+    # v = c + t has order a - b, and the unit series times the shifted
+    # denominator's unit part gives back the numerator's, mod t^m
+    E = create_field(*pn)
+    rng = random.Random(f"laurent:{pn}")
+    v, m, ran = Poly.gen(E), 6, 0
+    for a, b in ((0, 0), (2, 0), (0, 3), (1, 1), (4, 2)):
+        c = E.from_int(rng.randrange(E.order))
+        u, w = (random_unit(E, rng, 4) for _ in range(2))
+        if u(c).is_zero() or w(c).is_zero():
+            continue
+        ran += 1
+        r = RatFunc((v - c) ** a * u, (v - c) ** b * w)
+        order, unit = places._laurent(r, c, m)
+        assert order == r.valuation(c) == a - b
+        shift = Poly(E, (c, E.one))
+        num, den = r.num.compose(shift), r.den.compose(shift)
+        lo = min(i for i, x in enumerate(den.coeffs) if x)
+        hi = min(i for i, x in enumerate(num.coeffs) if x)
+        assert places._trunc(unit * Poly(E, den.coeffs[lo:]), m) == \
+            places._trunc(Poly(E, num.coeffs[hi:]), m)
+    assert ran >= 3
+    # a base-field function at an extension point: v^2 + 1 over GF(3)
+    # vanishes at the roots of -1 in GF(9)
+    if pn == (3, 2):
+        r = RatFunc(vpoly(C3, 1, 0, 1), vpoly(C3, 0, 1))
+        for c in roots_in(r.num, E):
+            assert places._laurent(r, c, m)[0] == r.valuation(c) == 1
+
+
 def test_zero_and_pole_over_one_closed_point():
     # h - 1 = -(v^3+v^2+2v+1)/(v^3-v) on the q=3 curve, and that cubic is
     # irreducible, so over its closed point c the fiber is y = 1 and y = -1.
@@ -598,6 +664,104 @@ def test_closed_points_beyond_the_cap_raise(curve, deg):
     (quad,) = least_irreducibles(curve.ctx, 2, 1)
     with pytest.raises(GenericPlaceUnsupported):
         _closed_point_candidates(curve, [big * quad])
+
+
+# -- fibers ------------------------------------------------------------------
+
+
+def trial_fiber_places(curve, d, c):
+    """The fiber over c by search: the least j, 1 or a divisor of q-1, whose
+    GF(q^(dj)) holds a root of Y^(q-1) = h(c), then the Frobenius orbits
+    of the pairs (c, y) walked one step at a time.  (j, places), or
+    (None, None) once a tried field is past the cap."""
+    p, n, q = curve.ctx.p, curve.ctx.n, curve.q
+    for j in (j for j in range(1, q) if (q - 1) % j == 0):
+        if p ** (n * d * j) > gf.ORDER_CAP:
+            return None, None
+        E = create_field(p, n * d * j)
+        cE = embed(c, E)
+        roots = E.nth_roots(curve.h(cE), q - 1)
+        if roots:
+            break
+    out, claimed = [], set()
+    for r in roots:
+        if (cE, r) not in claimed:
+            orbit = [(cE, r)]
+            while (orbit[-1][0].frob(n), orbit[-1][1].frob(n)) != (cE, r):
+                orbit.append((orbit[-1][0].frob(n), orbit[-1][1].frob(n)))
+            over_c = [y for x, y in orbit if x == cE]
+            claimed.update((cE, y) for y in over_c)
+            ys = min(over_c, key=lambda x: x.to_int())
+            out.append(Generic(k=d, c=c, ys=ys, degree=len(orbit)))
+    return j, sorted(out, key=places._place_key)
+
+
+def unramified_points(curve, d):
+    """The least conjugate by to_int of each unramified degree-d point."""
+    n = curve.ctx.n
+    E = create_field(curve.ctx.p, n * d)
+    for c in E.iter_elements():
+        orbit = [c.frob(n * i) for i in range(d)]
+        if (len(set(orbit)) == d and c not in curve.quad_roots
+                and c == min(orbit, key=lambda x: x.to_int())):
+            yield c
+
+
+@pytest.mark.parametrize("curve,d", [(C3, 2), (C3, 3), (C5, 2), (C7, 2)],
+                         ids=["q3-d2", "q3-d3", "q5-d2", "q7-d2"])
+def test_fiber_field_is_the_one_the_search_finds(curve, d):
+    # every rational point is ramified, so these are all the unramified
+    # closed points of degree <= 2 at q = 3, 5, 7 and of degree 3 at q = 3:
+    # the order of N = h(c)^((q^d-1)/(q-1)) is the searched j, and the
+    # classes y<N> are the searched Frobenius orbits; past the cap both
+    # refuse, with the same text as before
+    q, checked = curve.q, 0
+    for c in unramified_points(curve, d):
+        j = places._fiber_norm(curve, d, c).order()
+        want_j, want = trial_fiber_places(curve, d, c)
+        if want_j is None:
+            assert curve.ctx.p ** (curve.ctx.n * d * j) > gf.ORDER_CAP
+            text = rf"fiber splitting field GF\({q}\^{d * j}\) exceeds the cap"
+            with pytest.raises(GenericPlaceUnsupported, match=text):
+                places._fiber_places(curve, d, c)
+        else:
+            assert j == want_j
+            assert places._fiber_places(curve, d, c) == want
+        checked += 1
+    assert checked == {2: (q * q - q) // 2 - 1, 3: 8}[d]
+
+
+def test_a_fiber_without_roots_fails_its_certificate(monkeypatch):
+    c = next(unramified_points(C3, 2))
+    monkeypatch.setattr(gf.FieldCtx, "nth_roots", lambda self, w, k: [])
+    with pytest.raises(CertificateFailed, match="must split"):
+        places._fiber_places(C3, 2, c)
+
+
+def test_ramified_valuations_read_the_certified_profile(monkeypatch):
+    # v_P(h) is -1, q-2 and +1 over rational points, infinity and the
+    # quadratic roots; divisor and valuation take those values from the
+    # curve's certificate and never recompute a valuation of h
+    real = RatFunc.valuation
+    for curve in (C3, C5):
+        q = curve.q
+        points = [P.alpha for P in ramified_places(curve)[:q]] + [
+            INFINITY] + list(curve.quad_roots)
+        assert [real(curve.h, at) for at in points] == [-1] * q + [q - 2, 1, 1]
+    calls = Counter()
+
+    def counted(self, at):
+        if self is C3.h or self is C5.h:
+            calls[at] += 1
+        return real(self, at)
+
+    monkeypatch.setattr(RatFunc, "valuation", counted)
+    for curve in (C3, C5):
+        e = scal(curve, vfun(curve, (1, 1), (0, 1))) + yelem(curve)
+        divisor(e)
+        for P in ramified_places(curve):
+            valuation(e, P)
+    assert calls == Counter()
 
 
 # -- divisor arithmetic ------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloff import gf
+from cycloff import gf, polyalg
 from cycloff.carlitz import CycModel, Modulus, iter_irreducible_moduli
 from cycloff.errors import (
     BothZero,
@@ -203,6 +203,17 @@ def test_embedding_uses_the_lex_least_root(src, tgt):
     modulus = Poly(tgt, [tgt.elem(c) for c in src.modulus])
     first = next(e for e in tgt.iter_elements() if modulus(e).is_zero())
     assert gf._embed_powers(src, tgt)[1] == first
+
+
+@pytest.mark.parametrize("src,tgt", [((2, 3), (2, 6)), ((3, 2), (3, 4)),
+                                     ((3, 1), (3, 2))])
+def test_embedding_refuses_an_image_that_is_no_root(src, tgt, monkeypatch):
+    # _embed_powers takes one root and trusts only what it checks: a
+    # patched one_root that hands back a non-root must fail the certificate
+    src, tgt = gf.create_field(*src), gf.create_field(*tgt)
+    monkeypatch.setattr(polyalg, "one_root", lambda g: g.ctx.one)
+    with pytest.raises(CertificateFailed, match="no root of the modulus"):
+        gf._embed_powers.__wrapped__(src, tgt)
 
 
 def test_division_guards():

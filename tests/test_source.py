@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import cycloff
 
@@ -60,3 +61,23 @@ def test_every_module_constant_is_read():
     assert defined
     assert sorted(f"{mod}:{name}" for name, mod in defined.items()
                   if name not in read) == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench/spans.py patches these names from outside the package, so a
+    # rename or deletion must fail here, not later under --trace 1; the file
+    # is compiled from its text, so nothing is written next to it
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "spans.py")
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         spans.__dict__)
+    assert spans.TARGETS
+    missing = []
+    for module, attr, name, _ in spans.TARGETS:
+        try:
+            if not callable(spans._resolve(module, attr)):
+                missing.append(name)
+        except (ImportError, AttributeError, KeyError):
+            missing.append(name)
+    assert missing == []
