@@ -26,10 +26,11 @@ compose(a, b) applies b first, then a.  closure composes each generator
 with each element once; the rest of the Cayley table is read off those
 products, and later products (multiply, stabilizers, the q=3 quotient) are
 read from the table.  Every Aut passes the law in Aut.__init__, but the law
-is evaluated once per distinct map (curve, Mobius part, k, f), h o mobius
-once per Mobius part, and the action on a ramified place once per (Mobius
-part, place) pair; the caches key on the canonical entries and on the
-curve's identity, so a repeat reuses an exact result for the same input.
+is evaluated once per scalar class (curve, Mobius part, k, f up to a
+constant; see `_law_scalar`), h o mobius once per Mobius part, and the
+action on a ramified place once per (Mobius part, place) pair; the caches
+key on the canonical entries and on the curve's identity, so a repeat
+reuses an exact result for the same input.
 Tables produced by closure are immutable, as are Auts, so orbit and
 stabilizer queries are safe to run concurrently once a table exists.
 """
@@ -85,17 +86,28 @@ def _h_after(curve, mobius):
 
 
 @lru_cache(maxsize=None)
-def _law_holds(curve, mobius, k, f):
-    """f^(q-1) * h^k == h o mobius, exactly; one evaluation per map.
+def _law_scalar(curve, mobius, k, f0):
+    """The scalar lambda with f0^(q-1) * h^k * lambda == h o mobius, exactly,
+    or None when no scalar makes the identity hold.
 
-    Every denominator is monic, so nonzero, and the identity is compared
-    cross-multiplied: f.num^(q-1) h.num^k H.den == H.num f.den^(q-1) h.den^k
-    with H = h o mobius.  No gcd reduction is needed for that.
+    Write a y-multiplier as f = c * f0 with f0's numerator monic.  Every
+    denominator is monic, so nonzero, and the law for f is compared
+    cross-multiplied as c^(q-1) * A == B with A = f0.num^(q-1) h.num^k H.den
+    and B = H.num f0.den^(q-1) h.den^k, H = h o mobius, without a gcd
+    reduction.  A is nonzero, so the leading coefficients force
+    c^(q-1) = lc(B)/lc(A) = lambda, and the law then holds iff
+    A * lambda == B, which is checked here.  So f passes iff
+    c^(q-1) == lambda: the q-1 maps with one Mobius part, which differ by
+    a constant in mu_(q-1), share one evaluation, and since lambda is
+    cached rather than a verdict, every scalar still gets its own exact
+    decision.
     """
     h, big = _ext_h(curve), _h_after(curve, mobius)
     n = curve.q - 1
-    return (f.num ** n * h.num ** k * big.den
-            == big.num * f.den ** n * h.den ** k)
+    lhs = f0.num ** n * h.num ** k * big.den
+    rhs = big.num * f0.den ** n * h.den ** k
+    lam = rhs.lc * lhs.lc.inverse()
+    return lam if lhs * lam == rhs else None
 
 
 def _to_ext(value, ext):
@@ -161,7 +173,11 @@ class Aut:
         ext = _ext_ctx(curve.h.ctx)
         if self.f.ctx is not ext or self.mobius[0].ctx is not ext:
             return False
-        return _law_holds(curve, self.mobius, self.k, self.f)
+        f = self.f
+        c = f.num.lc
+        lam = _law_scalar(curve, self.mobius, self.k,
+                          RatFunc(f.num.monic(), f.den, _reduced=True))
+        return lam is not None and c ** (curve.q - 1) == lam
 
     @property
     def is_identity(self):

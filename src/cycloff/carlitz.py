@@ -27,7 +27,6 @@ group, so the generator's images give CycModel its norms and inverses.
 """
 
 import functools
-from dataclasses import dataclass
 
 from . import gf
 from .errors import (
@@ -44,6 +43,7 @@ from .polyalg import (
     format_poly,
     is_irreducible,
 )
+from .record import Record, set_field
 
 
 class CarlitzPoly:
@@ -152,15 +152,15 @@ def carlitz_of(f):
     return CarlitzPoly(ctx, acc)
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(Record):
     """Monic irreducible quadratic T^2 + aT + b over GF(q)."""
 
-    a: gf.FieldElem
-    b: gf.FieldElem
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.ctx is not self.b.ctx:
+    def __init__(self, a, b):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        if a.ctx is not b.ctx:
             raise CtxMismatch("modulus coefficients from different fields")
         if not is_irreducible(self.as_poly()):
             raise ReducibleModulus(
@@ -232,16 +232,16 @@ def iter_irreducible_moduli(ctx):
                 continue
 
 
-@dataclass(frozen=True)
-class UnitClass:
+class UnitClass(Record):
     """Canonical unit of GF(q)[x]/(M): nonzero representative of degree <= 1."""
 
-    rep: Poly
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        if self.rep.is_zero():
+    def __init__(self, rep):
+        set_field(self, "rep", rep)
+        if rep.is_zero():
             raise NotAUnit("zero residue class")
-        if self.rep.degree > 1:
+        if rep.degree > 1:
             raise NotAUnit("representative not reduced")
 
     @property

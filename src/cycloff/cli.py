@@ -11,8 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import gf
 from .autgroup import group_report
@@ -32,21 +30,25 @@ from .places import (
     rh_check,
 )
 from .polyalg import Poly, format_poly, parse_poly
+from .record import Record, set_field
 
 PIPELINE_Q_CAP = 9
 
 VERIFY_TARGETS = ("genus", "count", "zeta", "aut", "lspaces", "all")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q: int
-    modulus: str
-    gamma: Optional[str] = None
-    k: int = 1
-    out: Optional[str] = None
-    which: Optional[str] = None
+class RunConfig(Record):
+    __slots__ = ("command", "q", "modulus", "gamma", "k", "out", "which")
+
+    def __init__(self, command, q, modulus, gamma=None, k=1, out=None,
+                 which=None):
+        set_field(self, "command", command)
+        set_field(self, "q", q)
+        set_field(self, "modulus", modulus)
+        set_field(self, "gamma", gamma)
+        set_field(self, "k", k)
+        set_field(self, "out", out)
+        set_field(self, "which", which)
 
 
 def _parse_modulus(ctx, literal):

@@ -20,7 +20,6 @@ that exhibits the match, and roundtrip_certificate chains every step and
 checks each identity by arithmetic rather than by trust.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import gf
@@ -42,6 +41,7 @@ from .polyalg import (
     is_irreducible,
     roots_in,
 )
+from .record import Record, set_field
 
 
 class KummerAlgebra(QuotientAlgebra):
@@ -135,12 +135,17 @@ class KummerCurve(KummerAlgebra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EliminationCertificate:
-    """Outcome of replaying the x-elimination in the quotient ring."""
+class EliminationCertificate(Record):
+    """Outcome of replaying the x-elimination in the quotient ring.
 
-    ok: bool
-    residual: object  # element of the torsion field; zero exactly when ok
+    ``residual`` is an element of the torsion field, zero exactly when ok.
+    """
+
+    __slots__ = ("ok", "residual")
+
+    def __init__(self, ok, residual):
+        set_field(self, "ok", ok)
+        set_field(self, "residual", residual)
 
 
 def _coerce_scalar(ctx, value):
@@ -181,13 +186,15 @@ def elimination_certificate(model, gamma):
     return EliminationCertificate(ok=residual.is_zero(), residual=residual)
 
 
-@dataclass(frozen=True)
-class PowerSubstitution:
+class PowerSubstitution(Record):
     """z = y^s u^r with r n + s k = 1; then y^n = u^k forces z^n = u."""
 
-    r: int
-    s: int
-    symbol: str = "u"
+    __slots__ = ("r", "s", "symbol")
+
+    def __init__(self, r, s, symbol="u"):
+        set_field(self, "r", r)
+        set_field(self, "s", s)
+        set_field(self, "symbol", symbol)
 
     def __str__(self):
         return f"z = y^{self.s} * {self.symbol}^{self.r}"
@@ -230,17 +237,21 @@ def recognize_cyclotomic(q, lam, r, a, b):
         raise ReducibleResult(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class RoundTrip:
+class RoundTrip(Record):
     """recognize -> construct -> substitute, every identity re-checked."""
 
-    modulus: Modulus
-    gamma: gf.FieldElem
-    substitution: PowerSubstitution
-    elimination_ok: bool
-    curve_matches: bool
-    z_relation_ok: bool
-    y_recovered_ok: bool
+    __slots__ = ("modulus", "gamma", "substitution", "elimination_ok",
+                 "curve_matches", "z_relation_ok", "y_recovered_ok")
+
+    def __init__(self, modulus, gamma, substitution, elimination_ok,
+                 curve_matches, z_relation_ok, y_recovered_ok):
+        set_field(self, "modulus", modulus)
+        set_field(self, "gamma", gamma)
+        set_field(self, "substitution", substitution)
+        set_field(self, "elimination_ok", elimination_ok)
+        set_field(self, "curve_matches", curve_matches)
+        set_field(self, "z_relation_ok", z_relation_ok)
+        set_field(self, "y_recovered_ok", y_recovered_ok)
 
     @property
     def ok(self):

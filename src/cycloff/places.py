@@ -6,7 +6,8 @@ ramified (index q-1; this happens over the q rational points, over infinity,
 and over one closed quadratic point) or unramified.  This module materializes
 places, computes exact valuations and principal divisors, finds the
 L-polynomial from Dirichlet character sums, and counts degree-one places
-over GF(q^k): by points up to order 2^11, which L must match, then by L.
+over GF(q^k): by points up to order gf.TABLE_CAP = 2^10, which L must
+match, then by L.
 
 Divisors are booked on closed points: the two conjugate quadratic ramified
 points form a single closed point of degree 2, represented by the lex-least
@@ -16,7 +17,6 @@ must tell them apart.
 
 import functools
 import operator
-from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 from . import gf
@@ -41,23 +41,34 @@ from .polyalg import (
     one_root,
     poly_gcd,
 )
+from .record import Record, set_field
 
 COUNT_CAP = 1 << 22
 # zeta runs for the field sizes whose zeta reports are recorded
 ZETA_Q_CAP = 5
-# counts enumerate GF(q^k) up to this order, and read L-polynomials above it
-_SCALAR_LIMIT = 1 << 11
 _SERIES_PREC_CAP = 512
 
 
 # -- place kinds -------------------------------------------------------------
+# Places are dict keys on every divisor, so each kind compares and hashes
+# its fields inline rather than through Record's generic field tuple.
 
 
-@dataclass(frozen=True)
-class RamFinite:
+class RamFinite(Record):
     """Fully ramified place over v = alpha, alpha rational."""
 
-    alpha: gf.FieldElem
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha):
+        set_field(self, "alpha", alpha)
+
+    def __eq__(self, other):
+        if other.__class__ is RamFinite:
+            return self.alpha == other.alpha
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha,))
 
     @property
     def degree(self):
@@ -71,11 +82,21 @@ class RamFinite:
         return f"P[v={gf.format_element(self.alpha)}]"
 
 
-@dataclass(frozen=True)
-class RamInfinity:
+class RamInfinity(Record):
     """Fully ramified place over v = infinity."""
 
-    q: int
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        set_field(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is RamInfinity:
+            return self.q == other.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.q,))
 
     @property
     def degree(self):
@@ -89,15 +110,25 @@ class RamInfinity:
         return "P[inf]"
 
 
-@dataclass(frozen=True)
-class RamQuadratic:
+class RamQuadratic(Record):
     """Fully ramified place over a quadratic v-point; ``root`` lives in GF(q^2).
 
     The closed point under the conjugate root pair has degree 2.  Computed
     divisors book the pair once, through the lex-least root.
     """
 
-    root: gf.FieldElem
+    __slots__ = ("root",)
+
+    def __init__(self, root):
+        set_field(self, "root", root)
+
+    def __eq__(self, other):
+        if other.__class__ is RamQuadratic:
+            return self.root == other.root
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.root,))
 
     @property
     def degree(self):
@@ -111,8 +142,7 @@ class RamQuadratic:
         return f"Q[v={gf.format_element(self.root)}]"
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(Record):
     """Unramified place over the degree-k orbit of c, with y-value class ys.
 
     ``c`` is the lex-least conjugate in GF(q^k); ``ys`` lives in the minimal
@@ -120,10 +150,22 @@ class Generic:
     within its Frobenius orbit.  ``degree`` is the joint orbit size.
     """
 
-    k: int
-    c: gf.FieldElem
-    ys: gf.FieldElem
-    degree: int
+    __slots__ = ("k", "c", "ys", "degree")
+
+    def __init__(self, k, c, ys, degree):
+        set_field(self, "k", k)
+        set_field(self, "c", c)
+        set_field(self, "ys", ys)
+        set_field(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is Generic:
+            return ((self.k, self.c, self.ys, self.degree)
+                    == (other.k, other.c, other.ys, other.degree))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.c, self.ys, self.degree))
 
     @property
     def ram_index(self):
@@ -285,7 +327,8 @@ def valuation(e, P):
     _validate_place(curve, P)
     if not isinstance(P, Generic):
         return _ramified_valuation(curve, e.coords, P)
-    return _generic_valuation(curve, e.coords, embed(P.c, P.ys.ctx), P.ys)
+    return _generic_valuation(curve, e.coords, embed(P.c, P.ys.ctx), P.ys,
+                              {})
 
 
 # -- truncated power series over a field context -----------------------------
@@ -337,12 +380,23 @@ def _y_branch(H, y0, n, m):
     return y
 
 
-def _generic_valuation(curve, coords, cE, ys):
+def _generic_valuation(curve, coords, cE, ys, expansions):
+    """v_P(sum r_i y^i) at the place P over v = cE with y-value ys.
+
+    ``expansions`` maps a precision m to the series of h and the Laurent
+    expansions of the coordinates at cE mod t^m.  They depend on the point
+    only, so the places over one point share one dict and expand each
+    precision once; only the y-branch is lifted per place.
+    """
     E = cE.ctx
     m = 8
     while m <= _SERIES_PREC_CAP:
-        ybr = _y_branch(_laurent(curve.h, cE, m)[1], ys, curve.q - 1, m)
-        terms = {i: _laurent(r, cE, m) for i, r in enumerate(coords) if r}
+        if m not in expansions:
+            expansions[m] = (_laurent(curve.h, cE, m)[1],
+                             {i: _laurent(r, cE, m)
+                              for i, r in enumerate(coords) if r})
+        hser, terms = expansions[m]
+        ybr = _y_branch(hser, ys, curve.q - 1, m)
         s0 = min(sh for sh, _ in terms.values())
         # Horner in y on t^(-s0) e; every term is exact mod t^m, so acc is too
         acc = Poly.zero(E)
@@ -532,9 +586,10 @@ def divisor(e):
     cands = [r.den for r in e.coords if not r.is_zero()]
     cands.append(e.norm().num)
     for d, c in _closed_point_candidates(curve, cands):
-        for P in _fiber_places(curve, d, c):
-            val = _generic_valuation(curve, e.coords, embed(P.c, P.ys.ctx),
-                                     P.ys)
+        fiber = _fiber_places(curve, d, c)
+        cE, expansions = embed(c, fiber[0].ys.ctx), {}
+        for P in fiber:
+            val = _generic_valuation(curve, e.coords, cE, P.ys, expansions)
             if val:
                 coeffs[P] = val
     return Divisor(coeffs)
@@ -543,11 +598,13 @@ def divisor(e):
 # -- Riemann-Roch style membership reports -----------------------------------
 
 
-@dataclass(frozen=True)
-class LSpaceReport:
-    members: tuple
-    independent: bool
-    divisors: tuple
+class LSpaceReport(Record):
+    __slots__ = ("members", "independent", "divisors")
+
+    def __init__(self, members, independent, divisors):
+        set_field(self, "members", members)
+        set_field(self, "independent", independent)
+        set_field(self, "divisors", divisors)
 
     @property
     def ok(self):
@@ -642,32 +699,51 @@ def count_degree_one(curve, k):
     """Number of degree-one places over GF(q^k), exactly.
 
     Affine contribution: (q-1) for each c off the ramification support with
-    h(c) a (q-1)-th power, i.e. of trivial norm down to GF(q).  Plus the q+1
+    h(c) = -u/w a (q-1)-th power, u = gamma c^2 + a c + b/gamma and
+    w = c^q - c, i.e. with ((-u)/w)^((q^k-1)/(q-1)) = 1.  Plus the q+1
     rational ramified places, plus the quadratic pair once it is rational.
-    Above order _SCALAR_LIMIT: q^k + 1 - S_k from `l_polynomial`'s roots.
+
+    Over fields with log tables (order up to gf.TABLE_CAP) the scan runs on
+    exponents: c = g^i, and w and u are sums of powers of g, each taken by
+    Zech's logarithm, g^s + g^t = g^(s + Z(t - s)) (Lidl-Niederreiter,
+    *Finite Fields*, 10.1).  Since x^((q^k-1)/(q-1)) = 1 exactly when
+    (q-1) divides log x, the test is (q-1) | log(-u) - log w.  Above the
+    cap: q^k + 1 - S_k from `l_polynomial`'s roots.
     """
     p, n, q = curve.ctx.p, curve.ctx.n, curve.q
     if k < 1:
         raise ValueError("extension degree must be positive")
     if q ** k > COUNT_CAP:
         raise TooLarge(f"GF({q}^{k}) exceeds the counting cap 2^22")
-    if q ** k > _SCALAR_LIMIT:
+    if q ** k > gf.TABLE_CAP:
         return q ** k + 1 - _power_sums_from_coeffs(l_polynomial(curve), k)[k]
     E = create_field(p, n * k)
-    gam = embed(curve.gamma, E)
-    a = embed(curve.modulus.a, E)
-    bg = embed(curve.modulus.b * curve.gamma.inverse(), E)
-    m = (q ** k - 1) // (q - 1)
-    one = E.one
+    top, zech, neg = E.order - 1, E._zech, E._neg_exp
+    mod = curve.modulus
+    lg = E.dlog(embed(curve.gamma, E))
+    la = E.dlog(embed(mod.a, E)) if mod.a else None
+    lb = E.dlog(embed(mod.b * curve.gamma.inverse(), E))
     total = 0
-    for c in E.iter_elements():
-        w = c.frob(n) - c
-        if w.is_zero():
+    for i in range(top):
+        # log w = iq + Z(log(-1) + i - iq); None where c lies in GF(q)
+        iq = i * q % top
+        z = zech[(neg + i - iq) % top]
+        if z is None:
             continue
-        u = gam * c * c + a * c + bg
-        if u.is_zero():
-            continue
-        if ((-u) * w.inverse()) ** m == one:
+        lw = iq + z
+        # log u from gamma c^2, then + a c, then + b/gamma; None is u = 0
+        lu = lg + 2 * i
+        if la is not None:
+            z = zech[(la + i - lu) % top]
+            lu = None if z is None else lu + z
+        if lu is None:
+            lu = lb
+        else:
+            z = zech[(lb - lu) % top]
+            if z is None:
+                continue
+            lu += z
+        if (lu + neg - lw) % (q - 1) == 0:
             total += q - 1
     return total + (q + 1) + (2 if k % 2 == 0 else 0)
 
@@ -788,7 +864,7 @@ def l_polynomial(curve):
     Fields*, GTM 210, ch. 4).  The histogram runs to degree ceil((q+1)/2),
     one further while some factor lacks a pair.  The product must be a
     polynomial over Z of degree 2g whose N_k, k <= g, equal the point
-    counts up to order _SCALAR_LIMIT (the functional equation leaves low
+    counts up to order gf.TABLE_CAP (the functional equation leaves low
     degrees free); FunctionalEquationViolated otherwise.
     """
     q, n = curve.q, curve.q - 1
@@ -823,7 +899,7 @@ def l_polynomial(curve):
     g = genus_formula(q)
     S = _power_sums_from_coeffs(coeffs, g)
     for k in range(1, g + 1):
-        if q ** k <= _SCALAR_LIMIT and (
+        if q ** k <= gf.TABLE_CAP and (
                 count_degree_one(curve, k) != q ** k + 1 - S[k]):
             raise FunctionalEquationViolated(
                 f"L-polynomial does not reproduce N_{k}")
@@ -833,12 +909,14 @@ def l_polynomial(curve):
 # -- zeta data ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaData:
-    q: int
-    counts: tuple
-    coeffs: tuple
-    genus: int
+class ZetaData(Record):
+    __slots__ = ("q", "counts", "coeffs", "genus")
+
+    def __init__(self, q, counts, coeffs, genus):
+        set_field(self, "q", q)
+        set_field(self, "counts", counts)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "genus", genus)
 
 
 def genus_formula(q):
@@ -848,12 +926,14 @@ def genus_formula(q):
     return (q + 1) * (q - 2) // 2
 
 
-@dataclass(frozen=True)
-class RHCheck:
-    q: int
-    genus: int
-    lhs: int
-    rhs: int
+class RHCheck(Record):
+    __slots__ = ("q", "genus", "lhs", "rhs")
+
+    def __init__(self, q, genus, lhs, rhs):
+        set_field(self, "q", q)
+        set_field(self, "genus", genus)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     @property
     def ok(self):
@@ -902,10 +982,10 @@ def zeta(curve):
         if S[k] ** 2 > 4 * g * g * q ** k:
             raise FunctionalEquationViolated(
                 f"Weil envelope breached at k={k}")
-    zd = ZetaData(q=q, counts=counts, coeffs=coeffs, genus=None)
     # the functional equation, coefficient by coefficient; deg(L)/2 is the
     # genus it certifies
-    return replace(zd, genus=genus_from_zeta(zd))
+    genus = genus_from_zeta(ZetaData(q, counts, coeffs, None))
+    return ZetaData(q=q, counts=counts, coeffs=coeffs, genus=genus)
 
 
 def genus_from_zeta(zd):

@@ -457,8 +457,33 @@ def test_cached_law_still_rejects_a_wrong_multiplier(mu5, rho5):
         twisted = ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * zeta)
         assert twisted.mobius == lawful.mobius
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="map violates"):
                 ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * c)
+
+
+def test_law_rejects_a_non_constant_multiple(mu5, rho5):
+    v = RatFunc.gen(E25)
+    for lawful in (mu5, rho5):
+        for factor in (v, v + 1, RatFunc(Poly.one(E25), Poly.gen(E25))):
+            with pytest.raises(ValueError, match="map violates"):
+                ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * factor)
+
+
+def test_cached_scalar_decides_each_multiple_afresh(mu5):
+    # a fresh curve, so the first Aut over mu's Mobius part is the rejected
+    # one; the cache then holds lambda, not that verdict
+    curve = KummerCurve(F5.zero, F5.elem(2), F5.one)
+    zeta = E25.generator ** 6  # order 4, in mu_(q-1)
+    c = E25.generator
+    before = ag._law_scalar.cache_info()
+    with pytest.raises(ValueError, match="map violates"):
+        ag.Aut(curve, mu5.mobius, mu5.k, mu5.f * c)
+    twisted = ag.Aut(curve, mu5.mobius, mu5.k, mu5.f * zeta)
+    assert twisted.f == mu5.f * zeta and ag.is_automorphism(twisted, curve)
+    with pytest.raises(ValueError, match="map violates"):
+        ag.Aut(curve, mu5.mobius, mu5.k, mu5.f * c)
+    after = ag._law_scalar.cache_info()
+    assert after.misses - before.misses == 1
 
 
 def test_cached_law_keys_on_the_curve(mu5):
@@ -531,7 +556,9 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
     mobius = {z.mobius for z in table}
     assert len(mobius) == table.order // (curve.q - 1)
     assert len(h_after) == len(set(h_after)) == len(mobius)
-    assert len(laws) == table.order
+    # the q-1 elements over one Mobius part differ by a constant in
+    # mu_(q-1), so they share one scalar class and one law evaluation
+    assert len(laws) == len(mobius)
     assert len(places_seen) == 2 * len(mobius) * len(places)
 
 

@@ -35,7 +35,6 @@ from cycloff.places import (
     RamInfinity,
     RamQuadratic,
     ZetaData,
-    _SCALAR_LIMIT,
     _char_histograms,
     _power_sums_from_coeffs,
     count_degree_one,
@@ -861,7 +860,7 @@ def test_count_against_oracle_q3(k):
     assert count_degree_one(C3, k) == oracle_degree_one(C3, k)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_count_against_oracle_q4(k):
     assert count_degree_one(C4, k) == oracle_degree_one(C4, k)
 
@@ -869,6 +868,14 @@ def test_count_against_oracle_q4(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_count_against_oracle_q5(k):
     assert count_degree_one(C5, k) == oracle_degree_one(C5, k)
+
+
+@pytest.mark.parametrize("curve", [C7, C8, C9], ids=["q7", "q8", "q9"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_count_against_oracle_q7_to_q9(curve, k):
+    # every (q, k) with q^k under gf.TABLE_CAP, where the scan on Zech logs
+    # runs; q=8 covers characteristic two with a != 0
+    assert count_degree_one(curve, k) == oracle_degree_one(curve, k)
 
 
 def test_count_oracle_gamma_twist():
@@ -924,7 +931,7 @@ def _l_count(curve, k):
 def test_scalar_and_bulk_lanes_agree(curve, ks):
     # the point count against the L-polynomial that serves larger k
     for k in ks:
-        assert curve.q ** k <= _SCALAR_LIMIT
+        assert curve.q ** k <= gf.TABLE_CAP
         assert count_degree_one(curve, k) == _l_count(curve, k)
 
 
@@ -933,12 +940,15 @@ def test_count_guards():
         count_degree_one(C5, 10)
     with pytest.raises(ValueError):
         count_degree_one(C3, 0)
-    # above 2^11 the count needs the L-polynomial, tabulated for q <= 9
+    # above gf.TABLE_CAP the count needs the L-polynomial, tabulated for
+    # q <= 9; GF(11^3) has order 1331, so it has no log tables to scan
     F11 = create_field(11)
     C11 = KummerCurve(F11.zero, F11.one, F11.one)
     assert count_degree_one(C11, 1) == 12
-    with pytest.raises(TooLarge):
-        count_degree_one(C11, 4)
+    assert count_degree_one(C11, 2) == oracle_degree_one(C11, 2)
+    for k in (3, 4):
+        with pytest.raises(TooLarge):
+            count_degree_one(C11, k)
 
 
 @pytest.mark.parametrize("curve,top", [(C3, 2), (C4, 3), (C5, 4), (C7, 4),
