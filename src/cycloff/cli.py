@@ -18,6 +18,7 @@ from .carlitz import CycModel, Modulus
 from .errors import CycloffError, ParseError, TooLarge, ZeroElement
 from .kummer import KummerCurve, elimination_certificate
 from .places import (
+    PIPELINE_Q_CAP,
     ZETA_Q_CAP,
     Divisor,
     RamInfinity,
@@ -31,8 +32,6 @@ from .places import (
 )
 from .polyalg import Poly, format_poly, parse_poly
 from .record import Record, set_field
-
-PIPELINE_Q_CAP = 9
 
 VERIFY_TARGETS = ("genus", "count", "zeta", "aut", "lspaces", "all")
 

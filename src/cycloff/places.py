@@ -5,9 +5,9 @@ the rational field GF(q)(v).  Over each v-place the cover is either fully
 ramified (index q-1; this happens over the q rational points, over infinity,
 and over one closed quadratic point) or unramified.  This module materializes
 places, computes exact valuations and principal divisors, finds the
-L-polynomial from Dirichlet character sums, and counts degree-one places
-over GF(q^k): by points up to order gf.TABLE_CAP = 2^10, which L must
-match, then by L.
+L-polynomial from the discrete logs of the residues T + a mod M, and counts
+degree-one places over GF(q^k): by points up to order gf.TABLE_CAP = 2^10,
+which L must match, then by L.
 
 Divisors are booked on closed points: the two conjugate quadratic ramified
 points form a single closed point of degree 2, represented by the lex-least
@@ -17,7 +17,7 @@ must tell them apart.
 
 import functools
 import operator
-from math import gcd, isqrt
+from math import isqrt
 
 from . import gf
 from .errors import (
@@ -44,6 +44,8 @@ from .polyalg import (
 from .record import Record, set_field
 
 COUNT_CAP = 1 << 22
+# pipelines, and the L-polynomial lane of count_degree_one, run up to this q
+PIPELINE_Q_CAP = 9
 # zeta runs for the field sizes whose zeta reports are recorded
 ZETA_Q_CAP = 5
 _SERIES_PREC_CAP = 512
@@ -703,12 +705,15 @@ def count_degree_one(curve, k):
     w = c^q - c, i.e. with ((-u)/w)^((q^k-1)/(q-1)) = 1.  Plus the q+1
     rational ramified places, plus the quadratic pair once it is rational.
 
-    Over fields with log tables (order up to gf.TABLE_CAP) the scan runs on
-    exponents: c = g^i, and w and u are sums of powers of g, each taken by
-    Zech's logarithm, g^s + g^t = g^(s + Z(t - s)) (Lidl-Niederreiter,
-    *Finite Fields*, 10.1).  Since x^((q^k-1)/(q-1)) = 1 exactly when
-    (q-1) divides log x, the test is (q-1) | log(-u) - log w.  Above the
-    cap: q^k + 1 - S_k from `l_polynomial`'s roots.
+    Three lanes, by the size of GF(q^k) and of q:
+      * q^k <= gf.TABLE_CAP: a scan of GF(q^k) on exponents.  c = g^i, and
+        w and u are sums of powers of g, each taken by Zech's logarithm,
+        g^s + g^t = g^(s + Z(t - s)) (Lidl-Niederreiter, *Finite Fields*,
+        10.1).  Since x^((q^k-1)/(q-1)) = 1 exactly when (q-1) divides
+        log x, the test is (q-1) | log(-u) - log w.
+      * q^k above that and q <= PIPELINE_Q_CAP: q^k + 1 - S_k from
+        `l_polynomial`'s reciprocal roots.
+      * otherwise, or above COUNT_CAP: TooLarge.
     """
     p, n, q = curve.ctx.p, curve.ctx.n, curve.q
     if k < 1:
@@ -748,162 +753,76 @@ def count_degree_one(curve, k):
     return total + (q + 1) + (2 if k % 2 == 0 else 0)
 
 
-# -- the L-polynomial from Dirichlet character sums ---------------------------
-
-# Phi_n, constant term first, for n = q-1 with q <= 9
-_CYCLOTOMIC = {2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1),
-               7: (1, 1, 1, 1, 1, 1, 1), 8: (1, 0, 0, 0, 1)}
+# -- the L-polynomial from the Dirichlet characters mod M ---------------------
 
 
-def _char_histograms(curve, top):
-    """hist[d][i] = #{monic f of degree d: psi(f) = zeta^i}, for d <= top.
+def _log_histogram(modulus):
+    """hist[e] = #{a in GF(q): log(beta + a) = e} in GF(q^2)*.
 
-    psi(f) = chi(gamma^d N(f(beta)) / prod_{a in GF(q)} f(a)), 0 when a
-    factor vanishes, for beta = quad_roots[0], N the norm from GF(q^2) and
-    chi(g^(q+1)) = zeta for g the generator of GF(q^2).  One Horner walk
-    over monic prefixes carries f(a) and f(beta) as indices into GF(q^2).
+    beta is `one_root` of M in GF(q^2), so GF(q)[T]/(M) is GF(q^2) with
+    T -> beta and hist[e] counts the residues T + a of discrete log e.
     """
-    q, n = curve.q, curve.q - 1
-    beta = curve.quad_roots[0]
-    K = beta.ctx
-    base = [embed(c, K) for c in curve.ctx.iter_elements()]
-    # chi-index of each factor: -log f(a) at a rational a, log N f(beta) at
-    # beta; a zero value weighs `dead`, more than any sum of live weights
-    dead = (q + 1) * n
-    elems = [K.from_int(i) for i in range(K.order)]
-    logs = [None if e.is_zero() else K.dlog(e) for e in elems]
-    rational = [dead if e is None else -(e // (q + 1)) % n for e in logs]
-    quadratic = [dead if e is None else e % n for e in logs]
-    points = [(a, rational) for a in base] + [(beta, quadratic)]
-    step = [[tuple((e * x + c).to_int() for c in base) for e in elems]
-            for x, _ in points]
-    weight = [[tuple(w[i] for i in row) for row in rows]
-              for rows, (_, w) in zip(step, points)]
-    raw = [[0] * ((q + 1) * dead + 1) for _ in range(top + 1)]
-
-    def walk(vals, d):
-        # the children f*v + c of the degree d-1 prefix f with values vals
-        h = raw[d]
-        for s in map(sum, zip(*[weight[x][v] for x, v in enumerate(vals)])):
-            h[s] += 1
-        if d < top:
-            for child in zip(*[step[x][v] for x, v in enumerate(vals)]):
-                walk(child, d + 1)
-
-    walk((K.one.to_int(),) * (q + 1), 1)
-    raw[0][0] = 1
-    shift = K.dlog(embed(curve.gamma, K)) // (q + 1)
-    return [[sum(raw[d][(i - d * shift) % n:dead:n]) for i in range(n)]
-            for d in range(top + 1)]
-
-
-def _zreduce(vec, n):
-    # sum vec[e] zeta_n^e as a vector of length deg Phi_n
-    phi = _CYCLOTOMIC[n]
-    m = len(phi) - 1
-    v = list(vec) + [0] * m
-    for i in range(len(v) - 1, m - 1, -1):
-        for j in range(m + 1):
-            v[i - m + j] -= v[i] * phi[j]
-    return tuple(v[:m])
-
-
-def _zmul(a, b, n):
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _zreduce(out, n)
-
-
-def _zsigma(a, u, n):
-    # the Galois automorphism zeta -> zeta^u; u = -1 is complex conjugation
-    out = [0] * n
-    for e, x in enumerate(a):
-        out[e * u % n] += x
-    return _zreduce(out, n)
-
-
-def _l_factor(hist, j, q):
-    """c_0..c_D of L(psi^j, T), D = q+1, from c_0..c_top in the histogram.
-
-    The functional equation q^i c_{D-i} = c_D conj(c_i) gives the rest,
-    with c_D from the first pair (i, D-i) in the histogram with c_i != 0
-    (None if there is none).  Every i must then satisfy it exactly.
-    """
-    n, D, top = q - 1, q + 1, len(hist) - 1
-    c = [_zsigma(row, j, n) for row in hist]
-    i = next((i for i in range(D - top, top + 1) if any(c[i])), None)
-    if i is None:
-        return None
-    # c_D = q^i c_{D-i} / conj(c_i), through the norm of conj(c_i); rounded
-    # down where the division is not exact, which the checks below catch
-    co = _zreduce([1], n)
-    for u in range(2, n):
-        if gcd(u, n) == 1:
-            co = _zmul(co, _zsigma(c[i], -u, n), n)
-    norm = _zmul(co, _zsigma(c[i], -1, n), n)[0]
-    lead = tuple(q ** i * x // norm for x in _zmul(c[D - i], co, n))
-    c += [tuple(x // q ** (D - i)
-                for x in _zmul(lead, _zsigma(c[D - i], -1, n), n))
-          for i in range(top + 1, D + 1)]
-    for i in range(D + 1):
-        dual = _zmul(lead, _zsigma(c[i], -1, n), n)
-        if tuple(q ** i * x for x in c[D - i]) != dual:
-            raise FunctionalEquationViolated(
-                f"L(psi^{j}) breaks the functional equation at degree {i}")
-    return c
+    ctx = modulus.ctx
+    K = create_field(ctx.p, 2 * ctx.n)
+    beta = one_root(modulus.as_poly().embed_into(K))
+    hist = [0] * (K.order - 1)
+    for a in ctx.iter_elements():
+        hist[K.dlog(beta + embed(a, K))] += 1
+    return hist
 
 
 @functools.lru_cache(maxsize=None)
 def l_polynomial(curve):
-    """L(T) = prod_{j=1..q-2} L(psi^j, T), integers, constant term first.
+    """L(T) = prod over the odd characters chi mod M of (1 + S_chi T),
+    integers, constant term first.
 
-    psi is the character of `_char_histograms`, and the curve
-    y^(q-1) = h(v) makes L the product (Rosen, *Number Theory in Function
-    Fields*, GTM 210, ch. 4).  The histogram runs to degree ceil((q+1)/2),
-    one further while some factor lacks a pair.  The product must be a
-    polynomial over Z of degree 2g whose N_k, k <= g, equal the point
-    counts up to order gf.TABLE_CAP (the functional equation leaves low
-    degrees free); FunctionalEquationViolated otherwise.
+    The zeta function of the torsion field is the product of the Dirichlet
+    L-functions mod M (Hayes, *Trans. AMS* 189, 1974; Rosen, *Number Theory
+    in Function Fields*, GTM 210, ch. 12).  With deg M = 2 each one with chi
+    nontrivial on GF(q)* is linear, S_chi = sum_{a in GF(q)} chi(T + a).
+    For chi_j(g^e) = zeta_N^(je), N = q^2 - 1, and H_k the k-fold cyclic
+    convolution of `_log_histogram`, orthogonality gives, exactly in Z,
+    sum_{odd chi} S_chi^k = N H_k[0] - (q+1) sum_{(q+1) | e} H_k[e],
+    since the q+1 even characters sum to (q+1) [(q+1) | e].  Newton's
+    identities turn these power sums of the reciprocal roots -S_chi into
+    the coefficients.  Each division there must be exact, the degree must
+    be 2g, every coefficient must satisfy the functional equation, and
+    N_k must equal the point count for every q^k <= gf.TABLE_CAP, which
+    reads h and gamma where L reads only M; FunctionalEquationViolated
+    otherwise.
     """
-    q, n = curve.q, curve.q - 1
-    if n not in _CYCLOTOMIC:
-        raise TooLarge(f"character sums are tabulated for q <= 9, not q={q}")
-    top = (q + 2) // 2
-    while True:
-        hist = _char_histograms(curve, top)
-        factors = [_l_factor(hist, j, q) for j in range(1, n)]
-        if None not in factors:
-            break
-        top += 1
-    prod = [_zreduce([1], n)]
-    for f in factors:
-        # each output coefficient collects its unreduced Z[zeta] products
-        # and is reduced mod Phi_n once
-        width = len(prod[0]) + len(f[0]) - 1
-        out = [[0] * width for _ in range(len(prod) + q + 1)]
-        for i, x in enumerate(prod):
-            for k, y in enumerate(f):
-                acc = out[i + k]
-                for s, a in enumerate(x):
-                    if a:
-                        for t, b in enumerate(y):
-                            acc[s + t] += a * b
-        prod = [_zreduce(v, n) for v in out]
-    if any(any(x[1:]) for x in prod) or not prod[-1][0]:
+    q = curve.q
+    if q > PIPELINE_Q_CAP:
+        raise TooLarge(f"L-polynomials are capped at q <= PIPELINE_Q_CAP = "
+                       f"{PIPELINE_Q_CAP}, not q={q}")
+    N, g = q * q - 1, genus_formula(q)
+    occupied = [(f, c) for f, c in enumerate(_log_histogram(curve.modulus))
+                if c]
+    # S[k] = sum of (-S_chi)^k; conv[e - f] wraps mod N by negative index
+    conv, S = [1] + [0] * (N - 1), [0]
+    for k in range(1, 2 * g + 1):
+        conv = [sum(c * conv[e - f] for f, c in occupied) for e in range(N)]
+        S.append((-1) ** k * (N * conv[0] - (q + 1) * sum(conv[::q + 1])))
+    coeffs = [1]
+    for k in range(1, 2 * g + 1):
+        c, r = divmod(-sum(x * S[k - j] for j, x in enumerate(coeffs)), k)
+        if r:
+            raise FunctionalEquationViolated(
+                f"power sums give no integer coefficient at degree {k}")
+        coeffs.append(c)
+    if not coeffs[-1]:
         raise FunctionalEquationViolated(
-            "the character L-functions multiply to no integer polynomial "
-            "of degree 2g")
-    coeffs = tuple(x[0] for x in prod)
-    g = genus_formula(q)
-    S = _power_sums_from_coeffs(coeffs, g)
+            f"L-polynomial has degree below 2g = {2 * g}")
+    for i in range(2 * g + 1):
+        if q ** i * coeffs[2 * g - i] != q ** g * coeffs[i]:
+            raise FunctionalEquationViolated(
+                f"L-polynomial breaks the functional equation at degree {i}")
     for k in range(1, g + 1):
         if q ** k <= gf.TABLE_CAP and (
                 count_degree_one(curve, k) != q ** k + 1 - S[k]):
             raise FunctionalEquationViolated(
                 f"L-polynomial does not reproduce N_{k}")
-    return coeffs
+    return tuple(coeffs)
 
 
 # -- zeta data ---------------------------------------------------------------

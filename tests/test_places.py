@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloff import gf, places
+from cycloff.carlitz import iter_irreducible_moduli
 from cycloff.errors import (
     CertificateFailed,
     FunctionalEquationViolated,
@@ -35,7 +36,7 @@ from cycloff.places import (
     RamInfinity,
     RamQuadratic,
     ZetaData,
-    _char_histograms,
+    _log_histogram,
     _power_sums_from_coeffs,
     count_degree_one,
     divisor,
@@ -940,39 +941,89 @@ def test_count_guards():
         count_degree_one(C5, 10)
     with pytest.raises(ValueError):
         count_degree_one(C3, 0)
-    # above gf.TABLE_CAP the count needs the L-polynomial, tabulated for
-    # q <= 9; GF(11^3) has order 1331, so it has no log tables to scan
+    # above gf.TABLE_CAP the count needs the L-polynomial, capped at
+    # q <= PIPELINE_Q_CAP; GF(11^3) has order 1331, so it has no log
+    # tables to scan, and neither has GF(37^2)
     F11 = create_field(11)
     C11 = KummerCurve(F11.zero, F11.one, F11.one)
     assert count_degree_one(C11, 1) == 12
     assert count_degree_one(C11, 2) == oracle_degree_one(C11, 2)
     for k in (3, 4):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="PIPELINE_Q_CAP"):
             count_degree_one(C11, k)
+    F37 = create_field(37)
+    C37 = KummerCurve(F37.zero, F37.elem(2), F37.one)
+    with pytest.raises(TooLarge, match="PIPELINE_Q_CAP"):
+        count_degree_one(C37, 2)
 
 
-@pytest.mark.parametrize("curve,top", [(C3, 2), (C4, 3), (C5, 4), (C7, 4),
-                                       (C8, 5), (C9, 6)],
-                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
-def test_corrupt_histogram_raises(curve, top, monkeypatch):
-    # every entry of every degree the walk reaches, off by one either way,
-    # is caught; __wrapped__ skips the per-curve cache of the true answer,
-    # and the true histograms and point counts are computed once
-    true = {t: _char_histograms(curve, t) for t in (top - 1, top)}
+def _check_corruptions(curve, corruptions, monkeypatch):
+    # each corrupted histogram must raise or give exactly the true L;
+    # __wrapped__ skips the per-curve cache of the true answer, and the
+    # point counts it cross-checks are computed once
+    true = l_polynomial(curve)
     monkeypatch.setattr("cycloff.places.count_degree_one",
                         functools.lru_cache(maxsize=None)(count_degree_one))
-    for d in range(1, top + 1):
-        for i in range(curve.q - 1):
-            for delta in (1, -1):
-                def corrupt(c, t, d=d, i=i, delta=delta):
-                    hist = [list(row) for row in true[t]]
-                    if d <= t:
-                        hist[d][i] += delta
-                    return hist
-                monkeypatch.setattr("cycloff.places._char_histograms",
-                                    corrupt)
-                with pytest.raises(FunctionalEquationViolated):
-                    l_polynomial.__wrapped__(curve)
+    for bad in corruptions:
+        monkeypatch.setattr("cycloff.places._log_histogram",
+                            lambda modulus, bad=bad: list(bad))
+        try:
+            got = l_polynomial.__wrapped__(curve)
+        except FunctionalEquationViolated:
+            continue
+        assert got == true
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5, C7, C8, C9],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
+def test_corrupt_histogram_raises(curve, monkeypatch):
+    # one unit of mass moved from an occupied log e to e + d (every d up to
+    # q=5, a fixed set above), or one entry dropped
+    q = curve.q
+    hist = _log_histogram(curve.modulus)
+    n = len(hist)
+    shifts = (range(1, n) if q <= 5 else
+              (1, 2, q - 1, q, q + 1, 2 * (q + 1), n // 2, n - 1))
+    corruptions = []
+    for e in (e for e, c in enumerate(hist) if c):
+        dropped = list(hist)
+        dropped[e] -= 1
+        corruptions.append(dropped)
+        for d in shifts:
+            moved = list(dropped)
+            moved[(e + d) % n] += 1
+            corruptions.append(moved)
+    _check_corruptions(curve, corruptions, monkeypatch)
+
+
+@pytest.mark.parametrize("curve", [C5, C7], ids=["q5", "q7"])
+def test_wrong_modulus_histogram_is_caught(curve, monkeypatch):
+    # a histogram of another modulus gives a genuine L, so only the point
+    # count cross-check can tell it apart
+    true = l_polynomial(curve)
+    others = [_log_histogram(m.modulus) for m in
+              (KummerCurve(mod.a, mod.b, curve.ctx.one)
+               for mod in iter_irreducible_moduli(curve.ctx))
+              if l_polynomial(m) != true]
+    assert others
+    _check_corruptions(curve, others, monkeypatch)
+
+
+@pytest.mark.parametrize("q,sizes", [(3, [3]), (4, [4, 2]), (5, [5, 5]),
+                                     (7, [7, 7, 7])],
+                         ids=["q3", "q4", "q5", "q7"])
+def test_l_polynomial_depends_on_the_modulus_class_only(q, sizes):
+    # every (M, gamma) up to q=5, every M at q=7 with gamma = 1; each call
+    # runs its own point-count cross-check
+    ctx = gf.field_from_order(q)
+    gammas = [x for x in ctx.iter_elements() if x] if q <= 5 else [ctx.one]
+    classes = Counter()
+    for mod in iter_irreducible_moduli(ctx):
+        ls = {l_polynomial.__wrapped__(KummerCurve(mod.a, mod.b, g))
+              for g in gammas}
+        assert len(ls) == 1
+        classes[ls.pop()] += 1
+    assert sorted(classes.values(), reverse=True) == sizes
 
 
 # -- zeta --------------------------------------------------------------------

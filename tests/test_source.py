@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 
 import cycloff
 
@@ -42,25 +43,56 @@ def test_acceptance_passes_under_python_O():
     assert " passed" in run.stdout and "failed" not in run.stdout
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _names_read(*nodes):
+    read = Counter()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            read[node.attr] += 1
+    return read
+
+
 def test_every_module_constant_is_read():
     # a module-level UPPER_CASE name that nothing in the package reads is
     # a reserved knob that does nothing
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _package_trees()
     defined = {t.id: name for name, tree in trees.items()
                for node in tree.body if isinstance(node, ast.Assign)
                for t in node.targets if isinstance(t, ast.Name)
                and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _names_read(*trees.values())
     assert defined
     assert sorted(f"{mod}:{name}" for name, mod in defined.items()
                   if name not in read) == []
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _function or _Class, or a _method, that nothing in the
+    # package names outside its own body is an orphan left behind by a
+    # deletion
+    trees = _package_trees()
+    defs = (ast.FunctionDef, ast.ClassDef)
+    private = re.compile(r"_(?!_).*")
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defs) and private.fullmatch(node.name):
+                defined.append((f"{mod}:{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{mod}:{node.name}.{item.name}", item)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and private.fullmatch(item.name)]
+    read = _names_read(*trees.values())
+    assert defined
+    assert [where for where, node in defined
+            if read[node.name] == _names_read(node)[node.name]] == []
 
 
 def test_every_traced_name_resolves():
