@@ -306,13 +306,10 @@ def _validate_place(curve, P):
             raise UnknownPlace("quadratic point is not on this curve")
         return
     if isinstance(P, Generic):
-        E = P.ys.ctx
         try:
-            cE = embed(P.c, E)
+            hc = embed(curve.h(P.c), P.ys.ctx)
         except (NoEmbedding, CtxMismatch):
             raise UnknownPlace("incompatible fields in the place datum")
-        try:
-            hc = curve.h(cE)
         except DivisionByZero:
             raise UnknownPlace("the v-value sits on the ramification locus")
         if hc.is_zero() or P.ys ** (curve.q - 1) != hc:
@@ -329,8 +326,7 @@ def valuation(e, P):
     _validate_place(curve, P)
     if not isinstance(P, Generic):
         return _ramified_valuation(curve, e.coords, P)
-    return _generic_valuation(curve, e.coords, embed(P.c, P.ys.ctx), P.ys,
-                              {})
+    return _generic_valuation(curve, e.coords, P.c, P.ys, {})
 
 
 # -- truncated power series over a field context -----------------------------
@@ -382,20 +378,22 @@ def _y_branch(H, y0, n, m):
     return y
 
 
-def _generic_valuation(curve, coords, cE, ys, expansions):
-    """v_P(sum r_i y^i) at the place P over v = cE with y-value ys.
+def _generic_valuation(curve, coords, c, ys, expansions):
+    """v_P(sum r_i y^i) at the place P over v = c with y-value ys.
 
     ``expansions`` maps a precision m to the series of h and the Laurent
-    expansions of the coordinates at cE mod t^m.  They depend on the point
+    expansions of the coordinates at c mod t^m.  They depend on the point
     only, so the places over one point share one dict and expand each
     precision once; only the y-branch is lifted per place.
     """
-    E = cE.ctx
+    K, E = c.ctx, ys.ctx
+    cE = embed(c, E)
     m = 8
     while m <= _SERIES_PREC_CAP:
         if m not in expansions:
-            expansions[m] = (_laurent(curve.h, cE, m)[1],
-                             {i: _laurent(r, cE, m)
+            # h and the coordinates reach E through K, as c does
+            expansions[m] = (_laurent(curve.h.embed_into(K), cE, m)[1],
+                             {i: _laurent(r.embed_into(K), cE, m)
                               for i, r in enumerate(coords) if r})
         hser, terms = expansions[m]
         ybr = _y_branch(hser, ys, curve.q - 1, m)
@@ -445,14 +443,17 @@ def _radical(f):
 def _closed_point_candidates(curve, polys):
     """Closed points (degree, lex-least rep) under all roots of the inputs.
 
-    Rational and quadratic ramification support is filtered out; a candidate
+    The ramified locus is divided out before any splitting: h.num * h.den
+    vanishes exactly at the q rational points and the quadratic point, so
+    the radical of each input loses gcd(rest, h.num * h.den) and has no
+    rational root left, and the degree loop starts at d = 2.  A candidate
     polynomial whose roots do not all split within the degree/order caps
     raises rather than silently dropping support.  The points of each
     degree d come from `_orbit_leaders`, one root per closed point.
     """
     ctx = curve.ctx
     p, n, q = ctx.p, ctx.n, curve.q
-    quad = set(curve.quad_roots)
+    ramified = curve.h.num * curve.h.den
     x = Poly.gen(ctx)
     seen = set()
     out = []
@@ -465,7 +466,8 @@ def _closed_point_candidates(curve, polys):
             continue
         done.add(f)
         rest = _radical(f)
-        for d in range(1, rest.degree + 1):
+        rest = rest // poly_gcd(rest, ramified)
+        for d in range(2, rest.degree + 1):
             if rest.is_constant() or q ** d > gf.ORDER_CAP:
                 break
             # every factor of degree < d is gone, so this is the product of
@@ -474,11 +476,7 @@ def _closed_point_candidates(curve, polys):
             if part.is_constant():
                 continue
             rest = rest // part
-            if d == 1:
-                continue  # rational points are ramified, booked separately
             for r in _orbit_leaders(part, create_field(p, n * d), n, d):
-                if d == 2 and r in quad:
-                    continue  # ramified support, booked separately
                 if (d, r) not in seen:
                     seen.add((d, r))
                     out.append((d, r))
@@ -538,6 +536,10 @@ def _fiber_places(curve, d, c):
 
     Frobenius moves (c, y) back over c after d steps, as (c, y N), so the
     places over c are the classes y <N> of its y-values, each of degree dj.
+    h(c) is taken in c's field and then embedded: `gf.embed` does not
+    commute along towers (GF(9) -> GF(3^6) -> GF(3^12) is not the direct
+    GF(9) -> GF(3^12)), so h embedded straight into GF(q^(dj)) may be read
+    at a conjugate point.
     """
     p, n, q = curve.ctx.p, curve.ctx.n, curve.q
     norm = _fiber_norm(curve, d, c)
@@ -546,7 +548,7 @@ def _fiber_places(curve, d, c):
         raise GenericPlaceUnsupported(
             f"fiber splitting field GF({q}^{d * j}) exceeds the cap")
     E = create_field(p, n * d * j)
-    roots = E.nth_roots(curve.h(embed(c, E)), q - 1)
+    roots = E.nth_roots(embed(curve.h(c), E), q - 1)
     if not roots:
         raise CertificateFailed(
             f"Y^{q - 1} = h(c) has no root in {E.name}, where its fiber "
@@ -565,36 +567,66 @@ def _fiber_places(curve, d, c):
 def divisor(e):
     """Principal divisor of a nonzero element, booked on closed points.
 
-    The ramified places are read off the coordinates.  An unramified closed
-    point c carries support only if it is a pole of some coordinate or a
-    zero of the numerator of N(e), so only those polynomials are split.  At
-    a place P over c, y is a unit (h has no zero or pole there) and
-    e(P|c) = 1, so v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate
-    pole.  If no coordinate has a pole at c, every v_P(e) >= 0, and
+    Ramified places.  A coordinate r_i has nonzero order at a rational
+    point a only at a root of gcd(num * den, h.den), h.den = v^q - v.  At
+    every other rational point each r_i is a unit and v_a(h) = -1, so
+    v_a(e) = -(largest i with r_i != 0); the certified profile is read
+    term by term only at those roots, at infinity and at the quadratic
+    point.
+
+    Unramified places.  A closed point c carries support only if it is a
+    pole of some coordinate or a zero of the numerator of N(e), so only
+    those polynomials are split.  At a place P over c, y is a unit (h has
+    no zero or pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
+    v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate pole.  If no
+    coordinate has a pole at c, every v_P(e) >= 0, and
     v_c(N e) = sum_{P|c} f(P|c) v_P(e) (Stichtenoth, *Algebraic Function
     Fields and Codes*, ch. 3) is positive once one v_P(e) is.  The same
     formula makes v_c(N e) < 0 force a coordinate pole, so neither the
     coordinate numerators nor the denominator of N(e) can add a point.
+    When one term alone attains min_i v_c(r_i), that minimum is v_P(e) by
+    the strict triangle inequality; only a tied minimum lifts series.
+
+    A principal divisor has degree 0; any other total raises
+    CertificateFailed.
     """
     curve = _curve_of(e)
-    if all(r.is_zero() for r in e.coords):
+    coords = e.coords
+    filled = [i for i, r in enumerate(coords) if r]
+    if not filled:
         raise ZeroElement("the zero element has no divisor")
+    ctx = curve.ctx
+    hit = Poly.one(ctx)
+    for i in filled:
+        hit = hit * poly_gcd(coords[i].num * coords[i].den, curve.h.den)
     coeffs = {}
+    for a in ctx.iter_elements():
+        P = RamFinite(a)
+        coeffs[P] = (-filled[-1] if hit(a)
+                     else _ramified_valuation(curve, coords, P))
     # the conjugate quadratic pair is one closed point, booked by quad_roots[0]
-    twin = RamQuadratic(curve.quad_roots[1])
-    for P in ramified_places(curve):
-        if P != twin:
-            coeffs[P] = _ramified_valuation(curve, e.coords, P)
-    cands = [r.den for r in e.coords if not r.is_zero()]
-    cands.append(e.norm().num)
+    for P in (RamInfinity(curve.q), RamQuadratic(curve.quad_roots[0])):
+        coeffs[P] = _ramified_valuation(curve, coords, P)
+    cands = [coords[i].den for i in filled]
+    # N(r y^i) = r^(q-1) N(y)^i and N(y) = +-h is a unit off the ramified
+    # locus, so a one-term element needs no norm
+    cands.append(coords[filled[0]].num if len(filled) == 1
+                 else e.norm().num)
     for d, c in _closed_point_candidates(curve, cands):
         fiber = _fiber_places(curve, d, c)
-        cE, expansions = embed(c, fiber[0].ys.ctx), {}
+        orders = sorted(coords[i].valuation(c) for i in filled)
+        if len(orders) == 1 or orders[0] < orders[1]:
+            for P in fiber:
+                coeffs[P] = orders[0]
+            continue
+        expansions = {}
         for P in fiber:
-            val = _generic_valuation(curve, e.coords, cE, P.ys, expansions)
-            if val:
-                coeffs[P] = val
-    return Divisor(coeffs)
+            coeffs[P] = _generic_valuation(curve, coords, c, P.ys, expansions)
+    dv = Divisor(coeffs)
+    if dv.degree:
+        raise CertificateFailed(
+            f"the divisor of a function has degree {dv.degree}, not 0")
+    return dv
 
 
 # -- Riemann-Roch style membership reports -----------------------------------

@@ -10,8 +10,9 @@ import json
 import pathlib
 from hashlib import sha256
 
+from cycloff import places, polyalg
 from cycloff.errors import GenericPlaceUnsupported, TooLarge
-from cycloff.places import divisor
+from cycloff.places import Generic, divisor
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +47,45 @@ def test_divisor_pool_reproduces_the_recorded_hashes():
                 sha256(str(dv).encode()).hexdigest()[:16] != recorded):
             wrong.append((key, "hash"))
     assert wrong == []
+
+
+def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
+    # a guard by counts, not timings, on the first 20 draws of each q:
+    # a one-term element lifts no series, and a rational point where no
+    # coordinate has a zero or a pole peels no (v - a)
+    draws = load_draws()
+    curves = draws.standard_curves()
+    keys = [f"{q}:{i}" for q in draws.POOL for i in range(20)]
+    real_series = places._generic_valuation
+    real_mult = polyalg.root_multiplicity
+    series, peeled = [], set()
+
+    def counted_series(*args):
+        series.append(args)
+        return real_series(*args)
+
+    def counted_mult(f, c):
+        peeled.add(c)
+        return real_mult(f, c)
+
+    monkeypatch.setattr(places, "_generic_valuation", counted_series)
+    monkeypatch.setattr(polyalg, "root_multiplicity", counted_mult)
+    one_term_generic = skipped = 0
+    for key, e in draws.elements(curves, keys):
+        ctx = e.alg.ctx
+        filled = [r for r in e.coords if r]
+        series.clear()
+        peeled.clear()
+        try:
+            dv = divisor(e)
+        except GenericPlaceUnsupported:
+            dv = None
+        if len(filled) == 1:
+            assert series == [], key
+            one_term_generic += dv is not None and any(
+                isinstance(P, Generic) for P in dv.support)
+        special = {a for a in ctx.iter_elements()
+                   if any(not r.num(a) or not r.den(a) for r in filled)}
+        assert {c for c in peeled if c.ctx is ctx} == special, key
+        skipped += ctx.order - len(special)
+    assert one_term_generic >= 5 and skipped >= 400

@@ -50,7 +50,14 @@ from cycloff.places import (
     valuation,
     zeta,
 )
-from cycloff.polyalg import INFINITY, Poly, RatFunc, is_irreducible, roots_in
+from cycloff.polyalg import (
+    INFINITY,
+    Poly,
+    RatFunc,
+    is_irreducible,
+    poly_gcd,
+    roots_in,
+)
 
 F3 = create_field(3)
 F4 = create_field(2, 2)
@@ -595,16 +602,32 @@ def least_irreducibles(ctx, d, count, skip=None):
 
 @pytest.mark.parametrize("curve", [C3, C4, C5, C8, C9],
                          ids=["q3", "q4", "q5", "q8", "q9"])
-def test_closed_points_match_the_per_degree_scan(curve):
+def test_closed_points_match_the_per_degree_scan(curve, monkeypatch):
     # two irreducibles of each degree 1..4, one squared, and the
-    # ramified quadratic point, which must be left out
+    # ramified quadratic point, which must be left out; then the whole
+    # ramified locus with multiplicity, (v^q - v)^2 M^3 f, which must be
+    # divided out before any part reaches the splitting
     ram = curve.ram_numerator.monic()
     factors = [f for d in range(1, 5)
                for f in least_irreducibles(curve.ctx, d, 2, skip=ram)]
     f = functools.reduce(operator.mul, factors) * ram
     want = scan_closed_points(curve, f, 4)
     assert [d for d, _ in want] == [2, 2, 3, 3, 4, 4]
+    ramified = curve.h.num * curve.h.den
+    split = places._orbit_leaders
+    parts = []
+
+    def spy(part, E, n, d):
+        parts.append(part)
+        return split(part, E, n, d)
+
+    monkeypatch.setattr(places, "_orbit_leaders", spy)
     assert _closed_point_candidates(curve, [f * factors[3]]) == want
+    # the scan leaves out rational and quadratic roots by their orbits
+    locus = curve.h.den ** 2 * ram ** 3 * f
+    assert _closed_point_candidates(curve, [locus]) == want
+    assert len(parts) == 6
+    assert all(poly_gcd(part, ramified).is_constant() for part in parts)
 
 
 def leaders_by_roots_in(f, E, n):
@@ -762,6 +785,108 @@ def test_ramified_valuations_read_the_certified_profile(monkeypatch):
         for P in ramified_places(curve):
             valuation(e, P)
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("low", [("2", "g", "1"), ("2*g+2", "2", "0")],
+                         ids=["v^3+v^2+g*v+2", "v^3+2*v+2*g+2"])
+def test_fibers_reach_their_field_through_the_point_field(low):
+    # over GF(9) the fiber above a root c in GF(9^3) of these cubics splits
+    # in GF(9^6) = GF(3^12), and gf.embed maps GF(9) into GF(3^12) other
+    # than through GF(3^6); h(c) and the coordinates must take the path c
+    # takes, or the fiber lies over a conjugate point (a divisor of degree
+    # -24 for the first cubic, a failed fiber certificate for the second)
+    f = Poly(F9, [gf.parse_element(F9, t) for t in low] + [F9.one])
+    assert is_irreducible(f)
+    e = scal(C9, RatFunc(f, vpoly(C9, 1)))
+    dv = divisor(e)
+    gens = [P for P in dv.support if isinstance(P, Generic)]
+    assert {P.ys.ctx.order for P in gens} == {3 ** 12}
+    assert sum(P.degree for P in gens) == 3 * 8
+    assert dv.coeff(RamInfinity(9)) == -24 and dv.degree == 0
+    for P in gens:
+        assert f(P.c).is_zero() and dv.coeff(P) == 1 == valuation(e, P)
+        assert P.ys ** 8 == embed(C9.h(P.c), P.ys.ctx)
+
+
+def test_a_wrong_valuation_fails_the_degree_certificate(monkeypatch):
+    # v + y has a rational zero of a coordinate at v = 0, so every kind of
+    # ramified place reads the profile; one place off by one is caught
+    e = scal(C3, vfun(C3, (0, 1))) + yelem(C3)
+    assert divisor(e).degree == 0
+    real = places._ramified_valuation
+    for kind in (RamFinite, RamInfinity, RamQuadratic):
+        def off_by_one(curve, coords, P, kind=kind):
+            return real(curve, coords, P) + isinstance(P, kind)
+
+        monkeypatch.setattr(places, "_ramified_valuation", off_by_one)
+        with pytest.raises(CertificateFailed, match="degree"):
+            divisor(e)
+
+
+def draw_filled(curve, rng):
+    """A nonzero element with 1 to 3 filled coordinates n/d, d in
+    {1, v, v+1} and, for q <= 5, an unramified irreducible quadratic, so
+    that coordinate poles can make a minimum one term of several; one
+    coordinate gets deg n <= 3, several get deg n <= 1."""
+    ctx, n = curve.ctx, curve.q - 1
+    dens = [vpoly(curve, 1), vpoly(curve, 0, 1), vpoly(curve, 1, 1)]
+    if curve.q <= 5:
+        dens += least_irreducibles(ctx, 2, 1,
+                                   skip=curve.ram_numerator.monic())
+    filled = rng.randint(1, min(3, n))
+    coords = [RatFunc.zero(ctx) for _ in range(n)]
+    for i in rng.sample(range(n), filled):
+        low = [rng.randrange(ctx.order) for _ in range(1 if filled > 1 else 3)]
+        coords[i] = RatFunc(vpoly(curve, *low, 1), rng.choice(dens))
+    return curve.from_coords(coords)
+
+
+def test_divisor_shortcuts_agree_with_valuation(monkeypatch):
+    # divisor reads unit coordinates at rational points and one-term minima
+    # at unramified points without series; valuation() keeps the full path
+    # (RatFunc.valuation at every ramified place, series at every fiber
+    # place).  Every place either books must agree, including the places
+    # divisor leaves out, which must have valuation 0
+    real_fiber, real_series = places._fiber_places, places._generic_valuation
+    fibers, series = [], []
+
+    def spy_fiber(curve, d, c):
+        fibers.append(real_fiber(curve, d, c))
+        return fibers[-1]
+
+    def spy_series(*args):
+        series.append(args)
+        return real_series(*args)
+
+    accepted = Counter()
+    unique = Counter()  # one-term minima, by whether e has several terms
+    for curve in (C3, C4, C5, C7, C8, C9):
+        rng = random.Random(f"shortcuts:{curve.q}")
+        twin, rep = (RamQuadratic(r) for r in reversed(curve.quad_roots))
+        for _ in range(12):
+            e = draw_filled(curve, rng)
+            fibers.clear()
+            before = len(series)
+            with monkeypatch.context() as m:
+                m.setattr(places, "_fiber_places", spy_fiber)
+                m.setattr(places, "_generic_valuation", spy_series)
+                try:
+                    dv = divisor(e)
+                except GenericPlaceUnsupported:
+                    continue
+            accepted[curve.q] += 1
+            over = [P for fiber in fibers for P in fiber]
+            lifted = len(series) - before
+            unique[len([r for r in e.coords if r]) > 1] += len(over) - lifted
+            every = ramified_places(curve) + over
+            assert set(dv.support) <= set(every)
+            for P in every:
+                booked = dv.coeff(rep if P == twin else P)
+                assert booked == valuation(e, P), (curve.q, str(P))
+    assert min(accepted[q] for q in (3, 4, 5, 7, 8, 9)) >= 2
+    # both branches at unramified places ran: tied minima lift series,
+    # one-term minima do not, also among several terms
+    assert series and min(unique[False], unique[True]) >= 1
 
 
 # -- divisor arithmetic ------------------------------------------------------
