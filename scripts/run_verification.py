@@ -1,88 +1,70 @@
 #!/usr/bin/env python3
 """Reproduce the headline numbers for every q in one run.
 
-For each field size this prints the modulus used, rational place count,
-genus by closed form and by ramification bookkeeping, the L-polynomial
-where the zeta pipeline applies (q <= places.ZETA_Q_CAP), and the automorphism group
-order with its orbit sizes.  Exits nonzero if any recomputed value
-disagrees with its expected counterpart.
+Runs ``cycloff verify -q Q -M M all`` in this process for each standard
+modulus and prints a summary of its report: the modulus and twist, the
+elimination certificate, N_1, the genus by closed form and by
+ramification, the L-polynomial where the zeta pipeline applies, and the
+automorphism group order with its orbit sizes.  Exits nonzero if any
+report has an error or a false entry in ``paper_claims``.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import sys
 import time
 
-from cycloff import (
-    CycModel,
-    KummerCurve,
-    count_degree_one,
-    create_field,
-    format_poly,
-    genus_formula,
-    group_report,
-    rh_check,
-    verify_prop31,
-    zeta,
-)
-from cycloff.carlitz import Modulus
-from cycloff.places import ZETA_Q_CAP
+from cycloff import cli
 
-QSPECS = {3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+# the moduli whose reports perfbench/golden records
+MODULI = ((3, "T^2+1"), (4, "T^2+T+g"), (5, "T^2+2"), (7, "T^2+1"),
+          (8, "T^2+T+1"), (9, "T^2+g+1"))
 
 
-def standard_modulus(q, ctx):
-    if q == 4:
-        return Modulus(ctx.one, ctx.t_class)
-    if q == 8:
-        return Modulus(ctx.one, ctx.one)
-    if q == 9:
-        return Modulus(ctx.zero, ctx.generator)
-    if q == 5:
-        return Modulus(ctx.zero, ctx.elem(2))
-    return Modulus(ctx.zero, ctx.one)
+def verify(q, modulus):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "-q", str(q), "-M", modulus, "all"])
+    return code, json.loads(out.getvalue())
+
+
+def summary(doc):
+    reps = doc["reports"]
+    genus = reps["genus"]
+    cert = "ok" if reps["construct"]["elimination_ok"] else "FAIL"
+    yield (f"== q = {doc['q']}, modulus {doc['modulus']}, "
+           f"gamma = {doc['gamma']}")
+    yield (f"   certificate {cert} | N_1 = {reps['count']['N'][0]} | "
+           f"genus {genus['genus_formula']} "
+           f"(ramification route {genus['genus_rh']})")
+    if "zeta" in reps:
+        yield (f"   L = {reps['zeta']['L']} | zeta genus "
+               f"{reps['zeta']['genus_zeta']}")
+    yield (f"   aut order {doc['aut_order']} | orbit sizes "
+           f"{reps['aut']['orbit_sizes']}")
+    if "quotient" in doc:
+        yield f"   central quotient: {doc['quotient']}"
 
 
 def run(qs):
     failures = 0
-    for q in qs:
+    for q, modulus in MODULI:
+        if q not in qs:
+            continue
         t0 = time.monotonic()
-        ctx = create_field(*QSPECS[q])
-        mod = standard_modulus(q, ctx)
-        gamma = ctx.elem(2) if q == 3 else ctx.one
-        curve = KummerCurve(mod.a, mod.b, gamma)
-        model = CycModel(mod)
-
-        print(f"== q = {q}, modulus {format_poly(mod.as_poly(), 'T')}, "
-              f"gamma = {gamma}")
-
-        cert = verify_prop31(q, mod.a, mod.b, gamma)
-        n1 = count_degree_one(curve, 1)
-        g = genus_formula(q)
-        rc = rh_check(q)
-        line = (f"   certificate {'ok' if cert.ok else 'FAIL'} | "
-                f"N_1 = {n1} (want {q + 1}) | genus {g} "
-                f"(ramification route {rc.genus})")
-        bad = not cert.ok or n1 != q + 1 or not rc.ok or rc.genus != g
-        print(line)
-
-        if q <= ZETA_Q_CAP:
-            zd = zeta(curve)
-            print(f"   L = {list(zd.coeffs)} | zeta genus {zd.genus}")
-            bad = bad or zd.genus != g
-
-        rep = group_report(curve, model)
-        expected = 6 * (q * q - 1) if q == 3 else 2 * (q * q - 1)
-        print(f"   aut order {rep['order']} (want {expected}) | "
-              f"orbit sizes {rep['orbit_sizes']}")
-        bad = bad or rep["order"] != expected
-        if q == 3:
-            pgl = rep["q3_pgl23"]
-            print(f"   central quotient acts as S_4: {pgl}")
-            bad = bad or pgl is not True
-
-        print(f"   [{time.monotonic() - t0:.1f}s]"
-              + ("  ** MISMATCH **" if bad else ""))
-        failures += bad
+        code, doc = verify(q, modulus)
+        if code == 2:
+            print(f"== q = {q}, modulus {modulus}: {doc['error']}")
+        else:
+            print("\n".join(summary(doc)))
+            false = [k for k, ok in doc["paper_claims"].items() if not ok]
+            if false:
+                print(f"   false claims: {', '.join(false)}")
+        print(f"   [{time.monotonic() - t0:.2f}s]"
+              + ("  ** MISMATCH **" if code else ""))
+        failures += code != 0
     return failures
 
 
@@ -91,7 +73,7 @@ def main():
     ap.add_argument("--q", type=int, action="append",
                     help="restrict to one or more field sizes")
     args = ap.parse_args()
-    qs = args.q or sorted(QSPECS)
+    qs = args.q or [q for q, _ in MODULI]
     bad = run(qs)
     if bad:
         print(f"{bad} field size(s) FAILED")

@@ -49,11 +49,8 @@ from .places import (
     count_degree_one,
     divisor,
     genus_formula,
-    genus_from_zeta,
     lspace_check,
     ramified_places,
-    report_row,
-    rh_check,
     valuation,
     zeta,
 )

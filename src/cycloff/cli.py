@@ -25,10 +25,10 @@ from .places import (
     RamQuadratic,
     count_degree_one,
     genus_formula,
+    genus_rh,
     lspace_check,
     ramified_places,
-    report_row,
-    rh_check,
+    zeta,
 )
 from .polyalg import Poly, format_poly, parse_poly
 from .record import Record, set_field
@@ -75,10 +75,10 @@ def _pick_gamma(cfg, ctx, mod):
 class _Run:
     """One configuration, resolved on first use.
 
-    The modulus and gamma, the curve and the torsion model are each built
-    once and shared by every section of a ``verify`` run.  Nothing is
-    resolved up front, so ``zeta`` still reports its own cap before any
-    modulus error.
+    The modulus and gamma, the curve, the torsion model and the
+    Riemann-Hurwitz genus are each computed once and shared by every
+    section of a ``verify`` run.  Nothing is resolved up front, so
+    ``zeta`` still reports its own cap before any modulus error.
     """
 
     def __init__(self, cfg):
@@ -101,6 +101,10 @@ class _Run:
     @functools.cached_property
     def model(self):
         return CycModel(self.resolved[0])
+
+    @functools.cached_property
+    def genus_rh(self):
+        return genus_rh(self.curve)
 
 
 def _minpoly_str(model):
@@ -144,14 +148,13 @@ def cmd_construct(run):
 
 def cmd_genus(run):
     report = _model_header(run)
-    rc = rh_check(run.cfg.q)
-    gform = genus_formula(run.cfg.q)
+    g_rh, g_form = run.genus_rh, genus_formula(run.cfg.q)
     report.update({
-        "genus_formula": gform,
-        "genus_rh": rc.genus,
-        "rh_ok": rc.ok,
+        "genus_formula": g_form,
+        "genus_rh": g_rh,
+        "rh_ok": g_rh == g_form,
     })
-    return report, {"genus_formula_matches_rh": rc.ok and rc.genus == gform}
+    return report, {"genus_formula_matches_rh": g_rh == g_form}
 
 
 def cmd_count(run):
@@ -169,15 +172,19 @@ def cmd_zeta(run):
     if cfg.q > ZETA_Q_CAP:
         raise TooLarge(f"the zeta pipeline is capped at q <= {ZETA_Q_CAP}, "
                        f"where its reports are recorded; got q={cfg.q}")
-    curve = run.curve
-    row = report_row(curve)
-    report = {"q": row["q"], "modulus": row["modulus"],
-              "gamma": gf.format_element(curve.gamma)}
-    for key in ("N", "L", "genus_zeta", "genus_formula", "rh_ok"):
-        report[key] = row[key]
+    counts, coeffs = zeta(run.curve)
+    g_rh, g_zeta, g_form = run.genus_rh, len(coeffs) // 2, genus_formula(cfg.q)
+    report = _model_header(run)
+    report.update({
+        "N": list(counts),
+        "L": list(coeffs),
+        "genus_zeta": g_zeta,
+        "genus_formula": g_form,
+        "rh_ok": g_rh == g_form,
+    })
     claims = {
-        "genus_three_ways": row["genus_zeta"] == row["genus_formula"],
-        "rh_ok": row["rh_ok"],
+        "genus_three_ways": g_rh == g_zeta == g_form,
+        "rh_ok": g_rh == g_form,
     }
     return report, claims
 

@@ -562,7 +562,14 @@ def _embed_images(src, tgt):
 
 
 def embed(e, tgt):
-    """Canonical embedding GF(p^m) -> GF(p^n) for m | n (identity if same)."""
+    """Canonical embedding GF(p^m) -> GF(p^n) for m | n (identity if same).
+
+    These embeddings do not compose along towers: for F < K < L,
+    embed(embed(e, K), L) can differ from embed(e, L), as for GF(9) <
+    GF(3^6) < GF(3^12).  So callers embed an element from the field it
+    lives in, and where elements of F and of K meet in L, the F element
+    first goes into K, the field of the other.
+    """
     src = e.ctx
     if src is tgt:
         return e

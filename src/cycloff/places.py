@@ -17,7 +17,7 @@ must tell them apart.
 
 import functools
 import operator
-from math import isqrt
+from math import gcd
 
 from . import gf
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     NoEmbedding,
     TooLarge,
     UnknownPlace,
+    WrongRamification,
     ZeroElement,
 )
 from .gf import create_field, embed
@@ -76,10 +77,6 @@ class RamFinite(Record):
     def degree(self):
         return 1
 
-    @property
-    def ram_index(self):
-        return self.alpha.ctx.order - 1
-
     def __str__(self):
         return f"P[v={gf.format_element(self.alpha)}]"
 
@@ -103,10 +100,6 @@ class RamInfinity(Record):
     @property
     def degree(self):
         return 1
-
-    @property
-    def ram_index(self):
-        return self.q - 1
 
     def __str__(self):
         return "P[inf]"
@@ -136,10 +129,6 @@ class RamQuadratic(Record):
     def degree(self):
         return 2
 
-    @property
-    def ram_index(self):
-        return isqrt(self.root.ctx.order) - 1
-
     def __str__(self):
         return f"Q[v={gf.format_element(self.root)}]"
 
@@ -168,10 +157,6 @@ class Generic(Record):
 
     def __hash__(self):
         return hash((self.k, self.c, self.ys, self.degree))
-
-    @property
-    def ram_index(self):
-        return 1
 
     def __str__(self):
         return (f"G[v={gf.format_element(self.c)}, "
@@ -665,12 +650,12 @@ def lspace_check(elems, D):
     curve = _curve_of(elems[0])
     for P in D.support:
         _validate_place(curve, P)
+    bounds = _bound_map(D)
     divisors_ = []
     members = []
     for e in elems:
         dv = divisor(e)
         divisors_.append(dv)
-        bounds = _bound_map(D)
         ok = True
         for P, v in dv.items():
             if v >= 0:
@@ -679,7 +664,7 @@ def lspace_check(elems, D):
                 ok = False
                 break
         members.append(ok)
-    ctx = _curve_of(elems[0]).ctx
+    ctx = curve.ctx
     den = Poly.one(ctx)
     for e in elems:
         for r in e.coords:
@@ -817,11 +802,12 @@ def l_polynomial(curve):
     sum_{odd chi} S_chi^k = N H_k[0] - (q+1) sum_{(q+1) | e} H_k[e],
     since the q+1 even characters sum to (q+1) [(q+1) | e].  Newton's
     identities turn these power sums of the reciprocal roots -S_chi into
-    the coefficients.  Each division there must be exact, the degree must
-    be 2g, every coefficient must satisfy the functional equation, and
-    N_k must equal the point count for every q^k <= gf.TABLE_CAP, which
-    reads h and gamma where L reads only M; FunctionalEquationViolated
-    otherwise.
+    the coefficients.  Each division there must be exact, every power sum
+    must lie in the Weil envelope S_k^2 <= 4 g^2 q^k, the degree must be
+    2g, every coefficient must satisfy the functional equation, and N_k
+    must equal the point count for every q^k <= gf.TABLE_CAP, which reads
+    h and gamma where L reads only M; FunctionalEquationViolated
+    otherwise.  This is the one place where L is checked.
     """
     q = curve.q
     if q > PIPELINE_Q_CAP:
@@ -842,6 +828,10 @@ def l_polynomial(curve):
             raise FunctionalEquationViolated(
                 f"power sums give no integer coefficient at degree {k}")
         coeffs.append(c)
+    for k in range(1, 2 * g + 1):
+        if S[k] ** 2 > 4 * g * g * q ** k:
+            raise FunctionalEquationViolated(
+                f"Weil envelope breached at k={k}")
     if not coeffs[-1]:
         raise FunctionalEquationViolated(
             f"L-polynomial has degree below 2g = {2 * g}")
@@ -857,17 +847,7 @@ def l_polynomial(curve):
     return tuple(coeffs)
 
 
-# -- zeta data ---------------------------------------------------------------
-
-
-class ZetaData(Record):
-    __slots__ = ("q", "counts", "coeffs", "genus")
-
-    def __init__(self, q, counts, coeffs, genus):
-        set_field(self, "q", q)
-        set_field(self, "counts", counts)
-        set_field(self, "coeffs", coeffs)
-        set_field(self, "genus", genus)
+# -- genus and zeta ----------------------------------------------------------
 
 
 def genus_formula(q):
@@ -877,31 +857,25 @@ def genus_formula(q):
     return (q + 1) * (q - 2) // 2
 
 
-class RHCheck(Record):
-    __slots__ = ("q", "genus", "lhs", "rhs")
+def genus_rh(curve):
+    """The genus by Riemann-Hurwitz, read from the valuations of h.
 
-    def __init__(self, q, genus, lhs, rhs):
-        set_field(self, "q", q)
-        set_field(self, "genus", genus)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
-    @property
-    def ok(self):
-        return self.lhs == self.rhs
-
-
-def rh_check(q):
-    """Tame ramification bookkeeping: 2g-2 = -2(q-1) + (q+3)(q-2), exactly.
-
-    The right side is the derived Euler characteristic: q+3 fully tamely
-    ramified places of index q-1 over a genus-0 base.  Returns the genus it
-    implies next to the closed-form one.
+    The cover y^(q-1) = h(v) is tame, and every place over a place P of the
+    v-line has index (q-1)/gcd(q-1, v_P(h)), so
+    2g-2 = -2(q-1) + sum_P (q-1 - gcd(q-1, v_P(h))) deg P, summed over the
+    q rational points, infinity and the quadratic point.  Those finite
+    points must carry all of div(h), sum |v_P(h)| deg P = deg num + deg den;
+    WrongRamification otherwise.
     """
-    g = genus_formula(q)
-    rhs = -2 * (q - 1) + (q + 3) * (q - 2)
-    derived = (rhs + 2) // 2 if rhs % 2 == 0 else -1
-    return RHCheck(q=q, genus=derived, lhs=2 * g - 2, rhs=rhs)
+    n, h = curve.q - 1, curve.h
+    finite = [(h.valuation(a), 1) for a in curve.ctx.iter_elements()]
+    finite.append((h.valuation(curve.quad_roots[0]), 2))
+    if sum(abs(v) * d for v, d in finite) != h.num.degree + h.den.degree:
+        raise WrongRamification("h has zeros or poles off the rational and "
+                                "quadratic points")
+    branch = finite + [(h.valuation(INFINITY), 1)]
+    # the sum has the parity of sum v_P(h) deg P = 0, so it halves exactly
+    return 1 - n + sum((n - gcd(n, v)) * d for v, d in branch) // 2
 
 
 def _power_sums_from_coeffs(coeffs, upto):
@@ -917,9 +891,8 @@ def _power_sums_from_coeffs(coeffs, upto):
 
 
 def zeta(curve):
-    """Exact ZetaData: `l_polynomial`, already matched to the point counts,
-    and the counts N_1..N_g it implies.  It must also pass the functional
-    equation and the Weil envelope; FunctionalEquationViolated otherwise.
+    """(N_1..N_g, L): `l_polynomial`, certified there, and the degree-one
+    counts over GF(q^k), k <= g, that it implies.
     """
     q = curve.q
     if not 3 <= q <= ZETA_Q_CAP:
@@ -927,47 +900,5 @@ def zeta(curve):
                        "whose zeta reports are recorded")
     g = genus_formula(q)
     coeffs = l_polynomial(curve)
-    S = _power_sums_from_coeffs(coeffs, 2 * g)
-    counts = tuple(q ** k + 1 - S[k] for k in range(1, g + 1))
-    for k in range(1, 2 * g + 1):
-        if S[k] ** 2 > 4 * g * g * q ** k:
-            raise FunctionalEquationViolated(
-                f"Weil envelope breached at k={k}")
-    # the functional equation, coefficient by coefficient; deg(L)/2 is the
-    # genus it certifies
-    genus = genus_from_zeta(ZetaData(q, counts, coeffs, None))
-    return ZetaData(q=q, counts=counts, coeffs=coeffs, genus=genus)
-
-
-def genus_from_zeta(zd):
-    """deg(L)/2, after revalidating the structural invariants of the data."""
-    coeffs = zd.coeffs
-    if not coeffs or coeffs[0] != 1 or len(coeffs) % 2 == 0:
-        raise FunctionalEquationViolated("malformed L-polynomial data")
-    g = (len(coeffs) - 1) // 2
-    q = zd.q
-    for i in range(g + 1):
-        if coeffs[2 * g - i] != q ** (g - i) * coeffs[i]:
-            raise FunctionalEquationViolated(
-                f"functional equation fails at i={i}")
-    back = _power_sums_from_coeffs(coeffs, len(zd.counts))
-    for k, nk in enumerate(zd.counts, start=1):
-        if q ** k + 1 - back[k] != nk:
-            raise FunctionalEquationViolated(
-                f"counts and L-polynomial disagree at k={k}")
-    return g
-
-
-def report_row(curve):
-    """One verification row: counts, L-polynomial, and the three genus routes."""
-    zd = zeta(curve)
-    rc = rh_check(curve.q)
-    return {
-        "q": curve.q,
-        "modulus": format_poly(curve.modulus.as_poly(), "T"),
-        "N": list(zd.counts),
-        "L": list(zd.coeffs),
-        "genus_zeta": zd.genus,
-        "genus_formula": genus_formula(curve.q),
-        "rh_ok": rc.ok and rc.genus == genus_formula(curve.q),
-    }
+    S = _power_sums_from_coeffs(coeffs, g)
+    return tuple(q ** k + 1 - S[k] for k in range(1, g + 1)), coeffs

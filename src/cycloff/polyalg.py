@@ -254,9 +254,11 @@ class Poly:
         if isinstance(point, int):
             point = self.ctx.elem(point)
         tgt = point.ctx
+        coeffs = (self.coeffs if tgt is self.ctx
+                  else [gf.embed(c, tgt) for c in self.coeffs])
         acc = tgt.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + gf.embed(c, tgt)
+        for c in reversed(coeffs):
+            acc = acc * point + c
         return acc
 
     def map_coeffs(self, fn, tgt_ctx):

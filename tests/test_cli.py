@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end and its JSON contract."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 
 from cycloff import cli
 
+ROOT = Path(__file__).resolve().parents[1]
 # read only: the benchmark's reference reports, one per sweep modulus
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+GOLDEN = ROOT / "perfbench" / "golden"
 
 
 def _run(argv, capsys):
@@ -121,13 +123,31 @@ def test_verify_all_builds_one_curve_and_one_model(monkeypatch, capsys):
     assert sorted(calls) == ["CycModel", "KummerCurve", "resolve"]
 
 
-@pytest.mark.parametrize("q,modulus", [(3, "T^2+1"), (4, "T^2+T+g"),
-                                       (5, "T^2+2"), (7, "T^2+1"),
-                                       (8, "T^2+T+1"), (9, "T^2+g+1")])
+GOLDEN_RUNS = [(3, "T^2+1"), (4, "T^2+T+g"), (5, "T^2+2"), (7, "T^2+1"),
+               (8, "T^2+T+1"), (9, "T^2+g+1")]
+
+
+@pytest.mark.parametrize("q,modulus", GOLDEN_RUNS)
 def test_verify_all_matches_the_golden_report(q, modulus, capsys):
     code, out = _run(["verify", "-q", str(q), "-M", modulus, "all"], capsys)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"verify_q{q}.json").read_bytes()
+
+
+def test_run_verification_script_drives_the_golden_runs():
+    # the script's modulus table is the golden one, and every run passes
+    path = ROOT / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert list(script.MODULI) == GOLDEN_RUNS
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("== q = ") == len(GOLDEN_RUNS)
+    assert done.stdout.endswith("all field sizes verified\n")
 
 
 def test_verify_zeta_capped(capsys):

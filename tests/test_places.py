@@ -12,11 +12,13 @@ import itertools
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloff import gf, places
+from cycloff import cli, gf, places
 from cycloff.carlitz import iter_irreducible_moduli
 from cycloff.errors import (
     CertificateFailed,
@@ -24,6 +26,7 @@ from cycloff.errors import (
     GenericPlaceUnsupported,
     TooLarge,
     UnknownPlace,
+    WrongRamification,
     ZeroElement,
 )
 from cycloff.gf import create_field, embed
@@ -35,18 +38,15 @@ from cycloff.places import (
     RamFinite,
     RamInfinity,
     RamQuadratic,
-    ZetaData,
     _log_histogram,
     _power_sums_from_coeffs,
     count_degree_one,
     divisor,
     genus_formula,
-    genus_from_zeta,
+    genus_rh,
     l_polynomial,
     lspace_check,
     ramified_places,
-    report_row,
-    rh_check,
     valuation,
     zeta,
 )
@@ -54,6 +54,7 @@ from cycloff.polyalg import (
     INFINITY,
     Poly,
     RatFunc,
+    format_poly,
     is_irreducible,
     poly_gcd,
     roots_in,
@@ -132,7 +133,6 @@ def test_ramified_catalog_q3():
     assert sum(1 for P in places if isinstance(P, RamInfinity)) == 1
     assert all(P.degree == 1 for P in finite)
     assert all(P.degree == 2 for P in quads)
-    assert all(P.ram_index == 2 for P in places)
     # the two quadratic roots are conjugate and distinct
     r0, r1 = quads[0].root, quads[1].root
     assert r0 != r1 and r0.frob(1) == r1
@@ -1154,6 +1154,9 @@ def test_l_polynomial_depends_on_the_modulus_class_only(q, sizes):
 # -- zeta --------------------------------------------------------------------
 
 
+ZETA_CURVES = {"zeta3": C3, "zeta4": C4, "zeta5": C5}
+
+
 @pytest.fixture(scope="module")
 def zeta3():
     return zeta(C3)
@@ -1170,9 +1173,9 @@ def zeta5():
 
 
 def test_zeta_q3_frozen(zeta3):
-    assert zeta3.counts == (4, 6)
-    assert zeta3.coeffs == FROZEN_L_Q3
-    assert zeta3.genus == 2
+    counts, coeffs = zeta3
+    assert counts == (4, 6)
+    assert coeffs == FROZEN_L_Q3
 
 
 def test_zeta_q3_predicts_deeper_counts(zeta3):
@@ -1183,42 +1186,42 @@ def test_zeta_q3_predicts_deeper_counts(zeta3):
 
 
 def test_zeta_q4_internal_consistency(zeta4):
-    assert zeta4.genus == 5
-    assert len(zeta4.coeffs) == 11
-    assert zeta4.coeffs[0] == 1 and zeta4.coeffs[-1] == 4 ** 5
+    counts, coeffs = zeta4
+    assert len(counts) == 5
+    assert len(coeffs) == 11
+    assert coeffs[0] == 1 and coeffs[-1] == 4 ** 5
     # predictions beyond the input range must match fresh counts
-    from cycloff.places import _power_sums_from_coeffs
-    back = _power_sums_from_coeffs(list(zeta4.coeffs), 7)
+    back = _power_sums_from_coeffs(list(coeffs), 7)
     for k in (6, 7):
         assert count_degree_one(C4, k) == 4 ** k + 1 - back[k]
 
 
 def test_zeta_q5_internal_consistency(zeta5):
-    assert zeta5.genus == 9
-    assert len(zeta5.counts) == 9
-    assert zeta5.coeffs[0] == 1 and zeta5.coeffs[-1] == 5 ** 9
+    counts, coeffs = zeta5
+    assert len(counts) == 9
+    assert coeffs[0] == 1 and coeffs[-1] == 5 ** 9
 
 
 @pytest.mark.parametrize("fix", ["zeta3", "zeta4", "zeta5"])
 def test_weil_envelope(fix, request):
-    zd = request.getfixturevalue(fix)
-    g, q = zd.genus, zd.q
-    for k, nk in enumerate(zd.counts, start=1):
+    counts, coeffs = request.getfixturevalue(fix)
+    q, g = ZETA_CURVES[fix].q, len(coeffs) // 2
+    for k, nk in enumerate(counts, start=1):
         assert (nk - q ** k - 1) ** 2 <= 4 * g * g * q ** k
 
 
 @pytest.mark.parametrize("fix", ["zeta3", "zeta4", "zeta5"])
 def test_genus_three_ways(fix, request):
-    zd = request.getfixturevalue(fix)
-    q = zd.q
-    assert genus_from_zeta(zd) == genus_formula(q) == rh_check(q).genus
+    curve = ZETA_CURVES[fix]
+    _, coeffs = request.getfixturevalue(fix)
+    assert len(coeffs) // 2 == genus_formula(curve.q) == genus_rh(curve)
 
 
 def test_zeta_functional_equation_symmetry(zeta3, zeta4, zeta5):
-    for zd in (zeta3, zeta4, zeta5):
-        g, q = zd.genus, zd.q
+    for curve, (_, coeffs) in zip((C3, C4, C5), (zeta3, zeta4, zeta5)):
+        q, g = curve.q, len(coeffs) // 2
         for i in range(g + 1):
-            assert zd.coeffs[2 * g - i] == q ** (g - i) * zd.coeffs[i]
+            assert coeffs[2 * g - i] == q ** (g - i) * coeffs[i]
 
 
 def test_zeta_rejects_large_q():
@@ -1226,33 +1229,97 @@ def test_zeta_rejects_large_q():
         zeta(C7)
 
 
-def test_genus_from_zeta_validation():
-    bad = ZetaData(q=3, counts=(4, 6), coeffs=(1, 0, -2, 0, 8), genus=2)
-    with pytest.raises(FunctionalEquationViolated):
-        genus_from_zeta(bad)
-    wrong_counts = ZetaData(q=3, counts=(4, 7), coeffs=FROZEN_L_Q3, genus=2)
-    with pytest.raises(FunctionalEquationViolated):
-        genus_from_zeta(wrong_counts)
+def _first_occupied(hist, fn):
+    out = list(hist)
+    e = next(e for e, c in enumerate(out) if c)
+    out[e] = fn(out[e])
+    return out
 
 
-def test_rh_check_values():
-    rc = rh_check(5)
-    assert rc.lhs == rc.rhs == 16
-    assert rc.genus == 9 and rc.ok
-    for q in (3, 4, 5, 7, 8, 9):
-        rc = rh_check(q)
-        assert rc.ok and rc.genus == genus_formula(q)
+# a corrupted log histogram and the message of the check in l_polynomial it
+# must trip first; the message pins the check, so with that check removed a
+# later one answers instead and the test fails
+L_CHECKS = {
+    # half a residue: the S_chi are no algebraic integers
+    "half": (lambda h: _first_occupied(h, lambda c: Fraction(c, 2)),
+             "no integer coefficient"),
+    # every residue twice: each |S_chi| doubles, past sqrt(q)
+    "double": (lambda h: [2 * c for c in h], "Weil envelope"),
+    # no residue at all: every S_chi = 0, so L = 1
+    "empty": (lambda h: [0] * len(h), "degree below 2g"),
+    # one residue missing; at q=3 the power sums stay in the envelope
+    "drop": (lambda h: _first_occupied(h, lambda c: c - 1),
+             "functional equation"),
+}
+
+
+@pytest.mark.parametrize(
+    "curve,check",
+    [(c, k) for c in (C3, C4, C5) for k in ("half", "double", "empty")]
+    + [(C3, "drop")],
+    ids=lambda v: v if isinstance(v, str) else f"q{v.q}")
+def test_each_check_on_l_raises(curve, check, monkeypatch):
+    corrupt, message = L_CHECKS[check]
+    hist = corrupt(_log_histogram(curve.modulus))
+    monkeypatch.setattr("cycloff.places._log_histogram",
+                        lambda modulus: hist)
+    with pytest.raises(FunctionalEquationViolated, match=message):
+        l_polynomial.__wrapped__(curve)
 
 
 def test_genus_formula_values():
     assert [genus_formula(q) for q in (3, 4, 5, 7)] == [2, 5, 9, 20]
 
 
-def test_report_row(zeta3):
-    row = report_row(C3)
-    assert row["q"] == 3
-    assert row["N"] == [4, 6]
-    assert row["L"] == list(FROZEN_L_Q3)
-    assert row["genus_zeta"] == row["genus_formula"] == 2
-    assert row["rh_ok"] is True
-    assert "T" in row["modulus"]
+def test_genus_rh_values():
+    # Riemann-Hurwitz from v_P(h) against the closed form, for every
+    # modulus with gamma = 1 up to q = 9 and for a twisted model
+    curves = [C3G2]
+    for q in (3, 4, 5, 7, 8, 9):
+        ctx = gf.field_from_order(q)
+        curves.extend(KummerCurve(m.a, m.b, ctx.one)
+                      for m in iter_irreducible_moduli(ctx))
+    assert len(curves) == 105
+    for curve in curves:
+        assert genus_rh(curve) == genus_formula(curve.q)
+
+
+def _branch_point(P):
+    if isinstance(P, RamFinite):
+        return P.alpha
+    if isinstance(P, RamInfinity):
+        return INFINITY
+    return P.root
+
+
+# h times a factor, after the curve certified its profile: a factor that
+# moves a valuation or adds a branch point; v^2 + 1 is the numerator of h
+# at q = 3 and 7, splits over GF(5) and GF(9), and v^2 + v + 2 is another
+# irreducible quadratic over GF(3)
+H_CORRUPTIONS = [(C3, (1, 0, 1)), (C3, (2, 1, 1)), (C4, (0, 0, 1)),
+                 (C5, (1, 0, 1)), (C7, (0, 0, 1)), (C7, (1, 0, 1)),
+                 (C9, (1, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "curve,factor", H_CORRUPTIONS,
+    ids=[f"q{c.q}-{format_poly(vpoly(c, *f), 'v')}"
+         for c, f in H_CORRUPTIONS])
+def test_genus_rh_reads_h(curve, factor, monkeypatch, capsys):
+    # on the true h every ramified place has index e_P = q - 1
+    n = curve.q - 1
+    assert all(n // gcd(n, curve.h.valuation(_branch_point(P))) == n
+               for P in ramified_places(curve))
+    bad = KummerCurve(curve.modulus.a, curve.modulus.b, curve.gamma)
+    bad.h = bad.h * vfun(curve, factor)
+    try:
+        changed = genus_rh(bad) != genus_formula(curve.q)
+        code = 1
+    except WrongRamification:
+        changed, code = True, 2
+    assert changed
+    monkeypatch.setattr(cli, "KummerCurve", lambda a, b, gamma: bad)
+    assert cli.main(["verify", "-q", str(curve.q),
+                     "-M", format_poly(curve.modulus.as_poly(), "T"),
+                     "genus"]) == code
+    capsys.readouterr()

@@ -562,6 +562,29 @@ def test_compose_evaluates(f, g, k):
     assert f.compose(g)(pt) == f(g(pt))
 
 
+def test_evaluation_embeds_only_into_a_proper_extension(monkeypatch):
+    # Horner's rule against sum c_i x^i; a point of the coefficient field
+    # needs no embedding, a point of GF(9) needs one per coefficient of f
+    real, calls = gf.embed, []
+
+    def spy(e, tgt):
+        calls.append(e)
+        return real(e, tgt)
+    monkeypatch.setattr(gf, "embed", spy)
+    g = Poly.from_ints(F3, [2, 1, 0, 1])
+    for f in (Poly.from_ints(F9, [5, 0, 7, 1]), g):
+        for x in F9.iter_elements():
+            want = F9.zero
+            for i, c in enumerate(f.coeffs):
+                want = want + real(c, F9) * x ** i
+            calls.clear()
+            assert f(x) == want
+            assert len(calls) == (0 if f.ctx is F9 else len(f.coeffs))
+    calls.clear()
+    assert g(1) == F3.one and g(2) == F3.zero
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 

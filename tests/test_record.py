@@ -23,8 +23,6 @@ from cycloff.places import (
     RamFinite,
     RamInfinity,
     RamQuadratic,
-    ZetaData,
-    rh_check,
 )
 from cycloff.polyalg import Poly
 
@@ -68,11 +66,6 @@ CASES = {
                 lambda: Generic(k=2, c=G, ys=H, degree=4)),
     "LSpaceReport": (lambda: LSpaceReport((True,), True, ()),
                      lambda: LSpaceReport((False,), True, ())),
-    "ZetaData": (lambda: ZetaData(q=3, counts=(4,), coeffs=(1, 0, 9),
-                                  genus=1),
-                 lambda: ZetaData(q=3, counts=(4,), coeffs=(1, 0, 9),
-                                  genus=None)),
-    "RHCheck": (lambda: rh_check(3), lambda: rh_check(5)),
     "RunConfig": (lambda: cli.RunConfig("verify", 3, "T^2+1", which="all"),
                   lambda: cli.RunConfig("verify", 3, "T^2+1", k=2,
                                         which="all")),
@@ -136,7 +129,6 @@ def test_repr_text():
     assert repr(PowerSubstitution(r=3, s=-1)) == (
         "PowerSubstitution(r=3, s=-1, symbol='u')")
     assert repr(RamInfinity(3)) == "RamInfinity(q=3)"
-    assert repr(rh_check(3)) == "RHCheck(q=3, genus=2, lhs=2, rhs=2)"
     assert repr(RamFinite(F3.one)) == f"RamFinite(alpha={F3.one!r})"
     assert repr(Generic(2, G, H, 4)) == (
         f"Generic(k=2, c={G!r}, ys={H!r}, degree=4)")
