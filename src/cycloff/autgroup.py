@@ -462,12 +462,6 @@ def closure(gens):
 # -- action on the ramified places ------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _base_of(ctx, ext):
-    """{embed(c): c} over the base field, to read rational images back."""
-    return {gf.embed(c, ext): c for c in ctx.iter_elements()}
-
-
 def act_on_place(a, place):
     return _place_image(a.curve, a.mobius, place)
 
@@ -497,7 +491,7 @@ def _place_image(curve, mobius, place):
     if img is INFINITY:
         out = RamInfinity(curve.q)
     elif img.frob(curve.ctx.n) == img:
-        out = RamFinite(_base_of(curve.ctx, ext)[img])
+        out = RamFinite(gf.preimages(curve.ctx, ext)[img])
     else:
         out = RamQuadratic(img)
     _validate_place(curve, out)

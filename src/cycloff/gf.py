@@ -537,8 +537,9 @@ def _embed_powers(src, tgt):
     # The source modulus is irreducible over GF(p) of degree src.n, so its
     # roots in the target are the p-power orbit of any one of them; the
     # image of T is the least root in lex order of coefficient vectors.
-    f = Poly(tgt, [tgt.elem(c) for c in src.modulus])
-    r = one_root(f)
+    prime = _field_ctx(src.p, 1)
+    f = Poly(prime, [prime.elem(c) for c in src.modulus])
+    r = one_root(f, tgt)
     orbit = [r.frob(i) for i in range(src.n)]
     if f(r) or len(set(orbit)) != src.n:
         raise CertificateFailed(
@@ -580,8 +581,18 @@ def embed(e, tgt):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def preimages(src, tgt):
+    """{embed(c, tgt): c} over src, to read elements of the subfield back."""
+    return {embed(c, tgt): c for c in src.iter_elements()}
+
+
 def _embed_sum(e, tgt):
     """sum c_i w^i for the image w of the source's T."""
+    if e.ctx.n == 1 and e.ctx.p == tgt.p:
+        # GF(p) sits in GF(p^n) one way, and one_root, which finds w for
+        # larger sources, embeds its prime-field coefficients through here
+        return tgt.elem(e.coeffs[0])
     powers = _embed_powers(e.ctx, tgt)
     acc = tgt.zero
     for c, w in zip(e.coeffs, powers):

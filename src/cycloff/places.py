@@ -16,7 +16,6 @@ must tell them apart.
 """
 
 import functools
-import operator
 from math import gcd
 
 from . import gf
@@ -37,8 +36,10 @@ from .kummer import KummerCurve
 from .polyalg import (
     INFINITY,
     Poly,
-    _xq_power,
+    _orbit_factor,
+    _powmod,
     format_poly,
+    mul_trunc,
     one_root,
     poly_gcd,
 )
@@ -315,8 +316,9 @@ def valuation(e, P):
 
 
 # -- truncated power series over a field context -----------------------------
-# A series in t = v - c is a Poly in t cut to its first m coefficients, so
-# products run on the polyalg kernels (exponent lists over table fields).
+# A series in t = v - c is a Poly in t cut to its first m coefficients, and
+# products are `polyalg.mul_trunc`, which forms no term past t^(m-1) on
+# either kernel (exponent lists over table fields, FieldElem loops above).
 # Inverses and the y-branch are Newton iterations that double the precision
 # at each step (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 9).
 
@@ -331,7 +333,7 @@ def _series_inv(a, m):
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
-        g = _trunc(g * (2 - _trunc(_trunc(a, prec) * g, prec)), prec)
+        g = mul_trunc(2 - mul_trunc(a, g, prec), g, prec)
     return g
 
 
@@ -345,7 +347,7 @@ def _laurent(r, c, m):
         o = next(i for i, x in enumerate(coeffs) if not x.is_zero())
         units.append((o, Poly(E, coeffs[o:o + m])))
     (on, nu), (od, du) = units
-    return on - od, _trunc(nu * _series_inv(du, m), m)
+    return on - od, mul_trunc(nu, _series_inv(du, m), m)
 
 
 def _y_branch(H, y0, n, m):
@@ -357,9 +359,9 @@ def _y_branch(H, y0, n, m):
         prec = min(2 * prec, m)
         pw = Poly.one(E)
         for _ in range(n - 1):
-            pw = _trunc(pw * y, prec)
-        diff = _trunc(pw * y, prec) - _trunc(H, prec)
-        y = y - _trunc(diff * _series_inv(pw * n, prec), prec)
+            pw = mul_trunc(pw, y, prec)
+        diff = mul_trunc(pw, y, prec) - _trunc(H, prec)
+        y = y - mul_trunc(diff, _series_inv(pw * n, prec), prec)
     return y
 
 
@@ -386,7 +388,7 @@ def _generic_valuation(curve, coords, c, ys, expansions):
         # Horner in y on t^(-s0) e; every term is exact mod t^m, so acc is too
         acc = Poly.zero(E)
         for i in range(max(terms), -1, -1):
-            acc = _trunc(acc * ybr, m)
+            acc = mul_trunc(acc, ybr, m)
             if i in terms:
                 sh, ru = terms[i]
                 acc = acc + Poly(E, (E.zero,) * (sh - s0) + ru.coeffs)
@@ -419,6 +421,8 @@ def _radical(f):
             f = _pth_root_poly(f)
             continue
         g = poly_gcd(f, d)
+        if g.is_one() and out.is_one():
+            return f.monic()  # squarefree, so its own radical
         part = (f // g).monic()
         out = out * (part // poly_gcd(out, part))
         f = g
@@ -431,10 +435,12 @@ def _closed_point_candidates(curve, polys):
     The ramified locus is divided out before any splitting: h.num * h.den
     vanishes exactly at the q rational points and the quadratic point, so
     the radical of each input loses gcd(rest, h.num * h.den) and has no
-    rational root left, and the degree loop starts at d = 2.  A candidate
-    polynomial whose roots do not all split within the degree/order caps
-    raises rather than silently dropping support.  The points of each
-    degree d come from `_orbit_leaders`, one root per closed point.
+    rational root left, and the distinct-degree loop takes its first gcd
+    at d = 2.  It carries X^(q^d) mod rest from one degree to the next,
+    one q-th power each.  A candidate polynomial whose roots do not all
+    split within the degree/order caps raises rather than silently
+    dropping support.  The points of each degree d come from
+    `_orbit_leaders`, one root per closed point.
     """
     ctx = curve.ctx
     p, n, q = ctx.p, ctx.n, curve.q
@@ -452,16 +458,22 @@ def _closed_point_candidates(curve, polys):
         done.add(f)
         rest = _radical(f)
         rest = rest // poly_gcd(rest, ramified)
-        for d in range(2, rest.degree + 1):
+        t = x
+        for d in range(1, rest.degree + 1):
             if rest.is_constant() or q ** d > gf.ORDER_CAP:
                 break
+            # rest only loses factors, so the last t reduced mod the new
+            # rest is X^(q^(d-1)) there, and t becomes X^(q^d) mod rest
+            t = _powmod(t, q, rest)
+            if d == 1:
+                continue
             # every factor of degree < d is gone, so this is the product of
             # the irreducible factors of degree exactly d
-            part = poly_gcd(rest, _xq_power(rest, d) - x)
+            part = poly_gcd(rest, t - x)
             if part.is_constant():
                 continue
             rest = rest // part
-            for r in _orbit_leaders(part, create_field(p, n * d), n, d):
+            for r in _orbit_leaders(part, create_field(p, n * d), d):
                 if (d, r) not in seen:
                     seen.add((d, r))
                     out.append((d, r))
@@ -472,33 +484,26 @@ def _closed_point_candidates(curve, polys):
     return out
 
 
-def _orbit_leaders(part, E, n, d):
+def _orbit_leaders(part, E, d):
     """Least root by ``to_int`` of each Frobenius orbit of the roots in
     E = GF(p^(nd)) of ``part``, a product of distinct irreducibles of
     degree d over GF(p^n); sorted by ``to_int``.
 
     Each round takes one root r of what is left (``one_root``) and divides
-    out prod_i (X - r^(q^i)) over its orbit, so the product of the
-    irreducibles is never split further than one root per factor.  An
-    orbit of length other than d or a nonzero remainder raises
-    CertificateFailed.
+    out prod_i (X - r^(q^i)) over its orbit, a polynomial over GF(p^n), so
+    what is left stays a product of irreducibles over GF(p^n) and is
+    never split further than one root per factor.  An orbit of length
+    other than d or a nonzero remainder raises CertificateFailed.
     """
-    g = part.embed_into(E)
-    x = Poly.gen(E)
+    g = part
     leaders = []
     while not g.is_constant():
-        r = one_root(g)
-        orbit = [r]
-        nxt = r.frob(n)
-        while nxt != r:
-            orbit.append(nxt)
-            nxt = nxt.frob(n)
+        orbit, m = _orbit_factor(one_root(g, E), g.ctx)
         if len(orbit) != d:
             raise CertificateFailed(
                 f"a root of a degree-{d} factor has a Frobenius orbit of "
                 f"length {len(orbit)}")
-        g, rem = divmod(g, functools.reduce(
-            operator.mul, [x - s for s in orbit]))
+        g, rem = divmod(g, m)
         if rem:
             raise CertificateFailed(
                 f"a Frobenius orbit does not divide the degree-{d} part")
@@ -777,11 +782,14 @@ def _log_histogram(modulus):
     """hist[e] = #{a in GF(q): log(beta + a) = e} in GF(q^2)*.
 
     beta is `one_root` of M in GF(q^2), so GF(q)[T]/(M) is GF(q^2) with
-    T -> beta and hist[e] counts the residues T + a of discrete log e.
+    T -> beta and hist[e] counts the residues T + a of discrete log e.  The
+    other root beta^q gives hist[e q mod (q^2 - 1)] in place of hist[e],
+    which `l_polynomial` cannot tell apart: the odd characters are closed
+    under j -> j q.
     """
     ctx = modulus.ctx
     K = create_field(ctx.p, 2 * ctx.n)
-    beta = one_root(modulus.as_poly().embed_into(K))
+    beta = one_root(modulus.as_poly(), K)
     hist = [0] * (K.order - 1)
     for a in ctx.iter_elements():
         hist[K.dlog(beta + embed(a, K))] += 1

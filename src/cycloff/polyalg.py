@@ -7,17 +7,21 @@ structural equality is semantic equality.
 
 Everything here is exact.  The irreducibility test uses root search up to
 degree 3 and Ben-Or's incremental gcd(f, T^(q^i) - T) test above that.
-Roots in an extension GF(Q) come from one splitting routine, one_root:
-deterministic equal-degree splitting (von zur Gathen-Gerhard, Modern
-Computer Algebra, ch. 14; Cantor-Zassenhaus 1981) that follows one branch
-to a single root, so its cost grows with log Q, not Q.  roots_in applies
-it to gcd(f, X^Q - X), dividing out one root at a time; a caller that
-wants one root per Frobenius orbit, or the roots of an irreducible,
+Roots in an extension GF(Q) come from one splitting routine for every
+characteristic, one_root: Berlekamp's trace splitter (Math. Comp. 24,
+1970) on the Frobenius images X^(p^j) mod f, computed once over f's own
+field, one p-th power each (von zur Gathen-Shoup, Comput. Complexity 2,
+1992).  It follows one branch to a single root with gcds and products in
+GF(Q) only; nothing is powered modulo a polynomial over GF(Q).  roots_in
+applies it to gcd(f, X^Q - X), taken over f's field, and divides out the
+Frobenius orbit of each root found, a polynomial over that field; a
+caller that wants one root per orbit, or the roots of an irreducible,
 takes that root's Frobenius powers instead.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
-included), product, division, gcd, powers, modular powering, RatFunc
-products and reduction to lowest terms, and Mobius substitution
+included), product, truncated product (mul_trunc, for power series),
+division, gcd, powers, modular powering, evaluation, RatFunc products and
+reduction to lowest terms, and Mobius substitution
 (RatFunc.compose_fractional) run on lists of generator exponents, adding
 with Zech's logarithm table; each converts once on entry and once on exit.
 Only fields above the cap keep the FieldElem loops.  gf finds each field's
@@ -33,6 +37,9 @@ a time; the inverse is the cofactor of that product over the norm, so no
 extended Euclid runs over GF(q)(T).
 """
 
+import functools
+import operator
+
 from . import gf
 from .errors import (
     BothZero,
@@ -40,6 +47,7 @@ from .errors import (
     ConstantPolynomial,
     CtxMismatch,
     DivisionByZero,
+    NoEmbedding,
     ParseError,
     ZeroPolynomial,
     ZeroValuation,
@@ -173,16 +181,7 @@ class Poly:
         if ctx._zech is not None:
             return _from_exps(ctx, _exp_mul(_to_exps(self, ctx),
                                             _to_exps(other, ctx), ctx))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(ctx)
-        zero = ctx.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x.is_zero():
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
-        return Poly(self.ctx, out)
+        return Poly(ctx, _elem_mul(self.coeffs, other.coeffs, ctx))
 
     __rmul__ = __mul__
 
@@ -256,6 +255,8 @@ class Poly:
         tgt = point.ctx
         coeffs = (self.coeffs if tgt is self.ctx
                   else [gf.embed(c, tgt) for c in self.coeffs])
+        if tgt._zech is not None:
+            return _exp_eval(coeffs, point, tgt)
         acc = tgt.zero
         for c in reversed(coeffs):
             acc = acc * point + c
@@ -388,15 +389,22 @@ def _from_exps(ctx, a):
     return Poly(ctx, [zero if k is None else elems[k] for k in a])
 
 
-def _exp_mul(a, b, ctx):
+def _exp_mul(a, b, ctx, size=None):
+    """a*b; with ``size``, its first ``size`` coefficients only, and no
+    term of higher degree is formed."""
     if not a or not b:
         return []
     zech, m = ctx._zech, ctx.order - 1
+    cut = size is not None
     terms = [(j, y) for j, y in enumerate(b) if y is not None]
-    out = [None] * (len(a) + len(b) - 1)
+    out = [None] * (size if cut else len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x is None:
             continue
+        if cut:
+            # terms landing at degree >= size leave from the top
+            while terms and terms[-1][0] + i >= size:
+                terms.pop()
         for j, y in terms:
             j += i
             t = x + y
@@ -406,7 +414,67 @@ def _exp_mul(a, b, ctx):
             else:
                 z = zech[(t - c) % m]
                 out[j] = None if z is None else (c + z) % m
+    if cut:
+        while out and out[-1] is None:
+            out.pop()
     return out
+
+
+def _elem_mul(a, b, ctx, size=None):
+    """The product of two coefficient tuples on FieldElem loops; with
+    ``size``, as _exp_mul."""
+    if not a or not b:
+        return []
+    cut = size is not None
+    terms = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    out = [ctx.zero] * (size if cut else len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        if cut:
+            while terms and terms[-1][0] + i >= size:
+                terms.pop()
+        for j, y in terms:
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def mul_trunc(f, g, m):
+    """f*g mod X^m, for power series cut to m terms; no term of degree m
+    or more is formed, on either kernel."""
+    ctx = f.ctx
+    if g.ctx is not ctx:
+        raise CtxMismatch("polynomials over different fields")
+    a, b = f.coeffs[:m], g.coeffs[:m]
+    size = min(m, len(a) + len(b) - 1)
+    if ctx._zech is not None:
+        log = ctx._log
+        return _from_exps(ctx, _exp_mul([log.get(c.coeffs) for c in a],
+                                        [log.get(c.coeffs) for c in b],
+                                        ctx, size))
+    return Poly(ctx, _elem_mul(a, b, ctx, size))
+
+
+def _exp_eval(coeffs, point, ctx):
+    """Horner's rule on generator exponents: a product adds the exponent
+    of the point, a sum takes one Zech lookup."""
+    log, zech, m = ctx._log, ctx._zech, ctx.order - 1
+    k = log.get(point.coeffs)
+    if k is None:
+        return coeffs[0] if coeffs else ctx.zero
+    acc = None
+    for c in reversed(coeffs):
+        if acc is not None:
+            acc = (acc + k) % m
+        t = log.get(c.coeffs)
+        if t is None:
+            continue
+        if acc is None:
+            acc = t
+        else:
+            z = zech[(t - acc) % m]
+            acc = None if z is None else (acc + z) % m
+    return ctx.zero if acc is None else ctx._elems[acc]
 
 
 def _exp_reduce(rem, b, ctx, quo=None):
@@ -517,71 +585,129 @@ def _exp_powmod(base, e, mod, ctx):
 def roots_in(f, ext):
     """All roots of f in the extension context, with multiplicity, lex order.
 
-    The distinct roots are those of g = gcd(f, X^Q - X); each round takes
-    one of them with ``one_root`` and divides its linear factor out.  Lex
-    order of coefficient vectors is the order of ``ext.iter_elements()``.
+    The distinct roots are those of g = gcd(f, X^Q - X), taken over f's own
+    field F with X^Q = X^(|F|^d) mod f from ``_xq_power``.  g is over F, so
+    its roots come in Frobenius orbits over F: each round takes one root
+    with ``one_root``, its orbit, and divides the orbit's product, a
+    polynomial over F, out of g (``_orbit_factor``).  Lex order of
+    coefficient vectors is the order of ``ext.iter_elements()``.
     """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of 0")
-    fe = f.embed_into(ext) if ext is not f.ctx else f
-    if fe.is_constant():
+    F = f.ctx
+    if ext.p != F.p or ext.n % F.n:
+        raise NoEmbedding(f"{F.name} is not a subfield of {ext.name}")
+    if f.is_constant():
         return []
-    fe = fe.monic()
-    g = poly_gcd(fe, _xq_power(fe, 1) - Poly.gen(ext))
+    f = f.monic()
+    g = poly_gcd(f, _xq_power(f, ext.n // F.n) - Poly.gen(F))
     distinct = []
     while not g.is_constant():
-        distinct.append(one_root(g))
-        g = g // Poly(ext, (-distinct[-1], ext.one))
+        orbit, m = _orbit_factor(one_root(g, ext), F)
+        g, rem = divmod(g, m)
+        if rem:
+            raise CertificateFailed("a Frobenius orbit of roots does not "
+                                    "divide gcd(f, X^Q - X)")
+        distinct.extend(orbit)
     roots = []
     for e in sorted(distinct, key=lambda r: r.coeffs):
-        roots.extend([e] * root_multiplicity(fe, e))
+        roots.extend([e] * root_multiplicity(f, e))
     return roots
 
 
-def one_root(g):
-    """One root of a monic g that splits into distinct linear factors.
+def _orbit_factor(r, F):
+    """(orbit, m): the orbit of r under x -> x^|F|, and m = prod (X - s)
+    over it as a polynomial over F, read back through ``gf.preimages``."""
+    orbit, nxt = [r], r.frob(F.n)
+    while nxt != r:
+        orbit.append(nxt)
+        nxt = nxt.frob(F.n)
+    ext = r.ctx
+    m = functools.reduce(operator.mul,
+                         [Poly(ext, (-s, ext.one)) for s in orbit])
+    back = gf.preimages(F, ext)
+    return orbit, Poly(F, [back[c] for c in m.coeffs])
 
-    Deterministic equal-degree splitting: the shift a runs through the
-    field in ``iter_elements`` order, and each shift that separates roots
-    of g splits it; only the smaller factor is kept, so each split at least
-    halves the degree.  Every pair of distinct roots is separated by some
-    a, so one pass over the field always reaches a linear factor;
-    CertificateFailed if no shift splits what is left.
+
+def one_root(f, ext):
+    """One root in ext of f, a polynomial over a subfield F of ext whose
+    roots all lie in ext and are distinct.
+
+    Berlekamp's trace splitter (*Math. Comp.* 24, 1970) on Frobenius
+    images computed once (von zur Gathen-Shoup, *Comput. Complexity* 2,
+    1992): tau_j = X^(p^j) mod f for j < N = [ext:GF(p)], over F, one p-th
+    power each.  For a in ext, T_a = sum_j a^(p^j) tau_j takes the value
+    Tr(a r) in GF(p) at every root r, so the gcds of g with T_a - c,
+    c in GF(p), split the roots of g by that value, and the smaller part
+    is kept; once T_a mod g is constant, all roots of g share it.  a runs
+    through the power basis of ext, where the trace form is nondegenerate,
+    so any two distinct roots differ in some Tr(a r), and one pass leaves
+    a linear factor.  Every part is a gcd with g and every quotient exact,
+    so that factor divides f whatever the images are; CertificateFailed if
+    no shift splits what is left, as when f has a repeated root or a root
+    outside ext.  Only p-th powers over F and products in ext are formed,
+    no powering modulo a polynomial over ext.
     """
-    for a in g.ctx.iter_elements():
-        if g.degree == 1:
-            break
-        part = poly_gcd(g, _splitter(g, a))
-        if 0 < part.degree < g.degree:
-            rest = g // part
-            g = part if part.degree <= rest.degree else rest
+    f = f.monic()
+    g = f.embed_into(ext)
+    if g.degree > 1:
+        p, N = ext.p, ext.n
+        images = [tau.embed_into(ext) for tau in _frobenius_images(f, N)]
+        # apow[j] = a^(p^j) for the current basis element a = t^k
+        apow = [ext.one] * N
+        tpow = [ext.t_class]
+        for _ in range(N - 1):
+            tpow.append(tpow[-1] ** p)
+        for k in range(N):
+            if g.degree == 1:
+                break
+            if k:
+                apow = [a * w for a, w in zip(apow, tpow)]
+            u = _scaled_sum(apow, images)
+            if u.degree >= g.degree:
+                u = u % g
+            for c in range(p):
+                if u.is_constant():
+                    break
+                part = poly_gcd(g, u - c)
+                if 0 < part.degree < g.degree:
+                    rest = g // part
+                    g = part if part.degree <= rest.degree else rest
+                    u = u % g
     if g.degree != 1:
         raise CertificateFailed(f"{format_poly(g, 'X')} does not split into "
                                 "distinct linear factors")
     return -g.coeffs[0]
 
 
-def _splitter(h, a):
-    """The test polynomial of ``one_root`` for the shift a, reduced mod h.
+def _scaled_sum(cs, fs):
+    """sum_j cs[j] fs[j] for field elements cs and polynomials fs."""
+    ctx = fs[0].ctx
+    if ctx._zech is not None:
+        log, acc = ctx._log, []
+        for c, f in zip(cs, fs):
+            k = log.get(c.coeffs)
+            if k is not None:
+                _exp_add_scaled(acc, k, _to_exps(f, ctx), ctx)
+        return _from_exps(ctx, acc)
+    return functools.reduce(operator.add, [f * c for c, f in zip(cs, fs)])
 
-    For odd p it is (X+a)^((Q-1)/2) - 1, which vanishes at r iff r+a is a
-    nonzero square; for p = 2 it is the trace Tr(aX) = sum_{i<n} (aX)^(2^i),
-    which vanishes at r iff Tr(ar) = 0, so any a with Tr(a(r-s)) = 1
-    separates r and s.
-    """
-    ctx = h.ctx
-    if ctx.p == 2:
-        t = Poly(ctx, (ctx.zero, a)) % h
-        acc = t
-        for _ in range(ctx.n - 1):
-            t = (t * t) % h
-            acc = acc + t
-        return acc
-    return _powmod(Poly(ctx, (a, ctx.one)), (ctx.order - 1) // 2, h) - 1
+
+def _frobenius_images(f, count):
+    """X^(p^j) mod f for j < count, over f's field; each image is the
+    p-th power of the one before, by ``Poly.frob_power``."""
+    t = Poly.gen(f.ctx) % f
+    out = [t]
+    for _ in range(count - 1):
+        t = t.frob_power(1) % f
+        out.append(t)
+    return out
 
 
 def root_multiplicity(f, c):
     """Multiplicity of c as a root of f; c may live in an extension."""
+    if f.is_constant():
+        return 0
     ext = c.ctx
     fe = f.embed_into(ext) if ext is not f.ctx else f
     lin = Poly(ext, (-c, ext.one))

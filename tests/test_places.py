@@ -18,7 +18,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloff import cli, gf, places
+from cycloff import cli, gf, places, polyalg
 from cycloff.carlitz import iter_irreducible_moduli
 from cycloff.errors import (
     CertificateFailed,
@@ -54,6 +54,7 @@ from cycloff.polyalg import (
     INFINITY,
     Poly,
     RatFunc,
+    _powmod,
     format_poly,
     is_irreducible,
     poly_gcd,
@@ -617,9 +618,9 @@ def test_closed_points_match_the_per_degree_scan(curve, monkeypatch):
     split = places._orbit_leaders
     parts = []
 
-    def spy(part, E, n, d):
+    def spy(part, E, d):
         parts.append(part)
-        return split(part, E, n, d)
+        return split(part, E, d)
 
     monkeypatch.setattr(places, "_orbit_leaders", spy)
     assert _closed_point_candidates(curve, [f * factors[3]]) == want
@@ -657,24 +658,99 @@ def test_orbit_leaders_match_roots_in(degrees):
     E = create_field(3, d)
     want = leaders_by_roots_in(f, E, 1)
     assert len(want) == len(degrees)
-    assert places._orbit_leaders(f, E, 1, d) == want
+    assert places._orbit_leaders(f, E, d) == want
     assert _closed_point_candidates(C3, [f]) == [(d, r) for r in want]
+
+
+def powering_one_root(g):
+    """One root of g over E by deterministic equal-degree splitting with
+    powers mod g over E: the shift a runs through E, and the test
+    polynomial is (X+a)^((Q-1)/2) - 1 for odd p, or the trace
+    sum_{i<n} (aX)^(2^i) for p = 2; the smaller factor is kept."""
+    E = g.ctx
+    for a in E.iter_elements():
+        if g.degree == 1:
+            break
+        if E.p == 2:
+            t = Poly(E, (E.zero, a)) % g
+            test = t
+            for _ in range(E.n - 1):
+                t = (t * t) % g
+                test = test + t
+        else:
+            test = _powmod(Poly(E, (a, E.one)), (E.order - 1) // 2, g) - 1
+        part = poly_gcd(g, test)
+        if 0 < part.degree < g.degree:
+            rest = g // part
+            g = part if part.degree <= rest.degree else rest
+    assert g.degree == 1
+    return -g.coeffs[0]
+
+
+def leaders_by_powering(f, E, n):
+    """Least root by to_int of each Frobenius orbit, one powering-split
+    root per orbit, with the orbit products divided out over E."""
+    g, x, out = f.embed_into(E), Poly.gen(E), []
+    while not g.is_constant():
+        r = powering_one_root(g)
+        orbit = [r]
+        while orbit[-1].frob(n) != r:
+            orbit.append(orbit[-1].frob(n))
+        g, rem = divmod(g, functools.reduce(operator.mul,
+                                            [x - s for s in orbit]))
+        assert not rem
+        out.append(min(orbit, key=lambda e: e.to_int()))
+    return sorted(out, key=lambda e: e.to_int())
+
+
+@pytest.mark.parametrize("pn,d,count", [
+    ((3, 1), 7, 2), ((3, 1), 8, 1), ((3, 1), 9, 2), ((5, 1), 8, 1),
+    ((3, 2), 4, 2), ((2, 3), 6, 2)],
+    ids=["GF(3)-d7x2", "GF(3)-d8", "GF(3)-d9x2", "GF(5)-d8", "GF(9)-d4x2",
+         "GF(8)-d6x2"])
+def test_orbit_leaders_match_the_powering_oracle(pn, d, count):
+    # the trace splitter and the powering splitter it replaced name the
+    # same closed points, on table fields and packed ones alike
+    K = create_field(*pn)
+    f = functools.reduce(operator.mul, least_irreducibles(K, d, count))
+    E = create_field(K.p, K.n * d)
+    want = leaders_by_powering(f, E, K.n)
+    assert len(want) == count
+    assert places._orbit_leaders(f, E, d) == want
+
+
+def test_orbit_leaders_power_only_over_the_small_field(monkeypatch):
+    # the roots in GF(3^9) come from Frobenius images over GF(3): no
+    # modular powering runs over the big field
+    E = create_field(3, 9)
+    (f,) = least_irreducibles(F3, 9, 1)
+    moduli = []
+    real = polyalg._powmod
+
+    def spy(base, e, mod):
+        moduli.append(mod.ctx)
+        return real(base, e, mod)
+
+    monkeypatch.setattr(polyalg, "_powmod", spy)
+    assert len(places._orbit_leaders(f, E, 9)) == 1
+    assert E not in moduli
 
 
 def test_a_wrong_root_fails_the_orbit_certificate(monkeypatch):
     # a patched non-root with a full orbit leaves a remainder
     (f,) = least_irreducibles(F3, 7, 1)
     real = places.one_root
-    monkeypatch.setattr(places, "one_root", lambda g: real(g) + 1)
+    monkeypatch.setattr(places, "one_root", lambda g, E: real(g, E) + 1)
     with pytest.raises(CertificateFailed, match="does not divide"):
-        places._orbit_leaders(f, create_field(3, 7), 1, 7)
+        places._orbit_leaders(f, create_field(3, 7), 7)
 
 
 def test_a_short_orbit_fails_the_orbit_certificate():
     # a rational root hidden in a degree-7 part has an orbit of length 1
     (f,) = least_irreducibles(F3, 7, 1)
     with pytest.raises(CertificateFailed, match="length 1"):
-        places._orbit_leaders(f * vpoly(C3, 2, 1), create_field(3, 7), 1, 7)
+        places._orbit_leaders(f * vpoly(C3, 2, 1), create_field(3, 7),
+                               7)
 
 
 @pytest.mark.parametrize("curve,deg", [(C3, 13), (C7, 8)],
@@ -1119,6 +1195,27 @@ def test_corrupt_histogram_raises(curve, monkeypatch):
             moved[(e + d) % n] += 1
             corruptions.append(moved)
     _check_corruptions(curve, corruptions, monkeypatch)
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5, C7, C8, C9],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
+def test_l_polynomial_from_either_root_of_m(curve, monkeypatch):
+    # beta^q, the other root of M, permutes the histogram by e -> e q
+    # (at q = 4 and 8 onto itself) and leaves L as it is, so no caller
+    # depends on which root one_root finds
+    first = _log_histogram(curve.modulus)
+    real, used = places.one_root, []
+
+    def conjugate(f, K):
+        used.append((real(f, K), real(f, K).frob(K.n // 2)))
+        return used[-1][1]
+
+    monkeypatch.setattr(places, "one_root", conjugate)
+    other = _log_histogram(curve.modulus)
+    n, q = len(first), curve.q
+    assert used[0][0] != used[0][1]
+    assert other == [first[e * q % n] for e in range(n)]
+    assert l_polynomial.__wrapped__(curve) == l_polynomial(curve)
 
 
 @pytest.mark.parametrize("curve", [C5, C7], ids=["q5", "q7"])

@@ -36,6 +36,7 @@ from cycloff.polyalg import (
     _powmod,
     format_poly,
     is_irreducible,
+    mul_trunc,
     one_root,
     parse_poly,
     poly_gcd,
@@ -189,11 +190,38 @@ def test_one_root_finds_a_root_or_refuses(pn):
     elems = list(ctx.iter_elements())
     for roots in itertools.combinations(elems, 3):
         g = functools.reduce(operator.mul, [x - r for r in roots])
-        assert one_root(g) in roots
+        assert one_root(g, ctx) in roots
     irreducible = next(f for f in (x * x + x * b + c for b in elems
                                    for c in elems) if is_irreducible(f))
     with pytest.raises(CertificateFailed, match="distinct linear"):
-        one_root(irreducible)
+        one_root(irreducible, ctx)
+
+
+@pytest.mark.parametrize("pn,d", [((3, 1), 7), ((2, 1), 6), ((5, 1), 4),
+                                  ((3, 2), 3), ((2, 2), 4)])
+def test_one_root_with_a_corrupt_frobenius_image(pn, d, monkeypatch):
+    # tau_1 replaced by X: the shifts no longer read traces, but every part
+    # is still a gcd with g, so one_root finds a true root or refuses
+    F = gf.create_field(*pn)
+    ext = gf.create_field(F.p, F.n * d)
+    real = polyalg._frobenius_images
+
+    def corrupt(f, count):
+        images = real(f, count)
+        images[1] = Poly.gen(f.ctx)
+        return images
+
+    monkeypatch.setattr(polyalg, "_frobenius_images", corrupt)
+    tails = itertools.product(list(F.iter_elements()), repeat=d)
+    irreducibles = list(itertools.islice(
+        (f for f in (Poly(F, list(t) + [F.one]) for t in tails)
+         if is_irreducible(f)), 2))
+    for f in irreducibles + [irreducibles[0] * irreducibles[1]]:
+        try:
+            r = one_root(f, ext)
+        except CertificateFailed:
+            continue
+        assert f(r).is_zero()
 
 
 @pytest.mark.parametrize("src,tgt", [((2, 2), (2, 4)), ((2, 3), (2, 6)),
@@ -211,7 +239,7 @@ def test_embedding_refuses_an_image_that_is_no_root(src, tgt, monkeypatch):
     # _embed_powers takes one root and trusts only what it checks: a
     # patched one_root that hands back a non-root must fail the certificate
     src, tgt = gf.create_field(*src), gf.create_field(*tgt)
-    monkeypatch.setattr(polyalg, "one_root", lambda g: g.ctx.one)
+    monkeypatch.setattr(polyalg, "one_root", lambda g, ext: ext.one)
     with pytest.raises(CertificateFailed, match="no root of the modulus"):
         gf._embed_powers.__wrapped__(src, tgt)
 
@@ -365,6 +393,14 @@ def check_against_oracle(f, g, e, sub):
     (numerator, denominator) pair substituted into f/g and multiplied
     with it."""
     assert f * g == school_mul(f, g)
+    ctx = f.ctx
+    for x in (ctx.zero, ctx.one, ctx.from_int(ctx.order - 1)):
+        # the value is sum c_i x^i, with x^i as repeated products
+        assert f(x) == functools.reduce(operator.add, [
+            c * functools.reduce(operator.mul, [x] * i, ctx.one)
+            for i, c in enumerate(f.coeffs)], ctx.zero)
+    for m in (1, 3, 6):
+        assert mul_trunc(f, g, m) == Poly(f.ctx, school_mul(f, g).coeffs[:m])
     assert f ** e == school_pow(f, e)
     if not g.is_zero():
         r = RatFunc(f, g)
@@ -413,6 +449,22 @@ def test_kernels_match_the_schoolbook_oracle(fields, data):
     # a shared factor makes the gcd nontrivial
     if not g.is_zero():
         check_against_oracle(school_mul(f, g), g, e, sub)
+
+
+def test_truncated_product_forms_no_term_past_the_cut(monkeypatch):
+    # over GF(2^11) the loops kernel multiplies field elements, so the
+    # products it forms can be counted: one per (i, j) with i + j < m
+    ctx = gf.create_field(2, 11)
+    f, g = (Poly(ctx, [ctx.from_int(3 * i + k) for i in range(1, 9)])
+            for k in (1, 2))
+    calls = []
+    real = gf.FieldElem.__mul__
+    monkeypatch.setattr(gf.FieldElem, "__mul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    got = mul_trunc(f, g, 5)
+    assert len(calls) == 5 + 4 + 3 + 2 + 1
+    monkeypatch.undo()
+    assert got == Poly(ctx, (f * g).coeffs[:5])
 
 
 @pytest.mark.parametrize("pn", TABLE_FIELDS + LOOP_FIELDS)
