@@ -19,7 +19,6 @@ from .autgroup import (
     quotient_is_pgl23,
     stabilizer,
 )
-from .autgroup import compose as compose_aut
 from .carlitz import (
     CarlitzPoly,
     CycModel,

@@ -30,6 +30,7 @@ products: the coefficient vectors packed one slot per coefficient
 """
 
 import functools
+import itertools
 import struct
 from math import isqrt
 
@@ -285,8 +286,8 @@ class FieldCtx:
 
     def iter_elements(self):
         """All field elements in lex order of coefficient vectors."""
-        for v in range(self.order):
-            yield self.from_int(_lex_to_packed(self, v))
+        for t in itertools.product(range(self.p), repeat=self.n):
+            yield FieldElem(self, t)
 
     # -- tuple-level arithmetic ---------------------------------------------
 
@@ -484,19 +485,6 @@ def _packed_kernel(p, n, modulus):
             struct.Struct(f"<{edge}{slots}{edge}"), packed)
 
 
-def _lex_to_packed(ctx, v):
-    """Map a lex rank (c_0 most significant) to the packed base-p integer."""
-    digits = []
-    for _ in range(ctx.n):
-        digits.append(v % ctx.p)
-        v //= ctx.p
-    # digits are (c_{n-1}, ..., c_0); packed wants c_0 at least weight
-    packed = 0
-    for c in digits:
-        packed = packed * ctx.p + c
-    return packed
-
-
 @functools.lru_cache(maxsize=None)
 def _field_ctx(p, n):
     """The one context of GF(p^n); create_field checks p, n and the cap."""
@@ -625,23 +613,7 @@ def parse_element(ctx, s, symbol="g"):
     text = s.replace(" ", "")
     if not text:
         raise ParseError("empty element literal")
-    # normalize leading sign and split into signed terms
-    terms = []
-    i = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        i = 1
-    start = i
-    while i <= len(text):
-        if i == len(text) or text[i] in "+-":
-            if i == start:
-                raise ParseError(f"malformed element literal {s!r}")
-            terms.append((sign, text[start:i]))
-            if i < len(text):
-                sign = -1 if text[i] == "-" else 1
-            start = i + 1
-        i += 1
+    terms = _split_terms(text, s)
     coeffs = [0] * ctx.n
     for sgn, term in terms:
         coef, exp = _parse_term(ctx, term, symbol, s)
@@ -649,6 +621,42 @@ def parse_element(ctx, s, symbol="g"):
             raise ParseError(f"exponent {exp} too large for {ctx.name}")
         coeffs[exp] = (coeffs[exp] + sgn * coef) % ctx.p
     return ctx.elem(coeffs)
+
+
+def _split_terms(text, original):
+    """(sign, term) pairs of a literal cut at its +/- signs outside
+    parentheses; parse_element and polyalg.parse_poly share it."""
+    terms = []
+    depth = 0
+    sign = 1
+    i = 0
+    if text[0] in "+-":
+        sign = -1 if text[0] == "-" else 1
+        i = 1
+    start = i
+    while i <= len(text):
+        if i == len(text):
+            if i == start:
+                raise ParseError(f"malformed literal {original!r}")
+            terms.append((sign, text[start:i]))
+            break
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced parens in {original!r}")
+        elif ch in "+-" and depth == 0:
+            if i == start:
+                raise ParseError(f"malformed literal {original!r}")
+            terms.append((sign, text[start:i]))
+            sign = -1 if ch == "-" else 1
+            start = i + 1
+        i += 1
+    if depth:
+        raise ParseError(f"unbalanced parens in {original!r}")
+    return terms
 
 
 def _parse_term(ctx, term, symbol, original):

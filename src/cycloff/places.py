@@ -36,8 +36,9 @@ from .kummer import KummerCurve
 from .polyalg import (
     INFINITY,
     Poly,
-    _orbit_factor,
-    _powmod,
+    _coprime_part,
+    _distinct_degree,
+    _orbits,
     format_poly,
     mul_trunc,
     one_root,
@@ -403,49 +404,25 @@ def _generic_valuation(curve, coords, c, ys, expansions):
 # -- principal divisors ------------------------------------------------------
 
 
-def _pth_root_poly(f):
-    ctx = f.ctx
-    p = ctx.p
-    e = p ** (ctx.n - 1)  # inverse Frobenius exponent on GF(p^n)
-    coeffs = [f.coeff(i * p) ** e for i in range(f.degree // p + 1)]
-    return Poly(ctx, coeffs)
-
-
-def _radical(f):
-    """Separable polynomial with the same root set as f."""
-    ctx = f.ctx
-    out = Poly.one(ctx)
-    while not f.is_constant():
-        d = f.derivative()
-        if d.is_zero():
-            f = _pth_root_poly(f)
-            continue
-        g = poly_gcd(f, d)
-        if g.is_one() and out.is_one():
-            return f.monic()  # squarefree, so its own radical
-        part = (f // g).monic()
-        out = out * (part // poly_gcd(out, part))
-        f = g
-    return out.monic()
-
-
 def _closed_point_candidates(curve, polys):
     """Closed points (degree, lex-least rep) under all roots of the inputs.
 
     The ramified locus is divided out before any splitting: h.num * h.den
     vanishes exactly at the q rational points and the quadratic point, so
-    the radical of each input loses gcd(rest, h.num * h.den) and has no
-    rational root left, and the distinct-degree loop takes its first gcd
-    at d = 2.  It carries X^(q^d) mod rest from one degree to the next,
-    one q-th power each.  A candidate polynomial whose roots do not all
-    split within the degree/order caps raises rather than silently
-    dropping support.  The points of each degree d come from
-    `_orbit_leaders`, one root per closed point.
+    each input loses every copy of its factors there and keeps no rational
+    root.  `polyalg._distinct_degree` then parts what is left by factor
+    degree, for each d with q^d <= gf.ORDER_CAP; a candidate with a factor
+    past that raises rather than silently dropping support.  The points of
+    each degree d are the Frobenius orbits of `polyalg._orbits` in
+    GF(q^d), each of which must have length d, named by its least element
+    by ``to_int`` and taken in that order.
     """
     ctx = curve.ctx
     p, n, q = ctx.p, ctx.n, curve.q
     ramified = curve.h.num * curve.h.den
-    x = Poly.gen(ctx)
+    top = 1
+    while q ** (top + 1) <= gf.ORDER_CAP:
+        top += 1
     seen = set()
     out = []
     done = set()
@@ -456,59 +433,24 @@ def _closed_point_candidates(curve, polys):
         if f in done:
             continue
         done.add(f)
-        rest = _radical(f)
-        rest = rest // poly_gcd(rest, ramified)
-        t = x
-        for d in range(1, rest.degree + 1):
-            if rest.is_constant() or q ** d > gf.ORDER_CAP:
-                break
-            # rest only loses factors, so the last t reduced mod the new
-            # rest is X^(q^(d-1)) there, and t becomes X^(q^d) mod rest
-            t = _powmod(t, q, rest)
-            if d == 1:
-                continue
-            # every factor of degree < d is gone, so this is the product of
-            # the irreducible factors of degree exactly d
-            part = poly_gcd(rest, t - x)
-            if part.is_constant():
-                continue
-            rest = rest // part
-            for r in _orbit_leaders(part, create_field(p, n * d), d):
-                if (d, r) not in seen:
-                    seen.add((d, r))
-                    out.append((d, r))
+        parts, rest = _distinct_degree(_coprime_part(f, ramified), top)
         if not rest.is_constant():
             raise GenericPlaceUnsupported(
                 f"support of {format_poly(f, 'v')} does not split under "
                 f"the field cap {gf.ORDER_CAP}")
+        for d, part in parts:
+            leaders = []
+            for orbit in _orbits(part, create_field(p, n * d)):
+                if len(orbit) != d:
+                    raise CertificateFailed(
+                        f"a root of a degree-{d} factor has a Frobenius "
+                        f"orbit of length {len(orbit)}")
+                leaders.append(min(orbit, key=lambda e: e.to_int()))
+            for r in sorted(leaders, key=lambda e: e.to_int()):
+                if (d, r) not in seen:
+                    seen.add((d, r))
+                    out.append((d, r))
     return out
-
-
-def _orbit_leaders(part, E, d):
-    """Least root by ``to_int`` of each Frobenius orbit of the roots in
-    E = GF(p^(nd)) of ``part``, a product of distinct irreducibles of
-    degree d over GF(p^n); sorted by ``to_int``.
-
-    Each round takes one root r of what is left (``one_root``) and divides
-    out prod_i (X - r^(q^i)) over its orbit, a polynomial over GF(p^n), so
-    what is left stays a product of irreducibles over GF(p^n) and is
-    never split further than one root per factor.  An orbit of length
-    other than d or a nonzero remainder raises CertificateFailed.
-    """
-    g = part
-    leaders = []
-    while not g.is_constant():
-        orbit, m = _orbit_factor(one_root(g, E), g.ctx)
-        if len(orbit) != d:
-            raise CertificateFailed(
-                f"a root of a degree-{d} factor has a Frobenius orbit of "
-                f"length {len(orbit)}")
-        g, rem = divmod(g, m)
-        if rem:
-            raise CertificateFailed(
-                f"a Frobenius orbit does not divide the degree-{d} part")
-        leaders.append(min(orbit, key=lambda e: e.to_int()))
-    return sorted(leaders, key=lambda e: e.to_int())
 
 
 def _fiber_norm(curve, d, c):
@@ -810,12 +752,15 @@ def l_polynomial(curve):
     sum_{odd chi} S_chi^k = N H_k[0] - (q+1) sum_{(q+1) | e} H_k[e],
     since the q+1 even characters sum to (q+1) [(q+1) | e].  Newton's
     identities turn these power sums of the reciprocal roots -S_chi into
-    the coefficients.  Each division there must be exact, every power sum
-    must lie in the Weil envelope S_k^2 <= 4 g^2 q^k, the degree must be
-    2g, every coefficient must satisfy the functional equation, and N_k
-    must equal the point count for every q^k <= gf.TABLE_CAP, which reads
-    h and gamma where L reads only M; FunctionalEquationViolated
-    otherwise.  This is the one place where L is checked.
+    the coefficients.  The odd characters are closed under j -> t j for
+    every unit t mod N, so for any integer histogram the coefficients are
+    rational integers and each division there is exact.  Every power sum
+    must lie in the Weil envelope S_k^2 <= 4 g^2 q^k, every coefficient
+    must satisfy the functional equation (at degree 0 it asks for the
+    leading coefficient q^g, so L has degree 2g), and N_k must equal the
+    point count for every q^k <= gf.TABLE_CAP, which reads h and gamma
+    where L reads only M; FunctionalEquationViolated otherwise.  This is
+    the one place where L is checked.
     """
     q = curve.q
     if q > PIPELINE_Q_CAP:
@@ -831,18 +776,11 @@ def l_polynomial(curve):
         S.append((-1) ** k * (N * conv[0] - (q + 1) * sum(conv[::q + 1])))
     coeffs = [1]
     for k in range(1, 2 * g + 1):
-        c, r = divmod(-sum(x * S[k - j] for j, x in enumerate(coeffs)), k)
-        if r:
-            raise FunctionalEquationViolated(
-                f"power sums give no integer coefficient at degree {k}")
-        coeffs.append(c)
+        coeffs.append(-sum(x * S[k - j] for j, x in enumerate(coeffs)) // k)
     for k in range(1, 2 * g + 1):
         if S[k] ** 2 > 4 * g * g * q ** k:
             raise FunctionalEquationViolated(
                 f"Weil envelope breached at k={k}")
-    if not coeffs[-1]:
-        raise FunctionalEquationViolated(
-            f"L-polynomial has degree below 2g = {2 * g}")
     for i in range(2 * g + 1):
         if q ** i * coeffs[2 * g - i] != q ** g * coeffs[i]:
             raise FunctionalEquationViolated(

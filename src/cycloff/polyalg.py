@@ -12,11 +12,11 @@ characteristic, one_root: Berlekamp's trace splitter (Math. Comp. 24,
 1970) on the Frobenius images X^(p^j) mod f, computed once over f's own
 field, one p-th power each (von zur Gathen-Shoup, Comput. Complexity 2,
 1992).  It follows one branch to a single root with gcds and products in
-GF(Q) only; nothing is powered modulo a polynomial over GF(Q).  roots_in
-applies it to gcd(f, X^Q - X), taken over f's field, and divides out the
-Frobenius orbit of each root found, a polynomial over that field; a
-caller that wants one root per orbit, or the roots of an irreducible,
-takes that root's Frobenius powers instead.
+GF(Q) only; nothing is powered modulo a polynomial over GF(Q).  Splitting
+happens in one place, for roots_in and for the divisor supports alike:
+_distinct_degree takes f apart by the degree of its irreducible factors
+over f's own field, with no radical, and _orbits turns each such part
+into the Frobenius orbits of its roots, one one_root call per orbit.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, truncated product (mul_trunc, for power series),
@@ -343,15 +343,6 @@ def is_irreducible(f):
     return True
 
 
-def _xq_power(f, j):
-    """T^(q^j) mod f by iterated q-th powering."""
-    q = f.ctx.order
-    t = Poly.gen(f.ctx) % f
-    for _ in range(j):
-        t = _powmod(t, q, f)
-    return t
-
-
 def _powmod(base, e, mod):
     ctx = mod.ctx
     if ctx._zech is not None:
@@ -585,12 +576,12 @@ def _exp_powmod(base, e, mod, ctx):
 def roots_in(f, ext):
     """All roots of f in the extension context, with multiplicity, lex order.
 
-    The distinct roots are those of g = gcd(f, X^Q - X), taken over f's own
-    field F with X^Q = X^(|F|^d) mod f from ``_xq_power``.  g is over F, so
-    its roots come in Frobenius orbits over F: each round takes one root
-    with ``one_root``, its orbit, and divides the orbit's product, a
-    polynomial over F, out of g (``_orbit_factor``).  Lex order of
-    coefficient vectors is the order of ``ext.iter_elements()``.
+    ext = GF(|F|^k) for f's own field F holds the roots of exactly those
+    irreducible factors of f over F whose degree d divides k:
+    ``_distinct_degree`` gives the product of each degree's factors and
+    ``_orbits`` splits the ones with d | k into Frobenius orbits over F.
+    Lex order of coefficient vectors is the order of
+    ``ext.iter_elements()``.
     """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of 0")
@@ -600,33 +591,77 @@ def roots_in(f, ext):
     if f.is_constant():
         return []
     f = f.monic()
-    g = poly_gcd(f, _xq_power(f, ext.n // F.n) - Poly.gen(F))
-    distinct = []
-    while not g.is_constant():
-        orbit, m = _orbit_factor(one_root(g, ext), F)
-        g, rem = divmod(g, m)
-        if rem:
-            raise CertificateFailed("a Frobenius orbit of roots does not "
-                                    "divide gcd(f, X^Q - X)")
-        distinct.extend(orbit)
+    k = ext.n // F.n
+    distinct = [r for d, part in _distinct_degree(f, k)[0] if k % d == 0
+                for orbit in _orbits(part, ext) for r in orbit]
     roots = []
     for e in sorted(distinct, key=lambda r: r.coeffs):
         roots.extend([e] * root_multiplicity(f, e))
     return roots
 
 
-def _orbit_factor(r, F):
-    """(orbit, m): the orbit of r under x -> x^|F|, and m = prod (X - s)
-    over it as a polynomial over F, read back through ``gf.preimages``."""
-    orbit, nxt = [r], r.frob(F.n)
-    while nxt != r:
-        orbit.append(nxt)
-        nxt = nxt.frob(F.n)
-    ext = r.ctx
-    m = functools.reduce(operator.mul,
-                         [Poly(ext, (-s, ext.one)) for s in orbit])
+def _distinct_degree(f, top):
+    """([(d, part)], rest) for a monic f over F = GF(q): part is the product
+    of the distinct irreducible factors of f of degree d, for each d <= top
+    that has one, and rest is f with every copy of them divided out.
+
+    Once every factor of degree < d is gone from rest, gcd(rest, X^(q^d) - X)
+    is the degree-d part, squarefree whatever the multiplicities in f
+    (von zur Gathen-Gerhard, *Modern Computer Algebra*, 14.2), so no radical
+    is taken.  t = X^(q^d) mod rest is carried forward, one q-th power per
+    degree: rest only loses factors, so the last t reduced mod the new rest
+    is still X^(q^(d-1)) there.
+    """
+    x = Poly.gen(f.ctx)
+    parts, rest, t = [], f, x
+    for d in range(1, top + 1):
+        if rest.is_constant():
+            break
+        t = _powmod(t, f.ctx.order, rest)
+        part = poly_gcd(rest, t - x)
+        if not part.is_constant():
+            parts.append((d, part))
+            rest = _coprime_part(rest, part)
+    return parts, rest
+
+
+def _coprime_part(f, g):
+    """f with every copy of each irreducible factor it shares with g
+    divided out, by one gcd loop."""
+    c = poly_gcd(f, g)
+    while not c.is_constant():
+        f = f // c
+        c = poly_gcd(f, c)
+    return f
+
+
+def _orbits(g, ext):
+    """The Frobenius orbits over F = g.ctx of the roots of g in ext, for g a
+    product of distinct irreducibles over F whose roots all lie in ext.
+
+    Each round takes one root r of what is left (``one_root``) and divides
+    out prod (X - s) over the orbit s = r^(|F|^i), a polynomial over F read
+    back through ``gf.preimages``, so what is left stays over F and is never
+    split further than one root per factor.  A remainder raises
+    CertificateFailed.
+    """
+    F = g.ctx
     back = gf.preimages(F, ext)
-    return orbit, Poly(F, [back[c] for c in m.coeffs])
+    out = []
+    while not g.is_constant():
+        r = one_root(g, ext)
+        orbit, nxt = [r], r.frob(F.n)
+        while nxt != r:
+            orbit.append(nxt)
+            nxt = nxt.frob(F.n)
+        m = functools.reduce(operator.mul,
+                             [Poly(ext, (-s, ext.one)) for s in orbit])
+        g, rem = divmod(g, Poly(F, [back[c] for c in m.coeffs]))
+        if rem:
+            raise CertificateFailed("a Frobenius orbit of roots does not "
+                                    "divide the polynomial it came from")
+        out.append(orbit)
+    return out
 
 
 def one_root(f, ext):
@@ -1293,7 +1328,7 @@ def parse_poly(ctx, s, var="T"):
     text = s.replace(" ", "")
     if not text:
         raise ParseError("empty polynomial literal")
-    terms = _split_terms(text, s)
+    terms = gf._split_terms(text, s)
     out = {}
     for sgn, term in terms:
         coef, exp = _parse_poly_term(ctx, term, var, s)
@@ -1302,40 +1337,6 @@ def parse_poly(ctx, s, var="T"):
     deg = max(out) if out else 0
     coeffs = [out.get(i, ctx.zero) for i in range(deg + 1)]
     return Poly(ctx, coeffs)
-
-
-def _split_terms(text, original):
-    terms = []
-    depth = 0
-    sign = 1
-    i = 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        i = 1
-    start = i
-    while i <= len(text):
-        if i == len(text):
-            if i == start:
-                raise ParseError(f"malformed literal {original!r}")
-            terms.append((sign, text[start:i]))
-            break
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parens in {original!r}")
-        elif ch in "+-" and depth == 0:
-            if i == start:
-                raise ParseError(f"malformed literal {original!r}")
-            terms.append((sign, text[start:i]))
-            sign = -1 if ch == "-" else 1
-            start = i + 1
-        i += 1
-    if depth:
-        raise ParseError(f"unbalanced parens in {original!r}")
-    return terms
 
 
 def _parse_poly_term(ctx, term, var, original):

@@ -323,6 +323,8 @@ def test_tables_match_the_polynomial_path_exhaustively(p, n):
     ctx = gf.create_field(p, n)
     assert ctx._log is not None and len(ctx._log) == ctx.order - 1
     elems = [e.coeffs for e in ctx.iter_elements()]
+    # every element once, in lex order of (c_0, ..., c_{n-1})
+    assert elems == sorted(set(elems)) and len(elems) == p ** n
     for i, a in enumerate(elems):
         for b in elems:
             check_table_ops(ctx, a, b, i)

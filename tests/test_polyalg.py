@@ -281,6 +281,19 @@ def test_roots_in_matches_the_scan(pn, data):
     f = data.draw(factored_polys(base))
     ext = gf.create_field(pn[0], pn[1] * data.draw(st.integers(1, 4)))
     assert roots_in(f, ext) == scan_roots(f, ext)
+    f, want = inseparable_roots(base, ext)
+    assert roots_in(f, ext) == want
+
+
+@functools.lru_cache(maxsize=None)
+def inseparable_roots(base, ext):
+    """(f, roots of f in ext by scan) for f = g^p times a squared
+    irreducible quadratic, g = T^3 + T + 1; scanned once per field pair."""
+    quad = next(Poly(base, (a, b, base.one))
+                for a in base.iter_elements() for b in base.iter_elements()
+                if is_irreducible(Poly(base, (a, b, base.one))))
+    f = Poly.from_ints(base, [1, 1, 0, 1]) ** base.p * quad ** 2
+    return f, scan_roots(f, ext)
 
 
 @settings(max_examples=60, deadline=None)
@@ -749,9 +762,12 @@ def test_parse_known_values():
 
 
 def test_parse_errors():
+    # element literals share the term splitter, so they refuse them too
     for bad in ["", "T^", "2T", "((T)", "T^x", "*T", "T+"]:
         with pytest.raises(ParseError):
             parse_poly(F5, bad)
+        with pytest.raises(ParseError):
+            gf.parse_element(F9, bad, "T")
 
 
 def test_format_descending_order():
