@@ -254,24 +254,13 @@ def invert(a):
     return out
 
 
-def _power(a, e):
-    """a^e for e >= 1 by square-and-multiply compose."""
-    result = None
-    while e:
-        if e & 1:
-            result = a if result is None else compose(a, result)
-        e >>= 1
-        if e:
-            a = compose(a, a)
-    return result
-
-
 def _has_order(a, n):
     """Is the order of a exactly n?  a^n = 1 and a^(n/r) != 1 for every
     prime r | n; a handful of powerings instead of n steps."""
-    if not _power(a, n).is_identity:
+    if not gf.power(a, n, compose, None).is_identity:
         return False
-    return not any(_power(a, n // r).is_identity for r in gf.factorize(n))
+    return not any(gf.power(a, n // r, compose, None).is_identity
+                   for r in gf.factorize(n))
 
 
 # -- the concrete generators ------------------------------------------------

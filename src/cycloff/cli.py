@@ -289,15 +289,16 @@ def build_config(argv):
                         help='modulus literal, e.g. "T^2+1"')
         sp.add_argument("--gamma", default=None,
                         help="twist scalar literal; defaults per pipeline")
-        sp.add_argument("-k", type=int, default=1,
-                        help="largest constant-field extension degree")
+        if name in ("count", "verify"):
+            sp.add_argument("-k", type=int, default=1,
+                            help="largest constant-field extension degree")
         sp.add_argument("--out", default=None,
                         help="also write the JSON payload to this path")
         if name == "verify":
             sp.add_argument("which", choices=VERIFY_TARGETS)
     ns = parser.parse_args(argv)
     return RunConfig(command=ns.command, q=ns.q, modulus=ns.modulus,
-                     gamma=ns.gamma, k=ns.k, out=ns.out,
+                     gamma=ns.gamma, k=getattr(ns, "k", 1), out=ns.out,
                      which=getattr(ns, "which", None))
 
 

@@ -76,6 +76,20 @@ def factorize(m):
     return fs
 
 
+def power(x, e, mul, one):
+    """x^e for an int e >= 0 by square-and-multiply under ``mul``, at most
+    2 * e.bit_length() products; e = 0 gives ``one``, which is never
+    multiplied (von zur Gathen-Gerhard, *Modern Computer Algebra*, 4.3)."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if result is None else result
+
+
 def _least_irreducible(p, n):
     """Lex-least monic irreducible of degree n over GF(p); T itself for n=1."""
     if n == 1:
@@ -324,14 +338,7 @@ class FieldCtx:
         return self._poly_pow(a, self.order - 2)
 
     def _poly_pow(self, a, e):
-        result = self._one.coeffs
-        base = a
-        while e:
-            if e & 1:
-                result = self._poly_mul(result, base)
-            base = self._poly_mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, self._poly_mul, self._one.coeffs)
 
     def _build_tables(self):
         """Antilog table ``_exp`` (generator powers, twice round), ``_log``,

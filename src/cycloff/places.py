@@ -433,7 +433,7 @@ def _closed_point_candidates(curve, polys):
         if f in done:
             continue
         done.add(f)
-        parts, rest = _distinct_degree(_coprime_part(f, ramified), top)
+        *parts, (_, rest) = _distinct_degree(_coprime_part(f, ramified), top)
         if not rest.is_constant():
             raise GenericPlaceUnsupported(
                 f"support of {format_poly(f, 'v')} does not split under "

@@ -5,18 +5,20 @@ zeros; the zero polynomial is the empty tuple and reports degree -inf.
 Rational functions are stored fully reduced with monic denominator, so
 structural equality is semantic equality.
 
-Everything here is exact.  The irreducibility test uses root search up to
-degree 3 and Ben-Or's incremental gcd(f, T^(q^i) - T) test above that.
-Roots in an extension GF(Q) come from one splitting routine for every
-characteristic, one_root: Berlekamp's trace splitter (Math. Comp. 24,
-1970) on the Frobenius images X^(p^j) mod f, computed once over f's own
-field, one p-th power each (von zur Gathen-Shoup, Comput. Complexity 2,
-1992).  It follows one branch to a single root with gcds and products in
-GF(Q) only; nothing is powered modulo a polynomial over GF(Q).  Splitting
-happens in one place, for roots_in and for the divisor supports alike:
+Everything here is exact.  Every power, plain or modulo a polynomial, is
+gf.power's square-and-multiply.  Roots in an extension GF(Q) come from one
+splitting routine for every characteristic, one_root: Berlekamp's trace
+splitter (Math. Comp. 24, 1970) on the Frobenius images X^(p^j) mod f,
+computed once over f's own field, one p-th power each (von zur
+Gathen-Shoup, Comput. Complexity 2, 1992).  It follows one branch to a
+single root with gcds and products in GF(Q) only; nothing is powered
+modulo a polynomial over GF(Q).  Splitting happens in one place, for
+roots_in, the divisor supports and the irreducibility test alike:
 _distinct_degree takes f apart by the degree of its irreducible factors
 over f's own field, with no radical, and _orbits turns each such part
 into the Frobenius orbits of its roots, one one_root call per orbit.
+is_irreducible reads only its first part: f of degree d is irreducible
+iff gcd(f, T^(q^i) - T) = 1 for every i <= d/2 (Ben-Or, FOCS 1981).
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, truncated product (mul_trunc, for power series),
@@ -225,15 +227,10 @@ class Poly:
             raise ValueError("polynomial powers take non-negative ints")
         ctx = self.ctx
         if ctx._zech is not None:
-            return _from_exps(ctx, _exp_pow(_to_exps(self, ctx), e, ctx))
-        result = Poly.one(ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            return _from_exps(ctx, gf.power(
+                _to_exps(self, ctx), e,
+                lambda a, b: _exp_mul(a, b, ctx), [0]))
+        return gf.power(self, e, operator.mul, Poly.one(ctx))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -317,30 +314,15 @@ def poly_gcd(f, g):
 
 
 def is_irreducible(f):
-    """Irreducibility over the coefficient field GF(q).
-
-    Degree 2 and 3 short-circuit through root search.  Higher degrees use
-    Ben-Or's test: f is irreducible iff gcd(f, T^(q^i) - T) = 1 for
-    i = 1..floor(d/2), with one q-th powering mod f per step, so a
-    candidate with a factor of degree i is rejected after i powerings.
+    """Irreducibility over the coefficient field GF(q): f of degree d has
+    no factor of degree <= d/2 (Ben-Or, FOCS 1981).  The first part that
+    _distinct_degree yields settles it, so a candidate with a factor of
+    degree i is rejected after i q-th powerings mod f.
     """
     d = f.degree
     if d is NEG_INF or d < 1:
         raise ConstantPolynomial("irreducibility needs degree >= 1")
-    if d == 1:
-        return True
-    ctx = f.ctx
-    if not f.coeff(0):
-        return False  # divisible by T
-    if d <= 3:
-        return all(f(e) for e in ctx.iter_elements())
-    x = Poly.gen(ctx)
-    t = x
-    for _ in range(d // 2):
-        t = _powmod(t, ctx.order, f)
-        if not poly_gcd(f, t - x).is_one():
-            return False
-    return True
+    return next(_distinct_degree(f, d // 2))[0] == 0
 
 
 def _powmod(base, e, mod):
@@ -348,16 +330,13 @@ def _powmod(base, e, mod):
     if ctx._zech is not None:
         if mod.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        return _from_exps(ctx, _exp_powmod(_to_exps(base, ctx), e,
-                                           _to_exps(mod, ctx), ctx))
-    result = Poly.one(ctx) % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+        m = _to_exps(mod, ctx)
+        return _from_exps(ctx, gf.power(
+            _exp_reduce(_to_exps(base, ctx), m, ctx), e,
+            lambda a, b: _exp_reduce(_exp_mul(a, b, ctx), m, ctx),
+            _exp_reduce([0], m, ctx)))
+    return gf.power(base % mod, e, lambda a, b: (a * b) % mod,
+                    Poly.one(ctx) % mod)
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +493,6 @@ def _exp_gcd(a, b, ctx):
     return [None if k is None else (k - lc) % m for k in a]
 
 
-def _exp_pow(a, e, ctx):
-    """a^e by square-and-multiply; a^0 = [0], the constant 1."""
-    result = None
-    while e:
-        if e & 1:
-            result = a if result is None else _exp_mul(result, a, ctx)
-        e >>= 1
-        if e:
-            a = _exp_mul(a, a, ctx)
-    return [0] if result is None else result
-
-
 def _exp_add_scaled(acc, c, b, ctx):
     """acc += g^c * b in place; acc may be shorter than b.  Returns acc."""
     zech, m = ctx._zech, ctx.order - 1
@@ -561,18 +528,6 @@ def _exp_reduce_fraction(num, den, ctx):
     return num, den
 
 
-def _exp_powmod(base, e, mod, ctx):
-    result = _exp_reduce([0], mod, ctx)
-    base = _exp_reduce(base, mod, ctx)
-    while e:
-        if e & 1:
-            result = _exp_reduce(_exp_mul(result, base, ctx), mod, ctx)
-        e >>= 1
-        if e:
-            base = _exp_reduce(_exp_mul(base, base, ctx), mod, ctx)
-    return result
-
-
 def roots_in(f, ext):
     """All roots of f in the extension context, with multiplicity, lex order.
 
@@ -592,7 +547,8 @@ def roots_in(f, ext):
         return []
     f = f.monic()
     k = ext.n // F.n
-    distinct = [r for d, part in _distinct_degree(f, k)[0] if k % d == 0
+    *parts, _ = _distinct_degree(f, k)
+    distinct = [r for d, part in parts if k % d == 0
                 for orbit in _orbits(part, ext) for r in orbit]
     roots = []
     for e in sorted(distinct, key=lambda r: r.coeffs):
@@ -601,9 +557,11 @@ def roots_in(f, ext):
 
 
 def _distinct_degree(f, top):
-    """([(d, part)], rest) for a monic f over F = GF(q): part is the product
-    of the distinct irreducible factors of f of degree d, for each d <= top
-    that has one, and rest is f with every copy of them divided out.
+    """Yields (d, part) for f over F = GF(q), for each d <= top at which f
+    has an irreducible factor, part the monic product of the distinct ones,
+    and then (0, rest): f with every copy of them divided out.  Each part
+    is yielded before it is divided out, so a caller that stops at the
+    first pays for nothing past it.
 
     Once every factor of degree < d is gone from rest, gcd(rest, X^(q^d) - X)
     is the degree-d part, squarefree whatever the multiplicities in f
@@ -613,16 +571,16 @@ def _distinct_degree(f, top):
     is still X^(q^(d-1)) there.
     """
     x = Poly.gen(f.ctx)
-    parts, rest, t = [], f, x
+    rest, t = f, x
     for d in range(1, top + 1):
         if rest.is_constant():
             break
         t = _powmod(t, f.ctx.order, rest)
         part = poly_gcd(rest, t - x)
         if not part.is_constant():
-            parts.append((d, part))
+            yield d, part
             rest = _coprime_part(rest, part)
-    return parts, rest
+    yield 0, rest
 
 
 def _coprime_part(f, g):
@@ -1197,14 +1155,7 @@ class QuotientElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        acc = self.alg.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return gf.power(self, e, operator.mul, self.alg.one())
 
     def conjugate(self, k):
         """sigma^k(self): the algebra's sigma^k(y) substituted for y.

@@ -204,6 +204,17 @@ def test_count_q4(capsys):
     assert len(doc["N"]) == 2 and doc["N"][0] == 5
 
 
+def test_k_is_read_by_count_and_verify_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["aut", "-q", "3", "-M", "T^2+1", "-k", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, doc = _run_json(["verify", "-q", "3", "-M", "T^2+1", "-k", "2",
+                           "all"], capsys)
+    assert code == 0
+    assert len(doc["reports"]["count"]["N"]) == 2
+
+
 def test_lspaces_q5(capsys):
     code, doc = _run_json(["verify", "-q", "5", "-M", "T^2+2", "lspaces"],
                           capsys)

@@ -77,6 +77,7 @@ EXPECTED_MODULI = {
     (3, 6): (1, 0, 0, 0, 1, 1, 1),
     (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
     (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
     (5, 4): (1, 0, 1, 1, 1),
     (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
     (7, 4): (1, 0, 0, 1, 1),
@@ -120,6 +121,43 @@ def test_create_field_guards():
         gf.create_field(2, 21)
     with pytest.raises(NotPrime):
         gf.field_from_order(12)
+
+
+def test_power_matches_repeated_multiplication():
+    m = 101
+
+    def mul(a, b):
+        return a * b % m
+
+    for x in (0, 1, 2, 57, 100):
+        acc = 1
+        for e in range(71):
+            assert gf.power(x, e, mul, 1) == acc
+            acc = mul(acc, x)
+
+
+def test_power_zero_returns_one_untouched():
+    def mul(a, b):
+        raise AssertionError("e = 0 multiplies nothing")
+
+    one = object()
+    assert gf.power(5, 0, mul, one) is one
+
+
+def test_power_counts_its_products():
+    # bit_length - 1 squarings and popcount - 1 products into the result,
+    # so never more than 2 * e.bit_length()
+    calls = []
+
+    def mul(a, b):
+        calls.append(None)
+        return a * b % 101
+
+    for e in range(1, 300):
+        calls.clear()
+        gf.power(3, e, mul, 1)
+        assert len(calls) == e.bit_length() + bin(e).count("1") - 2
+        assert len(calls) <= 2 * e.bit_length()
 
 
 def oracle_order(ctx, e):

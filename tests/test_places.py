@@ -765,7 +765,7 @@ def test_a_short_orbit_fails_the_orbit_certificate(monkeypatch):
     (f,) = least_irreducibles(F3, 7, 1)
     part = f * vpoly(C3, 2, 1)
     monkeypatch.setattr(places, "_distinct_degree",
-                        lambda g, top: ([(7, part)], Poly.one(F3)))
+                        lambda g, top: iter([(7, part), (0, Poly.one(F3))]))
     with pytest.raises(CertificateFailed, match="length 1"):
         _closed_point_candidates(C3, [f])
 

@@ -100,7 +100,8 @@ def scan_roots(f, ext):
     fe = f.embed_into(ext) if ext is not f.ctx else f
     roots = []
     for e in ext.iter_elements():
-        roots.extend([e] * root_multiplicity(fe, e))
+        if fe(e).is_zero():
+            roots.extend([e] * root_multiplicity(fe, e))
     return roots
 
 
@@ -147,13 +148,22 @@ def test_irreducible_frozen():
 
 @pytest.mark.parametrize("ctx,maxdeg", [(F4, 4), (F3, 4), (F5, 3)])
 def test_irreducible_vs_oracle(ctx, maxdeg):
+    # all_monic includes every f with f(0) = 0; each f is also taken with
+    # a leading coefficient other than 1, and g^2 and g^p are reducible
+    # for every irreducible g
+    lead = ctx.generator
     for d in range(2, maxdeg + 1):
         for f in all_monic(ctx, d):
-            assert is_irreducible(f) == oracle_is_irreducible(f), str(f)
+            irreducible = oracle_is_irreducible(f)
+            assert is_irreducible(f) == irreducible, str(f)
+            g = f * lead
+            assert is_irreducible(g) == oracle_is_irreducible(g), str(g)
+            if irreducible:
+                assert not is_irreducible(f ** 2), str(f)
+                assert not is_irreducible(f ** ctx.p), str(f)
 
 
-def test_irreducible_uses_high_degree_path():
-    # degree 5 exercises the T^(q^d) branch rather than root search
+def test_irreducible_degree_five_frozen():
     f = Poly.from_ints(F3, [1, 2, 0, 0, 0, 1])
     assert is_irreducible(f) == oracle_is_irreducible(f)
     g = Poly.from_ints(F3, [1, 0, 0, 0, 0, 1])  # T^5+1 = (T+1)^5 has a root

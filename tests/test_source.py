@@ -95,6 +95,20 @@ def test_every_private_helper_is_referenced():
             if read[node.name] == _names_read(node)[node.name]] == []
 
 
+def test_one_square_and_multiply_loop():
+    # every power goes through gf.power, so its e >>= 1 is the only one; a
+    # second would be a new copy of the loop
+    trees = _package_trees()
+    shifts = [(mod, node.lineno) for mod, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
+              and isinstance(node.op, ast.RShift)]
+    power = next(node for node in trees["gf.py"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "power")
+    assert len(shifts) == 1
+    mod, line = shifts[0]
+    assert mod == "gf.py" and power.lineno <= line <= power.end_lineno
+
+
 def test_every_traced_name_resolves():
     # perfbench/spans.py patches these names from outside the package, so a
     # rename or deletion must fail here, not later under --trace 1; the file
