@@ -167,7 +167,7 @@ class Aut:
                      tuple(c.to_int() for c in fe.num.coeffs),
                      tuple(c.to_int() for c in fe.den.coeffs))
         if not self._satisfies_law(curve):
-            raise ValueError("map violates f^(q-1) * h^k = h o mobius")
+            raise CertificateFailed("map violates f^(q-1) * h^k = h o mobius")
 
     def _satisfies_law(self, curve):
         ext = _ext_ctx(curve.h.ctx)
@@ -266,13 +266,11 @@ def _has_order(a, n):
 # -- the concrete generators ------------------------------------------------
 
 
-def make_rho(curve, model):
+def make_rho(curve):
     """Transport the unit-group generator to an Aut on (v, y)."""
     if not isinstance(curve, KummerCurve):
         raise CtxMismatch("rho lives on a Kummer curve")
-    mod = model.modulus
-    if mod != curve.modulus:
-        raise CtxMismatch("curve and torsion model disagree on (a, b)")
+    mod = curve.modulus
     q, ctx = curve.q, curve.ctx
     u = mod.unit_group_generator()
     c0, c1 = u.rep.coeff(0), u.rep.coeff(1)
@@ -590,9 +588,9 @@ def quotient_is_pgl23(table):
     return len(perms) == 24
 
 
-def group_report(curve, model):
+def group_report(curve):
     """JSON-ready summary of the computed group and its place action."""
-    rho = make_rho(curve, model)
+    rho = make_rho(curve)
     gens = [rho]
     if curve.ctx.p == 2:
         gens.append(make_omega(curve))

@@ -39,7 +39,6 @@ from .errors import (
 from .polyalg import (
     Poly,
     QuotientAlgebra,
-    _powmod,
     format_poly,
     is_irreducible,
 )
@@ -193,7 +192,9 @@ class Modulus(Record):
         return self.unit(u.rep * w.rep)
 
     def unit_pow(self, u, e):
-        return UnitClass(_powmod(u.rep, e % (self.q ** 2 - 1), self.as_poly()))
+        m = self.as_poly()
+        return UnitClass(gf.power(u.rep, e % (self.q ** 2 - 1),
+                                  lambda a, b: a * b % m, Poly.one(self.ctx)))
 
     def unit_order(self, u):
         n = self.q ** 2 - 1

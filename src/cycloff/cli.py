@@ -15,7 +15,7 @@ import sys
 from . import gf
 from .autgroup import group_report
 from .carlitz import CycModel, Modulus
-from .errors import CycloffError, ParseError, TooLarge, ZeroElement
+from .errors import CycloffError, ParseError, TooLarge, WrongQ, ZeroElement
 from .kummer import KummerCurve, elimination_certificate
 from .places import (
     PIPELINE_Q_CAP,
@@ -89,6 +89,8 @@ class _Run:
         cfg = self.cfg
         if cfg.q > PIPELINE_Q_CAP:
             raise TooLarge(f"pipelines are capped at q <= {PIPELINE_Q_CAP}")
+        if cfg.q < 3:
+            raise WrongQ(f"the covers need q >= 3, got q={cfg.q}")
         ctx = gf.field_from_order(cfg.q)
         mod = _parse_modulus(ctx, cfg.modulus)
         return mod, _pick_gamma(cfg, ctx, mod)
@@ -198,7 +200,7 @@ def _expects_exceptional_group(q, mod, gamma):
 
 def cmd_aut(run):
     q, curve = run.cfg.q, run.curve
-    rep = group_report(curve, run.model)
+    rep = group_report(curve)
     if _expects_exceptional_group(q, curve.modulus, curve.gamma):
         expected = 6 * (q ** 2 - 1)
         claims = {
@@ -284,7 +286,7 @@ def build_config(argv):
                  "verify"):
         sp = sub.add_parser(name)
         sp.add_argument("-q", type=int, required=True,
-                        help="field size, a prime power at most 9")
+                        help="field size, a prime power with 3 <= q <= 9")
         sp.add_argument("-M", required=True, dest="modulus",
                         help='modulus literal, e.g. "T^2+1"')
         sp.add_argument("--gamma", default=None,

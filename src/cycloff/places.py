@@ -338,13 +338,14 @@ def _series_inv(a, m):
     return g
 
 
-def _laurent(r, c, m):
-    # (order, unit series mod t^m) of r at v = c + t
+def _laurent(num, den, K, c, m):
+    # (order, unit series mod t^m) of num/den at v = c + t; the polynomials
+    # reach c's field E through K
     E = c.ctx
     shift = Poly(E, (c, E.one))
     units = []
-    for f in (r.num, r.den):
-        coeffs = f.embed_into(E).compose(shift).coeffs
+    for f in (num, den):
+        coeffs = f.embed_into(K).embed_into(E).compose(shift).coeffs
         o = next(i for i, x in enumerate(coeffs) if not x.is_zero())
         units.append((o, Poly(E, coeffs[o:o + m])))
     (on, nu), (od, du) = units
@@ -358,9 +359,8 @@ def _y_branch(H, y0, n, m):
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
-        pw = Poly.one(E)
-        for _ in range(n - 1):
-            pw = mul_trunc(pw, y, prec)
+        pw = gf.power(y, n - 1, lambda a, b: mul_trunc(a, b, prec),
+                      Poly.one(E))
         diff = mul_trunc(pw, y, prec) - _trunc(H, prec)
         y = y - mul_trunc(diff, _series_inv(pw * n, prec), prec)
     return y
@@ -380,8 +380,8 @@ def _generic_valuation(curve, coords, c, ys, expansions):
     while m <= _SERIES_PREC_CAP:
         if m not in expansions:
             # h and the coordinates reach E through K, as c does
-            expansions[m] = (_laurent(curve.h.embed_into(K), cE, m)[1],
-                             {i: _laurent(r.embed_into(K), cE, m)
+            expansions[m] = (_laurent(curve.h.num, curve.h.den, K, cE, m)[1],
+                             {i: _laurent(r.num, r.den, K, cE, m)
                               for i, r in enumerate(coords) if r})
         hser, terms = expansions[m]
         ybr = _y_branch(hser, ys, curve.q - 1, m)
@@ -754,21 +754,33 @@ def l_polynomial(curve):
     identities turn these power sums of the reciprocal roots -S_chi into
     the coefficients.  The odd characters are closed under j -> t j for
     every unit t mod N, so for any integer histogram the coefficients are
-    rational integers and each division there is exact.  Every power sum
-    must lie in the Weil envelope S_k^2 <= 4 g^2 q^k, every coefficient
-    must satisfy the functional equation (at degree 0 it asks for the
-    leading coefficient q^g, so L has degree 2g), and N_k must equal the
-    point count for every q^k <= gf.TABLE_CAP, which reads h and gamma
-    where L reads only M; FunctionalEquationViolated otherwise.  This is
-    the one place where L is checked.
+    rational integers and each division there is exact.
+
+    Three checks, FunctionalEquationViolated at the first that fails; this
+    is the one place where L is checked.  The logs of the q residues T + a
+    must form a relative difference set in Z/N (Bose, *Sankhya* 6, 1942):
+    D[d] = sum_e H[e] H[e + d] is q at d = 0, 0 at the other multiples of
+    q+1 and 1 elsewhere.  Its Fourier transform |S_chi|^2 then equals q
+    for every odd chi, which is the Riemann hypothesis for L, exactly.
+    Every coefficient must satisfy the functional equation (at degree 0 it
+    asks for the leading coefficient q^g, so L has degree 2g).  On a
+    difference set it follows, as q/S_chi is the conjugate of S_chi, so
+    it checks the power sums and Newton's identities, not H.  N_k must
+    equal the point count for every q^k <= gf.TABLE_CAP, which reads h
+    and gamma where L reads only M.
     """
     q = curve.q
     if q > PIPELINE_Q_CAP:
         raise TooLarge(f"L-polynomials are capped at q <= PIPELINE_Q_CAP = "
                        f"{PIPELINE_Q_CAP}, not q={q}")
     N, g = q * q - 1, genus_formula(q)
-    occupied = [(f, c) for f, c in enumerate(_log_histogram(curve.modulus))
-                if c]
+    hist = _log_histogram(curve.modulus)
+    occupied = [(f, c) for f, c in enumerate(hist) if c]
+    for d in range(N):
+        if sum(c * hist[(f + d) % N] for f, c in occupied) != (
+                q if d == 0 else int(d % (q + 1) != 0)):
+            raise FunctionalEquationViolated(
+                f"the log histogram is no relative difference set at d={d}")
     # S[k] = sum of (-S_chi)^k; conv[e - f] wraps mod N by negative index
     conv, S = [1] + [0] * (N - 1), [0]
     for k in range(1, 2 * g + 1):
@@ -777,10 +789,6 @@ def l_polynomial(curve):
     coeffs = [1]
     for k in range(1, 2 * g + 1):
         coeffs.append(-sum(x * S[k - j] for j, x in enumerate(coeffs)) // k)
-    for k in range(1, 2 * g + 1):
-        if S[k] ** 2 > 4 * g * g * q ** k:
-            raise FunctionalEquationViolated(
-                f"Weil envelope breached at k={k}")
     for i in range(2 * g + 1):
         if q ** i * coeffs[2 * g - i] != q ** g * coeffs[i]:
             raise FunctionalEquationViolated(

@@ -5,8 +5,11 @@ zeros; the zero polynomial is the empty tuple and reports degree -inf.
 Rational functions are stored fully reduced with monic denominator, so
 structural equality is semantic equality.
 
-Everything here is exact.  Every power, plain or modulo a polynomial, is
-gf.power's square-and-multiply.  Roots in an extension GF(Q) come from one
+Everything here is exact.  Every power of a polynomial is gf.power's
+square-and-multiply.  Modulo a polynomial only Frobenius steps are taken,
+Poly.frob_power and one reduction: X^(q^d) in _distinct_degree and
+X^(p^j) in _frobenius_images (von zur Gathen-Gerhard, *Modern Computer
+Algebra*, 14.2).  Roots in an extension GF(Q) come from one
 splitting routine for every characteristic, one_root: Berlekamp's trace
 splitter (Math. Comp. 24, 1970) on the Frobenius images X^(p^j) mod f,
 computed once over f's own field, one p-th power each (von zur
@@ -22,12 +25,15 @@ iff gcd(f, T^(q^i) - T) = 1 for every i <= d/2 (Ben-Or, FOCS 1981).
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, truncated product (mul_trunc, for power series),
-division, gcd, powers, modular powering, evaluation, RatFunc products and
-reduction to lowest terms, and Mobius substitution
-(RatFunc.compose_fractional) run on lists of generator exponents, adding
-with Zech's logarithm table; each converts once on entry and once on exit.
-Only fields above the cap keep the FieldElem loops.  gf finds each field's
-modulus with is_irreducible here, over GF(p).
+division, gcd, evaluation and root multiplicity run on lists of generator
+exponents, adding with Zech's logarithm table; each converts once on entry
+and once on exit.  Fields above the cap, which root finding and the series
+at extension points reach, keep FieldElem loops for these six.  Powers and
+sums of scaled polynomials are built from them.  RatFunc lives over table
+fields only (TooLarge above the cap), so its products, reduction to lowest
+terms and Mobius substitution (RatFunc.compose_fractional) have only the
+exponent form.  gf finds each field's modulus with is_irreducible here,
+over GF(p).
 
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field
@@ -51,6 +57,7 @@ from .errors import (
     DivisionByZero,
     NoEmbedding,
     ParseError,
+    TooLarge,
     ZeroPolynomial,
     ZeroValuation,
 )
@@ -225,12 +232,7 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take non-negative ints")
-        ctx = self.ctx
-        if ctx._zech is not None:
-            return _from_exps(ctx, gf.power(
-                _to_exps(self, ctx), e,
-                lambda a, b: _exp_mul(a, b, ctx), [0]))
-        return gf.power(self, e, operator.mul, Poly.one(ctx))
+        return gf.power(self, e, operator.mul, Poly.one(self.ctx))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -317,26 +319,12 @@ def is_irreducible(f):
     """Irreducibility over the coefficient field GF(q): f of degree d has
     no factor of degree <= d/2 (Ben-Or, FOCS 1981).  The first part that
     _distinct_degree yields settles it, so a candidate with a factor of
-    degree i is rejected after i q-th powerings mod f.
+    degree i is rejected after i Frobenius steps mod f.
     """
     d = f.degree
     if d is NEG_INF or d < 1:
         raise ConstantPolynomial("irreducibility needs degree >= 1")
     return next(_distinct_degree(f, d // 2))[0] == 0
-
-
-def _powmod(base, e, mod):
-    ctx = mod.ctx
-    if ctx._zech is not None:
-        if mod.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        m = _to_exps(mod, ctx)
-        return _from_exps(ctx, gf.power(
-            _exp_reduce(_to_exps(base, ctx), m, ctx), e,
-            lambda a, b: _exp_reduce(_exp_mul(a, b, ctx), m, ctx),
-            _exp_reduce([0], m, ctx)))
-    return gf.power(base % mod, e, lambda a, b: (a * b) % mod,
-                    Poly.one(ctx) % mod)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +502,10 @@ def _exp_add_scaled(acc, c, b, ctx):
 
 
 def _exp_reduce_fraction(num, den, ctx):
-    """num/den in lowest terms with monic denominator; both are consumed."""
+    """num/den in lowest terms with monic denominator, as two Polys; the
+    exponent lists num and den are consumed."""
     if not num:
-        return [], [0]
+        return Poly.zero(ctx), Poly.one(ctx)
     g = _exp_gcd(list(num), list(den), ctx)
     if len(g) > 1:
         num = _exp_divmod(num, g, ctx)[0]
@@ -525,7 +514,7 @@ def _exp_reduce_fraction(num, den, ctx):
     if lc:
         num = [None if k is None else (k - lc) % m for k in num]
         den = [None if k is None else (k - lc) % m for k in den]
-    return num, den
+    return _from_exps(ctx, num), _from_exps(ctx, den)
 
 
 def roots_in(f, ext):
@@ -566,16 +555,18 @@ def _distinct_degree(f, top):
     Once every factor of degree < d is gone from rest, gcd(rest, X^(q^d) - X)
     is the degree-d part, squarefree whatever the multiplicities in f
     (von zur Gathen-Gerhard, *Modern Computer Algebra*, 14.2), so no radical
-    is taken.  t = X^(q^d) mod rest is carried forward, one q-th power per
-    degree: rest only loses factors, so the last t reduced mod the new rest
-    is still X^(q^(d-1)) there.
+    is taken.  t = X^(q^d) mod rest is carried forward, one Frobenius step
+    per degree: t has its coefficients in F, so its q-th power only spreads
+    them (``Poly.frob_power``) before one reduction, and rest only loses
+    factors, so the last t reduced mod the new rest is still X^(q^(d-1))
+    there.
     """
     x = Poly.gen(f.ctx)
     rest, t = f, x
     for d in range(1, top + 1):
         if rest.is_constant():
             break
-        t = _powmod(t, f.ctx.order, rest)
+        t = t.frob_power(f.ctx.n) % rest
         part = poly_gcd(rest, t - x)
         if not part.is_constant():
             yield d, part
@@ -656,7 +647,8 @@ def one_root(f, ext):
                 break
             if k:
                 apow = [a * w for a, w in zip(apow, tpow)]
-            u = _scaled_sum(apow, images)
+            u = functools.reduce(operator.add,
+                                 [f * a for a, f in zip(apow, images)])
             if u.degree >= g.degree:
                 u = u % g
             for c in range(p):
@@ -671,19 +663,6 @@ def one_root(f, ext):
         raise CertificateFailed(f"{format_poly(g, 'X')} does not split into "
                                 "distinct linear factors")
     return -g.coeffs[0]
-
-
-def _scaled_sum(cs, fs):
-    """sum_j cs[j] fs[j] for field elements cs and polynomials fs."""
-    ctx = fs[0].ctx
-    if ctx._zech is not None:
-        log, acc = ctx._log, []
-        for c, f in zip(cs, fs):
-            k = log.get(c.coeffs)
-            if k is not None:
-                _exp_add_scaled(acc, k, _to_exps(f, ctx), ctx)
-        return _from_exps(ctx, acc)
-    return functools.reduce(operator.add, [f * c for c, f in zip(cs, fs)])
 
 
 def _frobenius_images(f, count):
@@ -732,12 +711,17 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den, _reduced=False):
+        ctx = num.ctx
+        if ctx._zech is None:
+            raise TooLarge(f"rational functions need log tables, so order "
+                           f"<= {gf.TABLE_CAP}, not {ctx.name}")
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if num.ctx is not den.ctx:
+        if den.ctx is not ctx:
             raise CtxMismatch("numerator and denominator over different fields")
         if not _reduced:
-            num, den = _lowest_terms(num, den)
+            num, den = _exp_reduce_fraction(_to_exps(num, ctx),
+                                            _to_exps(den, ctx), ctx)
         self.num = num
         self.den = den
 
@@ -831,14 +815,11 @@ class RatFunc:
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_poly(self.num * other.num)
         ctx = self.ctx
-        if ctx._zech is not None:
-            a, b, c, d = (_to_exps(p, ctx) for p in (self.num, self.den,
-                                                     other.num, other.den))
-            num, den = _exp_reduce_fraction(_exp_mul(a, c, ctx),
-                                            _exp_mul(b, d, ctx), ctx)
-            return RatFunc(_from_exps(ctx, num), _from_exps(ctx, den),
-                           _reduced=True)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = (_to_exps(p, ctx) for p in (self.num, self.den,
+                                                 other.num, other.den))
+        return RatFunc(*_exp_reduce_fraction(_exp_mul(a, c, ctx),
+                                             _exp_mul(b, d, ctx), ctx),
+                       _reduced=True)
 
     __rmul__ = __mul__
 
@@ -913,18 +894,12 @@ class RatFunc:
         if d < 0:
             return self
         ctx = np_.ctx
-        if ctx._zech is not None:
-            num, den = _exp_homogenized(
-                *[_to_exps(p, ctx) for p in (self.num, self.den, np_, dp_)],
-                d, ctx)
-            if not den:
-                raise DivisionByZero("rational function with zero denominator")
-            num, den = _exp_reduce_fraction(num, den, ctx)
-            return RatFunc(_from_exps(ctx, num), _from_exps(ctx, den),
-                           _reduced=True)
-        num = _homogenized(self.num, np_, dp_, d)
-        den = _homogenized(self.den, np_, dp_, d)
-        return RatFunc(num, den)
+        num, den = _exp_homogenized(
+            *[_to_exps(p, ctx) for p in (self.num, self.den, np_, dp_)],
+            d, ctx)
+        if not den:
+            raise DivisionByZero("rational function with zero denominator")
+        return RatFunc(*_exp_reduce_fraction(num, den, ctx), _reduced=True)
 
     def __str__(self):
         if self.den.is_one():
@@ -935,26 +910,9 @@ class RatFunc:
         return f"<{self} over {self.ctx.name}>"
 
 
-def _lowest_terms(num, den):
-    """num/den reduced, with monic denominator; den is nonzero."""
-    ctx = num.ctx
-    if num.is_zero():
-        return num, Poly.one(ctx)
-    if ctx._zech is not None:
-        num, den = _exp_reduce_fraction(_to_exps(num, ctx), _to_exps(den, ctx),
-                                        ctx)
-        return _from_exps(ctx, num), _from_exps(ctx, den)
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num, den = num // g, den // g
-    if den.lc != ctx.one:
-        inv = den.lc.inverse()
-        num, den = num * inv, den * inv
-    return num, den
-
-
 def _exp_homogenized(num, den, np_, dp_, d, ctx):
-    """_homogenized of num and den on exponent lists; each product
+    """sum f_i np_^i dp_^(d-i) for f = num and f = den on exponent lists,
+    so the shared degree d clears the denominators; each product
     np_^i * dp_^(d-i) is formed once and shared by both sums."""
     npows, dpows = [[0]], [[0]]
     for _ in range(d):
@@ -970,23 +928,6 @@ def _exp_homogenized(num, den, np_, dp_, d, ctx):
             if c is not None:
                 _exp_add_scaled(acc, c, term, ctx)
     return out
-
-
-def _homogenized(f, np_, dp_, d):
-    """sum f_i * np_^i * dp_^(d-i); shared degree d clears denominators."""
-    ctx = np_.ctx
-    acc = Poly.zero(ctx)
-    npow = Poly.one(ctx)
-    dpows = [Poly.one(ctx)]
-    for _ in range(d):
-        dpows.append(dpows[-1] * dp_)
-    for i in range(d + 1):
-        c = f.coeff(i) if i < len(f.coeffs) else ctx.zero
-        if not c.is_zero():
-            acc = acc + Poly.constant(c) * npow * dpows[d - i]
-        if i < d:
-            npow = npow * np_
-    return acc
 
 
 # ---------------------------------------------------------------------------

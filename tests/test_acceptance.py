@@ -61,19 +61,18 @@ _GROUPS = {}
 
 
 def _group(q):
-    """Curve, torsion model, transported generator, and full closure."""
+    """Curve, transported generator, and full closure."""
     if q not in _GROUPS:
         ctx = _ctx(q)
         mod = _modulus_for(q, ctx)
         gamma = ctx.elem(2) if q == 3 else ctx.one
         curve = KummerCurve(mod.a, mod.b, gamma)
-        model = CycModel(mod)
-        rho = ag.make_rho(curve, model)
+        rho = ag.make_rho(curve)
         gens = [rho]
         gens.append(ag.make_omega(curve) if ctx.p == 2 else ag.make_mu(curve))
         if q == 3:
             gens.append(ag.make_epsilon(curve))
-        _GROUPS[q] = (curve, model, rho, ag.closure(gens))
+        _GROUPS[q] = (curve, rho, ag.closure(gens))
     return _GROUPS[q]
 
 
@@ -180,7 +179,7 @@ def test_criterion_04_elimination_certificate():
 def test_criterion_05_group_orders():
     t0 = time.monotonic()
     for q in ALL_Q:
-        curve, _, _, table = _group(q)
+        curve, _, table = _group(q)
         expected = 6 * (q * q - 1) if q == 3 else 2 * (q * q - 1)
         assert table.order == expected
         for z in table:
@@ -193,7 +192,7 @@ def test_criterion_05_group_orders():
 
 def test_criterion_06_orbits_and_stabilizers():
     for q in (4, 5, 9):
-        curve, _, rho, table = _group(q)
+        curve, rho, table = _group(q)
         assert table.order == 2 * (q * q - 1)
         rho_only = ag.closure([rho])
         sizes = sorted(len(o) for o in ag.orbits(rho_only))
@@ -209,7 +208,7 @@ def test_criterion_06_orbits_and_stabilizers():
 
 
 def test_criterion_07_q3_exceptional_quotient():
-    curve, _, rho, table = _group(3)
+    curve, rho, table = _group(3)
     assert table.order == 48
     iota = ag.compose(rho, ag.compose(rho, ag.compose(rho, rho)))
     assert not iota.is_identity

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cycloff import cli
+from cycloff import autgroup, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 # read only: the benchmark's reference reports, one per sweep modulus
@@ -70,6 +70,18 @@ def test_field_size_guards(capsys):
     assert code == 2 and doc["error"]["code"] == "NotPrime"
     code, doc = _run_json(["construct", "-q", "11", "-M", "T^2+1"], capsys)
     assert code == 2 and doc["error"]["code"] == "TooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct"], ["genus"], ["count"], ["zeta"], ["aut"], ["lspaces"],
+    ["verify", "all"]], ids=lambda argv: argv[0])
+def test_q2_is_refused_with_a_typed_error(argv, capsys):
+    # T^2+T+1 is irreducible over GF(2), but the cover y^(q-1) = h(v)
+    # degenerates there
+    code, doc = _run_json(argv[:1] + ["-q", "2", "-M", "T^2+T+1"] + argv[1:],
+                          capsys)
+    assert code == 2
+    assert doc["error"]["code"] == "WrongQ"
 
 
 def test_gamma_flag_guards(capsys):
@@ -184,6 +196,31 @@ def test_verify_aut_q3_untwisted_model(capsys):
     assert code == 0
     assert doc["aut_order"] == 16 == 2 * (3 ** 2 - 1)
     assert "quotient" not in doc
+
+
+def test_aut_builds_no_torsion_model(monkeypatch, capsys):
+    # rho is transported on the curve alone
+    def refuse(self, *args):
+        raise AssertionError("aut built a CycModel")
+    monkeypatch.setattr(cli.CycModel, "__init__", refuse)
+    code, doc = _run_json(["aut", "-q", "5", "-M", "T^2+2"], capsys)
+    assert code == 0 and doc["order"] == 48
+
+
+def test_a_law_failure_of_epsilon_is_a_typed_error(monkeypatch, capsys):
+    # the law check must fail the run, not drop epsilon as if the model
+    # carried none and then report the smaller group
+    real = autgroup.make_epsilon
+
+    def epsilon_with_a_failing_law(curve):
+        monkeypatch.setattr(autgroup, "_law_scalar", lambda *args: None)
+        return real(curve)
+    monkeypatch.setattr(autgroup, "make_epsilon", epsilon_with_a_failing_law)
+    code, doc = _run_json(["verify", "-q", "3", "-M", "T^2+1", "aut"],
+                          capsys)
+    assert code == 2
+    assert doc["error"]["code"] == "CertificateFailed"
+    assert "map violates" in doc["error"]["message"]
 
 
 def test_aut_schema_is_the_module_report(capsys):

@@ -53,10 +53,10 @@ from cycloff.polyalg import (
     INFINITY,
     Poly,
     RatFunc,
-    _powmod,
     format_poly,
     is_irreducible,
     poly_gcd,
+    root_multiplicity,
     roots_in,
 )
 
@@ -380,11 +380,12 @@ def test_laurent_order_is_the_valuation(pn):
         if u(c).is_zero() or w(c).is_zero():
             continue
         ran += 1
-        r = RatFunc((v - c) ** a * u, (v - c) ** b * w)
-        order, unit = places._laurent(r, c, m)
-        assert order == r.valuation(c) == a - b
+        num, den = (v - c) ** a * u, (v - c) ** b * w
+        order, unit = places._laurent(num, den, E, c, m)
+        assert order == (root_multiplicity(num, c)
+                         - root_multiplicity(den, c)) == a - b
         shift = Poly(E, (c, E.one))
-        num, den = r.num.compose(shift), r.den.compose(shift)
+        num, den = num.compose(shift), den.compose(shift)
         lo = min(i for i, x in enumerate(den.coeffs) if x)
         hi = min(i for i, x in enumerate(num.coeffs) if x)
         assert places._trunc(unit * Poly(E, den.coeffs[lo:]), m) == \
@@ -395,7 +396,8 @@ def test_laurent_order_is_the_valuation(pn):
     if pn == (3, 2):
         r = RatFunc(vpoly(C3, 1, 0, 1), vpoly(C3, 0, 1))
         for c in roots_in(r.num, E):
-            assert places._laurent(r, c, m)[0] == r.valuation(c) == 1
+            assert places._laurent(r.num, r.den, E, c, m)[0] == \
+                r.valuation(c) == 1
 
 
 def test_zero_and_pole_over_one_closed_point():
@@ -691,7 +693,8 @@ def powering_one_root(g):
                 t = (t * t) % g
                 test = test + t
         else:
-            test = _powmod(Poly(E, (a, E.one)), (E.order - 1) // 2, g) - 1
+            test = gf.power(Poly(E, (a, E.one)) % g, (E.order - 1) // 2,
+                            lambda x, y: x * y % g, Poly.one(E)) - 1
         part = poly_gcd(g, test)
         if 0 < part.degree < g.degree:
             rest = g // part
@@ -734,19 +737,26 @@ def test_orbit_leaders_match_the_powering_oracle(pn, d, count):
 
 def test_orbit_leaders_power_only_over_the_small_field(monkeypatch):
     # the roots in GF(3^9) come from Frobenius images over GF(3): no
-    # modular powering runs over the big field
+    # polynomial over the big field is powered, by square-and-multiply or
+    # by a Frobenius step
     E = create_field(3, 9)
     (f,) = least_irreducibles(F3, 9, 1)
-    moduli = []
-    real = polyalg._powmod
+    powered = []
+    real_power, real_frob = gf.power, Poly.frob_power
 
-    def spy(base, e, mod):
-        moduli.append(mod.ctx)
-        return real(base, e, mod)
+    def power_spy(x, e, mul, one):
+        if isinstance(x, Poly):
+            powered.append(x.ctx)
+        return real_power(x, e, mul, one)
 
-    monkeypatch.setattr(polyalg, "_powmod", spy)
+    def frob_spy(self, j):
+        powered.append(self.ctx)
+        return real_frob(self, j)
+
+    monkeypatch.setattr(gf, "power", power_spy)
+    monkeypatch.setattr(Poly, "frob_power", frob_spy)
     assert [len(orbit) for orbit in polyalg._orbits(f, E)] == [9]
-    assert E not in moduli
+    assert F3 in powered and E not in powered
 
 
 def test_a_wrong_root_fails_the_orbit_certificate(monkeypatch):
@@ -1350,25 +1360,37 @@ def _first_occupied(hist, fn):
     return out
 
 
+def _last_moved_up(hist):
+    out = list(hist)
+    e = max(e for e, c in enumerate(out) if c)
+    out[e] -= 1
+    out[(e + 1) % len(out)] += 1
+    return out
+
+
 # a corrupted log histogram and the message of the check in l_polynomial it
 # must trip first; the message pins the check, so with that check removed a
-# later one answers instead and the test fails
+# later one answers instead and the test fails.  No histogram reaches the
+# functional equation: on a relative difference set |S_chi|^2 = q, so
+# q/S_chi is the conjugate S_chi', and L satisfies it
 L_CHECKS = {
-    # every residue twice: each |S_chi| doubles, past sqrt(q)
-    "double": (lambda h: [2 * c for c in h], "Weil envelope"),
-    # no residue at all: every S_chi = 0, so L = 1, whose leading
-    # coefficient is not q^g
-    "empty": (lambda h: [0] * len(h), "functional equation"),
-    # one residue missing; at q=3 the power sums stay in the envelope
+    # every residue twice: D[0] = 4q
+    "double": (lambda h: [2 * c for c in h], "relative difference set"),
+    # no residue at all: D[0] = 0
+    "empty": (lambda h: [0] * len(h), "relative difference set"),
+    # one residue missing: D[0] = q - 1
     "drop": (lambda h: _first_occupied(h, lambda c: c - 1),
-             "functional equation"),
+             "relative difference set"),
+    # at q=3 the logs {1, 6, 7} moved to {0, 1, 6} still form a difference
+    # set, with the wrong L
+    "shift": (_last_moved_up, "does not reproduce N_1"),
 }
 
 
 @pytest.mark.parametrize(
     "curve,check",
     [(c, k) for c in (C3, C4, C5) for k in ("double", "empty")]
-    + [(C3, "drop")],
+    + [(C3, "drop"), (C3, "shift")],
     ids=lambda v: v if isinstance(v, str) else f"q{v.q}")
 def test_each_check_on_l_raises(curve, check, monkeypatch):
     corrupt, message = L_CHECKS[check]

@@ -127,3 +127,28 @@ def test_every_traced_name_resolves():
         except (ImportError, AttributeError, KeyError):
             missing.append(name)
     assert missing == []
+
+
+def test_kernel_forks_only_where_large_fields_reach():
+    # a log-table twin is kept only in the six kernels that fields above
+    # gf.TABLE_CAP reach: gcds and products over the root-finding fields,
+    # series over fiber fields, evaluations and valuations at extension
+    # points; RatFunc lives over table fields only, so it has no twin
+    forks = []
+    for mod, tree in _package_trees().items():
+        scopes = [(node, f"{outer.name}.{node.name}")
+                  for outer in tree.body if isinstance(outer, ast.ClassDef)
+                  for node in outer.body
+                  if isinstance(node, ast.FunctionDef)]
+        scopes += [(node, node.name) for node in tree.body
+                   if isinstance(node, ast.FunctionDef)]
+        for func, name in scopes:
+            forks += [f"{mod}:{name}" for node in ast.walk(func)
+                      if isinstance(node, ast.Compare)
+                      and isinstance(node.left, ast.Attribute)
+                      and node.left.attr == "_zech"
+                      and isinstance(node.ops[0], ast.IsNot)]
+    assert sorted(forks) == sorted(
+        f"polyalg.py:{name}" for name in (
+            "Poly.__mul__", "Poly.__divmod__", "Poly.__call__", "poly_gcd",
+            "mul_trunc", "root_multiplicity"))
