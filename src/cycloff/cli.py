@@ -3,8 +3,9 @@
 Key order in every payload is fixed by construction, so identical
 configurations give byte-identical output.  Exit codes: ``verify``
 returns 0 only when every entry of the ``paper_claims`` block is true
-and 1 otherwise; any library error becomes ``{"error": {"code",
-"message"}}`` with exit code 2.  Every pipeline is deterministic.
+and 1 otherwise; any library error, or a failed ``--out`` write (made
+before stdout), prints ``{"error": {"code", "message"}}`` and exits 2.
+Every pipeline is deterministic.
 """
 
 import argparse
@@ -15,7 +16,8 @@ import sys
 from . import gf
 from .autgroup import group_report
 from .carlitz import CycModel, Modulus
-from .errors import CycloffError, ParseError, TooLarge, WrongQ, ZeroElement
+from .errors import (CycloffError, OutputFailed, ParseError, TooLarge,
+                     WrongQ, ZeroElement)
 from .kummer import KummerCurve, elimination_certificate
 from .places import (
     PIPELINE_Q_CAP,
@@ -318,14 +320,20 @@ def main(argv=None):
             report, _ = _COMMANDS[cfg.command](run)
             code = 0
     except CycloffError as exc:
-        report = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-        code = 2
-    text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        report, code = _error(exc), 2
+    try:
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        report, code = _error(OutputFailed(
+            f"cannot write --out {cfg.out!r}: {exc.strerror or exc}")), 2
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return code
+
+
+def _error(exc):
+    return {"error": {"code": type(exc).__name__, "message": str(exc)}}
 
 
 if __name__ == "__main__":

@@ -118,3 +118,7 @@ class ClosureOverflow(CycloffError, RuntimeError):
 
 class ParseError(CycloffError, ValueError):
     code = "ParseError"
+
+
+class OutputFailed(CycloffError, OSError):
+    code = "OutputFailed"

@@ -623,7 +623,9 @@ def parse_element(ctx, s, symbol="g"):
     terms = _split_terms(text, s)
     coeffs = [0] * ctx.n
     for sgn, term in terms:
-        coef, exp = _parse_term(ctx, term, symbol, s)
+        head, exp = _split_power(term, symbol)
+        coef = 1 if head is None else _digits(
+            head, f"bad term {term!r} in {s!r}")
         if exp >= ctx.n:
             raise ParseError(f"exponent {exp} too large for {ctx.name}")
         coeffs[exp] = (coeffs[exp] + sgn * coef) % ctx.p
@@ -666,22 +668,27 @@ def _split_terms(text, original):
     return terms
 
 
-def _parse_term(ctx, term, symbol, original):
-    if symbol not in term:
-        if not term.isdigit():
-            raise ParseError(f"bad term {term!r} in {original!r}")
-        return int(term), 0
-    head, _, tail = term.partition(symbol)
-    if head:
-        if not head.endswith("*") or not head[:-1].isdigit():
-            raise ParseError(f"bad coefficient in term {term!r}")
-        coef = int(head[:-1])
-    else:
-        coef = 1
-    if tail:
-        if not tail.startswith("^") or not tail[1:].isdigit():
-            raise ParseError(f"bad exponent in term {term!r}")
-        exp = int(tail[1:])
-    else:
-        exp = 1
-    return coef, exp
+def _split_power(term, var):
+    """(head, e) for a term head*var^e, head*var, var^e or var: head is None
+    when the term starts at var, and the whole term, with e = 0, when var
+    does not occur.  parse_element and polyalg.parse_poly share it."""
+    if var not in term:
+        return term, 0
+    head, _, tail = term.partition(var)
+    if head and not head.endswith("*"):
+        raise ParseError(f"missing '*' before {var} in {term!r}")
+    if tail and not tail.startswith("^"):
+        raise ParseError(f"bad exponent in {term!r}")
+    exp = _digits(tail[1:], f"bad exponent in {term!r}") if tail else 1
+    return (head[:-1] if head else None), exp
+
+
+def _digits(text, message):
+    """int(text) for a run of ASCII digits, else ParseError(message), also
+    for a run past Python's int-string limit."""
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:
+        pass
+    raise ParseError(message)

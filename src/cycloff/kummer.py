@@ -30,6 +30,7 @@ from .errors import (
     ReducibleModulus,
     ReducibleResult,
     WrongOrder,
+    WrongQ,
     WrongRamification,
     ZeroElement,
 )
@@ -76,6 +77,8 @@ class KummerCurve(KummerAlgebra):
     def __init__(self, a, b, gamma):
         modulus = Modulus(a, b)
         ctx = modulus.ctx
+        if ctx.order < 3:  # y^(q-1) = h(v) is the rational field at q = 2
+            raise WrongQ(f"the covers need q >= 3, got q={ctx.order}")
         if gamma.is_zero():
             raise ZeroElement("gamma must be a nonzero scalar")
         q = ctx.order

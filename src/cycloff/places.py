@@ -28,6 +28,7 @@ from .errors import (
     NoEmbedding,
     TooLarge,
     UnknownPlace,
+    WrongQ,
     WrongRamification,
     ZeroElement,
 )
@@ -187,15 +188,7 @@ class Divisor:
     __slots__ = ("_m",)
 
     def __init__(self, coeffs=None):
-        m = {}
-        if coeffs:
-            for P, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                c = int(c)
-                if c:
-                    m[P] = m.get(P, 0) + c
-                    if not m[P]:
-                        del m[P]
-        self._m = m
+        self._m = {P: c for P, c in (coeffs or {}).items() if c}
 
     def coeff(self, P):
         return self._m.get(P, 0)
@@ -404,52 +397,39 @@ def _generic_valuation(curve, coords, c, ys, expansions):
 # -- principal divisors ------------------------------------------------------
 
 
-def _closed_point_candidates(curve, polys):
-    """Closed points (degree, lex-least rep) under all roots of the inputs.
+def _closed_points(curve, f):
+    """Closed points (degree, lex-least rep) under the roots of f.
 
     The ramified locus is divided out before any splitting: h.num * h.den
     vanishes exactly at the q rational points and the quadratic point, so
-    each input loses every copy of its factors there and keeps no rational
-    root.  `polyalg._distinct_degree` then parts what is left by factor
-    degree, for each d with q^d <= gf.ORDER_CAP; a candidate with a factor
-    past that raises rather than silently dropping support.  The points of
-    each degree d are the Frobenius orbits of `polyalg._orbits` in
-    GF(q^d), each of which must have length d, named by its least element
-    by ``to_int`` and taken in that order.
+    f loses every copy of its factors there and keeps no rational root.
+    One `polyalg._distinct_degree` pass then parts what is left by factor
+    degree, for each d with q^d <= gf.ORDER_CAP; a factor past that raises
+    rather than silently dropping support.  The points of each degree d
+    are the Frobenius orbits of one `polyalg._orbits` call in GF(q^d),
+    each of which must have length d, named by its least element by
+    ``to_int`` and taken in that order.
     """
-    ctx = curve.ctx
-    p, n, q = ctx.p, ctx.n, curve.q
-    ramified = curve.h.num * curve.h.den
+    p, n, q = curve.ctx.p, curve.ctx.n, curve.q
     top = 1
     while q ** (top + 1) <= gf.ORDER_CAP:
         top += 1
-    seen = set()
+    *parts, (_, rest) = _distinct_degree(
+        _coprime_part(f, curve.h.num * curve.h.den), top)
+    if not rest.is_constant():
+        raise GenericPlaceUnsupported(
+            f"support of {format_poly(f.monic(), 'v')} does not split under "
+            f"the field cap {gf.ORDER_CAP}")
     out = []
-    done = set()
-    for f in polys:
-        if f.is_constant():
-            continue
-        f = f.monic()
-        if f in done:
-            continue
-        done.add(f)
-        *parts, (_, rest) = _distinct_degree(_coprime_part(f, ramified), top)
-        if not rest.is_constant():
-            raise GenericPlaceUnsupported(
-                f"support of {format_poly(f, 'v')} does not split under "
-                f"the field cap {gf.ORDER_CAP}")
-        for d, part in parts:
-            leaders = []
-            for orbit in _orbits(part, create_field(p, n * d)):
-                if len(orbit) != d:
-                    raise CertificateFailed(
-                        f"a root of a degree-{d} factor has a Frobenius "
-                        f"orbit of length {len(orbit)}")
-                leaders.append(min(orbit, key=lambda e: e.to_int()))
-            for r in sorted(leaders, key=lambda e: e.to_int()):
-                if (d, r) not in seen:
-                    seen.add((d, r))
-                    out.append((d, r))
+    for d, part in parts:
+        leaders = []
+        for orbit in _orbits(part, create_field(p, n * d)):
+            if len(orbit) != d:
+                raise CertificateFailed(
+                    f"a root of a degree-{d} factor has a Frobenius "
+                    f"orbit of length {len(orbit)}")
+            leaders.append(min(orbit, key=lambda e: e.to_int()))
+        out.extend((d, r) for r in sorted(leaders, key=lambda e: e.to_int()))
     return out
 
 
@@ -507,8 +487,9 @@ def divisor(e):
     point.
 
     Unramified places.  A closed point c carries support only if it is a
-    pole of some coordinate or a zero of the numerator of N(e), so only
-    those polynomials are split.  At a place P over c, y is a unit (h has
+    pole of some coordinate or a zero of the numerator of N(e), so one
+    support polynomial, that numerator times every coordinate denominator,
+    is split by `_closed_points`.  At a place P over c, y is a unit (h has
     no zero or pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
     v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate pole.  If no
     coordinate has a pole at c, every v_P(e) >= 0, and
@@ -539,12 +520,12 @@ def divisor(e):
     # the conjugate quadratic pair is one closed point, booked by quad_roots[0]
     for P in (RamInfinity(curve.q), RamQuadratic(curve.quad_roots[0])):
         coeffs[P] = _ramified_valuation(curve, coords, P)
-    cands = [coords[i].den for i in filled]
     # N(r y^i) = r^(q-1) N(y)^i and N(y) = +-h is a unit off the ramified
     # locus, so a one-term element needs no norm
-    cands.append(coords[filled[0]].num if len(filled) == 1
-                 else e.norm().num)
-    for d, c in _closed_point_candidates(curve, cands):
+    support = coords[filled[0]].num if len(filled) == 1 else e.norm().num
+    for i in filled:
+        support = support * coords[i].den
+    for d, c in _closed_points(curve, support):
         fiber = _fiber_places(curve, d, c)
         orders = sorted(coords[i].valuation(c) for i in filled)
         if len(orders) == 1 or orders[0] < orders[1]:
@@ -807,7 +788,7 @@ def l_polynomial(curve):
 def genus_formula(q):
     """(q+1)(q-2)/2; the product is always even."""
     if q < 3:
-        raise ValueError("the covers need q >= 3")
+        raise WrongQ(f"the covers need q >= 3, got q={q}")
     return (q + 1) * (q - 2) // 2
 
 

@@ -1223,31 +1223,16 @@ def parse_poly(ctx, s, var="T"):
     terms = gf._split_terms(text, s)
     out = {}
     for sgn, term in terms:
-        coef, exp = _parse_poly_term(ctx, term, var, s)
+        head, exp = gf._split_power(term, var)
+        coef = ctx.one if head is None else _parse_coef(ctx, head, s)
         cur = out.get(exp, ctx.zero)
         out[exp] = cur + coef if sgn == 1 else cur - coef
     deg = max(out) if out else 0
+    if deg > gf.ORDER_CAP:
+        raise ParseError(f"degree {deg} in {s!r} exceeds the cap "
+                         f"gf.ORDER_CAP = {gf.ORDER_CAP}")
     coeffs = [out.get(i, ctx.zero) for i in range(deg + 1)]
     return Poly(ctx, coeffs)
-
-
-def _parse_poly_term(ctx, term, var, original):
-    if var not in term:
-        return _parse_coef(ctx, term, original), 0
-    head, _, tail = term.partition(var)
-    if head:
-        if not head.endswith("*"):
-            raise ParseError(f"missing '*' before {var} in {term!r}")
-        coef = _parse_coef(ctx, head[:-1], original)
-    else:
-        coef = ctx.one
-    if tail:
-        if not tail.startswith("^") or not tail[1:].isdigit():
-            raise ParseError(f"bad exponent in {term!r}")
-        exp = int(tail[1:])
-    else:
-        exp = 1
-    return coef, exp
 
 
 def _parse_coef(ctx, text, original):

@@ -280,6 +280,28 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["-M", "T^2+1", "--out", "{missing}/report.json"], "OutputFailed"),
+    (["-M", "1" * 5000 + "*T^2+1"], "ParseError"),
+    (["-M", "T^2+1", "--gamma", "1" * 5000], "ParseError"),
+    (["-M", "T^2000000+1"], "ParseError"),
+    (["-M", "T^\u00b2+1"], "ParseError"),
+], ids=["out-in-missing-dir", "long-coefficient", "long-gamma",
+        "huge-degree", "superscript-exponent"])
+def test_bad_inputs_exit_two_with_one_error_document(argv, code, tmp_path,
+                                                      capsys):
+    # a failed --out write prints the error in place of the report, and a
+    # digit run past Python's int-string limit or a degree past
+    # gf.ORDER_CAP is refused by the parser, with no traceback
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    exit_code = cli.main(["verify", "-q", "3", *argv, "genus"])
+    out, err = capsys.readouterr()
+    assert (exit_code, err) == (2, "")
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and doc["error"]["code"] == code
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_count_rejects_a_nonpositive_degree(k, capsys):
     code, doc = _run_json(["count", "-q", "3", "-M", "T^2+1", "-k", k],

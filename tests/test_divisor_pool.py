@@ -89,3 +89,33 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
         assert {c for c in peeled if c.ctx is ctx} == special, key
         skipped += ctx.order - len(special)
     assert one_term_generic >= 5 and skipped >= 400
+
+
+def test_each_divisor_makes_one_distinct_degree_pass(monkeypatch):
+    # a guard by counts on the first 20 draws of each q: the norm numerator
+    # and the coordinate denominators are split as one support polynomial,
+    # so no denominator gets a pass of its own
+    draws = load_draws()
+    curves = draws.standard_curves()
+    keys = [f"{q}:{i}" for q in draws.POOL for i in range(20)]
+    real = places._distinct_degree
+    passes = []
+
+    def counted(f, top):
+        passes.append(f)
+        return real(f, top)
+
+    monkeypatch.setattr(places, "_distinct_degree", counted)
+    several = 0
+    for key, e in draws.elements(curves, keys):
+        filled = [r for r in e.coords if r]
+        # a split per polynomial would pass these one at a time
+        split_alone = {r.den.monic() for r in filled} | {filled[0].num.monic()}
+        several += len(split_alone) > 1
+        passes.clear()
+        try:
+            divisor(e)
+        except GenericPlaceUnsupported:
+            pass
+        assert len(passes) <= 1, key
+    assert several >= 50

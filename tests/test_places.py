@@ -25,13 +25,14 @@ from cycloff.errors import (
     GenericPlaceUnsupported,
     TooLarge,
     UnknownPlace,
+    WrongQ,
     WrongRamification,
     ZeroElement,
 )
 from cycloff.gf import create_field, embed
 from cycloff.kummer import KummerCurve
 from cycloff.places import (
-    _closed_point_candidates,
+    _closed_points,
     Divisor,
     Generic,
     RamFinite,
@@ -423,13 +424,14 @@ def test_zero_and_pole_over_one_closed_point():
 
 
 def divisor_from_every_candidate(e, monkeypatch):
-    """divisor(e) from the full candidate list: the coordinate numerators
-    and the denominator of N(e) are split too."""
-    extra = [r.num for r in e.coords if r] + [e.norm().den]
-    split = places._closed_point_candidates
+    """divisor(e) from every candidate: the coordinate numerators and the
+    denominator of N(e) are multiplied into the support polynomial too."""
+    extra = functools.reduce(operator.mul,
+                             [r.num for r in e.coords if r] + [e.norm().den])
+    split = places._closed_points
     with monkeypatch.context() as m:
-        m.setattr(places, "_closed_point_candidates",
-                  lambda curve, polys: split(curve, list(polys) + extra))
+        m.setattr(places, "_closed_points",
+                  lambda curve, f: split(curve, f * extra))
         return divisor(e)
 
 
@@ -624,10 +626,10 @@ def test_closed_points_match_the_per_degree_scan(curve, monkeypatch):
         return split(part, E)
 
     monkeypatch.setattr(places, "_orbits", spy)
-    assert _closed_point_candidates(curve, [f * factors[3]]) == want
+    assert _closed_points(curve, f * factors[3]) == want
     # the scan leaves out rational and quadratic roots by their orbits
     locus = curve.h.den ** 2 * ram ** 3 * f
-    assert _closed_point_candidates(curve, [locus]) == want
+    assert _closed_points(curve, locus) == want
     assert len(parts) == 6
     assert all(poly_gcd(part, ramified).is_constant() for part in parts)
     # an inseparable input, g^p times a squared irreducible, has the closed
@@ -635,8 +637,7 @@ def test_closed_points_match_the_per_degree_scan(curve, monkeypatch):
     g, sq = factors[2] * factors[4], factors[6]
     points = [(d, r) for d, r in want if (g * sq)(r).is_zero()]
     assert [d for d, _ in points] == [2, 3, 4]
-    assert _closed_point_candidates(curve, [g ** curve.ctx.p * sq ** 2]) == (
-        points)
+    assert _closed_points(curve, g ** curve.ctx.p * sq ** 2) == points
 
 
 def orbit_leaders(f, E):
@@ -674,7 +675,7 @@ def test_orbit_leaders_match_roots_in(degrees):
     want = leaders_by_roots_in(f, E, 1)
     assert len(want) == len(degrees)
     assert orbit_leaders(f, E) == want
-    assert _closed_point_candidates(C3, [f]) == [(d, r) for r in want]
+    assert _closed_points(C3, f) == [(d, r) for r in want]
 
 
 def powering_one_root(g):
@@ -777,7 +778,7 @@ def test_a_short_orbit_fails_the_orbit_certificate(monkeypatch):
     monkeypatch.setattr(places, "_distinct_degree",
                         lambda g, top: iter([(7, part), (0, Poly.one(F3))]))
     with pytest.raises(CertificateFailed, match="length 1"):
-        _closed_point_candidates(C3, [f])
+        _closed_points(C3, f)
 
 
 @pytest.mark.parametrize("curve,deg", [(C3, 13), (C7, 8)],
@@ -789,7 +790,7 @@ def test_closed_points_beyond_the_cap_raise(curve, deg):
     (big,) = least_irreducibles(curve.ctx, deg, 1)
     (quad,) = least_irreducibles(curve.ctx, 2, 1)
     with pytest.raises(GenericPlaceUnsupported):
-        _closed_point_candidates(curve, [big * quad])
+        _closed_points(curve, big * quad)
 
 
 # -- fibers ------------------------------------------------------------------
@@ -1403,6 +1404,17 @@ def test_each_check_on_l_raises(curve, check, monkeypatch):
 
 def test_genus_formula_values():
     assert [genus_formula(q) for q in (3, 4, 5, 7)] == [2, 5, 9, 20]
+
+
+def test_the_library_refuses_q2():
+    # T^2+T+1 is irreducible over GF(2), but y^(q-1) = h(v) is the rational
+    # field itself there; WrongQ is a ValueError, as the old refusal was
+    F2 = create_field(2, 1)
+    with pytest.raises(WrongQ):
+        KummerCurve(F2.one, F2.one, F2.one)
+    with pytest.raises(WrongQ):
+        genus_formula(2)
+    assert issubclass(WrongQ, ValueError)
 
 
 def test_genus_rh_values():

@@ -789,6 +789,27 @@ def test_parse_errors():
             gf.parse_element(F9, bad, "T")
 
 
+@pytest.mark.parametrize("literal", [
+    "1" * 5000 + "*T^2+1", "T^" + "1" * 5000, "T+" + "1" * 5000,
+    "T^\u00b2", "\u00b9*T"], ids=["coefficient", "exponent", "constant",
+                                  "superscript-exponent",
+                                  "superscript-coefficient"])
+def test_every_bad_digit_run_is_a_parse_error(literal):
+    # int() refuses runs past Python's int-string limit and superscript
+    # digits with a plain ValueError; the parsers turn both into ParseError
+    with pytest.raises(ParseError):
+        parse_poly(F5, literal)
+    with pytest.raises(ParseError):
+        gf.parse_element(F9, literal, "T")
+
+
+def test_a_degree_past_the_order_cap_is_refused():
+    # no field reaches the cap, so no Poly of that degree is ever needed;
+    # the degree is read from the terms before any coefficient list
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        parse_poly(F5, f"T^{gf.ORDER_CAP + 1}+1")
+
+
 def test_format_descending_order():
     f = Poly.from_ints(F5, [1, 0, 3])
     assert format_poly(f) == "3*T^2+1"
