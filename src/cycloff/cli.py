@@ -55,7 +55,8 @@ class RunConfig(Record):
 def _parse_modulus(ctx, literal):
     f = parse_poly(ctx, literal, var="T")
     if f.degree != 2 or f.coeff(2) != 1:
-        raise ParseError(f"modulus {literal!r} is not a monic quadratic in T")
+        raise ParseError(f"modulus {gf._quote(literal)} is not a monic "
+                         "quadratic in T")
     return Modulus(f.coeff(1), f.coeff(0))
 
 

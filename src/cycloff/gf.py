@@ -51,6 +51,8 @@ ORDER_CAP = 1 << 20  # desk-scale cap for create_field
 # peak memory of a divisor session; a cap of 2^13 added 1.5 MB (6 %) there
 # and saved no time.
 TABLE_CAP = 1 << 10
+# An error message quotes at most this many characters of a literal.
+ECHO_WIDTH = 40
 
 
 def is_prime(m):
@@ -624,8 +626,8 @@ def parse_element(ctx, s, symbol="g"):
     coeffs = [0] * ctx.n
     for sgn, term in terms:
         head, exp = _split_power(term, symbol)
-        coef = 1 if head is None else _digits(
-            head, f"bad term {term!r} in {s!r}")
+        coef = 1 if head is None else _digits(head,
+                                              f"bad term {_quote(term)}")
         if exp >= ctx.n:
             raise ParseError(f"exponent {exp} too large for {ctx.name}")
         coeffs[exp] = (coeffs[exp] + sgn * coef) % ctx.p
@@ -646,7 +648,7 @@ def _split_terms(text, original):
     while i <= len(text):
         if i == len(text):
             if i == start:
-                raise ParseError(f"malformed literal {original!r}")
+                raise ParseError(f"malformed literal {_quote(original)}")
             terms.append((sign, text[start:i]))
             break
         ch = text[i]
@@ -655,16 +657,16 @@ def _split_terms(text, original):
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError(f"unbalanced parens in {original!r}")
+                raise ParseError(f"unbalanced parens in {_quote(original)}")
         elif ch in "+-" and depth == 0:
             if i == start:
-                raise ParseError(f"malformed literal {original!r}")
+                raise ParseError(f"malformed literal {_quote(original)}")
             terms.append((sign, text[start:i]))
             sign = -1 if ch == "-" else 1
             start = i + 1
         i += 1
     if depth:
-        raise ParseError(f"unbalanced parens in {original!r}")
+        raise ParseError(f"unbalanced parens in {_quote(original)}")
     return terms
 
 
@@ -676,11 +678,18 @@ def _split_power(term, var):
         return term, 0
     head, _, tail = term.partition(var)
     if head and not head.endswith("*"):
-        raise ParseError(f"missing '*' before {var} in {term!r}")
+        raise ParseError(f"missing '*' before {var} in {_quote(term)}")
     if tail and not tail.startswith("^"):
-        raise ParseError(f"bad exponent in {term!r}")
-    exp = _digits(tail[1:], f"bad exponent in {term!r}") if tail else 1
+        raise ParseError(f"bad exponent in {_quote(term)}")
+    exp = _digits(tail[1:], f"bad exponent in {_quote(term)}") if tail else 1
     return (head[:-1] if head else None), exp
+
+
+def _quote(text):
+    """repr(text) for an error message, cut to ECHO_WIDTH characters."""
+    if len(text) <= ECHO_WIDTH:
+        return repr(text)
+    return f"{text[:ECHO_WIDTH]!r}... ({len(text)} characters)"
 
 
 def _digits(text, message):

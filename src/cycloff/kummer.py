@@ -96,7 +96,8 @@ class KummerCurve(KummerAlgebra):
 
     def _check_ramification_profile(self):
         """Valuations of h: -1 at each rational v, q-2 at infinity, +1 at
-        the two conjugate roots of the numerator; each coprime to q-1.
+        the two conjugate roots of the numerator; each coprime to q-1, as
+        q-2 and q-1 are consecutive.
 
         Keeps the two quadratic roots, sorted by ``to_int``, as
         ``quad_roots``; the place layer books the quadratic point by them.
@@ -108,8 +109,6 @@ class KummerCurve(KummerAlgebra):
         q, ctx = self.q, self.ctx
         num, den = self.h.num, self.h.den
         dnum, dden = num.derivative(), den.derivative()
-        if gcd(q - 2, q - 1) != 1:
-            raise WrongRamification(f"q-2 and q-1 share a factor at q={q}")
         for alpha in ctx.iter_elements():
             if den(alpha) or not dden(alpha) or not num(alpha):
                 raise WrongRamification(

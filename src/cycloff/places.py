@@ -39,6 +39,8 @@ from .polyalg import (
     Poly,
     _coprime_part,
     _distinct_degree,
+    _exp_terms,
+    _exp_value,
     _orbits,
     format_poly,
     mul_trunc,
@@ -56,8 +58,6 @@ _SERIES_PREC_CAP = 512
 
 
 # -- place kinds -------------------------------------------------------------
-# Places are dict keys on every divisor, so each kind compares and hashes
-# its fields inline rather than through Record's generic field tuple.
 
 
 class RamFinite(Record):
@@ -67,14 +67,6 @@ class RamFinite(Record):
 
     def __init__(self, alpha):
         set_field(self, "alpha", alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is RamFinite:
-            return self.alpha == other.alpha
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha,))
 
     @property
     def degree(self):
@@ -91,14 +83,6 @@ class RamInfinity(Record):
 
     def __init__(self, q):
         set_field(self, "q", q)
-
-    def __eq__(self, other):
-        if other.__class__ is RamInfinity:
-            return self.q == other.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q,))
 
     @property
     def degree(self):
@@ -119,14 +103,6 @@ class RamQuadratic(Record):
 
     def __init__(self, root):
         set_field(self, "root", root)
-
-    def __eq__(self, other):
-        if other.__class__ is RamQuadratic:
-            return self.root == other.root
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.root,))
 
     @property
     def degree(self):
@@ -151,15 +127,6 @@ class Generic(Record):
         set_field(self, "c", c)
         set_field(self, "ys", ys)
         set_field(self, "degree", degree)
-
-    def __eq__(self, other):
-        if other.__class__ is Generic:
-            return ((self.k, self.c, self.ys, self.degree)
-                    == (other.k, other.c, other.ys, other.degree))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.k, self.c, self.ys, self.degree))
 
     def __str__(self):
         return (f"G[v={gf.format_element(self.c)}, "
@@ -281,8 +248,7 @@ def _validate_place(curve, P):
             raise UnknownPlace("place belongs to a different curve")
         return
     if isinstance(P, RamQuadratic):
-        ext = create_field(curve.ctx.p, 2 * curve.ctx.n)
-        if P.root.ctx is not ext or curve.ram_numerator(P.root):
+        if P.root not in curve.quad_roots:
             raise UnknownPlace("quadratic point is not on this curve")
         return
     if isinstance(P, Generic):
@@ -584,14 +550,8 @@ def lspace_check(elems, D):
     for e in elems:
         dv = divisor(e)
         divisors_.append(dv)
-        ok = True
-        for P, v in dv.items():
-            if v >= 0:
-                continue
-            if v < -bounds.get(P, 0):
-                ok = False
-                break
-        members.append(ok)
+        members.append(all(dv.coeff(P) + bounds.get(P, 0) >= 0
+                           for P in bounds.keys() | dv.support))
     ctx = curve.ctx
     den = Poly.one(ctx)
     for e in elems:
@@ -645,17 +605,19 @@ def _gf_rank(rows, ctx):
 def count_degree_one(curve, k):
     """Number of degree-one places over GF(q^k), exactly.
 
-    Affine contribution: (q-1) for each c off the ramification support with
-    h(c) = -u/w a (q-1)-th power, u = gamma c^2 + a c + b/gamma and
-    w = c^q - c, i.e. with ((-u)/w)^((q^k-1)/(q-1)) = 1.  Plus the q+1
-    rational ramified places, plus the quadratic pair once it is rational.
+    Affine contribution: (q-1) for each c in GF(q^k) where h(c) is finite,
+    nonzero and a (q-1)-th power, i.e. h(c)^((q^k-1)/(q-1)) = 1.  Plus the
+    q+1 rational ramified places, plus the quadratic pair once it is
+    rational.  Only h is read, so the count is a second route to the N_k
+    that `l_polynomial` derives from M alone.
 
     Three lanes, by the size of GF(q^k) and of q:
-      * q^k <= gf.TABLE_CAP: a scan of GF(q^k) on exponents.  c = g^i, and
-        w and u are sums of powers of g, each taken by Zech's logarithm,
-        g^s + g^t = g^(s + Z(t - s)) (Lidl-Niederreiter, *Finite Fields*,
-        10.1).  Since x^((q^k-1)/(q-1)) = 1 exactly when (q-1) divides
-        log x, the test is (q-1) | log(-u) - log w.
+      * q^k <= gf.TABLE_CAP: a scan of GF(q^k) on exponents.  The nonzero
+        terms of h's numerator and denominator are kept as generator
+        exponents, and each value at c = g^i is one Zech lookup per term
+        (polyalg's `_exp_value`, the kernel of `Poly.__call__`).  Since
+        x^((q^k-1)/(q-1)) = 1 exactly when (q-1) divides log x, the test is
+        (q-1) | log num(c) - log den(c).
       * q^k above that and q <= PIPELINE_Q_CAP: q^k + 1 - S_k from
         `l_polynomial`'s reciprocal roots.
       * otherwise, or above COUNT_CAP: TooLarge.
@@ -668,32 +630,14 @@ def count_degree_one(curve, k):
     if q ** k > gf.TABLE_CAP:
         return q ** k + 1 - _power_sums_from_coeffs(l_polynomial(curve), k)[k]
     E = create_field(p, n * k)
-    top, zech, neg = E.order - 1, E._zech, E._neg_exp
-    mod = curve.modulus
-    lg = E.dlog(embed(curve.gamma, E))
-    la = E.dlog(embed(mod.a, E)) if mod.a else None
-    lb = E.dlog(embed(mod.b * curve.gamma.inverse(), E))
+    num, den = (_exp_terms(f.embed_into(E).coeffs, E)
+                for f in (curve.h.num, curve.h.den))
     total = 0
-    for i in range(top):
-        # log w = iq + Z(log(-1) + i - iq); None where c lies in GF(q)
-        iq = i * q % top
-        z = zech[(neg + i - iq) % top]
-        if z is None:
-            continue
-        lw = iq + z
-        # log u from gamma c^2, then + a c, then + b/gamma; None is u = 0
-        lu = lg + 2 * i
-        if la is not None:
-            z = zech[(la + i - lu) % top]
-            lu = None if z is None else lu + z
-        if lu is None:
-            lu = lb
-        else:
-            z = zech[(lb - lu) % top]
-            if z is None:
-                continue
-            lu += z
-        if (lu + neg - lw) % (q - 1) == 0:
+    # None is c = 0
+    for i in (None, *range(E.order - 1)):
+        ln = _exp_value(num, i, E)
+        ld = _exp_value(den, i, E)
+        if ln is not None and ld is not None and (ln - ld) % (q - 1) == 0:
             total += q - 1
     return total + (q + 1) + (2 if k % 2 == 0 else 0)
 
@@ -748,7 +692,7 @@ def l_polynomial(curve):
     difference set it follows, as q/S_chi is the conjugate of S_chi, so
     it checks the power sums and Newton's identities, not H.  N_k must
     equal the point count for every q^k <= gf.TABLE_CAP, which reads h
-    and gamma where L reads only M.
+    where L reads only M.
     """
     q = curve.q
     if q > PIPELINE_Q_CAP:

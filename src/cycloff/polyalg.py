@@ -255,7 +255,9 @@ class Poly:
         coeffs = (self.coeffs if tgt is self.ctx
                   else [gf.embed(c, tgt) for c in self.coeffs])
         if tgt._zech is not None:
-            return _exp_eval(coeffs, point, tgt)
+            e = _exp_value(_exp_terms(coeffs, tgt), tgt._log.get(point.coeffs),
+                           tgt)
+            return tgt.zero if e is None else tgt._elems[e]
         acc = tgt.zero
         for c in reversed(coeffs):
             acc = acc * point + c
@@ -413,26 +415,33 @@ def mul_trunc(f, g, m):
     return Poly(ctx, _elem_mul(a, b, ctx, size))
 
 
-def _exp_eval(coeffs, point, ctx):
-    """Horner's rule on generator exponents: a product adds the exponent
-    of the point, a sum takes one Zech lookup."""
-    log, zech, m = ctx._log, ctx._zech, ctx.order - 1
-    k = log.get(point.coeffs)
+def _exp_terms(coeffs, ctx):
+    """(j, log c_j) for each nonzero coefficient c_j, over a table field."""
+    log = ctx._log.get
+    terms = []
+    for j, c in enumerate(coeffs):
+        t = log(c.coeffs)
+        if t is not None:
+            terms.append((j, t))
+    return terms
+
+
+def _exp_value(terms, k, ctx):
+    """log f(x) from the `_exp_terms` of f and k = log x (None for x = 0),
+    or None where f(x) = 0.  Each term adds one Zech lookup,
+    g^s + g^t = g^(s + Z(t - s))."""
     if k is None:
-        return coeffs[0] if coeffs else ctx.zero
+        return terms[0][1] if terms and terms[0][0] == 0 else None
+    zech, m = ctx._zech, ctx.order - 1
     acc = None
-    for c in reversed(coeffs):
-        if acc is not None:
-            acc = (acc + k) % m
-        t = log.get(c.coeffs)
-        if t is None:
-            continue
+    for j, t in terms:
+        t += j * k
         if acc is None:
             acc = t
         else:
             z = zech[(t - acc) % m]
-            acc = None if z is None else (acc + z) % m
-    return ctx.zero if acc is None else ctx._elems[acc]
+            acc = None if z is None else acc + z
+    return None if acc is None else acc % m
 
 
 def _exp_reduce(rem, b, ctx, quo=None):
@@ -1224,21 +1233,19 @@ def parse_poly(ctx, s, var="T"):
     out = {}
     for sgn, term in terms:
         head, exp = gf._split_power(term, var)
-        coef = ctx.one if head is None else _parse_coef(ctx, head, s)
+        coef = ctx.one if head is None else _parse_coef(ctx, head)
         cur = out.get(exp, ctx.zero)
         out[exp] = cur + coef if sgn == 1 else cur - coef
     deg = max(out) if out else 0
     if deg > gf.ORDER_CAP:
-        raise ParseError(f"degree {deg} in {s!r} exceeds the cap "
+        raise ParseError(f"degree {deg} in {gf._quote(s)} exceeds the cap "
                          f"gf.ORDER_CAP = {gf.ORDER_CAP}")
     coeffs = [out.get(i, ctx.zero) for i in range(deg + 1)]
     return Poly(ctx, coeffs)
 
 
-def _parse_coef(ctx, text, original):
+def _parse_coef(ctx, text):
+    # a malformed coefficient is named by parse_element's own ParseError
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    try:
-        return gf.parse_element(ctx, text)
-    except ParseError as exc:
-        raise ParseError(f"bad coefficient {text!r} in {original!r}") from exc
+    return gf.parse_element(ctx, text)

@@ -286,19 +286,26 @@ def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
     (["-M", "T^2+1", "--gamma", "1" * 5000], "ParseError"),
     (["-M", "T^2000000+1"], "ParseError"),
     (["-M", "T^\u00b2+1"], "ParseError"),
+    (["-M", "(" + "1" * 5000 + ")*T^2+1"], "ParseError"),
+    (["-M", "T^2+(" + "1" * 5000], "ParseError"),
+    (["-M", "T^2+" + "1+" * 2500 + "+1"], "ParseError"),
+    (["-M", "T^3" + "+1" * 2500], "ParseError"),
 ], ids=["out-in-missing-dir", "long-coefficient", "long-gamma",
-        "huge-degree", "superscript-exponent"])
+        "huge-degree", "superscript-exponent", "long-parenthesised",
+        "long-unbalanced", "long-malformed", "long-not-quadratic"])
 def test_bad_inputs_exit_two_with_one_error_document(argv, code, tmp_path,
                                                       capsys):
     # a failed --out write prints the error in place of the report, and a
     # digit run past Python's int-string limit or a degree past
-    # gf.ORDER_CAP is refused by the parser, with no traceback
+    # gf.ORDER_CAP is refused by the parser, with no traceback; a parse
+    # error names the bad part once, cut to gf.ECHO_WIDTH characters
     argv = [a.format(missing=tmp_path / "missing") for a in argv]
     exit_code = cli.main(["verify", "-q", "3", *argv, "genus"])
     out, err = capsys.readouterr()
     assert (exit_code, err) == (2, "")
     doc = json.loads(out)
     assert list(doc) == ["error"] and doc["error"]["code"] == code
+    assert code != "ParseError" or len(out.encode()) < 300
     assert not (tmp_path / "missing").exists()
 
 

@@ -1076,6 +1076,20 @@ def test_lspace_detects_dependence():
     assert not rep.independent
 
 
+def test_lspace_bounds_zeros_and_places_outside_the_support():
+    # L(D) asks v_P(e) >= -D(P) at every P, also where e has a zero and
+    # where D is negative but e has valuation 0: L(-P_inf) = {0}, and
+    # v = 0 is a zero of order q - 1 = 2 of v on the q = 3 curve
+    one = scal(C3, vfun(C3, (1,)))
+    v = scal(C3, vfun(C3, (0, 1)))
+    at_zero = RamFinite(F3.zero)
+    assert lspace_check([one], Divisor({RamInfinity(3): -1})).members == (
+        False,)
+    for k, member in ((3, False), (2, True)):
+        D = Divisor({RamInfinity(3): 2, at_zero: -k})
+        assert lspace_check([v], D).members == (member,)
+
+
 def test_lspace_unknown_place():
     D = Divisor({RamInfinity(5): 1})
     with pytest.raises(UnknownPlace):
@@ -1445,12 +1459,10 @@ def _branch_point(P):
 H_CORRUPTIONS = [(C3, (1, 0, 1)), (C3, (2, 1, 1)), (C4, (0, 0, 1)),
                  (C5, (1, 0, 1)), (C7, (0, 0, 1)), (C7, (1, 0, 1)),
                  (C9, (1, 0, 1))]
+H_IDS = [f"q{c.q}-{format_poly(vpoly(c, *f), 'v')}" for c, f in H_CORRUPTIONS]
 
 
-@pytest.mark.parametrize(
-    "curve,factor", H_CORRUPTIONS,
-    ids=[f"q{c.q}-{format_poly(vpoly(c, *f), 'v')}"
-         for c, f in H_CORRUPTIONS])
+@pytest.mark.parametrize("curve,factor", H_CORRUPTIONS, ids=H_IDS)
 def test_genus_rh_reads_h(curve, factor, monkeypatch, capsys):
     # on the true h every ramified place has index e_P = q - 1
     n = curve.q - 1
@@ -1469,3 +1481,17 @@ def test_genus_rh_reads_h(curve, factor, monkeypatch, capsys):
                      "-M", format_poly(curve.modulus.as_poly(), "T"),
                      "genus"]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("curve,factor", H_CORRUPTIONS, ids=H_IDS)
+def test_point_counts_read_h(curve, factor):
+    # L is read from M alone and the counts from h alone, so an h that is
+    # no longer the curve of M must break the N_k check of l_polynomial
+    bad = KummerCurve(curve.modulus.a, curve.modulus.b, curve.gamma)
+    bad.h = bad.h * vfun(curve, factor)
+    with pytest.raises(FunctionalEquationViolated, match="reproduce N_"):
+        l_polynomial.__wrapped__(bad)
+    if curve is C5:
+        # v^2 + 1 = (v - 2)(v - 3) cancels two rational poles; h(2) = -1 is
+        # no fourth power, h(3) = 1 is, with q - 1 = 4 points over it
+        assert count_degree_one(bad, 1) == 10

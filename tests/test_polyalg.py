@@ -647,8 +647,9 @@ def test_compose_evaluates(f, g, k):
 
 
 def test_evaluation_embeds_only_into_a_proper_extension(monkeypatch):
-    # Horner's rule against sum c_i x^i; a point of the coefficient field
-    # needs no embedding, a point of GF(9) needs one per coefficient of f
+    # the sum of the terms against sum c_i x^i; a point of the coefficient
+    # field needs no embedding, a point of GF(9) needs one per coefficient
+    # of f.  On X^9 - X over GF(9) the two terms cancel at every point
     real, calls = gf.embed, []
 
     def spy(e, tgt):
@@ -656,7 +657,8 @@ def test_evaluation_embeds_only_into_a_proper_extension(monkeypatch):
         return real(e, tgt)
     monkeypatch.setattr(gf, "embed", spy)
     g = Poly.from_ints(F3, [2, 1, 0, 1])
-    for f in (Poly.from_ints(F9, [5, 0, 7, 1]), g):
+    frob = Poly.from_ints(F9, [0, -1] + [0] * 7 + [1])
+    for f in (Poly.from_ints(F9, [5, 0, 7, 1]), g, frob):
         for x in F9.iter_elements():
             want = F9.zero
             for i, c in enumerate(f.coeffs):
@@ -667,6 +669,7 @@ def test_evaluation_embeds_only_into_a_proper_extension(monkeypatch):
     calls.clear()
     assert g(1) == F3.one and g(2) == F3.zero
     assert calls == []
+    assert all(frob(x).is_zero() for x in F9.iter_elements())
 
 
 # ---------------------------------------------------------------------------

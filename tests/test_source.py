@@ -152,3 +152,16 @@ def test_kernel_forks_only_where_large_fields_reach():
         f"polyalg.py:{name}" for name in (
             "Poly.__mul__", "Poly.__divmod__", "Poly.__call__", "poly_gcd",
             "mul_trunc", "root_multiplicity"))
+
+
+def test_records_compare_only_through_record():
+    # Record's __eq__ and __hash__ read the fields through one attrgetter
+    # made per class, so a subclass that writes its own is a second copy
+    found = [f"{mod}:{node.name}.{item.name}"
+             for mod, tree in _package_trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id == "Record"
+                     for b in node.bases)
+             for item in node.body if isinstance(item, ast.FunctionDef)
+             and item.name in ("__eq__", "__hash__")]
+    assert found == []
