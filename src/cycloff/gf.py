@@ -433,7 +433,11 @@ class FieldCtx:
         raise ArithmeticError("dlog failed; generator not primitive?")
 
     def nth_roots(self, w, k):
-        """All y with y^k = w, sorted in lex order of coefficient vectors."""
+        """All y with y^k = w, sorted in lex order of coefficient vectors.
+
+        With d = gcd(k, Q-1) the roots are g^x0 zeta^t, t < d, for one
+        solution x0 and zeta = g^((Q-1)/d): two powers and d - 1 products.
+        """
         if w.is_zero():
             return [self.zero]
         order = self.order - 1
@@ -444,7 +448,10 @@ class FieldCtx:
             return []
         step = order // d
         x0 = (ell // d) * pow(k // d, -1, step) % step
-        roots = [self.generator ** (x0 + t * step) for t in range(d)]
+        zeta = self.generator ** step
+        roots = [self.generator ** x0]
+        for _ in range(d - 1):
+            roots.append(roots[-1] * zeta)
         return sorted(roots, key=lambda e: e.coeffs)
 
 

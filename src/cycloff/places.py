@@ -281,6 +281,8 @@ def valuation(e, P):
 # either kernel (exponent lists over table fields, FieldElem loops above).
 # Inverses and the y-branch are Newton iterations that double the precision
 # at each step (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 9).
+# Each polynomial is Taylor-shifted to c + t once per point, and a precision
+# m slices its first m coefficients from that shift.
 
 
 def _trunc(f, m):
@@ -297,16 +299,19 @@ def _series_inv(a, m):
     return g
 
 
-def _laurent(num, den, K, c, m):
-    # (order, unit series mod t^m) of num/den at v = c + t; the polynomials
-    # reach c's field E through K
+def _taylor_shift(f, K, c):
+    # f(c + t) as a Poly in t over c's field E; f reaches E through K
     E = c.ctx
-    shift = Poly(E, (c, E.one))
+    return f.embed_into(K).embed_into(E).compose(Poly(E, (c, E.one)))
+
+
+def _laurent(num, den, m):
+    # (order, unit series mod t^m) of num/den from their Taylor shifts
+    E = num.ctx
     units = []
     for f in (num, den):
-        coeffs = f.embed_into(K).embed_into(E).compose(shift).coeffs
-        o = next(i for i, x in enumerate(coeffs) if not x.is_zero())
-        units.append((o, Poly(E, coeffs[o:o + m])))
+        o = next(i for i, x in enumerate(f.coeffs) if not x.is_zero())
+        units.append((o, Poly(E, f.coeffs[o:o + m])))
     (on, nu), (od, du) = units
     return on - od, mul_trunc(nu, _series_inv(du, m), m)
 
@@ -325,24 +330,37 @@ def _y_branch(H, y0, n, m):
     return y
 
 
-def _generic_valuation(curve, coords, c, ys, expansions):
+def _generic_valuation(curve, coords, c, ys, point):
     """v_P(sum r_i y^i) at the place P over v = c with y-value ys.
 
-    ``expansions`` maps a precision m to the series of h and the Laurent
-    expansions of the coordinates at c mod t^m.  They depend on the point
-    only, so the places over one point share one dict and expand each
-    precision once; only the y-branch is lifted per place.
+    The precision m starts at one term and doubles up to
+    `_SERIES_PREC_CAP`.  At m = 1 the y-branch is ys and each Laurent unit
+    is its leading coefficient, so a place is settled at
+    s0 = min_i v_c(r_i) unless the tied leading terms cancel there; every
+    precision that finds a nonzero term finds the same valuation.
+
+    ``point`` holds what depends on the point only, so the places over one
+    point share it: the Taylor shifts of h and of the coordinates to
+    c + t, taken once, and the series each precision slices from them.
+    Only the y-branch is lifted per place.
     """
-    K, E = c.ctx, ys.ctx
-    cE = embed(c, E)
-    m = 8
+    E = ys.ctx
+    if "shifts" not in point:
+        # h and the coordinates reach E through K, as c does
+        K, cE = c.ctx, embed(c, E)
+
+        def shift(r):
+            return _taylor_shift(r.num, K, cE), _taylor_shift(r.den, K, cE)
+
+        point["shifts"] = (shift(curve.h),
+                           {i: shift(r) for i, r in enumerate(coords) if r})
+    hshift, shifts = point["shifts"]
+    m = 1
     while m <= _SERIES_PREC_CAP:
-        if m not in expansions:
-            # h and the coordinates reach E through K, as c does
-            expansions[m] = (_laurent(curve.h.num, curve.h.den, K, cE, m)[1],
-                             {i: _laurent(r.num, r.den, K, cE, m)
-                              for i, r in enumerate(coords) if r})
-        hser, terms = expansions[m]
+        if m not in point:
+            point[m] = (_laurent(*hshift, m)[1],
+                        {i: _laurent(*s, m) for i, s in shifts.items()})
+        hser, terms = point[m]
         ybr = _y_branch(hser, ys, curve.q - 1, m)
         s0 = min(sh for sh, _ in terms.values())
         # Horner in y on t^(-s0) e; every term is exact mod t^m, so acc is too
@@ -498,9 +516,9 @@ def divisor(e):
             for P in fiber:
                 coeffs[P] = orders[0]
             continue
-        expansions = {}
+        point = {}
         for P in fiber:
-            coeffs[P] = _generic_valuation(curve, coords, c, P.ys, expansions)
+            coeffs[P] = _generic_valuation(curve, coords, c, P.ys, point)
     dv = Divisor(coeffs)
     if dv.degree:
         raise CertificateFailed(

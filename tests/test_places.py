@@ -287,12 +287,13 @@ def test_generic_valuation_agrees_with_norm_aggregation():
     assert nm.valuation(root) == agg
 
 
-def test_series_resolves_leading_cancellation():
-    # engineer a + y vanishing at a chosen fiber point: over GF(3) the
-    # degree-2 points all have inert fibers, so take a cubic point with a
-    # rational fiber, write ys in the power basis of c, and cancel the
-    # constant term of the local expansion; the valuation code must then
-    # expand past the tie
+def cancelling_element():
+    """(e, c, ys) with e = a + y vanishing at the place (c, ys).
+
+    Over GF(3) the degree-2 points all have inert fibers, so take a cubic
+    point with a rational fiber, write ys in the power basis of c, and
+    cancel the constant term of the local expansion.
+    """
     E = create_field(3, 3)
     target = None
     for packed in range(27):
@@ -326,10 +327,27 @@ def test_series_resolves_leading_cancellation():
     s0, s1, s2 = aug[0][3], aug[1][3], aug[2][3]
     assert E.elem(s0) + E.elem(s1) * c + E.elem(s2) * c * c == ys
     a = vfun(C3, ((-s0) % 3, (-s1) % 3, (-s2) % 3))
-    e = scal(C3, a) + yelem(C3)
+    return scal(C3, a) + yelem(C3), c, ys
+
+
+def test_series_resolves_leading_cancellation():
+    # the leading terms of a + y cancel at one place of the fiber, so the
+    # valuation code must expand past the tie
+    e, c, ys = cancelling_element()
     dv = divisor(e)
     assert dv.degree == 0
     assert valuation(e, Generic(k=3, c=c, ys=ys, degree=3)) >= 1
+    assert valuation(e, Generic(k=3, c=c, ys=-ys, degree=3)) == 0
+
+
+def test_series_cap_refuses_a_cancellation_it_cannot_see_past(monkeypatch):
+    # with the cap at one term the cancelling place is out of reach and
+    # must raise; the other place is settled by its leading terms
+    e, c, ys = cancelling_element()
+    monkeypatch.setattr(places, "_SERIES_PREC_CAP", 1)
+    with pytest.raises(GenericPlaceUnsupported,
+                       match="beyond the supported series precision"):
+        valuation(e, Generic(k=3, c=c, ys=ys, degree=3))
     assert valuation(e, Generic(k=3, c=c, ys=-ys, degree=3)) == 0
 
 
@@ -382,7 +400,8 @@ def test_laurent_order_is_the_valuation(pn):
             continue
         ran += 1
         num, den = (v - c) ** a * u, (v - c) ** b * w
-        order, unit = places._laurent(num, den, E, c, m)
+        order, unit = places._laurent(places._taylor_shift(num, E, c),
+                                      places._taylor_shift(den, E, c), m)
         assert order == (root_multiplicity(num, c)
                          - root_multiplicity(den, c)) == a - b
         shift = Poly(E, (c, E.one))
@@ -397,8 +416,9 @@ def test_laurent_order_is_the_valuation(pn):
     if pn == (3, 2):
         r = RatFunc(vpoly(C3, 1, 0, 1), vpoly(C3, 0, 1))
         for c in roots_in(r.num, E):
-            assert places._laurent(r.num, r.den, E, c, m)[0] == \
-                r.valuation(c) == 1
+            assert places._laurent(places._taylor_shift(r.num, E, c),
+                                   places._taylor_shift(r.den, E, c),
+                                   m)[0] == r.valuation(c) == 1
 
 
 def test_zero_and_pole_over_one_closed_point():

@@ -165,3 +165,20 @@ def test_records_compare_only_through_record():
              for item in node.body if isinstance(item, ast.FunctionDef)
              and item.name in ("__eq__", "__hash__")]
     assert found == []
+
+
+def test_places_shifts_each_polynomial_in_one_helper():
+    # a series precision slices the Taylor shifts taken once per point, so
+    # the only .compose( call in places.py is the one in _taylor_shift
+    tree = _package_trees()["places.py"]
+    scopes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "compose"]
+    assert calls
+    owners = {min((f for f in scopes
+                   if f.lineno <= call.lineno <= f.end_lineno),
+                  key=lambda f: f.end_lineno - f.lineno).name
+              for call in calls}
+    assert owners == {"_taylor_shift"}
