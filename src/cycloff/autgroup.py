@@ -2,19 +2,20 @@
 
 A map is stored as
 
-    v -> (alpha v + beta)/(gamma' v + delta),      y -> f(v) * y^k
+    v -> (alpha v + beta)/(gamma' v + delta),      y -> f(v) * y
 
-with every coefficient in the quadratic extension of the constant field;
-each element built here fits in that extension, and comparing the
-canonical data then decides equality structurally.  Construction checks
-the defining relation
+with every coefficient in the curve's quadratic extension ``curve.ext`` of
+the constant field; each element built here fits in that extension, and
+comparing the canonical data then decides equality structurally.  No
+exponent y -> f y^k with k != 1 can occur (see `Aut`).  Construction
+checks the defining relation
 
-    f^(q-1) * h^k = h o mobius
+    f^(q-1) * h = h o mobius
 
 exactly, so an Aut that exists at all really is an automorphism of the
 function field.  Every denominator is monic, so the law is compared
-cross-multiplied, num(f)^(q-1) num(h)^k den(H) = num(H) den(f)^(q-1)
-den(h)^k with H = h o mobius, without reducing a product to lowest terms.
+cross-multiplied, num(f)^(q-1) num(h) den(H) = num(H) den(f)^(q-1) den(h)
+with H = h o mobius, without reducing a product to lowest terms.
 make_rho does not guess its matrix: it pushes the generator of the residue
 units through x = gamma v - y^(q-1) inside the curve algebra and reads the
 fractional-linear shape off the result; TransportFailure fires if that
@@ -25,18 +26,17 @@ square-and-multiply compose (epsilon's order 3 likewise).
 compose(a, b) applies b first, then a.  closure composes each generator
 with each element once; the rest of the Cayley table is read off those
 products, and later products (multiply, stabilizers, the q=3 quotient) are
-read from the table.  Every Aut passes the law in Aut.__init__, but the law
-is evaluated once per scalar class (curve, Mobius part, k, f up to a
-constant; see `_law_scalar`), h o mobius once per Mobius part, and the
-action on a ramified place once per (Mobius part, place) pair; the caches
-key on the canonical entries and on the curve's identity, so a repeat
-reuses an exact result for the same input.
+read from the table.  Every Aut passes the law in Aut.__init__, but the law,
+h o mobius included, is evaluated once per scalar class (curve, Mobius
+part, f up to a constant; see `_law_scalar`), and the action on a ramified
+place once per (Mobius part, place) pair; the caches key on the canonical
+entries and on the curve's identity, so a repeat reuses an exact result
+for the same input.
 Tables produced by closure are immutable, as are Auts, so orbit and
 stabilizer queries are safe to run concurrently once a table exists.
 """
 
 from functools import lru_cache
-from math import gcd
 
 from . import gf
 from .errors import (
@@ -66,46 +66,34 @@ CLOSURE_CAP = 10000
 
 
 @lru_cache(maxsize=None)
-def _ext_ctx(ctx):
-    """The quadratic extension all Aut coefficients are stored in."""
-    return gf.create_field(ctx.p, 2 * ctx.n)
-
-
-@lru_cache(maxsize=None)
 def _ext_h(curve):
-    return curve.h.embed_into(_ext_ctx(curve.h.ctx))
+    return curve.h.embed_into(curve.ext)
 
 
 @lru_cache(maxsize=None)
-def _h_after(curve, mobius):
-    """h o mobius, the right side of the law; one per Mobius part."""
-    a_, b_, c_, d_ = mobius
-    ext = a_.ctx
-    return _ext_h(curve).compose_fractional(Poly(ext, (b_, a_)),
-                                            Poly(ext, (d_, c_)))
-
-
-@lru_cache(maxsize=None)
-def _law_scalar(curve, mobius, k, f0):
-    """The scalar lambda with f0^(q-1) * h^k * lambda == h o mobius, exactly,
+def _law_scalar(curve, mobius, f0):
+    """The scalar lambda with f0^(q-1) * h * lambda == h o mobius, exactly,
     or None when no scalar makes the identity hold.
 
     Write a y-multiplier as f = c * f0 with f0's numerator monic.  Every
     denominator is monic, so nonzero, and the law for f is compared
-    cross-multiplied as c^(q-1) * A == B with A = f0.num^(q-1) h.num^k H.den
-    and B = H.num f0.den^(q-1) h.den^k, H = h o mobius, without a gcd
+    cross-multiplied as c^(q-1) * A == B with A = f0.num^(q-1) h.num H.den
+    and B = H.num f0.den^(q-1) h.den, H = h o mobius, without a gcd
     reduction.  A is nonzero, so the leading coefficients force
     c^(q-1) = lc(B)/lc(A) = lambda, and the law then holds iff
     A * lambda == B, which is checked here.  So f passes iff
     c^(q-1) == lambda: the q-1 maps with one Mobius part, which differ by
-    a constant in mu_(q-1), share one evaluation, and since lambda is
-    cached rather than a verdict, every scalar still gets its own exact
-    decision.
+    a constant in mu_(q-1), share one evaluation, H included, and since
+    lambda is cached rather than a verdict, every scalar still gets its
+    own exact decision.
     """
-    h, big = _ext_h(curve), _h_after(curve, mobius)
+    a_, b_, c_, d_ = mobius
+    ext = curve.ext
+    h = _ext_h(curve)
+    big = h.compose_fractional(Poly(ext, (b_, a_)), Poly(ext, (d_, c_)))
     n = curve.q - 1
-    lhs = f0.num ** n * h.num ** k * big.den
-    rhs = big.num * f0.den ** n * h.den ** k
+    lhs = f0.num ** n * h.num * big.den
+    rhs = big.num * f0.den ** n * h.den
     lam = rhs.lc * lhs.lc.inverse()
     return lam if lhs * lam == rhs else None
 
@@ -121,8 +109,6 @@ def _to_ext(value, ext):
 def _rf_to_ext(value, ext):
     if isinstance(value, (int, gf.FieldElem)):
         return RatFunc.constant(_to_ext(value, ext))
-    if isinstance(value, Poly):
-        value = RatFunc.from_poly(value)
     if not isinstance(value, RatFunc):
         raise CtxMismatch("y-multiplier must be a rational function")
     return value if value.ctx is ext else value.embed_into(ext)
@@ -136,17 +122,22 @@ def _vstr(num, den):
 
 
 class Aut:
-    """One automorphism in canonical form; immutable and hashable."""
+    """One automorphism v -> m(v), y -> f y in canonical form; immutable and
+    hashable.
 
-    __slots__ = ("curve", "mobius", "k", "f", "_key")
+    A general automorphism over m would send y to f y^k with k coprime to
+    q-1, under the law f^(q-1) h^k = h o m, which gives
+    v_m(P)(h) = k v_P(h) mod q-1 at every point P.  KummerCurve certifies
+    v_P(h) = -1 mod q-1 at the q+1 rational branch points and +1 at the
+    quadratic pair, so m permutes the q+3 branch points, at least q-1 of
+    the rational ones land on rational ones, and k = 1 mod q-1; at q = 3
+    the range 1..q-2 holds only 1 anyway.  So k is always 1 and not stored.
+    """
 
-    def __init__(self, curve, mobius, k, f):
-        ext = _ext_ctx(curve.h.ctx)
-        q = curve.q
-        if not isinstance(k, int) or not 1 <= k <= q - 2:
-            raise ValueError(f"exponent k={k} outside 1..{q - 2}")
-        if gcd(k, q - 1) != 1:
-            raise ValueError(f"exponent k={k} shares a factor with {q - 1}")
+    __slots__ = ("curve", "mobius", "f", "_key")
+
+    def __init__(self, curve, mobius, f):
+        ext = curve.ext
         entries = tuple(_to_ext(x, ext) for x in mobius)
         if len(entries) != 4:
             raise ValueError("mobius part needs four entries")
@@ -161,28 +152,27 @@ class Aut:
             raise ValueError("y-multiplier must be nonzero")
         self.curve = curve
         self.mobius = entries
-        self.k = k
         self.f = fe
-        self._key = (tuple(x.to_int() for x in entries), k,
+        self._key = (tuple(x.to_int() for x in entries),
                      tuple(c.to_int() for c in fe.num.coeffs),
                      tuple(c.to_int() for c in fe.den.coeffs))
         if not self._satisfies_law(curve):
-            raise CertificateFailed("map violates f^(q-1) * h^k = h o mobius")
+            raise CertificateFailed("map violates f^(q-1) * h = h o mobius")
 
     def _satisfies_law(self, curve):
-        ext = _ext_ctx(curve.h.ctx)
+        ext = curve.ext
         if self.f.ctx is not ext or self.mobius[0].ctx is not ext:
             return False
         f = self.f
         c = f.num.lc
-        lam = _law_scalar(curve, self.mobius, self.k,
+        lam = _law_scalar(curve, self.mobius,
                           RatFunc(f.num.monic(), f.den, _reduced=True))
         return lam is not None and c ** (curve.q - 1) == lam
 
     @property
     def is_identity(self):
         # canonical key of v -> v, y -> y: to_int packs 1 as 1 and 0 as 0
-        return self._key == ((1, 0, 0, 1), 1, (1,), (1,))
+        return self._key == ((1, 0, 0, 1), (1,), (1,))
 
     def __eq__(self, other):
         if not isinstance(other, Aut):
@@ -196,11 +186,10 @@ class Aut:
         ext = self.mobius[0].ctx
         a_, b_, c_, d_ = self.mobius
         vpart = _vstr(Poly(ext, (b_, a_)), Poly(ext, (d_, c_)))
-        fpart = _vstr(self.f.num, self.f.den)
         if self.f.is_one():
-            ystr = "y" if self.k == 1 else f"y^{self.k}"
+            ystr = "y"
         else:
-            ystr = f"({fpart})*y" + ("" if self.k == 1 else f"^{self.k}")
+            ystr = f"({_vstr(self.f.num, self.f.den)})*y"
         return f"v -> {vpart}; y -> {ystr}"
 
     def __repr__(self):
@@ -208,7 +197,7 @@ class Aut:
 
 
 def identity(curve):
-    return Aut(curve, (1, 0, 0, 1), 1, 1)
+    return Aut(curve, (1, 0, 0, 1), 1)
 
 
 def is_automorphism(candidate, curve):
@@ -221,34 +210,22 @@ def compose(a, b):
     if a.curve is not b.curve:
         raise CtxMismatch("automorphisms of different curves")
     curve = a.curve
-    n = curve.q - 1
     aa, ab, ac, ad = a.mobius
     ba, bb, bc, bd = b.mobius
     # field maps compose contravariantly on the matrix side
     mob = (ba * aa + bb * ac, ba * ab + bb * ad,
            bc * aa + bd * ac, bc * ab + bd * ad)
-    kc = (a.k * b.k - 1) % n + 1
-    s = (a.k * b.k - kc) // n
-    ext = _ext_ctx(curve.h.ctx)
+    ext = curve.ext
     fc = b.f.compose_fractional(Poly(ext, (ab, aa)), Poly(ext, (ad, ac)))
-    fc = fc * a.f ** b.k
-    if s:
-        fc = fc * _ext_h(curve) ** s
-    return Aut(curve, mob, kc, fc)
+    return Aut(curve, mob, fc * a.f)
 
 
 def invert(a):
     curve = a.curve
-    n = curve.q - 1
     aa, ab, ac, ad = a.mobius
-    kinv = pow(a.k, -1, n)
-    s = (a.k * kinv - 1) // n
-    ext = _ext_ctx(curve.h.ctx)
-    np_, dp_ = Poly(ext, (-ab, ad)), Poly(ext, (aa, -ac))
-    fv = a.f.compose_fractional(np_, dp_) ** (-kinv)
-    if s:
-        fv = fv * _ext_h(curve).compose_fractional(np_, dp_) ** (-s)
-    out = Aut(curve, (ad, -ab, -ac, aa), kinv, fv)
+    ext = curve.ext
+    fv = a.f.compose_fractional(Poly(ext, (-ab, ad)), Poly(ext, (aa, -ac)))
+    out = Aut(curve, (ad, -ab, -ac, aa), fv ** -1)
     if not (compose(a, out).is_identity and compose(out, a).is_identity):
         raise CertificateFailed("inverse does not compose to the identity")
     return out
@@ -291,7 +268,7 @@ def make_rho(curve):
     if w.num.degree > 1 or w.den.degree > 1:
         raise TransportFailure("image of v is not fractional-linear")
     rho = Aut(curve, (w.num.coeff(1), w.num.coeff(0),
-                      w.den.coeff(1), w.den.coeff(0)), 1, f)
+                      w.den.coeff(1), w.den.coeff(0)), f)
     if not _has_order(rho, q * q - 1):
         raise WrongOrder(f"rho does not have order {q * q - 1}")
     for pl in ramified_places(curve):
@@ -305,16 +282,16 @@ def make_mu(curve):
     if curve.ctx.p == 2:
         raise WrongCharacteristic("mu needs odd characteristic")
     q = curve.q
-    ext = _ext_ctx(curve.h.ctx)
+    ext = curve.ext
     lam = ext.generator ** ((q + 1) // 2)
     if lam ** (q - 1) != -ext.one:
         raise CertificateFailed("lambda^(q-1) is not -1")
     shift = curve.modulus.a * curve.gamma.inverse()
     mu = Aut(curve, (-ext.one, -gf.embed(shift, ext), ext.zero, ext.one),
-             1, lam)
+             lam)
     # mu^2 fixes v and rescales y by a generator of the scaling subgroup
     sq = compose(mu, mu)
-    if not (sq.k == 1 and sq.f.is_constant()):
+    if not sq.f.is_constant():
         raise CertificateFailed("mu^2 is not a constant rescaling of y")
     scale_order = sq.f.num.coeff(0).order()
     if scale_order != q - 1:
@@ -327,9 +304,9 @@ def make_omega(curve):
     """The characteristic-two shift v -> v + a/gamma."""
     if curve.ctx.p != 2:
         raise WrongCharacteristic("omega needs characteristic two")
-    ext = _ext_ctx(curve.h.ctx)
+    ext = curve.ext
     shift = curve.modulus.a * curve.gamma.inverse()
-    w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1, 1)
+    w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1)
     if not compose(w, w).is_identity:
         raise WrongOrder("omega is not an involution")
     return w
@@ -343,13 +320,13 @@ def make_epsilon(curve):
     if not (curve.modulus.a.is_zero() and curve.modulus.b == ctx.one
             and curve.gamma == ctx.elem(2)):
         raise ValueError("epsilon needs the model y^2 = (v^2+1)/(v^3-v)")
-    ext = _ext_ctx(curve.h.ctx)
+    ext = curve.ext
     i = min((e for e in ext.iter_elements() if e * e == -ext.one),
             key=lambda e: e.to_int())
     c = i * (ext.one - i)
     num = Poly(ext, (-c, ext.zero, c))
     den = Poly(ext, (i, ext.one))
-    eps = Aut(curve, (-ext.one, -i, ext.one, -i), 1, RatFunc(num, den))
+    eps = Aut(curve, (-ext.one, -i, ext.one, -i), RatFunc(num, den))
     if not _has_order(eps, 3):
         raise WrongOrder("epsilon does not have order 3")
     return eps
@@ -464,7 +441,7 @@ def _place_image(curve, mobius, place):
     if isinstance(place, Generic):
         raise GenericPlaceUnsupported(
             "the group action is computed on the ramified places only")
-    ext = _ext_ctx(curve.h.ctx)
+    ext = curve.ext
     aa, ab, ac, ad = mobius
     # the inverse matrix moves the coordinate of the place
     ai, bi, ci, di = ad, -ab, -ac, aa

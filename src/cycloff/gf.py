@@ -608,7 +608,10 @@ def _embed_sum(e, tgt):
 # ---------------------------------------------------------------------------
 # Literal syntax: "2", "g", "g+2", "2*g^3+1"
 
-def format_element(e, symbol="g"):
+SYMBOL = "g"  # the residue class of T, the one symbol of element literals
+
+
+def format_element(e):
     if e.ctx.n == 1:
         return str(e.coeffs[0])
     terms = []
@@ -619,12 +622,12 @@ def format_element(e, symbol="g"):
         if i == 0:
             terms.append(str(c))
         else:
-            var = symbol if i == 1 else f"{symbol}^{i}"
+            var = SYMBOL if i == 1 else f"{SYMBOL}^{i}"
             terms.append(var if c == 1 else f"{c}*{var}")
     return "+".join(terms) if terms else "0"
 
 
-def parse_element(ctx, s, symbol="g"):
+def parse_element(ctx, s):
     """Parse the literal syntax; inverse of format_element."""
     text = s.replace(" ", "")
     if not text:
@@ -632,7 +635,7 @@ def parse_element(ctx, s, symbol="g"):
     terms = _split_terms(text, s)
     coeffs = [0] * ctx.n
     for sgn, term in terms:
-        head, exp = _split_power(term, symbol)
+        head, exp = _split_power(term, SYMBOL)
         coef = 1 if head is None else _digits(head,
                                               f"bad term {_quote(term)}")
         if exp >= ctx.n:

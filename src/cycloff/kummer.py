@@ -25,7 +25,6 @@ from math import gcd
 from . import gf
 from .carlitz import CycModel, Modulus
 from .errors import (
-    CtxMismatch,
     NotCoprime,
     ReducibleModulus,
     ReducibleResult,
@@ -100,7 +99,9 @@ class KummerCurve(KummerAlgebra):
         q-2 and q-1 are consecutive.
 
         Keeps the two quadratic roots, sorted by ``to_int``, as
-        ``quad_roots``; the place layer books the quadratic point by them.
+        ``quad_roots``, and their field GF(q^2) as ``ext``; the place layer
+        books the quadratic point by them, and the automorphisms keep
+        their coefficients in ``ext``.
 
         h is reduced, so it has a simple pole at alpha iff den(alpha) = 0,
         den'(alpha) != 0 and num(alpha) != 0, and a simple zero at a root
@@ -128,6 +129,7 @@ class KummerCurve(KummerAlgebra):
                 raise WrongRamification(
                     f"h has no simple zero at v={gf.format_element(rt)}")
         self.quad_roots = tuple(sorted(quad_roots, key=lambda r: r.to_int()))
+        self.ext = ext
 
     def __repr__(self):
         return (f"<curve y^{self.q - 1} = {self.h} "
@@ -150,14 +152,6 @@ class EliminationCertificate(Record):
         set_field(self, "residual", residual)
 
 
-def _coerce_scalar(ctx, value):
-    if isinstance(value, gf.FieldElem):
-        if value.ctx is not ctx:
-            raise CtxMismatch("scalar from a different field")
-        return value
-    return ctx.elem(value)
-
-
 def verify_prop31(q, a, b, gamma):
     """Certify y^(q-1) = -(g v^2 + a v + b/g)/(v^q - v) with v = (x + y^(q-1))/g.
 
@@ -166,9 +160,9 @@ def verify_prop31(q, a, b, gamma):
     curve relation holds exactly when the residual is zero.
     """
     ctx = gf.field_from_order(q)
-    a = _coerce_scalar(ctx, a)
-    b = _coerce_scalar(ctx, b)
-    gamma = _coerce_scalar(ctx, gamma)
+    a = ctx.elem(a)
+    b = ctx.elem(b)
+    gamma = ctx.elem(gamma)
     if gamma.is_zero():
         raise ZeroElement("gamma must be a nonzero scalar")
     modulus = Modulus(a, b)  # ReducibleModulus for a bad pair
@@ -221,9 +215,9 @@ def recognize_cyclotomic(q, lam, r, a, b):
     taken via the inverse of r mod q-1.
     """
     ctx = gf.field_from_order(q)
-    lam = _coerce_scalar(ctx, lam)
-    a = _coerce_scalar(ctx, a)
-    b = _coerce_scalar(ctx, b)
+    lam = ctx.elem(lam)
+    a = ctx.elem(a)
+    b = ctx.elem(b)
     if gcd(r, q - 1) != 1:
         raise NotCoprime(f"twist exponent {r} shares a factor with {q - 1}")
     if lam.is_zero():
@@ -271,9 +265,9 @@ def roundtrip_certificate(q, lam, r, a, b):
       4. y = lam^r0 z^r, so the new generator generates.
     """
     ctx = gf.field_from_order(q)
-    lam = _coerce_scalar(ctx, lam)
-    a = _coerce_scalar(ctx, a)
-    b = _coerce_scalar(ctx, b)
+    lam = ctx.elem(lam)
+    a = ctx.elem(a)
+    b = ctx.elem(b)
     modulus = recognize_cyclotomic(q, lam, r, a, b)
     c = lam ** pow(r, -1, q - 1)
     gamma = -c

@@ -204,24 +204,21 @@ class Poly:
         if ctx._zech is not None:
             q, r = _exp_divmod(_to_exps(self, ctx), _to_exps(other, ctx), ctx)
             return _from_exps(ctx, q), _from_exps(ctx, r)
-        zero = ctx.zero
         rem = list(self.coeffs)
-        dg = other.degree
+        b = other.coeffs
+        db = other.degree
         # monic divisors are the common case; skip a full inversion there
-        inv_lc = None if other.lc == self.ctx.one else other.lc.inverse()
-        q = [zero] * max(0, len(rem) - dg)
-        while len(rem) - 1 >= dg and rem:
-            while rem and rem[-1].is_zero():
-                rem.pop()
-            if len(rem) - 1 < dg:
-                break
-            d = len(rem) - 1 - dg
-            c = rem[-1] if inv_lc is None else rem[-1] * inv_lc
-            q[d] = c
-            for j, y in enumerate(other.coeffs):
-                rem[d + j] = rem[d + j] - c * y
-            rem.pop()
-        return Poly(self.ctx, q), Poly(self.ctx, rem)
+        inv_lc = None if other.lc == ctx.one else other.lc.inverse()
+        quo = [ctx.zero] * max(0, len(rem) - db)
+        for d in range(len(rem) - 1 - db, -1, -1):
+            top = rem[d + db]
+            if top.is_zero():
+                continue
+            c = top if inv_lc is None else top * inv_lc
+            quo[d] = c
+            for j in range(db):
+                rem[d + j] = rem[d + j] - c * b[j]
+        return Poly(ctx, quo), Poly(ctx, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -900,8 +897,6 @@ class RatFunc:
     def compose_fractional(self, np_, dp_):
         """Substitute the variable by np_/dp_ (polynomials), exactly."""
         d = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
-        if d < 0:
-            return self
         ctx = np_.ctx
         num, den = _exp_homogenized(
             *[_to_exps(p, ctx) for p in (self.num, self.den, np_, dp_)],
@@ -1202,7 +1197,10 @@ class QuotientElem:
 # ---------------------------------------------------------------------------
 # Literal syntax for polynomials: "T^2+g*T+1", "(g+1)*T^2+2"
 
-def format_poly(f, var="T"):
+VAR = "T"  # the one variable of polynomial literals
+
+
+def format_poly(f, var=VAR):
     if f.is_zero():
         return "0"
     terms = []
@@ -1224,15 +1222,16 @@ def format_poly(f, var="T"):
     return "+".join(terms)
 
 
-def parse_poly(ctx, s, var="T"):
-    """Parse the literal syntax above into a Poly over ctx."""
+def parse_poly(ctx, s):
+    """Parse the literal syntax above, in the variable VAR, into a Poly
+    over ctx."""
     text = s.replace(" ", "")
     if not text:
         raise ParseError("empty polynomial literal")
     terms = gf._split_terms(text, s)
     out = {}
     for sgn, term in terms:
-        head, exp = gf._split_power(term, var)
+        head, exp = gf._split_power(term, VAR)
         coef = ctx.one if head is None else _parse_coef(ctx, head)
         cur = out.get(exp, ctx.zero)
         out[exp] = cur + coef if sgn == 1 else cur - coef

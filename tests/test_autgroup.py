@@ -34,6 +34,8 @@ from cycloff.polyalg import Poly, RatFunc
 F3 = create_field(3)
 F4 = create_field(2, 2)
 F5 = create_field(5)
+F7 = create_field(7)
+F8 = create_field(2, 3)
 F9 = create_field(3, 2)
 E9 = create_field(3, 2)
 E16 = create_field(2, 4)
@@ -44,17 +46,9 @@ C3N = KummerCurve(F3.zero, F3.one, F3.elem(2))  # y^2 = (v^2+1)/(v^3-v)
 C4 = KummerCurve(F4.one, F4.t_class, F4.one)
 C5 = KummerCurve(F5.zero, F5.elem(2), F5.one)
 C5B = KummerCurve(F5.one, F5.one, F5.one)
-
-
-class _SynthCurve:
-    """Y^4 = v over GF(5); exercises the k != 1 bookkeeping."""
-
-    def __init__(self):
-        self.q = 5
-        self.h = RatFunc.gen(F5)
-
-
-SYNTH = _SynthCurve()
+C7 = KummerCurve(F7.zero, F7.one, F7.one)
+C8 = KummerCurve(F8.one, F8.one, F8.one)
+C9 = KummerCurve(F9.zero, F9.generator, F9.one)
 
 
 @pytest.fixture(scope="module")
@@ -123,24 +117,22 @@ def test_identity_is_automorphism():
 def test_non_automorphism_rejected_at_construction():
     # v -> v+1 moves the numerator of h on C3, so no f can repair it
     with pytest.raises(CertificateFailed, match="map violates"):
-        ag.Aut(C3, (1, 1, 0, 1), 1, 1)
+        ag.Aut(C3, (1, 1, 0, 1), 1)
 
 
 def test_is_automorphism_false_across_models(mu5):
     # same constant field, different a: the flip lands on the wrong h
     assert ag.is_automorphism(mu5, C5B) is False
     assert ag.is_automorphism(ag.identity(C5), C5B) is True
+    # another constant field: mu5's coefficients lie outside C3's GF(9)
+    assert ag.is_automorphism(mu5, C3) is False
 
 
 def test_aut_field_validation():
     with pytest.raises(ValueError):
-        ag.Aut(C5, (1, 0, 0, 0), 1, 1)  # singular matrix
+        ag.Aut(C5, (1, 0, 0, 0), 1)  # singular matrix
     with pytest.raises(ValueError):
-        ag.Aut(C5, (1, 0, 0, 1), 2, 1)  # k shares a factor with q-1
-    with pytest.raises(ValueError):
-        ag.Aut(C5, (1, 0, 0, 1), 4, 1)  # k out of range
-    with pytest.raises(ValueError):
-        ag.Aut(C5, (1, 0, 0, 1), 1, 0)  # zero y-multiplier
+        ag.Aut(C5, (1, 0, 0, 1), 0)  # zero y-multiplier
 
 
 def test_mu_paper_flip(mu3, mu5):
@@ -149,7 +141,7 @@ def test_mu_paper_flip(mu3, mu5):
         q = curve.q
         lam = mu.f.num.coeff(0)
         assert lam ** (q - 1) == -ext.one
-        assert mu.f.den.is_one() and mu.k == 1
+        assert mu.f.den.is_one()
         assert [x.to_int() for x in mu.mobius] == [1, 0, 0,
                                                    (-ext.one).to_int()]
         assert ag.is_automorphism(mu, curve)
@@ -158,7 +150,7 @@ def test_mu_paper_flip(mu3, mu5):
 def test_mu_square_generates_the_scaling_subgroup(mu5):
     sq = ag.compose(mu5, mu5)
     assert [x.to_int() for x in sq.mobius] == [1, 0, 0, 1]
-    assert sq.k == 1 and sq.f.is_constant()
+    assert sq.f.is_constant()
     xi = sq.f.num.coeff(0)
     assert xi.order() == 4  # primitive (q-1)-th root of unity
     assert ag._has_order(mu5, 2 * (C5.q - 1))
@@ -167,7 +159,7 @@ def test_mu_square_generates_the_scaling_subgroup(mu5):
 def test_omega_q4_involution():
     om = ag.make_omega(C4)
     assert ag.is_automorphism(om, C4)
-    assert om.f.is_one() and om.k == 1
+    assert om.f.is_one()
     assert ag.compose(om, om).is_identity
     assert om.mobius[1] == embed(F4.one, E16)  # shift by a/gamma = 1
 
@@ -193,7 +185,6 @@ def test_rho_q3_frozen_transport(rho3):
     # of v to ((c0 - c1 a) v - c1 b/g)/(c1 g v + c0); here a=0, b=g=1,
     # so rho: v -> (v-1)/(v+1), y -> (v+1) y.
     assert [x.to_int() for x in rho3.mobius] == [1, 2, 1, 1]
-    assert rho3.k == 1
     assert rho3.f == RatFunc.from_poly(Poly(E9, (E9.one, E9.one)))
 
 
@@ -202,7 +193,6 @@ def test_rho_q5_frozen_transport(rho5):
     # x^2 = -2, (1+x)^4 = 3+x, (1+x)^8 = 2+x, (1+x)^12 = 4, so its order
     # is 24.  The same folding gives v -> (v-2)/(v+1), y -> (v+1) y.
     assert [x.to_int() for x in rho5.mobius] == [1, 3, 1, 1]
-    assert rho5.k == 1
     assert rho5.f == RatFunc.from_poly(Poly(E25, (E25.one, E25.one)))
 
 
@@ -210,7 +200,6 @@ def test_rho_q4_frozen_transport():
     # u = x generates (order 15: x^5 = t, t^3 = 1); c0 = 0, c1 = 1 give
     # y -> v y and v -> (v + b)/v with b = t.
     rho4 = ag.make_rho(C4)
-    assert rho4.k == 1
     assert rho4.f == RatFunc.from_poly(Poly(E16, (E16.zero, E16.one)))
     a_, b_, c_, d_ = rho4.mobius
     assert (a_, c_, d_) == (E16.one, E16.one, E16.zero)
@@ -412,6 +401,28 @@ def test_quad_pair_preserved_and_swapped_off_the_cyclic_part(
             assert img == qg
 
 
+@pytest.mark.parametrize("curve", [C4, C5, C7, C8, C9],
+                         ids=lambda c: f"q{c.q}")
+def test_no_automorphism_moves_a_quadratic_place_off_the_pair(monkeypatch,
+                                                             curve):
+    # the premise of Aut's k = 1 argument: every map keeps the quadratic
+    # pair, so all q+1 rational branch points stay rational.  At q = 3
+    # epsilon moves the pair, and k = 1 holds there by range alone.
+    q = curve.q
+    tables = []
+    real = ag.closure
+    monkeypatch.setattr(ag, "closure",
+                        lambda gens: tables.append(real(gens)) or tables[-1])
+    ag.group_report(curve)
+    (table,) = tables
+    assert table.order == 2 * (q * q - 1)
+    quads = [p for p in ramified_places(curve) if isinstance(p, RamQuadratic)]
+    assert len(quads) == 2
+    for z in table:
+        for pl in quads:
+            assert ag.act_on_place(z, pl) in quads
+
+
 def test_action_composes_left_to_right(table5):
     rng = random.Random(7)
     elems = table5.elements
@@ -444,12 +455,12 @@ def test_cached_law_still_rejects_a_wrong_multiplier(mu5, rho5):
     c = E25.generator  # order 24, so c^(q-1) != 1
     assert zeta ** (C5.q - 1) == E25.one and c ** (C5.q - 1) != E25.one
     for lawful in (mu5, rho5):
-        assert ag.Aut(C5, lawful.mobius, lawful.k, lawful.f) == lawful
-        twisted = ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * zeta)
+        assert ag.Aut(C5, lawful.mobius, lawful.f) == lawful
+        twisted = ag.Aut(C5, lawful.mobius, lawful.f * zeta)
         assert twisted.mobius == lawful.mobius
         for _ in range(2):
             with pytest.raises(CertificateFailed, match="map violates"):
-                ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * c)
+                ag.Aut(C5, lawful.mobius, lawful.f * c)
 
 
 def test_law_rejects_a_non_constant_multiple(mu5, rho5):
@@ -457,7 +468,7 @@ def test_law_rejects_a_non_constant_multiple(mu5, rho5):
     for lawful in (mu5, rho5):
         for factor in (v, v + 1, RatFunc(Poly.one(E25), Poly.gen(E25))):
             with pytest.raises(CertificateFailed, match="map violates"):
-                ag.Aut(C5, lawful.mobius, lawful.k, lawful.f * factor)
+                ag.Aut(C5, lawful.mobius, lawful.f * factor)
 
 
 def test_cached_scalar_decides_each_multiple_afresh(mu5):
@@ -468,11 +479,11 @@ def test_cached_scalar_decides_each_multiple_afresh(mu5):
     c = E25.generator
     before = ag._law_scalar.cache_info()
     with pytest.raises(CertificateFailed, match="map violates"):
-        ag.Aut(curve, mu5.mobius, mu5.k, mu5.f * c)
-    twisted = ag.Aut(curve, mu5.mobius, mu5.k, mu5.f * zeta)
+        ag.Aut(curve, mu5.mobius, mu5.f * c)
+    twisted = ag.Aut(curve, mu5.mobius, mu5.f * zeta)
     assert twisted.f == mu5.f * zeta and ag.is_automorphism(twisted, curve)
     with pytest.raises(CertificateFailed, match="map violates"):
-        ag.Aut(curve, mu5.mobius, mu5.k, mu5.f * c)
+        ag.Aut(curve, mu5.mobius, mu5.f * c)
     after = ag._law_scalar.cache_info()
     assert after.misses - before.misses == 1
 
@@ -512,10 +523,9 @@ def test_cached_place_action_still_raises(mu5, rho3):
 
 def test_each_law_and_place_image_is_computed_once(monkeypatch):
     # a fresh curve, so no cache entry exists for it yet
-    F7 = create_field(7)
     curve = KummerCurve(F7.zero, F7.one, F7.one)
     he = ag._ext_h(curve)
-    h_after, places_seen, laws = [], [], []
+    h_after, places_seen = [], []
 
     real_cf = RatFunc.compose_fractional
 
@@ -524,12 +534,6 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
             h_after.append((np_.coeffs, dp_.coeffs))
         return real_cf(self, np_, dp_)
 
-    real_h_after = ag._h_after
-
-    def counted_h_after(c, mobius):
-        laws.append(mobius)  # one call per evaluation of the law
-        return real_h_after(c, mobius)
-
     real_validate = ag._validate_place
 
     def counted_validate(c, pl):
@@ -537,9 +541,11 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
         return real_validate(c, pl)
 
     monkeypatch.setattr(RatFunc, "compose_fractional", counted_cf)
-    monkeypatch.setattr(ag, "_h_after", counted_h_after)
     monkeypatch.setattr(ag, "_validate_place", counted_validate)
+    before = ag._law_scalar.cache_info()
     table = ag.closure([ag.make_rho(curve), ag.make_mu(curve)])
+    # each cache miss is one evaluation of the law
+    laws = ag._law_scalar.cache_info().misses - before.misses
     places = ramified_places(curve)
     stabs = [ag.stabilizer(table, pl).order for pl in places]
     assert table.order == 96 and sorted(stabs) == [12] * 8 + [48] * 2
@@ -548,7 +554,7 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
     assert len(h_after) == len(set(h_after)) == len(mobius)
     # the q-1 elements over one Mobius part differ by a constant in
     # mu_(q-1), so they share one scalar class and one law evaluation
-    assert len(laws) == len(mobius)
+    assert laws == len(mobius)
     assert len(places_seen) == 2 * len(mobius) * len(places)
 
 
@@ -560,7 +566,6 @@ def test_epsilon_frozen(norm3):
     i = E9.t_class
     assert i * i == -E9.one
     c = i * (E9.one - i)
-    assert eps.k == 1
     assert eps.f == RatFunc(Poly(E9, (-c, E9.zero, c)), Poly(E9, (i, E9.one)))
     sq = ag.compose(eps, eps)
     assert not sq.is_identity
@@ -630,21 +635,6 @@ def test_quotient_guards(table5, rho3):
         ag.quotient_is_pgl23(table5)  # order 48 but q = 5
     with pytest.raises(WrongOrder):
         ag.quotient_is_pgl23(ag.closure([rho3]))  # q = 3 but order 8
-
-
-# -- synthetic exponent twist ------------------------------------------------
-
-
-def test_synthetic_quartic_k3():
-    tau = ag.Aut(SYNTH, (0, 1, 1, 0), 3,
-                 RatFunc(Poly.one(F5), Poly.gen(F5)))
-    # tau(y) = y^3/v on Y^4 = v: tau^2(y) = v (y^3/v)^3 / v^... folds to y
-    assert tau.k == 3
-    assert ag.compose(tau, tau).is_identity
-    assert ag.invert(tau) == tau
-    assert ag.closure([tau]).order == 2
-    with pytest.raises(CertificateFailed):
-        ag.Aut(SYNTH, (0, 1, 1, 0), 1, 1)  # k=1 cannot satisfy the law here
 
 
 # -- reports and arithmetic identities --------------------------------------
