@@ -21,12 +21,13 @@ the generator, built once when the context is made (Lidl-Niederreiter,
 Zech's logarithm table ``_zech`` (g^zech[k] = 1 + g^k, None where the sum
 is 0), the exponent ``_neg_exp`` of -1 ((q-1)/2 for odd p, 0 for p = 2)
 and one shared element ``_elems[k]`` per exponent k, which polyalg's
-kernels hand back the way ``zero`` is shared.  The elements are still
+kernels hand back the way ``zero`` is shared; elements add by the Zech
+table too, g^i + g^j = g^(i + zech[j - i]).  The elements are still
 coefficient tuples, so every printed or hashed value is the same as on the
-packed path that larger fields keep.  There a product is two integer
-products: the coefficient vectors packed one slot per coefficient
-(Kronecker substitution), then the packed reduction matrix of
-``_packed_kernel``; an inverse is a^(Q-2) (Fermat).
+packed path that larger fields keep.  There a sum is taken coefficientwise
+mod p, a product is two integer products: the coefficient vectors packed
+one slot per coefficient (Kronecker substitution), then the packed
+reduction matrix of ``_packed_kernel``; an inverse is a^(Q-2) (Fermat).
 """
 
 import functools
@@ -234,7 +235,8 @@ class FieldCtx:
 
     __slots__ = ("p", "n", "order", "modulus", "_packed", "_zero", "_one",
                  "_gen", "_factors", "_baby", "_exp", "_log", "_zech",
-                 "_neg_exp", "_elems", "_mul", "_inv", "_pow", "__weakref__")
+                 "_neg_exp", "_elems", "_add", "_mul", "_inv", "_pow",
+                 "__weakref__")
 
     def __init__(self, p, n, modulus):
         self.p = p
@@ -248,8 +250,8 @@ class FieldCtx:
         self._factors = None
         self._baby = None
         self._exp = self._log = self._zech = self._neg_exp = self._elems = None
-        self._mul, self._inv, self._pow = (
-            self._poly_mul, self._poly_inv, self._poly_pow)
+        self._add, self._mul, self._inv, self._pow = (
+            self._poly_add, self._poly_mul, self._poly_inv, self._poly_pow)
         if self.order <= TABLE_CAP:
             self._build_tables()
 
@@ -307,7 +309,7 @@ class FieldCtx:
 
     # -- tuple-level arithmetic ---------------------------------------------
 
-    def _add(self, a, b):
+    def _poly_add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
@@ -319,8 +321,9 @@ class FieldCtx:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    # _mul, _inv and _pow are bound per context: the packed-product/Fermat
-    # methods below, or the table lookups once _build_tables has run.
+    # _add, _mul, _inv and _pow are bound per context: the tuple sum and
+    # the packed-product/Fermat methods, or the table lookups once
+    # _build_tables has run.
 
     def _poly_mul(self, a, b):
         """a*b mod the modulus on packed integers (see _packed_kernel)."""
@@ -359,12 +362,24 @@ class FieldCtx:
         # doubled, so a product's exponent i + j needs no reduction
         self._exp = tuple(powers) * 2
         # g^_zech[k] = 1 + g^k (Lidl-Niederreiter, Finite Fields, 10.1)
-        self._zech = tuple([log.get(self._add(one, a)) for a in powers])
+        self._zech = tuple([log.get(self._poly_add(one, a)) for a in powers])
         self._neg_exp = (self.order - 1) // 2 if self.p != 2 else 0
         self._elems = tuple([self._one] + [FieldElem(self, a)
                                            for a in powers[1:]])
-        self._mul, self._inv, self._pow = (
-            self._table_mul, self._table_inv, self._table_pow)
+        self._add, self._mul, self._inv, self._pow = (
+            self._table_add, self._table_mul, self._table_inv, self._table_pow)
+
+    def _table_add(self, a, b):
+        # g^i + g^j = g^(i + zech[j - i])
+        log = self._log
+        i = log.get(a)
+        if i is None:
+            return b
+        j = log.get(b)
+        if j is None:
+            return a
+        z = self._zech[(j - i) % (self.order - 1)]
+        return self._zero.coeffs if z is None else self._exp[i + z]
 
     def _table_mul(self, a, b):
         log = self._log

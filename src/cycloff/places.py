@@ -333,11 +333,13 @@ def _y_branch(H, y0, n, m):
 def _generic_valuation(curve, coords, c, ys, point):
     """v_P(sum r_i y^i) at the place P over v = c with y-value ys.
 
-    The precision m starts at one term and doubles up to
-    `_SERIES_PREC_CAP`.  At m = 1 the y-branch is ys and each Laurent unit
-    is its leading coefficient, so a place is settled at
-    s0 = min_i v_c(r_i) unless the tied leading terms cancel there; every
-    precision that finds a nonzero term finds the same valuation.
+    `valuation` takes every fiber place here; `divisor` only the places of
+    one fiber whose leading terms cancel, when there are two or more.  The
+    precision m starts at one term and doubles up to `_SERIES_PREC_CAP`.
+    At m = 1 the y-branch is ys and each Laurent unit is its leading
+    coefficient, so a place is settled at s0 = min_i v_c(r_i) unless the
+    tied leading terms cancel there; every precision that finds a nonzero
+    term finds the same valuation.
 
     ``point`` holds what depends on the point only, so the places over one
     point share it: the Taylor shifts of h and of the coordinates to
@@ -460,6 +462,61 @@ def _fiber_places(curve, d, c):
     return sorted(out, key=_place_key)
 
 
+def _leading_term(r, c):
+    """(v_c(r), a, b): near c, r = (v - c)^(v_c(r)) u with u(c) = a/b.
+
+    a and b lie in c's field.  A polynomial with no root at c costs one
+    evaluation there; each root is peeled by one exact division by v - c.
+    """
+    K = c.ctx
+    lin = Poly(K, (-c, K.one))
+    out = []
+    for f in (r.num, r.den):
+        g, m = f.embed_into(K), 0
+        value = g(c)
+        while not value:
+            g, m = g // lin, m + 1
+            value = g(c)
+        out.append((m, value))
+    (mn, a), (md, b) = out
+    return mn - md, a, b
+
+
+def _tied_fiber(fiber, s0, tied, vn):
+    """(settled, left) over the fiber of a point c where the terms (i, a, b)
+    of ``tied`` all attain s0 = min_i v_c(r_i), with leading coefficient
+    a/b in c's field (`_leading_term`); vn = v_c(N e).
+
+    At P, e = t^s0 (sum_tied (a/b) ys^i + O(t)) for t = v - c: a nonzero
+    sum gives v_P(e) = s0, a zero one v_P(e) > s0.  With j = deg P / deg c
+    for every P over c, j sum_P v_P(e) = vn (see `divisor`), so a lone
+    cancelling place gets vn / j - (k - 1) s0 for k places over c;
+    CertificateFailed unless that is an integer above s0.  ``left`` holds
+    the cancelling places when there are two or more, which need series.
+    """
+    E = fiber[0].ys.ctx
+    # the leading values reach the fiber field through c's field, as c does
+    leads = [(i, embed(a / b, E)) for i, a, b in tied]
+    settled, left = {}, []
+    for P in fiber:
+        acc = E.zero
+        for i, a in leads:
+            acc = acc + a * P.ys ** i
+        if acc:
+            settled[P] = s0
+        else:
+            left.append(P)
+    if len(left) == 1:
+        v, rest = divmod(vn, fiber[0].degree // fiber[0].k)
+        v -= (len(fiber) - 1) * s0
+        if rest or v <= s0:
+            raise CertificateFailed(
+                f"v_c(N e) = {vn} leaves no valuation above {s0} for the "
+                "one place whose leading terms cancel")
+        settled[left.pop()] = v
+    return settled, left
+
+
 def divisor(e):
     """Principal divisor of a nonzero element, booked on closed points.
 
@@ -481,8 +538,12 @@ def divisor(e):
     Fields and Codes*, ch. 3) is positive once one v_P(e) is.  The same
     formula makes v_c(N e) < 0 force a coordinate pole, so neither the
     coordinate numerators nor the denominator of N(e) can add a point.
-    When one term alone attains min_i v_c(r_i), that minimum is v_P(e) by
-    the strict triangle inequality; only a tied minimum lifts series.
+    Each coordinate's order and leading coefficient at c come from
+    `_leading_term`.  When one term alone attains min_i v_c(r_i), that
+    minimum is v_P(e) by the strict triangle inequality.  A tied minimum
+    is settled by `_tied_fiber` from the leading terms and v_c(N e); only
+    two or more cancelling places of one fiber lift series, and the fiber
+    must then meet the norm formula above.
 
     A principal divisor has degree 0; any other total raises
     CertificateFailed.
@@ -506,19 +567,32 @@ def divisor(e):
         coeffs[P] = _ramified_valuation(curve, coords, P)
     # N(r y^i) = r^(q-1) N(y)^i and N(y) = +-h is a unit off the ramified
     # locus, so a one-term element needs no norm
-    support = coords[filled[0]].num if len(filled) == 1 else e.norm().num
+    norm = None if len(filled) == 1 else e.norm()
+    support = coords[filled[0]].num if norm is None else norm.num
     for i in filled:
         support = support * coords[i].den
     for d, c in _closed_points(curve, support):
         fiber = _fiber_places(curve, d, c)
-        orders = sorted(coords[i].valuation(c) for i in filled)
-        if len(orders) == 1 or orders[0] < orders[1]:
+        terms = {i: _leading_term(coords[i], c) for i in filled}
+        s0 = min(o for o, _, _ in terms.values())
+        tied = [(i, a, b) for i, (o, a, b) in terms.items() if o == s0]
+        if len(tied) == 1:
             for P in fiber:
-                coeffs[P] = orders[0]
+                coeffs[P] = s0
             continue
+        vn = norm.valuation(c)
+        settled, left = _tied_fiber(fiber, s0, tied, vn)
         point = {}
-        for P in fiber:
-            coeffs[P] = _generic_valuation(curve, coords, c, P.ys, point)
+        for P in left:
+            settled[P] = _generic_valuation(curve, coords, c, P.ys, point)
+        # with no cancelling place this is (q-1) s0 = vn
+        j = fiber[0].degree // d
+        if j * sum(settled.values()) != vn:
+            raise CertificateFailed(
+                f"the valuations over a point sum to "
+                f"{sum(settled.values())} at inertia degree {j}, but "
+                f"v_c(N e) = {vn}")
+        coeffs.update(settled)
     dv = Divisor(coeffs)
     if dv.degree:
         raise CertificateFailed(

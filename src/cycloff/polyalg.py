@@ -14,12 +14,15 @@ splitting routine for every characteristic, one_root: Berlekamp's trace
 splitter (Math. Comp. 24, 1970) on the Frobenius images X^(p^j) mod f,
 computed once over f's own field, one p-th power each (von zur
 Gathen-Shoup, Comput. Complexity 2, 1992).  It follows one branch to a
-single root with gcds and products in GF(Q) only; nothing is powered
-modulo a polynomial over GF(Q).  Splitting happens in one place, for
-roots_in, the divisor supports and the irreducibility test alike:
-_distinct_degree takes f apart by the degree of its irreducible factors
-over f's own field, with no radical, and _orbits turns each such part
-into the Frobenius orbits of its roots, one one_root call per orbit.
+single root with gcds and products in GF(Q) only, each trace form built
+coefficient by coefficient and the trace of a = 1, which cannot part two
+roots of one factor over GF(p), tried last; nothing is powered modulo a
+polynomial over GF(Q).  Splitting happens in one place, for roots_in,
+the divisor supports and the irreducibility test alike: _distinct_degree
+takes f apart by the degree of its irreducible factors over f's own
+field, with no radical, and stops at half the degree of what is left,
+which is then irreducible; _orbits turns each such part into the
+Frobenius orbits of its roots, one one_root call per orbit.
 is_irreducible reads only its first part: f of degree d is irreducible
 iff gcd(f, T^(q^i) - T) = 1 for every i <= d/2 (Ben-Or, FOCS 1981).
 
@@ -561,16 +564,23 @@ def _distinct_degree(f, top):
     Once every factor of degree < d is gone from rest, gcd(rest, X^(q^d) - X)
     is the degree-d part, squarefree whatever the multiplicities in f
     (von zur Gathen-Gerhard, *Modern Computer Algebra*, 14.2), so no radical
-    is taken.  t = X^(q^d) mod rest is carried forward, one Frobenius step
-    per degree: t has its coefficients in F, so its q-th power only spreads
-    them (``Poly.frob_power``) before one reduction, and rest only loses
-    factors, so the last t reduced mod the new rest is still X^(q^(d-1))
-    there.
+    is taken.  Nor is a step taken once 2d > deg rest: a reducible rest
+    would have a factor of degree <= deg rest / 2 < d, so rest is
+    irreducible, its own part if deg rest <= top.  t = X^(q^d) mod rest is
+    carried forward, one Frobenius step per degree: t has its coefficients
+    in F, so its q-th power only spreads them (``Poly.frob_power``) before
+    one reduction, and rest only loses factors, so the last t reduced mod
+    the new rest is still X^(q^(d-1)) there.
     """
     x = Poly.gen(f.ctx)
     rest, t = f, x
     for d in range(1, top + 1):
         if rest.is_constant():
+            break
+        if 2 * d > rest.degree:
+            if rest.degree <= top:
+                yield rest.degree, rest.monic()
+                rest = Poly.one(f.ctx)
             break
         t = t.frob_power(f.ctx.n) % rest
         part = poly_gcd(rest, t - x)
@@ -632,29 +642,38 @@ def one_root(f, ext):
     is kept; once T_a mod g is constant, all roots of g share it.  a runs
     through the power basis of ext, where the trace form is nondegenerate,
     so any two distinct roots differ in some Tr(a r), and one pass leaves
-    a linear factor.  Every part is a gcd with g and every quotient exact,
-    so that factor divides f whatever the images are; CertificateFailed if
-    no shift splits what is left, as when f has a repeated root or a root
-    outside ext.  Only p-th powers over F and products in ext are formed,
-    no powering modulo a polynomial over ext.
+    a linear factor; a = 1 comes last, since Tr(r) is constant on a
+    Frobenius orbit and so cannot part two roots of one factor over GF(p).
+    T_a is built coefficient by coefficient.  Every part is a gcd with g
+    and every quotient exact, so that factor divides f whatever the images
+    are; CertificateFailed if no shift splits what is left, as when f has
+    a repeated root or a root outside ext.  Only p-th powers over F and
+    products in ext are formed, no powering modulo a polynomial over ext.
     """
     f = f.monic()
     g = f.embed_into(ext)
     if g.degree > 1:
         p, N = ext.p, ext.n
         images = [tau.embed_into(ext) for tau in _frobenius_images(f, N)]
-        # apow[j] = a^(p^j) for the current basis element a = t^k
-        apow = [ext.one] * N
+        # cols[i] = (tau_j[i] for j < N): T_a's coefficient i is
+        # sum_j a^(p^j) tau_j[i]
+        width = f.degree
+        cols = list(zip(*[tau.coeffs + (ext.zero,) * (width - len(tau.coeffs))
+                          for tau in images]))
         tpow = [ext.t_class]
         for _ in range(N - 1):
             tpow.append(tpow[-1] ** p)
-        for k in range(N):
+        # apow[j] = a^(p^j) for a = t^k, k = 1..N-1, and then a = 1
+        apow = tpow
+        for k in range(1, N + 1):
             if g.degree == 1:
                 break
-            if k:
+            if k == N:
+                apow = [ext.one] * N
+            elif k > 1:
                 apow = [a * w for a, w in zip(apow, tpow)]
-            u = functools.reduce(operator.add,
-                                 [f * a for a, f in zip(apow, images)])
+            u = Poly(ext, [sum(map(operator.mul, apow, col), ext.zero)
+                           for col in cols])
             if u.degree >= g.degree:
                 u = u % g
             for c in range(p):

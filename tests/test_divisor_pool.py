@@ -51,33 +51,32 @@ def test_divisor_pool_reproduces_the_recorded_hashes():
 
 
 def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
-    # a guard by counts, not timings, on the first 20 draws of each q:
-    # a one-term element lifts no series, a rational point where no
-    # coordinate has a zero or a pole peels no (v - a), each polynomial is
-    # Taylor-shifted once per tied point, and a place whose leading terms
-    # do not cancel lifts its y-branch at one term only
+    # a guard by counts, not timings, on the first 20 draws of each q: no
+    # draw lifts a series or takes a Taylor shift, since a tied point is
+    # settled from its leading terms and the norm; a one-term element has
+    # no tied point, and a rational point where no coordinate has a zero or
+    # a pole peels no (v - a)
     draws = load_draws()
     curves = draws.standard_curves()
     keys = [f"{q}:{i}" for q in draws.POOL for i in range(20)]
     real_series = places._generic_valuation
     real_shift = places._taylor_shift
-    real_branch = places._y_branch
+    real_tied = places._tied_fiber
     real_mult = polyalg.root_multiplicity
-    series, peeled, shifts, branches = [], set(), Counter(), []
+    series, shifts, tied, peeled = [], [], [], set()
 
     def counted_series(curve, coords, c, ys, point):
-        branches.clear()
-        v = real_series(curve, coords, c, ys, point)
-        series.append((c, v, tuple(branches)))
-        return v
+        series.append(c)
+        return real_series(curve, coords, c, ys, point)
 
     def counted_shift(f, K, c):
-        shifts[c] += 1
+        shifts.append(c)
         return real_shift(f, K, c)
 
-    def counted_branch(H, y0, n, m):
-        branches.append(m)
-        return real_branch(H, y0, n, m)
+    def counted_tied(fiber, s0, terms, vn):
+        settled, left = real_tied(fiber, s0, terms, vn)
+        tied.append((fiber, s0, dict(settled), list(left)))
+        return settled, left
 
     def counted_mult(f, c):
         peeled.add(c)
@@ -85,41 +84,37 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
 
     monkeypatch.setattr(places, "_generic_valuation", counted_series)
     monkeypatch.setattr(places, "_taylor_shift", counted_shift)
-    monkeypatch.setattr(places, "_y_branch", counted_branch)
+    monkeypatch.setattr(places, "_tied_fiber", counted_tied)
     monkeypatch.setattr(polyalg, "root_multiplicity", counted_mult)
-    one_term_generic = skipped = settled = 0
-    tied = set()
+    one_term_generic = skipped = 0
+    settled = Counter()
     for key, e in draws.elements(curves, keys):
         ctx = e.alg.ctx
         filled = [r for r in e.coords if r]
-        series.clear()
+        tied.clear()
         peeled.clear()
-        shifts.clear()
         try:
             dv = divisor(e)
         except GenericPlaceUnsupported:
             dv = None
+        assert series == [] and shifts == [], key
         if len(filled) == 1:
-            assert series == [], key
+            assert tied == [], key
             one_term_generic += dv is not None and any(
                 isinstance(P, Generic) for P in dv.support)
-        # h.num, h.den and each filled num and den, whatever the number of
-        # places and precisions; shifts are keyed by c embedded in the
-        # fiber field
-        points = {c for c, _, _ in series}
-        assert len(shifts) == len(points), key
-        assert set(shifts.values()) <= {2 + 2 * len(filled)}, key
-        for c, v, ms in series:
-            if v == min(r.valuation(c) for r in filled):
-                assert ms == (1,), key
-                settled += 1
-        tied |= {(key, c) for c in points}
+        for fiber, s0, out, left in tied:
+            # every place over c is settled at s0 by a nonzero leading sum,
+            # or above it by the norm
+            assert left == [] and set(out) == set(fiber), key
+            assert min(out.values()) == s0 == min(
+                r.valuation(fiber[0].c) for r in filled), key
+            settled[max(out.values()) > s0] += 1
         special = {a for a in ctx.iter_elements()
                    if any(not r.num(a) or not r.den(a) for r in filled)}
         assert {c for c in peeled if c.ctx is ctx} == special, key
         skipped += ctx.order - len(special)
     assert one_term_generic >= 5 and skipped >= 400
-    assert len(tied) >= 10 and settled >= 10
+    assert sum(settled.values()) >= 10 and settled[True] >= 1
 
 
 def test_each_divisor_makes_one_distinct_degree_pass(monkeypatch):

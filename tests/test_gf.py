@@ -370,6 +370,17 @@ def test_tables_match_the_polynomial_path_exhaustively(p, n):
     assert ctx._pow(ctx.zero.coeffs, 5) == ctx.zero.coeffs
 
 
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 3)])
+def test_zech_addition_matches_the_tuple_sum(p, n):
+    # g^i + g^j = g^(i + zech[j - i]) on every pair, zero included
+    ctx = gf.create_field(p, n)
+    assert ctx._add == ctx._table_add
+    elems = [e.coeffs for e in ctx.iter_elements()]
+    for a in elems:
+        for b in elems:
+            assert ctx._add(a, b) == ctx._poly_add(a, b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([(3, 6), (2, 10)]), st.integers(-3, 3 ** 6 + 3),
        st.integers(-3, 2 ** 10 + 3), st.integers(-1, 5000))
@@ -389,6 +400,7 @@ def test_field_above_the_cap_keeps_the_polynomial_path():
         ctx = gf.create_field(p, n)
         assert ctx.order > gf.TABLE_CAP
         assert ctx._log is None and ctx._exp is None
+        assert ctx._add == ctx._poly_add
         g = ctx.generator
         acc = ctx.one
         for k in range(40):

@@ -287,12 +287,23 @@ def test_generic_valuation_agrees_with_norm_aggregation():
     assert nm.valuation(root) == agg
 
 
+def value_at(curve, c, w):
+    """The polynomial a over GF(q) of degree < d with a(c) = w, by search;
+    c generates its field GF(q^d) over GF(q), so a is unique."""
+    ctx = curve.ctx
+    for tail in itertools.product(range(ctx.order),
+                                  repeat=c.ctx.n // ctx.n):
+        a = Poly(ctx, [ctx.from_int(x) for x in tail])
+        if a(c) == w:
+            return a
+
+
 def cancelling_element():
     """(e, c, ys) with e = a + y vanishing at the place (c, ys).
 
     Over GF(3) the degree-2 points all have inert fibers, so take a cubic
-    point with a rational fiber, write ys in the power basis of c, and
-    cancel the constant term of the local expansion.
+    point with a rational fiber and let a(c) = -ys cancel the constant term
+    of the local expansion.
     """
     E = create_field(3, 3)
     target = None
@@ -311,22 +322,7 @@ def cancelling_element():
             break
     assert target is not None
     c, ys = target
-    # write ys in the power basis 1, c, c^2 (the field basis is in g, not c)
-    cols = [list(E.one.coeffs), list(c.coeffs), list((c * c).coeffs)]
-    aug = [[cols[0][i], cols[1][i], cols[2][i], ys.coeffs[i]]
-           for i in range(3)]
-    for col in range(3):
-        piv = next(r for r in range(col, 3) if aug[r][col] % 3)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, 3)
-        aug[col] = [x * inv % 3 for x in aug[col]]
-        for r in range(3):
-            if r != col and aug[r][col] % 3:
-                fac = aug[r][col]
-                aug[r] = [(x - fac * y) % 3 for x, y in zip(aug[r], aug[col])]
-    s0, s1, s2 = aug[0][3], aug[1][3], aug[2][3]
-    assert E.elem(s0) + E.elem(s1) * c + E.elem(s2) * c * c == ys
-    a = vfun(C3, ((-s0) % 3, (-s1) % 3, (-s2) % 3))
+    a = RatFunc.from_poly(value_at(C3, c, -ys))
     return scal(C3, a) + yelem(C3), c, ys
 
 
@@ -349,6 +345,85 @@ def test_series_cap_refuses_a_cancellation_it_cannot_see_past(monkeypatch):
                        match="beyond the supported series precision"):
         valuation(e, Generic(k=3, c=c, ys=ys, degree=3))
     assert valuation(e, Generic(k=3, c=c, ys=-ys, degree=3)) == 0
+
+
+def spy_series(monkeypatch):
+    """The y-values at which places._generic_valuation is called."""
+    real, lifted = places._generic_valuation, []
+
+    def spy(curve, coords, c, ys, point):
+        lifted.append(ys)
+        return real(curve, coords, c, ys, point)
+
+    monkeypatch.setattr(places, "_generic_valuation", spy)
+    return lifted
+
+
+def test_norm_books_the_one_cancelling_place(monkeypatch):
+    # a + y cancels at one of the two places over c; divisor reads that
+    # place from v_c(N e), with no series, and books what valuation() finds
+    e, c, ys = cancelling_element()
+    lifted = spy_series(monkeypatch)
+    dv = divisor(e)
+    assert lifted == []
+    monkeypatch.undo()
+    P, Q = (Generic(k=3, c=c, ys=y, degree=3) for y in (ys, -ys))
+    assert dv.coeff(P) == valuation(e, P) >= 1
+    assert dv.coeff(Q) == valuation(e, Q) == 0
+
+
+def two_cancelling_element():
+    """(e, fiber, cancelling) on the q=5 curve: e = y^2 - a with
+    a(c) = ys^2 at a quadratic point c whose fiber has four places of
+    degree 2, so the leading terms cancel at ys and -ys only."""
+    for c in unramified_points(C5, 2):
+        fiber = places._fiber_places(C5, 2, c)
+        if len(fiber) != 4:
+            continue
+        ys = fiber[0].ys
+        a = RatFunc.from_poly(value_at(C5, c, ys * ys))
+        e = yelem(C5) ** 2 - scal(C5, a)
+        try:
+            divisor(e)
+        except GenericPlaceUnsupported:
+            continue
+        return e, fiber, [P for P in fiber if P.ys ** 2 == ys * ys]
+
+
+def test_series_serve_only_two_cancelling_places(monkeypatch):
+    e, fiber, cancelling = two_cancelling_element()
+    assert len(cancelling) == 2
+    lifted = spy_series(monkeypatch)
+    dv = divisor(e)
+    assert sorted(lifted, key=lambda y: y.to_int()) == sorted(
+        (P.ys for P in cancelling), key=lambda y: y.to_int())
+    monkeypatch.undo()
+    for P in fiber:
+        assert dv.coeff(P) == valuation(e, P)
+        assert (dv.coeff(P) > 0) == (P in cancelling)
+
+
+@pytest.mark.parametrize("shift,caught", [(0, "degree 3"), (1, "v_c")],
+                         ids=["one-cancels", "none-cancel"])
+def test_a_wrong_norm_fails_at_a_tied_point(shift, caught, monkeypatch):
+    # e = (a + shift) + y is tied at c, where a + y cancels at one place
+    # and a + 1 + y at none (its norm has no zero at c); a norm times the
+    # minimal polynomial of c must fail a certificate, not move a place:
+    # the degree of the divisor, or the norm sum over the fiber
+    e, c, ys = cancelling_element()
+    assert ys not in (c.ctx.one, -c.ctx.one)
+    e = e + scal(C3, RatFunc.constant(F3.elem(shift)))
+    E = c.ctx
+    orbit = functools.reduce(
+        operator.mul, [Poly(E, (-c.frob(i), E.one)) for i in range(3)])
+    back = gf.preimages(F3, E)
+    minpoly = RatFunc.from_poly(Poly(F3, [back[x] for x in orbit.coeffs]))
+    assert divisor(e).degree == 0
+    real = polyalg.QuotientElem.norm
+    monkeypatch.setattr(polyalg.QuotientElem, "norm",
+                        lambda self: real(self) * minpoly)
+    with pytest.raises(CertificateFailed, match=caught):
+        divisor(e)
 
 
 SERIES_FIELDS = pytest.mark.parametrize("pn", [(3, 2), (2, 11)],

@@ -170,6 +170,35 @@ def test_irreducible_degree_five_frozen():
     assert not is_irreducible(g)
 
 
+HALF_DEGREE = [(F3, d) for d in (1, 2, 3, 5, 6, 7)] + [(F9, d)
+                                                        for d in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("ctx,d", HALF_DEGREE,
+                         ids=[f"{ctx.name}-deg{d}" for ctx, d in HALF_DEGREE])
+def test_distinct_degree_stops_at_half_degree(ctx, d, monkeypatch):
+    # an irreducible f of degree d has no factor of degree <= d/2, so after
+    # floor(d/2) Frobenius steps what is left is f itself, yielded monic
+    # as its own part, or as the rest when d is past top
+    f = next(f for f in all_monic(ctx, d) if is_irreducible(f))
+    real, steps = Poly.frob_power, []
+
+    def counted(self, j):
+        steps.append(j)
+        return real(self, j)
+
+    monkeypatch.setattr(Poly, "frob_power", counted)
+    one = Poly.one(ctx)
+    cases = [(f, d, [(d, f), (0, one)]), (f * ctx.generator, d,
+                                          [(d, f), (0, one)])]
+    if d > 2:
+        cases.append((f, d - 1, [(0, f)]))
+    for g, top, parts in cases:
+        steps.clear()
+        assert list(polyalg._distinct_degree(g, top)) == parts
+        assert steps == [ctx.n] * (d // 2)
+
+
 def test_roots_in_extension_frozen():
     f = Poly.from_ints(F3, [1, 0, 1])
     assert roots_in(f, F3) == []

@@ -182,3 +182,16 @@ def test_places_shifts_each_polynomial_in_one_helper():
                   key=lambda f: f.end_lineno - f.lineno).name
               for call in calls}
     assert owners == {"_taylor_shift"}
+
+
+def test_series_are_lifted_from_two_sites():
+    # divisor settles a tied point from its leading terms and the norm, so
+    # _generic_valuation is called by valuation() and at one site in
+    # divisor, for two or more cancelling places of one fiber
+    tree = _package_trees()["places.py"]
+    callers = [func.name for func in tree.body
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name)
+               and node.func.id == "_generic_valuation"]
+    assert sorted(callers) == ["divisor", "valuation"]
