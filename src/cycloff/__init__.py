@@ -24,7 +24,6 @@ from .carlitz import (
     CycModel,
     Modulus,
     UnitClass,
-    act_on_torsion,
     carlitz_of,
     galois_map,
     iter_irreducible_moduli,

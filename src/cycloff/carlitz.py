@@ -307,14 +307,3 @@ def galois_map(u, model):
         raise CertificateFailed(f"C_M(C_u(y)) != 0 for u = {u}")
     return w
 
-
-def act_on_torsion(u, w):
-    """sigma_u applied to a torsion point w = C_f(y).
-
-    Automorphisms fix GF(q)(x) and commute with every C_f, so
-    sigma_u(C_f(y)) = C_f(C_u(y)) = C_u(C_f(y)); on such elements applying
-    C_u to the vector is the Galois action.  Not valid on arbitrary field
-    elements.
-    """
-    cp = u if isinstance(u, CarlitzPoly) else carlitz_of(u.rep)
-    return cp.act(w)

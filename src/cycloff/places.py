@@ -43,7 +43,6 @@ from .polyalg import (
     _exp_value,
     _orbits,
     format_poly,
-    mul_trunc,
     one_root,
     poly_gcd,
 )
@@ -272,17 +271,17 @@ def valuation(e, P):
     _validate_place(curve, P)
     if not isinstance(P, Generic):
         return _ramified_valuation(curve, e.coords, P)
-    return _generic_valuation(curve, e.coords, P.c, P.ys, {})
+    return _generic_valuation(curve, e.coords, P.c, P.ys)
 
 
 # -- truncated power series over a field context -----------------------------
-# A series in t = v - c is a Poly in t cut to its first m coefficients, and
-# products are `polyalg.mul_trunc`, which forms no term past t^(m-1) on
-# either kernel (exponent lists over table fields, FieldElem loops above).
-# Inverses and the y-branch are Newton iterations that double the precision
-# at each step (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 9).
-# Each polynomial is Taylor-shifted to c + t once per point, and a precision
-# m slices its first m coefficients from that shift.
+# The series serve `valuation` alone.  A series in t = v - c is a Poly in t
+# cut to its first m coefficients, and a product of two is their Poly
+# product cut by `_trunc`.  Inverses and the y-branch are Newton iterations
+# that double the precision at each step (von zur Gathen-Gerhard, *Modern
+# Computer Algebra*, ch. 9).  Each polynomial is Taylor-shifted to c + t
+# once per call, and a precision m slices its first m coefficients from
+# that shift.
 
 
 def _trunc(f, m):
@@ -295,7 +294,7 @@ def _series_inv(a, m):
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
-        g = mul_trunc(2 - mul_trunc(a, g, prec), g, prec)
+        g = _trunc((2 - _trunc(a * g, prec)) * g, prec)
     return g
 
 
@@ -313,7 +312,7 @@ def _laurent(num, den, m):
         o = next(i for i, x in enumerate(f.coeffs) if not x.is_zero())
         units.append((o, Poly(E, f.coeffs[o:o + m])))
     (on, nu), (od, du) = units
-    return on - od, mul_trunc(nu, _series_inv(du, m), m)
+    return on - od, _trunc(nu * _series_inv(du, m), m)
 
 
 def _y_branch(H, y0, n, m):
@@ -323,52 +322,42 @@ def _y_branch(H, y0, n, m):
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
-        pw = gf.power(y, n - 1, lambda a, b: mul_trunc(a, b, prec),
+        pw = gf.power(y, n - 1, lambda a, b: _trunc(a * b, prec),
                       Poly.one(E))
-        diff = mul_trunc(pw, y, prec) - _trunc(H, prec)
-        y = y - mul_trunc(diff, _series_inv(pw * n, prec), prec)
+        diff = _trunc(pw * y - H, prec)
+        y = y - _trunc(diff * _series_inv(pw * n, prec), prec)
     return y
 
 
-def _generic_valuation(curve, coords, c, ys, point):
-    """v_P(sum r_i y^i) at the place P over v = c with y-value ys.
+def _generic_valuation(curve, coords, c, ys):
+    """v_P(sum r_i y^i) at the place P over v = c with y-value ys, for
+    `valuation`.
 
-    `valuation` takes every fiber place here; `divisor` only the places of
-    one fiber whose leading terms cancel, when there are two or more.  The
-    precision m starts at one term and doubles up to `_SERIES_PREC_CAP`.
-    At m = 1 the y-branch is ys and each Laurent unit is its leading
-    coefficient, so a place is settled at s0 = min_i v_c(r_i) unless the
-    tied leading terms cancel there; every precision that finds a nonzero
-    term finds the same valuation.
-
-    ``point`` holds what depends on the point only, so the places over one
-    point share it: the Taylor shifts of h and of the coordinates to
-    c + t, taken once, and the series each precision slices from them.
-    Only the y-branch is lifted per place.
+    h and the filled coordinates are Taylor-shifted to c + t once, and
+    each precision m slices its series from those shifts.  m starts at one
+    term and doubles up to `_SERIES_PREC_CAP`.  At m = 1 the y-branch is ys
+    and each Laurent unit is its leading coefficient, so a place is settled
+    at s0 = min_i v_c(r_i) unless the tied leading terms cancel there;
+    every precision that finds a nonzero term finds the same valuation.
     """
     E = ys.ctx
-    if "shifts" not in point:
-        # h and the coordinates reach E through K, as c does
-        K, cE = c.ctx, embed(c, E)
+    # h and the coordinates reach E through K, as c does
+    K, cE = c.ctx, embed(c, E)
 
-        def shift(r):
-            return _taylor_shift(r.num, K, cE), _taylor_shift(r.den, K, cE)
+    def shift(r):
+        return _taylor_shift(r.num, K, cE), _taylor_shift(r.den, K, cE)
 
-        point["shifts"] = (shift(curve.h),
-                           {i: shift(r) for i, r in enumerate(coords) if r})
-    hshift, shifts = point["shifts"]
+    hshift = shift(curve.h)
+    shifts = {i: shift(r) for i, r in enumerate(coords) if r}
     m = 1
     while m <= _SERIES_PREC_CAP:
-        if m not in point:
-            point[m] = (_laurent(*hshift, m)[1],
-                        {i: _laurent(*s, m) for i, s in shifts.items()})
-        hser, terms = point[m]
-        ybr = _y_branch(hser, ys, curve.q - 1, m)
+        ybr = _y_branch(_laurent(*hshift, m)[1], ys, curve.q - 1, m)
+        terms = {i: _laurent(*s, m) for i, s in shifts.items()}
         s0 = min(sh for sh, _ in terms.values())
         # Horner in y on t^(-s0) e; every term is exact mod t^m, so acc is too
         acc = Poly.zero(E)
         for i in range(max(terms), -1, -1):
-            acc = mul_trunc(acc, ybr, m)
+            acc = _trunc(acc * ybr, m)
             if i in terms:
                 sh, ru = terms[i]
                 acc = acc + Poly(E, (E.zero,) * (sh - s0) + ru.coeffs)
@@ -542,8 +531,8 @@ def divisor(e):
     `_leading_term`.  When one term alone attains min_i v_c(r_i), that
     minimum is v_P(e) by the strict triangle inequality.  A tied minimum
     is settled by `_tied_fiber` from the leading terms and v_c(N e); only
-    two or more cancelling places of one fiber lift series, and the fiber
-    must then meet the norm formula above.
+    two or more cancelling places of one fiber lift series, each through
+    `valuation`, and the fiber must then meet the norm formula above.
 
     A principal divisor has degree 0; any other total raises
     CertificateFailed.
@@ -582,9 +571,8 @@ def divisor(e):
             continue
         vn = norm.valuation(c)
         settled, left = _tied_fiber(fiber, s0, tied, vn)
-        point = {}
         for P in left:
-            settled[P] = _generic_valuation(curve, coords, c, P.ys, point)
+            settled[P] = valuation(e, P)
         # with no cancelling place this is (q-1) s0 = vn
         j = fiber[0].degree // d
         if j * sum(settled.values()) != vn:

@@ -27,16 +27,16 @@ is_irreducible reads only its first part: f of degree d is irreducible
 iff gcd(f, T^(q^i) - T) = 1 for every i <= d/2 (Ben-Or, FOCS 1981).
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
-included), product, truncated product (mul_trunc, for power series),
-division, gcd, evaluation and root multiplicity run on lists of generator
-exponents, adding with Zech's logarithm table; each converts once on entry
-and once on exit.  Fields above the cap, which root finding and the series
-at extension points reach, keep FieldElem loops for these six.  Powers and
-sums of scaled polynomials are built from them.  RatFunc lives over table
-fields only (TooLarge above the cap), so its products, reduction to lowest
-terms and Mobius substitution (RatFunc.compose_fractional) have only the
-exponent form.  gf finds each field's modulus with is_irreducible here,
-over GF(p).
+included), product, division, gcd, evaluation and root multiplicity run
+on lists of generator exponents, adding with Zech's logarithm table; each
+converts once on entry and once on exit.  Fields above the cap, which root
+finding and the series at extension points reach, keep FieldElem loops for
+these five; a power series product is a plain product cut to its
+precision.  Powers and sums of scaled polynomials are built from them.
+RatFunc lives over table fields only (TooLarge above the cap), so its
+products, reduction to lowest terms and Mobius substitution
+(RatFunc.compose_fractional) have only the exponent form.  gf finds each
+field's modulus with is_irreducible here, over GF(p).
 
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field
@@ -193,7 +193,14 @@ class Poly:
         if ctx._zech is not None:
             return _from_exps(ctx, _exp_mul(_to_exps(self, ctx),
                                             _to_exps(other, ctx), ctx))
-        return Poly(ctx, _elem_mul(self.coeffs, other.coeffs, ctx))
+        a, b = self.coeffs, other.coeffs
+        terms = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+        out = [ctx.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x.is_zero():
+                for j, y in terms:
+                    out[i + j] = out[i + j] + x * y
+        return Poly(ctx, out)
 
     __rmul__ = __mul__
 
@@ -263,11 +270,8 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def map_coeffs(self, fn, tgt_ctx):
-        return Poly(tgt_ctx, [fn(c) for c in self.coeffs])
-
     def embed_into(self, tgt_ctx):
-        return self.map_coeffs(lambda c: gf.embed(c, tgt_ctx), tgt_ctx)
+        return Poly(tgt_ctx, [gf.embed(c, tgt_ctx) for c in self.coeffs])
 
     def derivative(self):
         ctx = self.ctx
@@ -349,22 +353,16 @@ def _from_exps(ctx, a):
     return Poly(ctx, [zero if k is None else elems[k] for k in a])
 
 
-def _exp_mul(a, b, ctx, size=None):
-    """a*b; with ``size``, its first ``size`` coefficients only, and no
-    term of higher degree is formed."""
+def _exp_mul(a, b, ctx):
+    """a*b."""
     if not a or not b:
         return []
     zech, m = ctx._zech, ctx.order - 1
-    cut = size is not None
     terms = [(j, y) for j, y in enumerate(b) if y is not None]
-    out = [None] * (size if cut else len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x is None:
             continue
-        if cut:
-            # terms landing at degree >= size leave from the top
-            while terms and terms[-1][0] + i >= size:
-                terms.pop()
         for j, y in terms:
             j += i
             t = x + y
@@ -374,45 +372,7 @@ def _exp_mul(a, b, ctx, size=None):
             else:
                 z = zech[(t - c) % m]
                 out[j] = None if z is None else (c + z) % m
-    if cut:
-        while out and out[-1] is None:
-            out.pop()
     return out
-
-
-def _elem_mul(a, b, ctx, size=None):
-    """The product of two coefficient tuples on FieldElem loops; with
-    ``size``, as _exp_mul."""
-    if not a or not b:
-        return []
-    cut = size is not None
-    terms = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
-    out = [ctx.zero] * (size if cut else len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        if cut:
-            while terms and terms[-1][0] + i >= size:
-                terms.pop()
-        for j, y in terms:
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def mul_trunc(f, g, m):
-    """f*g mod X^m, for power series cut to m terms; no term of degree m
-    or more is formed, on either kernel."""
-    ctx = f.ctx
-    if g.ctx is not ctx:
-        raise CtxMismatch("polynomials over different fields")
-    a, b = f.coeffs[:m], g.coeffs[:m]
-    size = min(m, len(a) + len(b) - 1)
-    if ctx._zech is not None:
-        log = ctx._log
-        return _from_exps(ctx, _exp_mul([log.get(c.coeffs) for c in a],
-                                        [log.get(c.coeffs) for c in b],
-                                        ctx, size))
-    return Poly(ctx, _elem_mul(a, b, ctx, size))
 
 
 def _exp_terms(coeffs, ctx):

@@ -16,7 +16,7 @@ from cycloff import gf
 from cycloff.carlitz import (
     CycModel,
     Modulus,
-    act_on_torsion,
+    carlitz_of,
     galois_map,
     iter_irreducible_moduli,
 )
@@ -131,13 +131,14 @@ def test_criterion_03_galois_unit_action():
                      for _ in range(20)]
         lookup = {u: im for u, im in zip(units, images)}
         for u, w in pairs:
-            assert (act_on_torsion(u, lookup[w])
+            # C_u is the Galois action on torsion points such as C_w(y)
+            assert (carlitz_of(u.rep).act(lookup[w])
                     == galois_map(mod.unit_mul(u, w), model))
         gen = mod.unit_group_generator()
         assert mod.unit_order(gen) == q * q - 1
         w, m = model.y(), 0
         while True:
-            w = act_on_torsion(gen, w)
+            w = carlitz_of(gen.rep).act(w)
             m += 1
             if w == model.y():
                 break

@@ -18,7 +18,6 @@ from cycloff.carlitz import (
     CycModel,
     Modulus,
     UnitClass,
-    act_on_torsion,
     carlitz_of,
     galois_map,
     iter_irreducible_moduli,
@@ -333,8 +332,10 @@ def test_composition_matches_unit_product_q3():
     assert uw.rep == Poly.from_ints(F3, [2, 1])
     img_u = galois_map(u, model)
     img_w = galois_map(w, model)
-    assert act_on_torsion(u, img_w) == galois_map(uw, model)
-    assert act_on_torsion(w, img_u) == galois_map(uw, model)
+    # sigma_u(C_f(y)) = C_u(C_f(y)): applying C_u is the Galois action, valid
+    # on torsion points only
+    assert carlitz_of(u.rep).act(img_w) == galois_map(uw, model)
+    assert carlitz_of(w.rep).act(img_u) == galois_map(uw, model)
 
 
 @pytest.mark.parametrize("mod", [Modulus(F4.one, F4.elem([0, 1])),
@@ -350,7 +351,8 @@ def test_composition_random_samples(mod):
             if cs[0] or cs[1] else mod.unit(1)
         w = mod.unit(Poly(ctx, (ctx.from_int(cs[2]), ctx.from_int(cs[3]))))\
             if cs[2] or cs[3] else mod.unit(1)
-        assert act_on_torsion(u, galois_map(w, model)) == \
+        # C_u acts on the torsion point C_w(y) as sigma_u
+        assert carlitz_of(u.rep).act(galois_map(w, model)) == \
             galois_map(mod.unit_mul(u, w), model)
         if not u.rep.is_one():
             assert galois_map(u, model) != model.y()   # trivial kernel
@@ -368,7 +370,7 @@ def test_generator_action_has_full_order():
     w = model.y()
     seen = []
     for _ in range(8):
-        w = act_on_torsion(gen, w)
+        w = carlitz_of(gen.rep).act(w)
         seen.append(w)
     assert seen[-1] == model.y()
     assert all(v != model.y() for v in seen[:-1])

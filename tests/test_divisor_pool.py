@@ -65,9 +65,9 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
     real_mult = polyalg.root_multiplicity
     series, shifts, tied, peeled = [], [], [], set()
 
-    def counted_series(curve, coords, c, ys, point):
+    def counted_series(curve, coords, c, ys):
         series.append(c)
-        return real_series(curve, coords, c, ys, point)
+        return real_series(curve, coords, c, ys)
 
     def counted_shift(f, K, c):
         shifts.append(c)

@@ -348,12 +348,12 @@ def test_series_cap_refuses_a_cancellation_it_cannot_see_past(monkeypatch):
 
 
 def spy_series(monkeypatch):
-    """The y-values at which places._generic_valuation is called."""
+    """The (c, ys) at which places._generic_valuation is called."""
     real, lifted = places._generic_valuation, []
 
-    def spy(curve, coords, c, ys, point):
-        lifted.append(ys)
-        return real(curve, coords, c, ys, point)
+    def spy(curve, coords, c, ys):
+        lifted.append((c, ys))
+        return real(curve, coords, c, ys)
 
     monkeypatch.setattr(places, "_generic_valuation", spy)
     return lifted
@@ -372,35 +372,43 @@ def test_norm_books_the_one_cancelling_place(monkeypatch):
     assert dv.coeff(Q) == valuation(e, Q) == 0
 
 
-def two_cancelling_element():
-    """(e, fiber, cancelling) on the q=5 curve: e = y^2 - a with
-    a(c) = ys^2 at a quadratic point c whose fiber has four places of
-    degree 2, so the leading terms cancel at ys and -ys only."""
-    for c in unramified_points(C5, 2):
-        fiber = places._fiber_places(C5, 2, c)
-        if len(fiber) != 4:
+def power_cancelling_element(curve, k):
+    """(e, fiber, cancelling): e = y^k - a with a(c) = ys^k at a quadratic
+    point c whose fiber has q - 1 places of degree 2, so the leading terms
+    cancel at the k places whose y-value has k-th power ys^k."""
+    for c in unramified_points(curve, 2):
+        # a fiber norm of 1 splits the fiber over c's own field
+        if places._fiber_norm(curve, 2, c) != 1:
             continue
+        fiber = places._fiber_places(curve, 2, c)
         ys = fiber[0].ys
-        a = RatFunc.from_poly(value_at(C5, c, ys * ys))
-        e = yelem(C5) ** 2 - scal(C5, a)
+        a = RatFunc.from_poly(value_at(curve, c, ys ** k))
+        e = yelem(curve) ** k - scal(curve, a)
         try:
             divisor(e)
         except GenericPlaceUnsupported:
             continue
-        return e, fiber, [P for P in fiber if P.ys ** 2 == ys * ys]
+        return e, fiber, [P for P in fiber if P.ys ** k == ys ** k]
 
 
-def test_series_serve_only_two_cancelling_places(monkeypatch):
-    e, fiber, cancelling = two_cancelling_element()
-    assert len(cancelling) == 2
+@pytest.mark.parametrize("curve,k,vp", [(C5, 2, 2), (C7, 3, 1)],
+                         ids=["q5-two", "q7-three"])
+def test_series_serve_only_two_cancelling_places(curve, k, vp, monkeypatch):
+    # two or more cancelling places of one fiber are each lifted through
+    # valuation(), and nothing else over the fiber is; each has valuation
+    # vp there, and the other places 0
+    e, fiber, cancelling = power_cancelling_element(curve, k)
+    assert len(cancelling) == k
     lifted = spy_series(monkeypatch)
     dv = divisor(e)
-    assert sorted(lifted, key=lambda y: y.to_int()) == sorted(
+    c = fiber[0].c
+    assert sorted((y for x, y in lifted if x == c),
+                  key=lambda y: y.to_int()) == sorted(
         (P.ys for P in cancelling), key=lambda y: y.to_int())
     monkeypatch.undo()
     for P in fiber:
         assert dv.coeff(P) == valuation(e, P)
-        assert (dv.coeff(P) > 0) == (P in cancelling)
+        assert dv.coeff(P) == (vp if P in cancelling else 0)
 
 
 @pytest.mark.parametrize("shift,caught", [(0, "degree 3"), (1, "v_c")],

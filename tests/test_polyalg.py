@@ -36,7 +36,6 @@ from cycloff.polyalg import (
     RatFunc,
     format_poly,
     is_irreducible,
-    mul_trunc,
     one_root,
     parse_poly,
     poly_gcd,
@@ -456,8 +455,6 @@ def check_against_oracle(f, g, e, sub):
         assert f(x) == functools.reduce(operator.add, [
             c * functools.reduce(operator.mul, [x] * i, ctx.one)
             for i, c in enumerate(f.coeffs)], ctx.zero)
-    for m in (1, 3, 6):
-        assert mul_trunc(f, g, m) == Poly(f.ctx, school_mul(f, g).coeffs[:m])
     assert f ** e == school_pow(f, e)
     if not g.is_zero() and ctx._zech is None:
         # rational functions live over log-table fields only
@@ -510,22 +507,6 @@ def test_kernels_match_the_schoolbook_oracle(fields, data):
     # a shared factor makes the gcd nontrivial
     if not g.is_zero():
         check_against_oracle(school_mul(f, g), g, e, sub)
-
-
-def test_truncated_product_forms_no_term_past_the_cut(monkeypatch):
-    # over GF(2^11) the loops kernel multiplies field elements, so the
-    # products it forms can be counted: one per (i, j) with i + j < m
-    ctx = gf.create_field(2, 11)
-    f, g = (Poly(ctx, [ctx.from_int(3 * i + k) for i in range(1, 9)])
-            for k in (1, 2))
-    calls = []
-    real = gf.FieldElem.__mul__
-    monkeypatch.setattr(gf.FieldElem, "__mul__",
-                        lambda a, b: calls.append(1) or real(a, b))
-    got = mul_trunc(f, g, 5)
-    assert len(calls) == 5 + 4 + 3 + 2 + 1
-    monkeypatch.undo()
-    assert got == Poly(ctx, (f * g).coeffs[:5])
 
 
 @pytest.mark.parametrize("pn", TABLE_FIELDS + LOOP_FIELDS)

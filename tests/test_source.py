@@ -130,10 +130,11 @@ def test_every_traced_name_resolves():
 
 
 def test_kernel_forks_only_where_large_fields_reach():
-    # a log-table twin is kept only in the six kernels that fields above
+    # a log-table twin is kept only in the five kernels that fields above
     # gf.TABLE_CAP reach: gcds and products over the root-finding fields,
-    # series over fiber fields, evaluations and valuations at extension
-    # points; RatFunc lives over table fields only, so it has no twin
+    # evaluations and valuations at extension points; series over fiber
+    # fields multiply by the product kernel and cut the result, and RatFunc
+    # lives over table fields only, so neither has a twin
     forks = []
     for mod, tree in _package_trees().items():
         scopes = [(node, f"{outer.name}.{node.name}")
@@ -151,7 +152,7 @@ def test_kernel_forks_only_where_large_fields_reach():
     assert sorted(forks) == sorted(
         f"polyalg.py:{name}" for name in (
             "Poly.__mul__", "Poly.__divmod__", "Poly.__call__", "poly_gcd",
-            "mul_trunc", "root_multiplicity"))
+            "root_multiplicity"))
 
 
 def test_records_compare_only_through_record():
@@ -184,14 +185,17 @@ def test_places_shifts_each_polynomial_in_one_helper():
     assert owners == {"_taylor_shift"}
 
 
-def test_series_are_lifted_from_two_sites():
-    # divisor settles a tied point from its leading terms and the norm, so
-    # _generic_valuation is called by valuation() and at one site in
-    # divisor, for two or more cancelling places of one fiber
+def test_series_are_lifted_from_one_site():
+    # divisor settles a tied point from its leading terms and the norm, and
+    # sends two or more cancelling places of one fiber to valuation() at one
+    # site, so _generic_valuation has valuation() as its only caller
     tree = _package_trees()["places.py"]
-    callers = [func.name for func in tree.body
-               if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name)
-               and node.func.id == "_generic_valuation"]
-    assert sorted(callers) == ["divisor", "valuation"]
+
+    def callers(name):
+        return [func.name for func in tree.body
+                if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    assert callers("_generic_valuation") == ["valuation"]
+    assert callers("valuation").count("divisor") == 1
