@@ -23,28 +23,28 @@ shape ever fails to emerge.  Its order q^2 - 1 is certified by powering:
 rho^N = 1 and rho^(N/r) != 1 for every prime r | N, each power by
 square-and-multiply compose (epsilon's order 3 likewise).
 
-compose(a, b) applies b first, then a.  closure composes each generator
-with each element once; the rest of the Cayley table is read off those
-products, and later products (multiply, stabilizers, the q=3 quotient) are
-read from the table.  Every Aut passes the law in Aut.__init__, but the law,
-h o mobius included, is evaluated once per scalar class (curve, Mobius
-part, f up to a constant; see `_law_scalar`), and the action on a ramified
-place once per (Mobius part, place) pair; the caches key on the canonical
-entries and on the curve's identity, so a repeat reuses an exact result
-for the same input.
+compose(a, b) applies b first, then a.  closure never lists the group: it
+closes the generators' permutations of the q+3 ramified places, and
+certifies the kernel of that action, the maps y -> c y with c in mu_(q-1),
+by one power of each generator.  The order, membership, stabilizers and the
+q=3 quotient are read from those permutations.  Every Aut passes the law in
+Aut.__init__, but the law, h o mobius included, is evaluated once per
+scalar class (curve, Mobius part, f up to a constant; see `_law_scalar`),
+and the action on a ramified place once per (Mobius part, place) pair; the
+caches key on the canonical entries and on the curve's identity, so a
+repeat reuses an exact result for the same input.
 Tables produced by closure are immutable, as are Auts, so orbit and
 stabilizer queries are safe to run concurrently once a table exists.
 """
 
 from functools import lru_cache
+from math import lcm
 
 from . import gf
 from .errors import (
     CertificateFailed,
-    ClosureOverflow,
     CtxMismatch,
     GenericPlaceUnsupported,
-    NonCentralInvolution,
     TransportFailure,
     WrongCharacteristic,
     WrongOrder,
@@ -61,8 +61,7 @@ from .places import (
     ramified_places,
 )
 from .polyalg import INFINITY, Poly, RatFunc, format_poly
-
-CLOSURE_CAP = 10000
+from .record import Record, set_field
 
 
 @lru_cache(maxsize=None)
@@ -332,62 +331,62 @@ def make_epsilon(curve):
     return eps
 
 
-# -- closure and tables -----------------------------------------------------
+# -- the group from its action on the branch places --------------------------
 
 
-class GroupTable:
-    """Closed set of Auts with its generators and Cayley table; immutable.
+class GroupTable(Record):
+    """The group generated by ``generators``, as the permutations its
+    elements induce on ``places`` (the curve's q+3 ramified places) and the
+    order of the kernel of that action; immutable.
 
-    ``elements`` are sorted by canonical key, and ``mul[i][j]`` is the index
-    of ``compose(elements[i], elements[j])``.  The constructor takes the
-    elements in any order, with ``mul`` indexed in that order, and re-indexes
-    both.
+    A permutation p sends ``places[i]`` to ``places[p[i]]``.  An Aut of the
+    curve is a member exactly when its permutation is one of ``perms``: the
+    law holds for every Aut, and two lawful maps with one permutation differ
+    by an element of the kernel, which the table holds whole.
     """
 
-    __slots__ = ("elements", "generators", "curve", "mul", "_index")
+    __slots__ = ("curve", "generators", "places", "perms", "kernel_order")
 
-    def __init__(self, elements, generators, mul):
-        if not elements:
-            raise CertificateFailed("a table holds at least the identity")
-        perm = sorted(range(len(elements)), key=lambda i: elements[i]._key)
-        pos = [0] * len(perm)
-        for new, old in enumerate(perm):
-            pos[old] = new
-        self.elements = tuple(elements[i] for i in perm)
-        self.mul = tuple(tuple(pos[mul[a][b]] for b in perm) for a in perm)
-        self.generators = tuple(generators)
-        self.curve = self.elements[0].curve
-        self._index = {z: i for i, z in enumerate(self.elements)}
-        if not any(z.is_identity for z in self.elements):
-            raise CertificateFailed("table lacks the identity")
+    def __init__(self, curve, generators, places, perms, kernel_order):
+        set_field(self, "curve", curve)
+        set_field(self, "generators", tuple(generators))
+        set_field(self, "places", tuple(places))
+        set_field(self, "perms", frozenset(perms))
+        set_field(self, "kernel_order", kernel_order)
 
     @property
     def order(self):
-        return len(self.elements)
+        return self.kernel_order * len(self.perms)
 
     def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+        return self.order
 
     def __contains__(self, a):
-        return a in self._index
-
-    def multiply(self, a, b):
-        """compose(a, b) for members, read from the table."""
-        return self.elements[self.mul[self._index[a]][self._index[b]]]
+        return (isinstance(a, Aut) and a.curve is self.curve
+                and _permutation(a, self.places) in self.perms)
 
     def __repr__(self):
         return f"<table of {self.order} automorphisms>"
 
 
-def closure(gens):
-    """Breadth-first closure of the generators, capped at CLOSURE_CAP.
+def _permutation(a, places):
+    """The indices of the images of ``places`` under a."""
+    index = {pl: i for i, pl in enumerate(places)}
+    return tuple(index[act_on_place(a, pl)] for pl in places)
 
-    Each element is reached as g o x for a generator g and an element x
-    found before it; its row of the Cayley table is then g's row of left
-    products permuted by x's row, so no product beyond g o x is composed.
+
+def closure(gens):
+    """The group generated by gens, from its permutations of the ramified
+    places.
+
+    A Mobius map that fixes three points of P^1 is the identity, so the
+    kernel of the action on the q+3 >= 6 ramified places is the maps
+    v -> v, y -> c y, and the law gives c^(q-1) = 1: it is a subgroup of
+    mu_(q-1).  The image is the closure of the generators' permutations,
+    at most (q+3)(q+2)(q+1) of them by sharp 3-transitivity.  For each
+    generator g, with a permutation of order m, g^m lies in the kernel;
+    the orders of those scalars must reach q-1, so the kernel is all of
+    mu_(q-1) and the order is exactly (q-1) times the size of the image.
     """
     gens = tuple(gens)
     if not gens:
@@ -396,31 +395,32 @@ def closure(gens):
     for g in gens:
         if g.curve is not curve:
             raise CtxMismatch("generators live on different curves")
-    found = [identity(curve)]
-    index = {found[0]: 0}
-    parent = [None]
-    left = [[] for _ in gens]  # left[i][x]: index of gens[i] o found[x]
-    x = 0
-    while x < len(found):  # found doubles as the breadth-first queue
-        for i, g in enumerate(gens):
-            z = compose(g, found[x])
-            j = index.get(z)
-            if j is None:
-                if len(found) >= CLOSURE_CAP:
-                    raise ClosureOverflow(
-                        f"closure exceeded {CLOSURE_CAP} elements")
-                j = index[z] = len(found)
+    places = ramified_places(curve)
+    moves = [_permutation(g, places) for g in gens]
+    ident = tuple(range(len(places)))
+    found = [ident]
+    seen = {ident}
+    for x in found:  # found doubles as the breadth-first queue
+        for g in moves:
+            z = tuple(g[i] for i in x)  # g o x: x acts first
+            if z not in seen:
+                seen.add(z)
                 found.append(z)
-                parent.append((i, x))
-            left[i].append(j)
-        x += 1
-    # words in the generators; finiteness plus cancellation forces a group.
-    # Every element passed the law check in Aut.__init__.
-    rows = [range(len(found))]
-    for i, x in parent[1:]:
-        # found[a] = g o found[x], so (g o found[x]) o b = g o (found[x] o b)
-        rows.append([left[i][c] for c in rows[x]])
-    return GroupTable(found, gens, rows)
+    kernel = 1
+    for g, perm in zip(gens, moves):
+        acc, m = perm, 1  # m: the order of g's permutation
+        while acc != ident:
+            acc, m = tuple(perm[i] for i in acc), m + 1
+        gm = gf.power(g, m, compose, None)
+        if gm._key[0] != (1, 0, 0, 1) or not gm.f.is_constant():
+            raise CertificateFailed(
+                f"a generator power fixes every ramified place but is {gm}")
+        kernel = lcm(kernel, gm.f.num.coeff(0).order())
+    if kernel != curve.q - 1:
+        raise CertificateFailed(
+            f"the generators reach a kernel of order {kernel}, "
+            f"not {curve.q - 1}")
+    return GroupTable(curve, gens, places, found, kernel)
 
 
 # -- action on the ramified places ------------------------------------------
@@ -486,83 +486,50 @@ def orbits(table):
 
 
 def stabilizer(table, place):
-    # the action reads only the Mobius part, which q-1 elements share
-    fixes = {}
-    kept = []
-    for i, s in enumerate(table.elements):
-        m = s._key[0]
-        if m not in fixes:
-            fixes[m] = act_on_place(s, place) == place
-        if fixes[m]:
-            kept.append(i)
-    pos = {k: i for i, k in enumerate(kept)}
-    mul = table.mul
-    try:
-        sub = [[pos[mul[a][b]] for b in kept] for a in kept]
-    except KeyError:
-        raise CertificateFailed("stabilizer is not closed") from None
-    elems = [table.elements[k] for k in kept]
-    return GroupTable(elems, elems, sub)
+    """Order of the stabilizer of a ramified place: the kernel fixes every
+    place, so it is the kernel order times the permutations fixing it."""
+    act_on_place(table.generators[0], place)  # typed errors for a bad place
+    i = table.places.index(place)
+    return table.kernel_order * sum(1 for p in table.perms if p[i] == i)
 
 
 # -- the q = 3 exceptional quotient -----------------------------------------
 
 
 def quotient_is_pgl23(table):
-    """Is table/center the symmetric group on its four 3-Sylows?
+    """Is table/mu_2 the symmetric group on its four 3-Sylows?
 
-    Runs on indices into the table; index order is canonical-key order.
+    The kernel mu_2 = {y -> +-y} of the action on the ramified places is
+    central, so the quotient is the table's permutation group, and the test
+    runs on those 24 permutations.  S_4 has a trivial centre, so when the
+    quotient is S_4 the centre of the table is mu_2: exactly one central
+    involution.
     """
     if table.curve.q != 3:
         raise WrongQ("the exceptional quotient is a q = 3 statement")
     if table.order != 48:
         raise WrongOrder(f"expected 48 elements, table has {table.order}")
-    mul = table.mul
-    span = range(table.order)
-    ident = next(i for i, z in enumerate(table.elements) if z.is_identity)
-    central = [z for z in span
-               if z != ident and mul[z][z] == ident
-               and all(mul[z][x] == mul[x][z] for x in span)]
-    if len(central) != 1:
-        raise NonCentralInvolution(
-            f"found {len(central)} central involutions, expected one")
-    iota = central[0]
+    perms = sorted(table.perms)
+    ident = tuple(range(len(table.places)))
 
-    rep = [min(z, mul[z][iota]) for z in span]
-    classes = tuple(dict.fromkeys(rep))
-    if len(classes) != 24:
-        raise WrongOrder(f"quotient has {len(classes)} classes, expected 24")
-    id_rep = rep[ident]
+    def mul(x, y):
+        return tuple(x[i] for i in y)
 
-    def qmul(x, y):
-        return rep[mul[x][y]]
-
-    def qorder(x):
-        acc, m = x, 1
-        while acc != id_rep:
-            acc = qmul(x, acc)
-            m += 1
-        return m
-
-    third = [x for x in classes if qorder(x) == 3]
+    third = [x for x in perms if x != ident and mul(x, mul(x, x)) == ident]
     if len(third) != 8:
         return False
-    sylows = {frozenset((id_rep, x, qmul(x, x))) for x in third}
+    sylows = {frozenset((ident, x, mul(x, x))) for x in third}
     if len(sylows) != 4:
         return False
     ordered = sorted(sylows, key=sorted)
-    perms = set()
-    for g in classes:
-        gi = mul[g].index(ident)
-        images = []
-        for sub in ordered:
-            img = frozenset(rep[mul[mul[g][z]][gi]] for z in sub)
-            if img not in sylows:
-                return False
-            images.append(ordered.index(img))
-        perms.add(tuple(images))
+    actions = set()
+    for g in perms:
+        gi = tuple(sorted(ident, key=g.__getitem__))
+        actions.add(tuple(
+            ordered.index(frozenset(mul(mul(g, z), gi) for z in sub))
+            for sub in ordered))
     # conjugation must be faithful: 24 distinct permutations of 4 letters
-    return len(perms) == 24
+    return len(actions) == 24
 
 
 def group_report(curve):
@@ -580,8 +547,7 @@ def group_report(curve):
             pass  # only the normalized model carries epsilon
     table = closure(gens)
     orbs = orbits(table)
-    stabs = {str(pl): stabilizer(table, pl).order
-             for pl in ramified_places(curve)}
+    stabs = {str(pl): stabilizer(table, pl) for pl in table.places}
     q3 = None
     if curve.q == 3 and table.order == 48:
         q3 = quotient_is_pgl23(table)

@@ -9,7 +9,8 @@ GF(q)(x)[y]/(P) with
 
     P(y) = y^(q^2-1) + (x^q + x + a) y^(q-1) + (x^2 + a x + b),
 
-and y * P(y) = C_M(y).  CycModel is the polyalg.QuotientAlgebra with that
+and y * P(y) = C_M(y).  P is Eisenstein at M, which CycModel checks, so
+the quotient is a field.  CycModel is the polyalg.QuotientAlgebra with that
 trinomial relation: elements are dense RatFunc vectors in the basis
 1, y, ..., y^(q^2-2), and products and q-th powers fold exponent overflow
 with
@@ -253,6 +254,21 @@ class UnitClass(Record):
         return format_poly(self.rep, var="x")
 
 
+def _check_eisenstein(c0, c1):
+    """Certify that P = y^(q^2-1) + c1 y^(q-1) + c0 is Eisenstein at the
+    prime c0 = M(x) of GF(q)[x], so the torsion model is a field.
+
+    P is monic and c0 = M divides its constant term exactly once; M must
+    divide the middle coefficient c1 = x^q + x + a, as it does since
+    theta^q + theta = -a for a root theta of M.  Then P is irreducible over
+    GF(q)(x) (Eisenstein's criterion).
+    """
+    if not (c1 % c0).is_zero():
+        raise CertificateFailed(
+            f"M = {format_poly(c0, var='x')} does not divide the middle "
+            f"coefficient {format_poly(c1, var='x')}")
+
+
 class CycModel(QuotientAlgebra):
     """The torsion field GF(q)(x)[y]/(P) for a quadratic modulus."""
 
@@ -268,6 +284,7 @@ class CycModel(QuotientAlgebra):
         c0, c1 = modulus.as_poly(), x.frob_power(ctx.n) + x + modulus.a
         if self.carlitz_m.coeffs != (c0, c1, Poly.one(ctx)):
             raise CertificateFailed(f"unexpected C_M = {self.carlitz_m}")
+        _check_eisenstein(c0, c1)
         self.c0 = c0
         self.c1 = c1
         # y * P(y) = C_M(y): P carries the three C_M coefficients one slot
@@ -296,8 +313,9 @@ def galois_map(u, model):
     The map y |-> C_u(y) extends to a field automorphism exactly when
     C_u(y) is a root of the defining polynomial P.  Since z P(z) = C_M(z),
     it is enough that C_M(C_u(y)) = 0 with C_u(y) != 0: the model is a
-    field, so the cofactor P(C_u(y)) must vanish.  Both facts are checked
-    here, not assumed.
+    field, since CycModel certifies P Eisenstein at M (`_check_eisenstein`),
+    so the cofactor P(C_u(y)) must vanish.  Both facts are checked here,
+    not assumed.
     """
     u = model.modulus.unit(u)
     w = carlitz_of(u.rep).act(model.y())

@@ -35,8 +35,6 @@ from .places import (
 from .polyalg import Poly, format_poly, parse_poly
 from .record import Record, set_field
 
-VERIFY_TARGETS = ("genus", "count", "zeta", "aut", "lspaces", "all")
-
 
 class RunConfig(Record):
     __slots__ = ("command", "q", "modulus", "gamma", "k", "out", "which")
@@ -66,8 +64,9 @@ def _pick_gamma(cfg, ctx, mod):
         if g.is_zero():
             raise ZeroElement("gamma must be a nonzero scalar")
         return g
-    # the q=3 curve shows its extra order-3 symmetry only on the twisted
-    # model, so group pipelines default to that twist when it applies
+    # every gamma model of the q=3 curve has the order-48 group, but
+    # make_epsilon builds its order-3 map only at gamma = 2, so group
+    # pipelines default to that twist when it applies
     wants_group = cfg.command == "aut" or (
         cfg.command == "verify" and cfg.which in ("aut", "all"))
     if wants_group and ctx.order == 3 and mod.a.is_zero() and mod.b == ctx.one:
@@ -246,6 +245,8 @@ _SECTIONS = (
     ("aut", cmd_aut),
     ("lspaces", cmd_lspaces),
 )
+_COMMANDS = dict(_SECTIONS)
+VERIFY_TARGETS = (*_COMMANDS, "all")
 
 
 def cmd_verify(run):
@@ -279,8 +280,7 @@ def build_config(argv):
         description="Exact verification pipelines for torsion function "
                     "fields with a quadratic modulus.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("construct", "genus", "count", "zeta", "aut", "lspaces",
-                 "verify"):
+    for name in (*_COMMANDS, "verify"):
         sp = sub.add_parser(name)
         sp.add_argument("-q", type=int, required=True,
                         help="field size, a prime power with 3 <= q <= 9")
@@ -299,9 +299,6 @@ def build_config(argv):
     return RunConfig(command=ns.command, q=ns.q, modulus=ns.modulus,
                      gamma=ns.gamma, k=getattr(ns, "k", 1), out=ns.out,
                      which=getattr(ns, "which", None))
-
-
-_COMMANDS = dict(_SECTIONS)
 
 
 def main(argv=None):

@@ -108,14 +108,6 @@ class CertificateFailed(CycloffError, ArithmeticError):
     code = "CertificateFailed"
 
 
-class NonCentralInvolution(CycloffError, ArithmeticError):
-    code = "NonCentralInvolution"
-
-
-class ClosureOverflow(CycloffError, RuntimeError):
-    code = "ClosureOverflow"
-
-
 class ParseError(CycloffError, ValueError):
     code = "ParseError"
 

@@ -1,8 +1,15 @@
 """Automorphism-side checks: generator transport, closure orders, the
-action on ramified places, and the q=3 exceptional quotient."""
+action on ramified places, and the q=3 exceptional quotient.
 
+Fixtures named ``table*`` and ``rho_set5`` list every group element as an
+Aut through the reference ``aut_closure``; ``group*`` and ``cyclic5`` are
+the ``autgroup.closure`` tables that must agree with them.
+"""
+
+import importlib.util
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -10,7 +17,6 @@ import pytest
 from cycloff import autgroup as ag
 from cycloff.errors import (
     CertificateFailed,
-    ClosureOverflow,
     CtxMismatch,
     GenericPlaceUnsupported,
     UnknownPlace,
@@ -18,7 +24,9 @@ from cycloff.errors import (
     WrongOrder,
     WrongQ,
 )
+from cycloff.carlitz import iter_irreducible_moduli
 from cycloff.gf import create_field, embed
+from cycloff.gf import power as gf_power
 from cycloff.kummer import KummerCurve
 from cycloff.places import (
     Generic,
@@ -29,7 +37,18 @@ from cycloff.places import (
     genus_formula,
     ramified_places,
 )
-from cycloff.polyalg import Poly, RatFunc
+from cycloff.polyalg import Poly, RatFunc, parse_poly
+
+
+def _load_oracle():
+    path = pathlib.Path(__file__).resolve().parent / "aut_oracle.py"
+    spec = importlib.util.spec_from_file_location("aut_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.aut_closure
+
+
+aut_closure = _load_oracle()
 
 F3 = create_field(3)
 F4 = create_field(2, 2)
@@ -63,7 +82,7 @@ def mu3():
 
 @pytest.fixture(scope="module")
 def table3(rho3, mu3):
-    return ag.closure([rho3, mu3])
+    return aut_closure([rho3, mu3])
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +97,21 @@ def mu5():
 
 @pytest.fixture(scope="module")
 def table5(rho5, mu5):
+    return aut_closure([rho5, mu5])
+
+
+@pytest.fixture(scope="module")
+def group5(rho5, mu5):
     return ag.closure([rho5, mu5])
 
 
 @pytest.fixture(scope="module")
 def rho_set5(rho5):
+    return aut_closure([rho5])
+
+
+@pytest.fixture(scope="module")
+def cyclic5(rho5):
     return ag.closure([rho5])
 
 
@@ -96,12 +125,12 @@ def norm3():
 
 @pytest.fixture(scope="module")
 def table3n(norm3):
-    return norm3[3]
+    return aut_closure(norm3[:3])
 
 
 @pytest.fixture(scope="module")
 def table4():
-    return ag.closure([ag.make_rho(C4), ag.make_omega(C4)])
+    return aut_closure([ag.make_rho(C4), ag.make_omega(C4)])
 
 
 # -- construction and the defining relation ---------------------------------
@@ -248,12 +277,22 @@ def test_rho_fixes_quads_and_cycles_the_rational_places(curve):
 # -- closure orders ---------------------------------------------------------
 
 
-def test_closure_orders(table3, table5, norm3):
-    assert table3.order == 2 * (3 ** 2 - 1) == 16
-    assert table5.order == 2 * (5 ** 2 - 1) == 48
+def test_closure_orders(table3, table4, table5, table3n, rho3, mu3,
+                        group5, norm3):
+    group3 = ag.closure([rho3, mu3])
+    assert group3.order == len(table3) == 2 * (3 ** 2 - 1) == 16
+    assert group5.order == len(table5) == 2 * (5 ** 2 - 1) == 48
     rho4 = ag.make_rho(C4)
-    assert ag.closure([rho4, ag.make_omega(C4)]).order == 2 * (4 ** 2 - 1)
-    assert norm3[3].order == 6 * (3 ** 2 - 1) == 48
+    assert ag.closure([rho4, ag.make_omega(C4)]).order == len(table4) == 30
+    assert norm3[3].order == len(table3n) == 6 * (3 ** 2 - 1) == 48
+    # the kernel is mu_(q-1), so q-1 maps share each permutation
+    assert len(group5.perms) == 48 // 4 and group5.kernel_order == 4
+    assert len(group5) == group5.order
+    # membership reads the permutation: epsilon is outside <rho, mu> at q=3
+    eps = norm3[2]
+    assert eps in norm3[3]
+    assert eps not in ag.closure(norm3[:2])
+    assert rho3 in group3 and rho3 not in norm3[3]  # another curve
 
 
 def test_closure_q9_order_160():
@@ -261,14 +300,23 @@ def test_closure_q9_order_160():
     curve = KummerCurve(F9.zero, b, F9.one)
     table = ag.closure([ag.make_rho(curve), ag.make_mu(curve)])
     assert table.order == 2 * (9 ** 2 - 1) == 160
-    assert ag.stabilizer(table, RamInfinity(9)).order == 2 * (9 - 1)
+    assert ag.stabilizer(table, RamInfinity(9)) == 2 * (9 - 1)
     assert sorted(len(o) for o in ag.orbits(table)) == [2, 10]
 
 
-def test_closure_cap(monkeypatch, rho3, mu3):
-    monkeypatch.setattr(ag, "CLOSURE_CAP", 4)
-    with pytest.raises(ClosureOverflow):
-        ag.closure([rho3, mu3])
+def test_closure_without_the_kernel_is_a_typed_error():
+    # omega is an involution: omega^2 = 1 reaches only c = 1, not mu_3
+    with pytest.raises(CertificateFailed, match="kernel of order 1"):
+        ag.closure([ag.make_omega(C4)])
+
+
+def test_a_generator_power_off_the_kernel_is_a_typed_error(monkeypatch,
+                                                           rho5):
+    # the power of rho that fixes every place must be y -> c y; a power
+    # that comes out as anything else fails the certificate
+    monkeypatch.setattr(ag.gf, "power", lambda *args: rho5)
+    with pytest.raises(CertificateFailed, match="fixes every ramified"):
+        ag.closure([rho5])
 
 
 def test_closure_rejects_mixed_curves(rho3):
@@ -281,58 +329,52 @@ def test_closure_rejects_mixed_curves(rho3):
 # -- group axioms on the table ----------------------------------------------
 
 
-def test_group_axioms_on_the_q5_table(table5):
+def test_group_axioms_on_the_q5_table(table5, group5):
     assert any(z.is_identity for z in table5)
     for x in table5:
         inv = ag.invert(x)  # invert raises unless x inv = inv x = id
         assert inv in table5
     rng = random.Random(20260822)
-    elems = table5.elements
     for _ in range(12):
-        a, b, c = (rng.choice(elems) for _ in range(3))
+        a, b, c = (rng.choice(table5) for _ in range(3))
         assert ag.compose(ag.compose(a, b), c) == ag.compose(
             a, ag.compose(b, c))
-        assert table5.multiply(a, b) == ag.compose(a, b)
+        assert ag.compose(a, b) in table5 and ag.compose(a, b) in group5
 
 
 @pytest.mark.parametrize("name,order", [("table3n", 48), ("table4", 30),
                                         ("table5", 48)])
-def test_cayley_table_matches_compose_on_every_pair(name, order, request):
+def test_permutation_of_compose_is_the_composite(name, order, request):
+    # compose(a, b) applies b first, and so does the permutation product
     table = request.getfixturevalue(name)
-    assert table.order == order
-    elems = table.elements
-    assert list(elems) == sorted(elems, key=lambda z: z._key)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            assert elems[table.mul[i][j]] == ag.compose(a, b)
+    assert len(table) == order
+    places = ramified_places(table[0].curve)
+    perm = {z: ag._permutation(z, places) for z in table}
+    for a in table:
+        for b in table:
+            pa, pb = perm[a], perm[b]
+            assert perm[ag.compose(a, b)] == tuple(pa[i] for i in pb)
 
 
-def test_stabilizer_table_is_closed(table5):
+def test_stabilizer_table_is_closed(table5, group5):
+    # the elements that fix a place form a subgroup of the counted order
     quads = [p for p in ramified_places(C5) if isinstance(p, RamQuadratic)]
     for place in (RamInfinity(5), quads[0]):
-        sub = ag.stabilizer(table5, place)
-        n = sub.order
-        assert len(sub.mul) == n and all(len(row) == n for row in sub.mul)
-        for i, a in enumerate(sub.elements):
-            for j, b in enumerate(sub.elements):
-                assert sub.elements[sub.mul[i][j]] == table5.multiply(a, b)
+        sub = {z for z in table5 if ag.act_on_place(z, place) == place}
+        assert len(sub) == ag.stabilizer(group5, place)
+        for a in sub:
+            for b in sub:
+                assert ag.compose(a, b) in sub
 
 
-def test_stabilizer_rejects_a_set_that_is_not_closed(monkeypatch, table5,
-                                                     rho5):
-    # keep only the identity and rho: rho^2 falls outside, so no subgroup
-    keep = {ag.identity(C5), rho5}
-    monkeypatch.setattr(ag, "act_on_place",
-                        lambda s, pl: pl if s in keep else None)
-    with pytest.raises(CertificateFailed):
-        ag.stabilizer(table5, RamInfinity(5))
-
-
-def test_group_table_invariants_are_typed_errors(rho5):
-    with pytest.raises(CertificateFailed):
-        ag.GroupTable((), (), ())
-    with pytest.raises(CertificateFailed):
-        ag.GroupTable((rho5,), (rho5,), ((0,),))  # no identity
+def test_stabilizer_guards(group5):
+    with pytest.raises(UnknownPlace):
+        ag.stabilizer(group5, RamInfinity(3))
+    v_el = C5.scalar(Poly.gen(F5))
+    gen_place = next(p for p in divisor(v_el + C5.y()).support
+                     if isinstance(p, Generic))
+    with pytest.raises(GenericPlaceUnsupported):
+        ag.stabilizer(group5, gen_place)
 
 
 def test_make_rho_order_check_is_a_typed_error(monkeypatch):
@@ -352,12 +394,14 @@ def test_every_table_element_satisfies_the_relation(table5):
         assert ag.is_automorphism(z, C5)
 
 
-def test_conjugation_keeps_the_cyclic_part(table5, rho5, mu5, rho_set5):
+def test_conjugation_keeps_the_cyclic_part(table5, rho5, mu5, rho_set5,
+                                           cyclic5):
     conj = ag.compose(ag.compose(mu5, rho5), ag.invert(mu5))
     assert conj in rho_set5
     # the whole table normalizes the cyclic part
     for s in table5:
-        assert ag.compose(ag.compose(s, rho5), ag.invert(s)) in rho_set5
+        conj = ag.compose(ag.compose(s, rho5), ag.invert(s))
+        assert conj in rho_set5 and conj in cyclic5
     rho4 = ag.make_rho(C4)
     om = ag.make_omega(C4)
     assert ag.compose(ag.compose(om, rho4), om) in ag.closure([rho4])
@@ -366,26 +410,26 @@ def test_conjugation_keeps_the_cyclic_part(table5, rho5, mu5, rho_set5):
 # -- action, orbits, stabilizers --------------------------------------------
 
 
-def test_orbits_of_the_cyclic_part(rho_set5):
-    sizes = sorted(len(o) for o in ag.orbits(rho_set5))
+def test_orbits_of_the_cyclic_part(cyclic5):
+    sizes = sorted(len(o) for o in ag.orbits(cyclic5))
     assert sizes == [1, 1, 6]  # both quads fixed, rationals one orbit
 
 
-def test_orbits_partition_q5(table5):
-    orbs = ag.orbits(table5)
+def test_orbits_partition_q5(group5):
+    orbs = ag.orbits(group5)
     flat = [p for o in orbs for p in o]
     assert len(flat) == len(set(flat)) == len(ramified_places(C5))
     assert sorted(len(o) for o in orbs) == [2, 6]
-    assert orbs == ag.orbits(table5)  # deterministic
+    assert orbs == ag.orbits(group5)  # deterministic
 
 
-def test_stabilizers_q5(table5, rho_set5):
-    assert ag.stabilizer(table5, RamInfinity(5)).order == 2 * (5 - 1)
-    quads = [p for p in ramified_places(C5) if isinstance(p, RamQuadratic)]
-    sb = ag.stabilizer(table5, quads[0])
-    sg = ag.stabilizer(table5, quads[1])
-    assert sb.order == sg.order == 5 ** 2 - 1
-    assert set(sb.elements) == set(sg.elements) == set(rho_set5.elements)
+def test_stabilizers_q5(table5, group5, rho_set5):
+    assert ag.stabilizer(group5, RamInfinity(5)) == 2 * (5 - 1)
+    qb, qg = [p for p in ramified_places(C5) if isinstance(p, RamQuadratic)]
+    assert ag.stabilizer(group5, qb) == ag.stabilizer(group5, qg) == 24
+    fix_b = {z for z in table5 if ag.act_on_place(z, qb) == qb}
+    fix_g = {z for z in table5 if ag.act_on_place(z, qg) == qg}
+    assert fix_b == fix_g == set(rho_set5)
 
 
 def test_quad_pair_preserved_and_swapped_off_the_cyclic_part(
@@ -418,17 +462,16 @@ def test_no_automorphism_moves_a_quadratic_place_off_the_pair(monkeypatch,
     assert table.order == 2 * (q * q - 1)
     quads = [p for p in ramified_places(curve) if isinstance(p, RamQuadratic)]
     assert len(quads) == 2
-    for z in table:
+    for z in aut_closure(table.generators):
         for pl in quads:
             assert ag.act_on_place(z, pl) in quads
 
 
 def test_action_composes_left_to_right(table5):
     rng = random.Random(7)
-    elems = table5.elements
     places = ramified_places(C5)
     for _ in range(10):
-        a, b = rng.choice(elems), rng.choice(elems)
+        a, b = rng.choice(table5), rng.choice(table5)
         ab = ag.compose(a, b)
         for pl in places:
             assert ag.act_on_place(ab, pl) == ag.act_on_place(
@@ -525,7 +568,7 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
     # a fresh curve, so no cache entry exists for it yet
     curve = KummerCurve(F7.zero, F7.one, F7.one)
     he = ag._ext_h(curve)
-    h_after, places_seen = [], []
+    h_after, places_seen, built = [], [], []
 
     real_cf = RatFunc.compose_fractional
 
@@ -540,22 +583,96 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
         places_seen.append(pl)  # twice per image: the place and its image
         return real_validate(c, pl)
 
+    real_init = ag.Aut.__init__
+
+    def counted_init(self, *args):
+        real_init(self, *args)
+        built.append(self.mobius)
+
     monkeypatch.setattr(RatFunc, "compose_fractional", counted_cf)
     monkeypatch.setattr(ag, "_validate_place", counted_validate)
+    monkeypatch.setattr(ag.Aut, "__init__", counted_init)
     before = ag._law_scalar.cache_info()
     table = ag.closure([ag.make_rho(curve), ag.make_mu(curve)])
     # each cache miss is one evaluation of the law
     laws = ag._law_scalar.cache_info().misses - before.misses
     places = ramified_places(curve)
-    stabs = [ag.stabilizer(table, pl).order for pl in places]
+    stabs = [ag.stabilizer(table, pl) for pl in places]
     assert table.order == 96 and sorted(stabs) == [12] * 8 + [48] * 2
-    mobius = {z.mobius for z in table}
-    assert len(mobius) == table.order // (curve.q - 1)
-    assert len(h_after) == len(set(h_after)) == len(mobius)
-    # the q-1 elements over one Mobius part differ by a constant in
-    # mu_(q-1), so they share one scalar class and one law evaluation
-    assert laws == len(mobius)
-    assert len(places_seen) == 2 * len(mobius) * len(places)
+    # one law evaluation, with its h o mobius, per Mobius part ever built:
+    # the q-1 maps over one part differ by a constant in mu_(q-1)
+    assert laws == len(h_after) == len(set(h_after)) == len(set(built))
+    # the action is read once per (generator, place): make_rho's check of
+    # the quadratic places and stabilizer's place guard hit the cache
+    assert len(places_seen) == 2 * len(table.generators) * len(places)
+
+
+def _chain(e):
+    """The products gf.power takes for x^e, counted on integers."""
+    calls = []
+    gf_power(1, e, lambda a, b: calls.append(1) or a + b, None)
+    return len(calls)
+
+
+def test_group_report_composes_only_certificate_powers(monkeypatch):
+    # q=9, M = T^2+g+1: make_rho's order powers rho^N and rho^(N/r) for
+    # N = 80, make_mu's square, and one power per generator in closure
+    # (rho^(q+1) and mu^2, the orders of their permutations)
+    curve = KummerCurve(F9.zero, F9.generator + F9.one, F9.one)
+    counts = {"compose": 0, "Aut": 0}
+    real_compose, real_init = ag.compose, ag.Aut.__init__
+
+    def counted_compose(a, b):
+        counts["compose"] += 1
+        return real_compose(a, b)
+
+    def counted_init(self, *args):
+        counts["Aut"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(ag, "compose", counted_compose)
+    monkeypatch.setattr(ag.Aut, "__init__", counted_init)
+    rep = ag.group_report(curve)
+    assert rep["order"] == 160
+    n, q = 9 * 9 - 1, 9
+    bound = (_chain(n) + sum(_chain(n // r) for r in (2, 5))
+             + 1 + _chain(q + 1) + _chain(2))
+    assert counts["compose"] <= bound == 23
+    # one Aut per product, and rho and mu themselves
+    assert counts["Aut"] <= bound + 2
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_closure_agrees_with_the_oracle(q):
+    # every (M, gamma) at q <= 5, and the sweep modulus at q = 7, 8, 9
+    ctx = create_field(*{3: (3,), 4: (2, 2), 5: (5,), 7: (7,), 8: (2, 3),
+                         9: (3, 2)}[q])
+    if q <= 5:
+        cases = [(m.a, m.b, g) for m in iter_irreducible_moduli(ctx)
+                 for g in ctx.iter_elements() if not g.is_zero()]
+    else:
+        m = parse_poly(ctx, {7: "T^2+1", 8: "T^2+T+1", 9: "T^2+g+1"}[q])
+        cases = [(m.coeff(1), m.coeff(0), ctx.one)]
+    assert len(cases) == {3: 6, 4: 18, 5: 40}.get(q, 1)
+    for a, b, gamma in cases:
+        curve = KummerCurve(a, b, gamma)
+        gens = [ag.make_rho(curve)]
+        gens.append(ag.make_omega(curve) if ctx.p == 2
+                    else ag.make_mu(curve))
+        if q == 3 and a.is_zero() and b == ctx.one and gamma == ctx.elem(2):
+            gens.append(ag.make_epsilon(curve))
+        table = ag.closure(gens)
+        elems = aut_closure(gens)
+        assert table.order == len(elems)
+        assert all(z in table for z in elems)
+        places = ramified_places(curve)
+        orbit = {pl: frozenset(ag.act_on_place(z, pl) for z in elems)
+                 for pl in places}
+        assert sorted(map(len, ag.orbits(table))) == sorted(
+            len(o) for o in set(orbit.values()))
+        for pl in places:
+            fixing = sum(ag.act_on_place(z, pl) == pl for z in elems)
+            assert ag.stabilizer(table, pl) == fixing
 
 
 # -- the q = 3 exceptional group --------------------------------------------
@@ -587,9 +704,10 @@ def _s4_order_histogram():
     return hist
 
 
-def test_quotient_is_pgl23(norm3):
-    rho, _, _, table = norm3
-    assert ag.quotient_is_pgl23(table) is True
+def test_quotient_is_pgl23(norm3, table3n):
+    rho, _, _, group = norm3
+    assert ag.quotient_is_pgl23(group) is True
+    table = table3n
 
     # independent route: iota = rho^4 is a central involution, and the
     # coset orders must reproduce the S4 histogram enumerated above
@@ -630,9 +748,9 @@ def test_central_involution_fixes_every_ramified_place(norm3):
     assert len(fixed) == 2 * genus_formula(3) + 2
 
 
-def test_quotient_guards(table5, rho3):
+def test_quotient_guards(group5, rho3):
     with pytest.raises(WrongQ):
-        ag.quotient_is_pgl23(table5)  # order 48 but q = 5
+        ag.quotient_is_pgl23(group5)  # order 48 but q = 5
     with pytest.raises(WrongOrder):
         ag.quotient_is_pgl23(ag.closure([rho3]))  # q = 3 but order 8
 

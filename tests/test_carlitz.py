@@ -214,6 +214,19 @@ def test_misshapen_carlitz_operator_is_a_typed_error(monkeypatch):
         CycModel(M31)
 
 
+def test_the_torsion_model_is_eisenstein_at_m():
+    # M divides x^q + x + a for every modulus, so P is Eisenstein at M;
+    # the middle coefficient of another a leaves the constant a' - a
+    for ctx in (F3, F4, F5):
+        x = Poly.gen(ctx)
+        frob = x.frob_power(ctx.n)
+        for mod in iter_irreducible_moduli(ctx):
+            c0 = mod.as_poly()
+            carlitz._check_eisenstein(c0, frob + x + mod.a)
+            with pytest.raises(CertificateFailed, match="does not divide"):
+                carlitz._check_eisenstein(c0, frob + x + mod.a + ctx.one)
+
+
 def test_minpoly_degree_counts_torsion():
     for mod in [M31, Modulus(F5.elem(0), F5.elem(2))]:
         model = CycModel(mod)

@@ -198,6 +198,17 @@ def test_verify_aut_q3_untwisted_model(capsys):
     assert "quotient" not in doc
 
 
+def test_verify_accepts_every_section_that_all_runs(capsys):
+    # the verify targets are the sections themselves, construct included
+    assert cli.VERIFY_TARGETS == (*(name for name, _ in cli._SECTIONS),
+                                  "all")
+    code, doc = _run_json(["verify", "-q", "3", "-M", "T^2+1", "construct"],
+                          capsys)
+    assert code == 0
+    assert doc["paper_claims"] == {"elimination_certificate": True}
+    assert list(doc["reports"]) == ["construct"]
+
+
 def test_aut_builds_no_torsion_model(monkeypatch, capsys):
     # rho is transported on the curve alone
     def refuse(self, *args):
