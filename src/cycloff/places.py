@@ -39,9 +39,13 @@ from .polyalg import (
     Poly,
     _coprime_part,
     _distinct_degree,
+    _exp_mul,
+    _exp_peel,
     _exp_terms,
     _exp_value,
+    _from_exps,
     _orbits,
+    _to_exps,
     format_poly,
     one_root,
     poly_gcd,
@@ -154,7 +158,10 @@ class Divisor:
     __slots__ = ("_m",)
 
     def __init__(self, coeffs=None):
-        self._m = {P: c for P, c in (coeffs or {}).items() if c}
+        # a dict copy keeps the stored hashes; a place is hashed again only
+        # when a zero coefficient must be dropped
+        m = dict(coeffs or {})
+        self._m = {P: c for P, c in m.items() if c} if 0 in m.values() else m
 
     def coeff(self, P):
         return self._m.get(P, 0)
@@ -202,13 +209,32 @@ class Divisor:
 # -- the ramified catalog ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _catalog(curve):
+    """(places, booked, vys, points, quad, hnd, top), built once per
+    curve: the q+3 ramified places; the places a divisor books, the
+    rational ones, infinity and the quadratic point by quad_roots[0], and
+    v_P(y) at each; (log a, v - a) for each rational a and M's monic
+    factor, as exponent lists; h.num * h.den; and the largest d with
+    q^d <= gf.ORDER_CAP.
+    """
+    ctx, q = curve.ctx, curve.q
+    rational = list(ctx.iter_elements())
+    places = (*map(RamFinite, rational), RamInfinity(q),
+              *map(RamQuadratic, curve.quad_roots))
+    points = tuple((ctx._log.get(a.coeffs),
+                    tuple(_to_exps(Poly(ctx, (-a, ctx.one)), ctx)))
+                   for a in rational)
+    top = max(d for d in range(1, gf.ORDER_CAP.bit_length())
+              if q ** d <= gf.ORDER_CAP)
+    quad = tuple(_to_exps(curve.ram_numerator.monic(), ctx))
+    return (places, places[:q + 2], (-1,) * q + (q - 2, 1), points, quad,
+            curve.h.num * curve.h.den, top)
+
+
 def ramified_places(curve):
     """All q+3 ramified places: q rational, infinity, two conjugate quadratic."""
-    ctx = curve.ctx
-    out = [RamFinite(a) for a in ctx.iter_elements()]
-    out.append(RamInfinity(curve.q))
-    out.extend(RamQuadratic(r) for r in curve.quad_roots)
-    return out
+    return list(_catalog(curve)[0])
 
 
 # -- valuations --------------------------------------------------------------
@@ -385,12 +411,9 @@ def _closed_points(curve, f):
     each of which must have length d, named by its least element by
     ``to_int`` and taken in that order.
     """
-    p, n, q = curve.ctx.p, curve.ctx.n, curve.q
-    top = 1
-    while q ** (top + 1) <= gf.ORDER_CAP:
-        top += 1
-    *parts, (_, rest) = _distinct_degree(
-        _coprime_part(f, curve.h.num * curve.h.den), top)
+    p, n = curve.ctx.p, curve.ctx.n
+    *_, hnd, top = _catalog(curve)
+    *parts, (_, rest) = _distinct_degree(_coprime_part(f, hnd), top)
     if not rest.is_constant():
         raise GenericPlaceUnsupported(
             f"support of {format_poly(f.monic(), 'v')} does not split under "
@@ -506,33 +529,57 @@ def _tied_fiber(fiber, s0, tied, vn):
     return settled, left
 
 
+def _ramified_orders(r, points, quad):
+    """(orders, num, den) for a coordinate r: v(r) at the rational points
+    of ``points``, infinity and M's point, and r's numerator and
+    denominator with each v - a and M divided out, as exponent lists;
+    v - a is divided only where an evaluation finds a root."""
+    ctx = r.num.ctx
+    out = []
+    for f in (r.num, r.den):
+        a, terms, orders = _to_exps(f, ctx), _exp_terms(f.coeffs, ctx), []
+        for k, lin in points:
+            m = 0
+            if len(a) > 1 and _exp_value(terms, k, ctx) is None:
+                m, a = _exp_peel(a, lin, ctx)
+                terms = [(j, t) for j, t in enumerate(a) if t is not None]
+            orders.append(m)
+        m, a = _exp_peel(a, quad, ctx)
+        out.append((orders + [-f.degree, m], a))
+    (on, num), (od, den) = out
+    return [x - y for x, y in zip(on, od)], num, den
+
+
 def divisor(e):
     """Principal divisor of a nonzero element, booked on closed points.
 
-    Ramified places.  A coordinate r_i has nonzero order at a rational
-    point a only at a root of gcd(num * den, h.den), h.den = v^q - v.  At
-    every other rational point each r_i is a unit and v_a(h) = -1, so
-    v_a(e) = -(largest i with r_i != 0); the certified profile is read
-    term by term only at those roots, at infinity and at the quadratic
-    point.
+    Ramified places.  Over a rational point, infinity or M's point, P is
+    totally ramified and v_P(y) = v(h) = -1, q-2 or +1, prime to q-1, so
+    the values v_P(r_i y^i) = (q-1) v(r_i) + i v(h) differ for distinct i
+    and v_P(e) is their minimum (Stichtenoth, *Algebraic Function Fields
+    and Codes*, Prop. 3.7.3).  Each v(r_i) comes from one peel of r_i's
+    numerator and denominator against the curve's `_catalog`.
 
     Unramified places.  A closed point c carries support only if it is a
     pole of some coordinate or a zero of the numerator of N(e), so one
     support polynomial, that numerator times every coordinate denominator,
-    is split by `_closed_points`.  At a place P over c, y is a unit (h has
-    no zero or pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
+    is split by `_closed_points`.  A one-term element r y^i has
+    N(e) = r^(q-1) N(y)^i with N(y) = +-h a unit off the ramified locus,
+    so its support is what the peel leaves of r, and a constant rest
+    splits nothing.  At a place P over c, y is a unit (h has no zero or
+    pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
     v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate pole.  If no
     coordinate has a pole at c, every v_P(e) >= 0, and
-    v_c(N e) = sum_{P|c} f(P|c) v_P(e) (Stichtenoth, *Algebraic Function
-    Fields and Codes*, ch. 3) is positive once one v_P(e) is.  The same
-    formula makes v_c(N e) < 0 force a coordinate pole, so neither the
-    coordinate numerators nor the denominator of N(e) can add a point.
-    Each coordinate's order and leading coefficient at c come from
-    `_leading_term`.  When one term alone attains min_i v_c(r_i), that
-    minimum is v_P(e) by the strict triangle inequality.  A tied minimum
-    is settled by `_tied_fiber` from the leading terms and v_c(N e); only
-    two or more cancelling places of one fiber lift series, each through
-    `valuation`, and the fiber must then meet the norm formula above.
+    v_c(N e) = sum_{P|c} f(P|c) v_P(e) (Stichtenoth, ch. 3) is positive
+    once one v_P(e) is.  The same formula makes v_c(N e) < 0 force a
+    coordinate pole, so neither the coordinate numerators nor the
+    denominator of N(e) can add a point.  Each coordinate's order and
+    leading coefficient at c come from `_leading_term`.  When one term
+    alone attains min_i v_c(r_i), that minimum is v_P(e) by the strict
+    triangle inequality.  A tied minimum is settled by `_tied_fiber` from
+    the leading terms and v_c(N e); only two or more cancelling places of
+    one fiber lift series, each through `valuation`, and the fiber must
+    then meet the norm formula above.
 
     A principal divisor has degree 0; any other total raises
     CertificateFailed.
@@ -542,25 +589,22 @@ def divisor(e):
     filled = [i for i, r in enumerate(coords) if r]
     if not filled:
         raise ZeroElement("the zero element has no divisor")
+    _, booked, vys, points, quad, _, _ = _catalog(curve)
+    n = curve.q - 1
+    peeled = [(i, *_ramified_orders(coords[i], points, quad)) for i in filled]
+    rows = [[n * x + i * vy for x, vy in zip(o, vys)] for i, o, _, _ in peeled]
+    coeffs = {P: c for P, c in zip(booked, map(min, zip(*rows))) if c}
     ctx = curve.ctx
-    hit = Poly.one(ctx)
-    for i in filled:
-        hit = hit * poly_gcd(coords[i].num * coords[i].den, curve.h.den)
-    coeffs = {}
-    for a in ctx.iter_elements():
-        P = RamFinite(a)
-        coeffs[P] = (-filled[-1] if hit(a)
-                     else _ramified_valuation(curve, coords, P))
-    # the conjugate quadratic pair is one closed point, booked by quad_roots[0]
-    for P in (RamInfinity(curve.q), RamQuadratic(curve.quad_roots[0])):
-        coeffs[P] = _ramified_valuation(curve, coords, P)
-    # N(r y^i) = r^(q-1) N(y)^i and N(y) = +-h is a unit off the ramified
-    # locus, so a one-term element needs no norm
-    norm = None if len(filled) == 1 else e.norm()
-    support = coords[filled[0]].num if norm is None else norm.num
-    for i in filled:
-        support = support * coords[i].den
-    for d, c in _closed_points(curve, support):
+    if len(filled) == 1:
+        norm, (_, _, num, den) = None, peeled[0]
+        support = _from_exps(ctx, _exp_mul(num, den, ctx))
+    else:
+        norm = e.norm()
+        support = norm.num
+        for i in filled:
+            support = support * coords[i].den
+    for d, c in (() if support.is_constant()
+                 else _closed_points(curve, support)):
         fiber = _fiber_places(curve, d, c)
         terms = {i: _leading_term(coords[i], c) for i in filled}
         s0 = min(o for o, _, _ in terms.values())

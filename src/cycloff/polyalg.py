@@ -442,6 +442,18 @@ def _exp_divmod(a, b, ctx):
     return quo, _exp_reduce(a, b, ctx, quo)
 
 
+def _exp_peel(a, b, ctx):
+    """(m, a / b^m) for the largest m with b^m | a, a nonzero; a is not
+    consumed."""
+    m = 0
+    while len(a) >= len(b):
+        quo, rem = _exp_divmod(list(a), b, ctx)
+        if rem:
+            break
+        a, m = quo, m + 1
+    return m, a
+
+
 def _exp_gcd(a, b, ctx):
     """Monic gcd; a and b are consumed."""
     while b:
@@ -668,16 +680,10 @@ def root_multiplicity(f, c):
     ext = c.ctx
     fe = f.embed_into(ext) if ext is not f.ctx else f
     lin = Poly(ext, (-c, ext.one))
-    m = 0
     if ext._zech is not None:
         # peel (X - c) on exponent lists; convert once, not per division
-        a, lin = _to_exps(fe, ext), _to_exps(lin, ext)
-        while a:
-            a, r = _exp_divmod(a, lin, ext)
-            if r:
-                break
-            m += 1
-        return m
+        return _exp_peel(_to_exps(fe, ext), _to_exps(lin, ext), ext)[0]
+    m = 0
     while not fe.is_zero():
         q, r = divmod(fe, lin)
         if not r.is_zero():

@@ -54,16 +54,20 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
     # a guard by counts, not timings, on the first 20 draws of each q: no
     # draw lifts a series or takes a Taylor shift, since a tied point is
     # settled from its leading terms and the norm; a one-term element has
-    # no tied point, and a rational point where no coordinate has a zero or
-    # a pole peels no (v - a)
+    # no tied point, a rational point where no coordinate has a zero or a
+    # pole peels no (v - a), and a one-term element whose numerator and
+    # denominator lie wholly on the ramified locus splits nothing and takes
+    # no gcd with h.num * h.den
     draws = load_draws()
     curves = draws.standard_curves()
     keys = [f"{q}:{i}" for q in draws.POOL for i in range(20)]
     real_series = places._generic_valuation
     real_shift = places._taylor_shift
     real_tied = places._tied_fiber
-    real_mult = polyalg.root_multiplicity
-    series, shifts, tied, peeled = [], [], [], set()
+    real_peel = places._exp_peel
+    real_split = places._closed_points
+    real_gcd = polyalg.poly_gcd
+    series, shifts, tied, peeled, split, gcds = [], [], [], set(), [], []
 
     def counted_series(curve, coords, c, ys):
         series.append(c)
@@ -78,21 +82,37 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
         tied.append((fiber, s0, dict(settled), list(left)))
         return settled, left
 
-    def counted_mult(f, c):
-        peeled.add(c)
-        return real_mult(f, c)
+    def counted_peel(a, b, ctx):
+        # b = v - c on exponent lists for a rational point c, or M
+        if len(b) == 2:
+            peeled.add(-polyalg._from_exps(ctx, b).coeff(0))
+        return real_peel(a, b, ctx)
+
+    def counted_split(curve, f):
+        split.append(f)
+        return real_split(curve, f)
+
+    def counted_gcd(f, g):
+        gcds.append((f, g))
+        return real_gcd(f, g)
 
     monkeypatch.setattr(places, "_generic_valuation", counted_series)
     monkeypatch.setattr(places, "_taylor_shift", counted_shift)
     monkeypatch.setattr(places, "_tied_fiber", counted_tied)
-    monkeypatch.setattr(polyalg, "root_multiplicity", counted_mult)
-    one_term_generic = skipped = 0
+    monkeypatch.setattr(places, "_exp_peel", counted_peel)
+    monkeypatch.setattr(places, "_closed_points", counted_split)
+    monkeypatch.setattr(places, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(polyalg, "poly_gcd", counted_gcd)
+    one_term_generic = skipped = on_locus = 0
     settled = Counter()
     for key, e in draws.elements(curves, keys):
-        ctx = e.alg.ctx
+        ctx, h = e.alg.ctx, e.alg.h
+        hnd = h.num * h.den
         filled = [r for r in e.coords if r]
         tied.clear()
         peeled.clear()
+        split.clear()
+        gcds.clear()
         try:
             dv = divisor(e)
         except GenericPlaceUnsupported:
@@ -102,6 +122,12 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
             assert tied == [], key
             one_term_generic += dv is not None and any(
                 isinstance(P, Generic) for P in dv.support)
+            # f divides a power of hnd exactly when every root of f is one
+            # of hnd's
+            r = filled[0]
+            if all((hnd ** f.degree) % f == 0 for f in (r.num, r.den)):
+                assert split == [] and all(hnd not in fg for fg in gcds), key
+                on_locus += 1
         for fiber, s0, out, left in tied:
             # every place over c is settled at s0 by a nonzero leading sum,
             # or above it by the norm
@@ -111,9 +137,9 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
             settled[max(out.values()) > s0] += 1
         special = {a for a in ctx.iter_elements()
                    if any(not r.num(a) or not r.den(a) for r in filled)}
-        assert {c for c in peeled if c.ctx is ctx} == special, key
+        assert peeled == special, key
         skipped += ctx.order - len(special)
-    assert one_term_generic >= 5 and skipped >= 400
+    assert one_term_generic >= 5 and skipped >= 400 and on_locus >= 77
     assert sum(settled.values()) >= 10 and settled[True] >= 1
 
 

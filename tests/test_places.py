@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycloff import cli, gf, places, polyalg
+from cycloff import autgroup, cli, gf, places, polyalg
 from cycloff.carlitz import iter_irreducible_moduli
 from cycloff.errors import (
     CertificateFailed,
@@ -149,6 +149,18 @@ def test_ramified_catalog_deterministic():
     a = ramified_places(C5)
     b = ramified_places(C5)
     assert a == b
+    # each call hands out a fresh list, so a caller that edits one leaves
+    # the curve's cached catalog, its group report and its divisors alone
+    curve = KummerCurve(F5.zero, F5.elem(2), F5.one)
+    e = scal(curve, vfun(curve, (1, 1), (0, 1))) + yelem(curve)
+    want, dv = ramified_places(curve), divisor(e)
+    assert want == a
+    mine = ramified_places(curve)
+    mine.append(RamInfinity(3))
+    ramified_places(curve).reverse()
+    assert ramified_places(curve) == want
+    assert autgroup.group_report(curve) == autgroup.group_report(C5)
+    assert divisor(e) == dv
 
 
 # -- valuations at ramified places -------------------------------------------
@@ -1016,16 +1028,22 @@ def test_fibers_reach_their_field_through_the_point_field(low):
 
 
 def test_a_wrong_valuation_fails_the_degree_certificate(monkeypatch):
-    # v + y has a rational zero of a coordinate at v = 0, so every kind of
-    # ramified place reads the profile; one place off by one is caught
+    # v + y has a rational zero of a coordinate at v = 0; an order one too
+    # high from the peel at one ramified place of each kind moves the
+    # coefficient booked there by q - 1, which the degree certificate sees
     e = scal(C3, vfun(C3, (0, 1))) + yelem(C3)
     assert divisor(e).degree == 0
-    real = places._ramified_valuation
+    booked = places._catalog(C3)[1]
+    real = places._ramified_orders
     for kind in (RamFinite, RamInfinity, RamQuadratic):
-        def off_by_one(curve, coords, P, kind=kind):
-            return real(curve, coords, P) + isinstance(P, kind)
+        j = next(j for j, P in enumerate(booked) if isinstance(P, kind))
 
-        monkeypatch.setattr(places, "_ramified_valuation", off_by_one)
+        def off_by_one(r, points, quad, j=j):
+            orders, num, den = real(r, points, quad)
+            orders[j] += 1
+            return orders, num, den
+
+        monkeypatch.setattr(places, "_ramified_orders", off_by_one)
         with pytest.raises(CertificateFailed, match="degree"):
             divisor(e)
 
@@ -1048,12 +1066,45 @@ def draw_filled(curve, rng):
     return curve.from_coords(coords)
 
 
+# beside (v - a)^m in slot 0, the second coordinate (v - a)^k sits in slot
+# j; by q, (j, k at m = 2, k at m = 3).  Each keeps the norm's factors
+# under the field cap, which most two-term norms at q >= 7 exceed
+BESIDE = {3: (1, 1, 1), 4: (1, 1, 1), 5: (1, 1, 1), 7: (1, 3, 1),
+          8: (1, 3, 4), 9: (4, 1, 4)}
+
+
+def hand_built(curve):
+    """Elements the random family seldom reaches: M^k and 1/M^k for
+    k = 1..3, M = curve.ram_numerator, and (v - a)^m at a rational a for
+    m = 2, 3, alone and beside a second coordinate (`BESIDE`)."""
+    ctx, n = curve.ctx, curve.q - 1
+    one, M = Poly.one(ctx), curve.ram_numerator
+
+    def element(*terms):
+        coords = [RatFunc.zero(ctx) for _ in range(n)]
+        for i, num, den in terms:
+            coords[i] = RatFunc(num, den)
+        return curve.from_coords(coords)
+
+    out = []
+    for k in (1, 2, 3):
+        out += [element((k % n, M ** k, one)),
+                element(((k + 1) % n, one, M ** k))]
+    j, *ks = BESIDE[curve.q]
+    for m, k, a in zip((2, 3), ks, list(ctx.iter_elements())[1:]):
+        lin = Poly(ctx, (-a, ctx.one))
+        out += [element((m % n, lin ** m, one)),
+                element((0, lin ** m, one), (j, lin ** k, one))]
+    return out
+
+
 def test_divisor_shortcuts_agree_with_valuation(monkeypatch):
-    # divisor reads unit coordinates at rational points and one-term minima
-    # at unramified points without series; valuation() keeps the full path
-    # (RatFunc.valuation at every ramified place, series at every fiber
-    # place).  Every place either books must agree, including the places
-    # divisor leaves out, which must have valuation 0
+    # divisor reads every ramified order from one peel per coordinate and
+    # one-term minima at unramified points without series; valuation()
+    # keeps the full path (RatFunc.valuation at every ramified place,
+    # series at every fiber place).  Every place either books must agree,
+    # including the places divisor leaves out, which must have valuation 0;
+    # the hand-built elements are all accepted
     real_fiber, real_series = places._fiber_places, places._generic_valuation
     fibers, series = [], []
 
@@ -1070,8 +1121,8 @@ def test_divisor_shortcuts_agree_with_valuation(monkeypatch):
     for curve in (C3, C4, C5, C7, C8, C9):
         rng = random.Random(f"shortcuts:{curve.q}")
         twin, rep = (RamQuadratic(r) for r in reversed(curve.quad_roots))
-        for _ in range(12):
-            e = draw_filled(curve, rng)
+        built = hand_built(curve)
+        for e in [draw_filled(curve, rng) for _ in range(12)] + built:
             fibers.clear()
             before = len(series)
             with monkeypatch.context() as m:
@@ -1080,6 +1131,7 @@ def test_divisor_shortcuts_agree_with_valuation(monkeypatch):
                 try:
                     dv = divisor(e)
                 except GenericPlaceUnsupported:
+                    assert not any(e is b for b in built), curve.q
                     continue
             accepted[curve.q] += 1
             over = [P for fiber in fibers for P in fiber]
