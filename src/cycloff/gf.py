@@ -28,12 +28,16 @@ packed path that larger fields keep.  There a sum is taken coefficientwise
 mod p, a product is two integer products: the coefficient vectors packed
 one slot per coefficient (Kronecker substitution), then the packed
 reduction matrix of ``_packed_kernel``; an inverse is a^(Q-2) (Fermat).
+Fields past the cap take no discrete logs at all: ``dlog`` reads the log
+table only, and ``nth_roots`` takes k-th roots in every field by
+Adleman-Manders-Miller, from powers alone, so no field past the cap
+builds a baby-step table or searches for its generator.
 """
 
 import functools
 import itertools
 import struct
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     CertificateFailed,
@@ -234,7 +238,7 @@ class FieldCtx:
     """GF(p^n) with deterministic modulus and generator; cached singleton."""
 
     __slots__ = ("p", "n", "order", "modulus", "_packed", "_zero", "_one",
-                 "_gen", "_factors", "_baby", "_exp", "_log", "_zech",
+                 "_gen", "_factors", "_exp", "_log", "_zech",
                  "_neg_exp", "_elems", "_add", "_mul", "_inv", "_pow",
                  "__weakref__")
 
@@ -248,7 +252,6 @@ class FieldCtx:
         self._one = FieldElem(self, (1,) + (0,) * (n - 1))
         self._gen = None
         self._factors = None
-        self._baby = None
         self._exp = self._log = self._zech = self._neg_exp = self._elems = None
         self._add, self._mul, self._inv, self._pow = (
             self._poly_add, self._poly_mul, self._poly_inv, self._poly_pow)
@@ -362,7 +365,9 @@ class FieldCtx:
         # doubled, so a product's exponent i + j needs no reduction
         self._exp = tuple(powers) * 2
         # g^_zech[k] = 1 + g^k (Lidl-Niederreiter, Finite Fields, 10.1)
-        self._zech = tuple([log.get(self._poly_add(one, a)) for a in powers])
+        # adding one moves only the constant coefficient
+        self._zech = tuple([log.get(((a[0] + 1) % self.p,) + a[1:])
+                            for a in powers])
         self._neg_exp = (self.order - 1) // 2 if self.p != 2 else 0
         self._elems = tuple([self._one] + [FieldElem(self, a)
                                            for a in powers[1:]])
@@ -421,53 +426,80 @@ class FieldCtx:
                     break
         return self._gen
 
-    # -- discrete logs (table, or baby-step giant-step above TABLE_CAP) -----
+    # -- discrete logs (tables only) and roots (no logs) --------------------
 
     def dlog(self, w):
-        """Discrete log of w base ``generator``; ZeroElement for 0."""
+        """Discrete log of w base ``generator``, read from the log table;
+        ZeroElement for 0, TooLarge above TABLE_CAP."""
         if w.is_zero():
             raise ZeroElement("0 has no discrete log")
-        if self._log is not None:
-            return self._log[w.coeffs]
-        order = self.order - 1
-        if self._baby is None:
-            m = isqrt(order - 1) + 1 if order > 1 else 1
-            baby = {}
-            acc = self.one
-            for j in range(m):
-                baby.setdefault(acc.coeffs, j)
-                acc = acc * self.generator
-            self._baby = (m, baby, self.generator ** (-m))
-        m, baby, giant = self._baby
-        acc = w
-        for i in range(m + 1):
-            j = baby.get(acc.coeffs)
-            if j is not None:
-                return (i * m + j) % order
-            acc = acc * giant
-        raise ArithmeticError("dlog failed; generator not primitive?")
+        if self._log is None:
+            raise TooLarge(f"{self.name} has no log table above order "
+                           f"{TABLE_CAP}")
+        return self._log[w.coeffs]
 
     def nth_roots(self, w, k):
         """All y with y^k = w, sorted in lex order of coefficient vectors.
 
-        With d = gcd(k, Q-1) the roots are g^x0 zeta^t, t < d, for one
-        solution x0 and zeta = g^((Q-1)/d): two powers and d - 1 products.
+        With m = Q - 1, d = gcd(k, m) and u = k / d, w is a k-th power iff
+        w^(m/d) = 1, and then the roots are the d-th roots of
+        w' = w^(u^-1 mod m/d), since y^k = (y^d)^u = w'^u = w.  One d-th
+        root is taken one prime l | d at a time, e l-th roots for l^e || d,
+        by Adleman, Manders and Miller (FOCS 1977; Tonelli-Shanks for
+        l = 2): an l-th root of an l^e-th power is an l^(e-1)-th power when
+        l^e | m.  With m = l^s t and l prime to t, and v = a^(u - 1) for
+        u = l^-1 mod t, r = v a has r^l = a x for the error x = v^l a^(l-1)
+        in the l-Sylow subgroup <c> (`_sylow`); x = c^j with l | j, j is
+        read digit by digit in base l, each digit from a power of order l,
+        and r c^(-j/l) is an l-th root of a.  The other roots are its
+        products with the d-th roots of unity, built from the same c.  No
+        log is taken over the whole group and no generator is needed.
         """
         if w.is_zero():
             return [self.zero]
-        order = self.order - 1
-        from math import gcd
-        d = gcd(k, order)
-        ell = self.dlog(w)
-        if ell % d:
+        mul, pw, m = self._mul, self._pow, self.order - 1
+        d = gcd(k, m)
+        if pw(w.coeffs, m // d) != self._one.coeffs:
             return []
-        step = order // d
-        x0 = (ell // d) * pow(k // d, -1, step) % step
-        zeta = self.generator ** step
-        roots = [self.generator ** x0]
+        root, unity = pw(w.coeffs, pow(k // d, -1, m // d)), self._one.coeffs
+        for ell, e in factorize(d).items():
+            s, t, c, cinv, digits = self._sylow(ell)
+            u = pow(ell, -1, t) if t > 1 else 1
+            for _ in range(e):
+                v = pw(root, u - 1)
+                err = mul(pw(v, ell), pw(root, ell - 1))
+                root, step, j = mul(v, root), pw(cinv, ell), 0
+                # err is an l-th power in <c>, so its digit 0 is 0
+                for i in range(1, s):
+                    digit = digits[pw(err, ell ** (s - 1 - i))]
+                    if digit:
+                        err = mul(err, pw(step, digit))
+                        j += digit * ell ** i
+                    step = pw(step, ell)
+                root = mul(root, pw(cinv, j // ell))
+            unity = mul(unity, pw(c, ell ** (s - e)))
+        roots = [root]
         for _ in range(d - 1):
-            roots.append(roots[-1] * zeta)
-        return sorted(roots, key=lambda e: e.coeffs)
+            roots.append(mul(roots[-1], unity))
+        return [FieldElem(self, y) for y in sorted(roots)]
+
+    @functools.lru_cache(maxsize=None)
+    def _sylow(self, ell):
+        """(s, t, c, c^-1, digits) for a prime l | m = Q - 1, m = l^s t with
+        l prime to t, on coefficient tuples: c = n^t generates the l-Sylow
+        subgroup, for n the first non-l-th power by the power test
+        n^(m/l) != 1, and digits maps c^(x l^(s-1)) to x < l.  Kept per
+        field and l."""
+        m = t = self.order - 1
+        s = 0
+        while t % ell == 0:
+            s, t = s + 1, t // ell
+        n = next(n for n in map(self.from_int, range(1, self.order))
+                 if n ** (m // ell) != self.one)
+        c = n ** t
+        z = c ** ell ** (s - 1)
+        return (s, t, c.coeffs, c.inverse().coeffs,
+                {(z ** x).coeffs: x for x in range(ell)})
 
 
 def _slot_typecode(p, n):

@@ -67,13 +67,10 @@ class RamFinite(Record):
     """Fully ramified place over v = alpha, alpha rational."""
 
     __slots__ = ("alpha",)
+    degree = 1
 
     def __init__(self, alpha):
         set_field(self, "alpha", alpha)
-
-    @property
-    def degree(self):
-        return 1
 
     def __str__(self):
         return f"P[v={gf.format_element(self.alpha)}]"
@@ -83,13 +80,10 @@ class RamInfinity(Record):
     """Fully ramified place over v = infinity."""
 
     __slots__ = ("q",)
+    degree = 1
 
     def __init__(self, q):
         set_field(self, "q", q)
-
-    @property
-    def degree(self):
-        return 1
 
     def __str__(self):
         return "P[inf]"
@@ -103,13 +97,10 @@ class RamQuadratic(Record):
     """
 
     __slots__ = ("root",)
+    degree = 2
 
     def __init__(self, root):
         set_field(self, "root", root)
-
-    @property
-    def degree(self):
-        return 2
 
     def __str__(self):
         return f"Q[v={gf.format_element(self.root)}]"
@@ -214,17 +205,17 @@ def _catalog(curve):
     """(places, booked, vys, points, quad, hnd, top), built once per
     curve: the q+3 ramified places; the places a divisor books, the
     rational ones, infinity and the quadratic point by quad_roots[0], and
-    v_P(y) at each; (log a, v - a) for each rational a and M's monic
-    factor, as exponent lists; h.num * h.den; and the largest d with
+    v_P(y) at each; {log a: (i, v - a)} for the i-th rational a and M's
+    monic factor, as exponent lists; h.num * h.den; and the largest d with
     q^d <= gf.ORDER_CAP.
     """
     ctx, q = curve.ctx, curve.q
     rational = list(ctx.iter_elements())
     places = (*map(RamFinite, rational), RamInfinity(q),
               *map(RamQuadratic, curve.quad_roots))
-    points = tuple((ctx._log.get(a.coeffs),
-                    tuple(_to_exps(Poly(ctx, (-a, ctx.one)), ctx)))
-                   for a in rational)
+    points = {ctx._log.get(a.coeffs):
+              (i, tuple(_to_exps(Poly(ctx, (-a, ctx.one)), ctx)))
+              for i, a in enumerate(rational)}
     top = max(d for d in range(1, gf.ORDER_CAP.bit_length())
               if q ** d <= gf.ORDER_CAP)
     quad = tuple(_to_exps(curve.ram_numerator.monic(), ctx))
@@ -532,18 +523,25 @@ def _tied_fiber(fiber, s0, tied, vn):
 def _ramified_orders(r, points, quad):
     """(orders, num, den) for a coordinate r: v(r) at the rational points
     of ``points``, infinity and M's point, and r's numerator and
-    denominator with each v - a and M divided out, as exponent lists;
-    v - a is divided only where an evaluation finds a root."""
+    denominator with each v - a and M divided out, as exponent lists.
+    v - a is divided only where an evaluation finds a root, until what is
+    left is linear; a linear rest over GF(q) has its one root at
+    log a = log(-c_0 / c_1), which needs no evaluation."""
     ctx = r.num.ctx
     out = []
     for f in (r.num, r.den):
-        a, terms, orders = _to_exps(f, ctx), _exp_terms(f.coeffs, ctx), []
-        for k, lin in points:
-            m = 0
-            if len(a) > 1 and _exp_value(terms, k, ctx) is None:
-                m, a = _exp_peel(a, lin, ctx)
-                terms = [(j, t) for j, t in enumerate(a) if t is not None]
-            orders.append(m)
+        a, orders = _to_exps(f, ctx), [0] * len(points)
+        terms = _exp_terms(a)
+        for k, (i, lin) in points.items():
+            if len(a) < 3:
+                break
+            if _exp_value(terms, k, ctx) is None:
+                orders[i], a = _exp_peel(a, lin, ctx)
+                terms = _exp_terms(a)
+        if len(a) == 2:
+            i, lin = points[None if a[0] is None else
+                            (a[0] + ctx._neg_exp - a[1]) % (ctx.order - 1)]
+            orders[i], a = _exp_peel(a, lin, ctx)
         m, a = _exp_peel(a, quad, ctx)
         out.append((orders + [-f.degree, m], a))
     (on, num), (od, den) = out
@@ -597,13 +595,15 @@ def divisor(e):
     ctx = curve.ctx
     if len(filled) == 1:
         norm, (_, _, num, den) = None, peeled[0]
-        support = _from_exps(ctx, _exp_mul(num, den, ctx))
+        # a constant rest, the common case, splits nothing
+        support = (None if len(num) + len(den) < 3
+                   else _from_exps(ctx, _exp_mul(num, den, ctx)))
     else:
         norm = e.norm()
         support = norm.num
         for i in filled:
             support = support * coords[i].den
-    for d, c in (() if support.is_constant()
+    for d, c in (() if support is None or support.is_constant()
                  else _closed_points(curve, support)):
         fiber = _fiber_places(curve, d, c)
         terms = {i: _leading_term(coords[i], c) for i in filled}
@@ -754,7 +754,7 @@ def count_degree_one(curve, k):
     if q ** k > gf.TABLE_CAP:
         return q ** k + 1 - _power_sums_from_coeffs(l_polynomial(curve), k)[k]
     E = create_field(p, n * k)
-    num, den = (_exp_terms(f.embed_into(E).coeffs, E)
+    num, den = (_exp_terms(_to_exps(f.embed_into(E), E))
                 for f in (curve.h.num, curve.h.den))
     total = 0
     # None is c = 0

@@ -72,9 +72,10 @@ INFINITY = "infinity"
 
 
 class Poly:
-    """Polynomial over a FieldCtx; immutable."""
+    """Polynomial over a FieldCtx; immutable.  ``_exps`` is the exponent
+    tuple of a kernel output (see `_from_exps`), else None."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_exps")
 
     def __init__(self, ctx, coeffs):
         i = len(coeffs)
@@ -82,6 +83,7 @@ class Poly:
             i -= 1
         self.ctx = ctx
         self.coeffs = tuple(coeffs[:i])
+        self._exps = None
 
     # -- constructors -------------------------------------------------------
 
@@ -259,14 +261,13 @@ class Poly:
         if isinstance(point, int):
             point = self.ctx.elem(point)
         tgt = point.ctx
-        coeffs = (self.coeffs if tgt is self.ctx
-                  else [gf.embed(c, tgt) for c in self.coeffs])
+        f = self if tgt is self.ctx else self.embed_into(tgt)
         if tgt._zech is not None:
-            e = _exp_value(_exp_terms(coeffs, tgt), tgt._log.get(point.coeffs),
-                           tgt)
+            e = _exp_value(_exp_terms(f._exps or _to_exps(f, tgt)),
+                           tgt._log.get(point.coeffs), tgt)
             return tgt.zero if e is None else tgt._elems[e]
         acc = tgt.zero
-        for c in reversed(coeffs):
+        for c in reversed(f.coeffs):
             acc = acc * point + c
         return acc
 
@@ -338,19 +339,30 @@ def is_irreducible(f):
 # A polynomial is a list of exponents k (the coefficient g^k), None for a
 # zero coefficient, constant term first and no trailing None.  A sum of two
 # nonzero terms is g^c + g^t = g^(c + zech[t - c]), so no FieldElem is made
-# between entry and exit.
+# between entry and exit.  A kernel output keeps its list as a Poly's
+# ``_exps``, so it is never converted back.
 
 
 def _to_exps(f, ctx):
+    """f's exponent list: a copy of the kept one, else converted afresh;
+    the kernels may consume it."""
     if f.ctx is not ctx:
         raise CtxMismatch("polynomials over different fields")
+    a = f._exps
+    if a is not None:
+        return list(a)
     log = ctx._log
     return [log.get(c.coeffs) for c in f.coeffs]
 
 
 def _from_exps(ctx, a):
+    """The Poly of a kernel output a, which ends in no None, keeping a."""
     elems, zero = ctx._elems, ctx._zero
-    return Poly(ctx, [zero if k is None else elems[k] for k in a])
+    f = Poly.__new__(Poly)
+    f.ctx = ctx
+    f.coeffs = tuple([zero if k is None else elems[k] for k in a])
+    f._exps = tuple(a)
+    return f
 
 
 def _exp_mul(a, b, ctx):
@@ -375,15 +387,9 @@ def _exp_mul(a, b, ctx):
     return out
 
 
-def _exp_terms(coeffs, ctx):
-    """(j, log c_j) for each nonzero coefficient c_j, over a table field."""
-    log = ctx._log.get
-    terms = []
-    for j, c in enumerate(coeffs):
-        t = log(c.coeffs)
-        if t is not None:
-            terms.append((j, t))
-    return terms
+def _exp_terms(a):
+    """(j, k) for each nonzero term g^k X^j of an exponent list a."""
+    return [(j, t) for j, t in enumerate(a) if t is not None]
 
 
 def _exp_value(terms, k, ctx):
@@ -616,36 +622,38 @@ def one_root(f, ext):
     so any two distinct roots differ in some Tr(a r), and one pass leaves
     a linear factor; a = 1 comes last, since Tr(r) is constant on a
     Frobenius orbit and so cannot part two roots of one factor over GF(p).
-    T_a is built coefficient by coefficient.  Every part is a gcd with g
-    and every quotient exact, so that factor divides f whatever the images
-    are; CertificateFailed if no shift splits what is left, as when f has
-    a repeated root or a root outside ext.  Only p-th powers over F and
-    products in ext are formed, no powering modulo a polynomial over ext.
+    T_a is built coefficient by coefficient, on coefficient tuples.  Every
+    part is a gcd with g and every quotient exact, so that factor divides f
+    whatever the images are; CertificateFailed if no shift splits what is
+    left, as when f has a repeated root or a root outside ext.  Only p-th
+    powers over F and products in ext are formed, no powering modulo a
+    polynomial over ext.
     """
     f = f.monic()
     g = f.embed_into(ext)
     if g.degree > 1:
         p, N = ext.p, ext.n
-        images = [tau.embed_into(ext) for tau in _frobenius_images(f, N)]
-        # cols[i] = (tau_j[i] for j < N): T_a's coefficient i is
-        # sum_j a^(p^j) tau_j[i]
+        # on coefficient tuples: cols[i] = (tau_j[i] for j < N), and T_a's
+        # coefficient i is sum_j a^(p^j) tau_j[i]
+        mul, add, zero = ext._mul, ext._add, ext.zero.coeffs
         width = f.degree
-        cols = list(zip(*[tau.coeffs + (ext.zero,) * (width - len(tau.coeffs))
-                          for tau in images]))
-        tpow = [ext.t_class]
+        cols = list(zip(*[[c.coeffs for c in tau.embed_into(ext).coeffs]
+                          + [zero] * (width - len(tau.coeffs))
+                          for tau in _frobenius_images(f, N)]))
+        tpow = [ext.t_class.coeffs]
         for _ in range(N - 1):
-            tpow.append(tpow[-1] ** p)
+            tpow.append(ext._pow(tpow[-1], p))
         # apow[j] = a^(p^j) for a = t^k, k = 1..N-1, and then a = 1
         apow = tpow
         for k in range(1, N + 1):
             if g.degree == 1:
                 break
             if k == N:
-                apow = [ext.one] * N
+                apow = [ext.one.coeffs] * N
             elif k > 1:
-                apow = [a * w for a, w in zip(apow, tpow)]
-            u = Poly(ext, [sum(map(operator.mul, apow, col), ext.zero)
-                           for col in cols])
+                apow = list(map(mul, apow, tpow))
+            u = Poly(ext, [gf.FieldElem(ext, functools.reduce(
+                add, map(mul, apow, col))) for col in cols])
             if u.degree >= g.degree:
                 u = u % g
             for c in range(p):
@@ -752,7 +760,7 @@ class RatFunc:
         return self.num.is_constant() and self.den.is_one()
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 

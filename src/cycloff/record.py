@@ -10,7 +10,9 @@ instances of the same class, a ``Name(field=value, ...)`` repr, and an
 AttributeError on any assignment or deletion.  Each subclass reads its
 fields through one ``operator.attrgetter``, made when the class is
 defined, so records used as dict keys (the places of a divisor) need no
-hand-written ``__eq__`` or ``__hash__``.
+hand-written ``__eq__`` or ``__hash__``.  The hash of the fields is
+computed on first use and kept in the ``_hash`` slot, so a place booked on
+every divisor call is not rehashed from its field elements each time.
 """
 
 import operator
@@ -21,7 +23,7 @@ set_field = object.__setattr__
 class Record:
     """Base of the package's immutable value classes."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -34,7 +36,12 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._fields(self))
+            set_field(self, "_hash", h)
+            return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

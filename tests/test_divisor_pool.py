@@ -11,7 +11,7 @@ import pathlib
 from collections import Counter
 from hashlib import sha256
 
-from cycloff import places, polyalg
+from cycloff import gf, places, polyalg
 from cycloff.errors import GenericPlaceUnsupported, TooLarge
 from cycloff.places import Generic, divisor
 
@@ -171,3 +171,36 @@ def test_each_divisor_makes_one_distinct_degree_pass(monkeypatch):
             pass
         assert len(passes) <= 1, key
     assert several >= 50
+
+
+def test_divisor_pool_takes_no_log(monkeypatch):
+    # a guard by counts over the whole pool: fiber roots come from
+    # FieldCtx.nth_roots, which needs neither a discrete log nor, past
+    # gf.TABLE_CAP, a generator of the field
+    draws = load_draws()
+    curves = draws.standard_curves()
+    logs, searches = [], []
+    real_dlog, real_generator = gf.FieldCtx.dlog, gf.FieldCtx.generator
+
+    def counted_dlog(ctx, w):
+        logs.append(ctx)
+        return real_dlog(ctx, w)
+
+    def counted_generator(ctx):
+        if ctx.order > gf.TABLE_CAP:
+            searches.append(ctx)
+        return real_generator.fget(ctx)
+
+    monkeypatch.setattr(gf.FieldCtx, "dlog", counted_dlog)
+    monkeypatch.setattr(gf.FieldCtx, "generator", property(counted_generator))
+    keys = [f"{q}:{i}" for q, size in draws.POOL.items() for i in range(size)]
+    fibers = 0
+    for key, e in draws.elements(curves, keys):
+        try:
+            dv = divisor(e)
+        except (GenericPlaceUnsupported, TooLarge):
+            continue
+        fibers += any(isinstance(P, Generic) and P.ys.ctx.order > gf.TABLE_CAP
+                      for P in dv.support)
+    assert logs == [] and searches == []
+    assert fibers >= 5

@@ -1,6 +1,8 @@
 """Field layer: deterministic construction against brute-force oracles."""
 
+import importlib.util
 import itertools
+import pathlib
 import random
 import struct
 from math import isqrt
@@ -10,7 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloff import gf
-from cycloff.errors import CtxMismatch, DivisionByZero, NoEmbedding, NotPrime, TooLarge
+from cycloff.errors import (
+    CtxMismatch,
+    DivisionByZero,
+    NoEmbedding,
+    NotPrime,
+    TooLarge,
+    ZeroElement,
+)
+
+
+def _load_oracle():
+    path = pathlib.Path(__file__).resolve().parent / "gf_oracle.py"
+    spec = importlib.util.spec_from_file_location("gf_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gf_oracle = _load_oracle()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +424,7 @@ def test_field_above_the_cap_keeps_the_polynomial_path():
         g = ctx.generator
         acc = ctx.one
         for k in range(40):
-            assert ctx.dlog(acc) == k  # baby-step giant-step
+            assert gf_oracle.bsgs_dlog(ctx, acc) == k
             nxt = acc * g
             assert nxt.coeffs == oracle_field_mul(ctx, acc.coeffs, g.coeffs)
             inv = nxt.inverse()
@@ -480,6 +500,51 @@ def test_table_dlog_and_nth_roots_match_brute_force():
         for w in elems:
             brute = [y for y in elems if y ** k == w]
             assert ctx.nth_roots(w, k) == brute  # lex order either way
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 4), (2, 10), (3, 7), (2, 12)])
+def test_nth_roots_match_brute_force(p, n):
+    # table fields whole; past the cap every k-th power and a sample of w
+    ctx = gf.create_field(p, n)
+    elems = list(ctx.iter_elements())
+    rng = random.Random(p * 100 + n)
+    for k in range(1, 9):
+        by_power = {}
+        for y in elems:
+            by_power.setdefault((y ** k).coeffs, []).append(y)
+        ws = elems if ctx.order <= gf.TABLE_CAP else (
+            [by_power[c][0] ** k for c in rng.sample(sorted(by_power), 40)]
+            + rng.sample(elems, 40))
+        for w in ws:
+            assert ctx.nth_roots(w, k) == by_power.get(w.coeffs, []), (k, w)
+
+
+@pytest.mark.parametrize("p,n", [(5, 8), (3, 9)])
+def test_nth_roots_match_the_log_oracle_past_the_cap(p, n):
+    ctx = gf.create_field(p, n)
+    assert ctx.order > gf.TABLE_CAP and ctx._log is None
+    rng = random.Random(p * 1000 + n)
+    for k in range(2, 9):
+        powers = [ctx.from_int(rng.randrange(1, ctx.order)) ** k
+                  for _ in range(6)]
+        others = [ctx.from_int(rng.randrange(1, ctx.order)) for _ in range(6)]
+        found = 0
+        for w in powers + others + [ctx.zero, ctx.one]:
+            roots = ctx.nth_roots(w, k)
+            assert roots == gf_oracle.nth_roots_by_dlog(ctx, w, k), (k, w)
+            assert all(y ** k == w for y in roots)
+            found += bool(roots)
+        assert found >= len(powers) + 2
+
+
+def test_dlog_reads_only_the_log_table():
+    # no baby-step table above the cap: its one caller there was nth_roots
+    big = gf.create_field(3, 7)
+    with pytest.raises(TooLarge):
+        big.dlog(big.one)
+    with pytest.raises(ZeroElement):
+        gf.create_field(3, 2).dlog(gf.create_field(3, 2).zero)
+    assert not hasattr(big, "_baby")
 
 
 def test_element_literals_round_trip():

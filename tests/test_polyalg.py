@@ -509,6 +509,33 @@ def test_kernels_match_the_schoolbook_oracle(fields, data):
         check_against_oracle(school_mul(f, g), g, e, sub)
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_kept_exponents_equal_a_fresh_conversion(data):
+    # every kernel output keeps its exponent list; reading it back must
+    # give what converting its coefficients afresh gives
+    ctx = gf.create_field(*data.draw(st.sampled_from(TABLE_FIELDS)))
+    coeff = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    f, g = (Poly(ctx, [ctx.from_int(c) for c in data.draw(
+        st.lists(coeff, max_size=7))]) for _ in range(2))
+    outs = [f * g, f ** data.draw(st.integers(2, 5))]
+    if g:
+        outs += divmod(f, g)
+    if f and g:
+        outs += [RatFunc(f, g).num, RatFunc(f, g).den]
+    if f or g:
+        outs.append(poly_gcd(f, g))
+    outs.append(outs[0] * outs[-1])  # a kernel output fed back in
+    log = ctx._log
+    for h in outs:
+        fresh = [log.get(c.coeffs) for c in h.coeffs]
+        assert h._exps is not None and list(h._exps) == fresh
+        kept = polyalg._to_exps(h, ctx)
+        assert kept == fresh and kept is not polyalg._to_exps(h, ctx)
+    assert f._exps is None and polyalg._to_exps(f, ctx) == [
+        log.get(c.coeffs) for c in f.coeffs]
+
+
 @pytest.mark.parametrize("pn", TABLE_FIELDS + LOOP_FIELDS)
 def test_kernel_edge_cases(pn):
     ctx = gf.create_field(*pn)

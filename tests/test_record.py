@@ -82,6 +82,19 @@ def test_equality_and_hash_per_class(name):
     assert len({a, b, c}) == 2
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_hash_is_kept_from_the_fields(name):
+    # the first hash is the hash of the field values, stored once; later
+    # calls return it, and equality and repr do not depend on it
+    make, other = CASES[name]
+    a, b = make(), make()
+    text = repr(a)
+    assert hash(a) == hash(type(a)._fields(a)) == a._hash
+    assert hash(a) == a._hash and hash(b) == hash(a)
+    assert repr(a) == text and a == b and a != other()
+    assert "_hash" not in type(a).__slots__ and "_hash=" not in text
+
+
 def test_places_differ_across_classes():
     # one field value under three kinds, and Generic against a tuple
     places = [RamFinite(F9.one), RamQuadratic(F9.one), RamInfinity(3),
