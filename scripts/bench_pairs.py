@@ -23,10 +23,16 @@ For every metric of ``BENCHMARK.json``'s ``end_to_end`` list it prints the
 median and quartiles of each side, the ratio of the medians, and the pairs
 the change wins in the metric's better direction.  A gain counts when the
 change wins at least nine of ten pairs and the difference of the medians
-exceeds the parent's interquartile range.
+exceeds the parent's interquartile range.  Each pair also prints, per side,
+the key of the job at the tail rank of every untraced pass, read from the
+result file that run.py writes and ranked by run.py's own ``tail``, and the
+summary counts those keys per side, so a change in ``job_tail_s`` can be
+traced to the jobs that sit at that rank.
 """
 
 import argparse
+import collections
+import importlib.util
 import json
 import os
 import statistics
@@ -45,19 +51,42 @@ def checkout(rev, path):
     subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
 
 
-def run_once(path, workload, seed):
-    """(failed jobs, metrics {name: value}) of one run.py invocation in
-    ``path``; RuntimeError if its output differs from the golden files."""
+def load_tail():
+    """run.py's ``tail``, the rank rule behind ``job_tail_s``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tail
+
+
+def run_once(path, workload, seed, tail):
+    """(failed jobs, metrics {name: value}, tail keys) of one run.py
+    invocation in ``path``, the tail keys one per untraced pass from its
+    result file; RuntimeError if its output differs from the golden
+    files."""
     out = subprocess.run(
         [sys.executable, os.path.join(path, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed)],
         cwd=path, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    lines = out.strip().splitlines()
+    result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{path}: seed {seed}: output differs from the "
                            "golden files")
+    marker = "result file:"
+    rel = next(line.split(marker, 1)[1].strip() for line in lines
+               if line.strip().startswith(marker))
+    with open(os.path.join(path, rel), encoding="utf-8") as fh:
+        passes = json.load(fh)["passes"]
+    keys = []
+    for p in passes:
+        if not p["traced"]:
+            at = tail([seconds for _, seconds, _ in p["jobs"]])[0]
+            keys.append(next(key for key, seconds, _ in p["jobs"]
+                             if seconds == at))
     return result["failed"], {k: v["value"]
-                              for k, v in result["metrics"].items()}
+                              for k, v in result["metrics"].items()}, keys
 
 
 def quartiles(values):
@@ -94,6 +123,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
+    tail = load_tail()
+    tail_keys = {side: collections.Counter() for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         paths = {side: os.path.join(tmp, side) for side in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
@@ -101,17 +132,20 @@ def main(argv=None):
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            failed = {}
+            failed, keys = {}, {}
             for side in order:
-                failed[side], metrics_i = run_once(
-                    paths[side], args.workload, args.seed + i)
+                failed[side], metrics_i, keys[side] = run_once(
+                    paths[side], args.workload, args.seed + i, tail)
                 runs[side].append(metrics_i)
+                tail_keys[side].update(keys[side])
             print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, "
                   f"{order[0]} first): failed {failed['parent']} -> "
                   f"{failed['change']}  " + "  ".join(
                       f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
                       f"{runs['change'][-1][m['name']]:.4g}"
-                      for m in metrics), flush=True)
+                      for m in metrics) + f"  tail keys "
+                  f"{','.join(keys['parent'])} -> {','.join(keys['change'])}",
+                  flush=True)
     rows = summarize(runs, metrics)
     print(f"\n{args.workload}: {args.pairs} alternating pairs, parent "
           f"{args.parent}, change {args.change}, seeds {args.seed}.."
@@ -123,6 +157,9 @@ def main(argv=None):
               f"{'/'.join(f'{x:.4g}' for x in pa):>30s} "
               f"{'/'.join(f'{x:.4g}' for x in pb):>30s} "
               f"{ratio:7.3f} {wins:>3d}/{n:<2d} {beyond}")
+    for side in SIDES:
+        print(f"tail keys, {side}: " + " ".join(
+            f"{key} x{count}" for key, count in tail_keys[side].most_common()))
     return 0
 
 

@@ -3,8 +3,9 @@
 Construction is fully deterministic.  The defining modulus of GF(p^n) is the
 lexicographically least monic irreducible polynomial of degree n over GF(p),
 where coefficient vectors (c_0, ..., c_{n-1}) are compared as integer tuples,
-constant term first; the search tests each candidate with
-polyalg.is_irreducible over GF(p), so polyalg is the one polynomial layer.
+constant term first; the search tests each candidate's exponent list over
+GF(p) with the first part of polyalg's distinct-degree kernel, so polyalg is
+the one polynomial layer.
 The distinguished generator is the least element (same ordering) of
 multiplicative order p^n - 1.  For n = 1 the modulus is T itself.
 
@@ -27,7 +28,8 @@ coefficient tuples, so every printed or hashed value is the same as on the
 packed path that larger fields keep.  There a sum is taken coefficientwise
 mod p, a product is two integer products: the coefficient vectors packed
 one slot per coefficient (Kronecker substitution), then the packed
-reduction matrix of ``_packed_kernel``; an inverse is a^(Q-2) (Fermat).
+reduction matrix of ``_packed_kernel``; an inverse is extended Euclid over
+GF(p) against the modulus.
 Fields past the cap take no discrete logs at all: ``dlog`` reads the log
 table only, and ``nth_roots`` takes k-th roots in every field by
 Adleman-Manders-Miller, from powers alone, so no field past the cap
@@ -98,15 +100,20 @@ def power(x, e, mul, one):
 
 
 def _least_irreducible(p, n):
-    """Lex-least monic irreducible of degree n over GF(p); T itself for n=1."""
+    """Lex-least monic irreducible of degree n over GF(p); T itself for n=1.
+
+    Each candidate is the exponent list of its coefficients over GF(p),
+    tested by the first part of polyalg's distinct-degree kernel, as in
+    polyalg.is_irreducible, with no Poly built per candidate."""
     if n == 1:
         return (0, 1)
     # polyalg imports this module, so the import waits for the first call
-    from .polyalg import Poly, is_irreducible
+    from .polyalg import _distinct_degree
     fp = _field_ctx(p, 1)
     # tails with c_0 = 0 are divisible by T, so the walk starts past them
     tail = [1] + [0] * (n - 1)
-    while not is_irreducible(Poly.from_ints(fp, tail + [1])):
+    while next(_distinct_degree([fp._log.get((c,)) for c in tail] + [0],
+                                n // 2, fp))[0]:
         # next (c_0, ..., c_{n-1}) tuple in integer-tuple order
         i = n - 1
         while i >= 0 and tail[i] == p - 1:
@@ -340,10 +347,26 @@ class FieldCtx:
             prod.to_bytes(unpack.size, "little"))])
 
     def _poly_inv(self, a):
+        """Extended Euclid over GF(p) against the modulus: s a = r mod the
+        modulus for both rows (r, s), down to a constant r.  Each s has n
+        slots, since deg s + k < n for every shift k taken."""
         if not any(a):
             raise DivisionByZero(f"division by zero in {self.name}")
-        # Fermat: a^(Q-1) = 1, so a^(Q-2) is the inverse
-        return self._poly_pow(a, self.order - 2)
+        p, n, r, r1 = self.p, self.n, list(self.modulus), list(a)
+        s, s1 = [0] * n, [1] + [0] * (n - 1)
+        del r1[max(i for i, c in enumerate(a) if c) + 1:]
+        while len(r1) > 1:
+            inv = pow(r1[-1], p - 2, p)
+            while len(r) >= len(r1):
+                c, k = r[-1] * inv % p, len(r) - len(r1)
+                for row, row1 in ((r, r1), (s, s1[:n - k])):
+                    for i, x in enumerate(row1):
+                        row[i + k] = (row[i + k] - c * x) % p
+                while r[-1] == 0:
+                    r.pop()
+            r, s, r1, s1 = r1, s1, r, s
+        c = pow(r1[0], p - 2, p)
+        return tuple(x * c % p for x in s1)
 
     def _poly_pow(self, a, e):
         return power(a, e, self._poly_mul, self._one.coeffs)

@@ -16,6 +16,7 @@ must tell them apart.
 """
 
 import functools
+import operator
 from math import gcd
 
 from . import gf
@@ -33,10 +34,11 @@ from .errors import (
     ZeroElement,
 )
 from .gf import create_field, embed
-from .kummer import KummerCurve
+from .kummer import KummerAlgebra, KummerCurve
 from .polyalg import (
     INFINITY,
     Poly,
+    RatFunc,
     _coprime_part,
     _distinct_degree,
     _exp_mul,
@@ -49,6 +51,7 @@ from .polyalg import (
     format_poly,
     one_root,
     poly_gcd,
+    root_multiplicity,
 )
 from .record import Record, set_field
 
@@ -205,8 +208,8 @@ def _catalog(curve):
     """(places, booked, vys, points, quad, hnd, top), built once per
     curve: the q+3 ramified places; the places a divisor books, the
     rational ones, infinity and the quadratic point by quad_roots[0], and
-    v_P(y) at each; {log a: (i, v - a)} for the i-th rational a and M's
-    monic factor, as exponent lists; h.num * h.den; and the largest d with
+    v_P(y) at each; {log a: (i, v - a)} for the i-th rational a, M's monic
+    factor and h.num * h.den, as exponent lists; and the largest d with
     q^d <= gf.ORDER_CAP.
     """
     ctx, q = curve.ctx, curve.q
@@ -220,7 +223,7 @@ def _catalog(curve):
               if q ** d <= gf.ORDER_CAP)
     quad = tuple(_to_exps(curve.ram_numerator.monic(), ctx))
     return (places, places[:q + 2], (-1,) * q + (q - 2, 1), points, quad,
-            curve.h.num * curve.h.den, top)
+            tuple(_to_exps(curve.h.num * curve.h.den, ctx)), top)
 
 
 def ramified_places(curve):
@@ -395,24 +398,27 @@ def _closed_points(curve, f):
     The ramified locus is divided out before any splitting: h.num * h.den
     vanishes exactly at the q rational points and the quadratic point, so
     f loses every copy of its factors there and keeps no rational root.
-    One `polyalg._distinct_degree` pass then parts what is left by factor
-    degree, for each d with q^d <= gf.ORDER_CAP; a factor past that raises
-    rather than silently dropping support.  The points of each degree d
-    are the Frobenius orbits of one `polyalg._orbits` call in GF(q^d),
-    each of which must have length d, named by its least element by
-    ``to_int`` and taken in that order.
+    f is converted to its exponent list once: the division and the
+    `polyalg._distinct_degree` pass that parts what is left by factor
+    degree, for each d with q^d <= gf.ORDER_CAP, run on exponent lists
+    over GF(q), and so does the splitting wherever GF(q^d) has tables; a
+    factor past that degree raises rather than silently dropping support.
+    The points of each degree d are the Frobenius orbits of one
+    `polyalg._orbits` call in GF(q^d), each of which must have length d,
+    named by its least element by ``to_int`` and taken in that order.
     """
-    p, n = curve.ctx.p, curve.ctx.n
+    ctx = curve.ctx
     *_, hnd, top = _catalog(curve)
-    *parts, (_, rest) = _distinct_degree(_coprime_part(f, hnd), top)
-    if not rest.is_constant():
+    *parts, (_, rest) = _distinct_degree(
+        _coprime_part(_to_exps(f, ctx), hnd, ctx), top, ctx)
+    if len(rest) > 1:
         raise GenericPlaceUnsupported(
             f"support of {format_poly(f.monic(), 'v')} does not split under "
             f"the field cap {gf.ORDER_CAP}")
     out = []
     for d, part in parts:
         leaders = []
-        for orbit in _orbits(part, create_field(p, n * d)):
+        for orbit in _orbits(part, ctx, create_field(ctx.p, ctx.n * d)):
             if len(orbit) != d:
                 raise CertificateFailed(
                     f"a root of a degree-{d} factor has a Frobenius "
@@ -548,6 +554,29 @@ def _ramified_orders(r, points, quad):
     return [x - y for x, y in zip(on, od)], num, den
 
 
+@functools.lru_cache(maxsize=None)
+def _cleared_algebra(curve):
+    """(A, [hd^k for k < n]) for h = hn/hd: A is GF(q)(v)[Z]/(Z^n - G)
+    with G = hn hd^(n-1), the relation of z = hd y, a polynomial."""
+    pows = [curve.h.den ** k for k in range(curve.q - 1)]
+    return KummerAlgebra(curve.ctx, curve.q - 1, curve.h.num * pows[-1]), pows
+
+
+def _cleared_norm(curve, coords, filled):
+    """(N, D) for e = sum r_i y^i: D is the product of the distinct
+    denominators of the filled coordinates, and N the norm of the cleared
+    element sum b_i z^i in `_cleared_algebra`, b_i = r_i D hd^(n-1-i), so
+    that e = sum b_i z^i / (D hd^(n-1)) and N(e) = N / (D hd^(n-1))^n.
+    Every coordinate and the relation are polynomials, so the norm's
+    products and sums take no gcd."""
+    alg, pows = _cleared_algebra(curve)
+    D = functools.reduce(operator.mul, {coords[i].den for i in filled})
+    return alg.from_pairs(
+        (i, RatFunc.from_poly(coords[i].num * (D // coords[i].den)
+                              * pows[alg.n - 1 - i])) for i in filled
+    ).norm().num, D
+
+
 def divisor(e):
     """Principal divisor of a nonzero element, booked on closed points.
 
@@ -560,11 +589,18 @@ def divisor(e):
 
     Unramified places.  A closed point c carries support only if it is a
     pole of some coordinate or a zero of the numerator of N(e), so one
-    support polynomial, that numerator times every coordinate denominator,
-    is split by `_closed_points`.  A one-term element r y^i has
+    support polynomial, with those roots off the ramified locus, is split
+    by `_closed_points`.  A one-term element r y^i has
     N(e) = r^(q-1) N(y)^i with N(y) = +-h a unit off the ramified locus,
     so its support is what the peel leaves of r, and a constant rest
-    splits nothing.  At a place P over c, y is a unit (h has no zero or
+    splits nothing.  For more terms the norm is taken of the cleared
+    element (`_cleared_norm`): with h = hn/hd and z = hd y, z^n =
+    hn hd^(n-1) is a polynomial and e = sum b_i z^i / (D hd^(n-1)) for
+    polynomials b_i and D the product of the distinct coordinate
+    denominators, so N(e) = N / (D hd^(n-1))^n for the norm N of
+    sum b_i z^i, found with no gcd.  The support is N D, and off the
+    ramified locus, where hd is a unit, v_c(N e) = v_c(N) - n v_c(D).
+    At a place P over c, y is a unit (h has no zero or
     pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
     v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate pole.  If no
     coordinate has a pole at c, every v_P(e) >= 0, and
@@ -594,15 +630,13 @@ def divisor(e):
     coeffs = {P: c for P, c in zip(booked, map(min, zip(*rows))) if c}
     ctx = curve.ctx
     if len(filled) == 1:
-        norm, (_, _, num, den) = None, peeled[0]
+        _, _, num, den = peeled[0]
         # a constant rest, the common case, splits nothing
         support = (None if len(num) + len(den) < 3
                    else _from_exps(ctx, _exp_mul(num, den, ctx)))
     else:
-        norm = e.norm()
-        support = norm.num
-        for i in filled:
-            support = support * coords[i].den
+        norm, cleared = _cleared_norm(curve, coords, filled)
+        support = norm * cleared
     for d, c in (() if support is None or support.is_constant()
                  else _closed_points(curve, support)):
         fiber = _fiber_places(curve, d, c)
@@ -613,7 +647,8 @@ def divisor(e):
             for P in fiber:
                 coeffs[P] = s0
             continue
-        vn = norm.valuation(c)
+        # off the ramified locus hd is a unit
+        vn = root_multiplicity(norm, c) - n * root_multiplicity(cleared, c)
         settled, left = _tied_fiber(fiber, s0, tied, vn)
         for P in left:
             settled[P] = valuation(e, P)

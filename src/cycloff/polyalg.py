@@ -7,24 +7,32 @@ structural equality is semantic equality.
 
 Everything here is exact.  Every power of a polynomial is gf.power's
 square-and-multiply.  Modulo a polynomial only Frobenius steps are taken,
-Poly.frob_power and one reduction: X^(q^d) in _distinct_degree and
-X^(p^j) in _frobenius_images (von zur Gathen-Gerhard, *Modern Computer
-Algebra*, 14.2).  Roots in an extension GF(Q) come from one
-splitting routine for every characteristic, one_root: Berlekamp's trace
-splitter (Math. Comp. 24, 1970) on the Frobenius images X^(p^j) mod f,
-computed once over f's own field, one p-th power each (von zur
-Gathen-Shoup, Comput. Complexity 2, 1992).  It follows one branch to a
-single root with gcds and products in GF(Q) only, each trace form built
-coefficient by coefficient and the trace of a = 1, which cannot part two
-roots of one factor over GF(p), tried last; nothing is powered modulo a
-polynomial over GF(Q).  Splitting happens in one place, for roots_in,
-the divisor supports and the irreducibility test alike: _distinct_degree
-takes f apart by the degree of its irreducible factors over f's own
-field, with no radical, and stops at half the degree of what is left,
-which is then irreducible; _orbits turns each such part into the
-Frobenius orbits of its roots, one one_root call per orbit.
-is_irreducible reads only its first part: f of degree d is irreducible
-iff gcd(f, T^(q^i) - T) = 1 for every i <= d/2 (Ben-Or, FOCS 1981).
+a spread of the coefficients (Poly.frob_power, or _exp_frob on exponent
+lists) and one reduction: X^(q^d) in _distinct_degree and X^(p^j) in
+_frobenius_images (von zur Gathen-Gerhard, *Modern Computer Algebra*,
+14.2).  Roots in an extension GF(Q) come from one splitting routine for
+every characteristic, one_root: Berlekamp's trace splitter (Math. Comp.
+24, 1970) on the Frobenius images X^(p^j) mod f, computed once over f's
+own field, one p-th power each (von zur Gathen-Shoup, Comput. Complexity
+2, 1992).  It follows one branch to a single root with gcds and products
+in GF(Q) only, each trace form built coefficient by coefficient and the
+trace of a = 1, which cannot part two roots of one factor over GF(p),
+tried last; nothing is powered modulo a polynomial over GF(Q).
+Splitting happens in one place, for roots_in, the divisor supports and
+the irreducibility test alike: _distinct_degree takes f apart by the
+degree of its irreducible factors over f's own field, with no radical,
+and stops at half the degree of what is left, which is then irreducible;
+_orbits turns each such part into the Frobenius orbits of its roots, one
+one_root call per orbit.  is_irreducible reads only its first part: f
+of degree d is irreducible iff gcd(f, T^(q^i) - T) = 1 for every
+i <= d/2 (Ben-Or, FOCS 1981).  The polynomials split have coefficients in
+a field with tables (GF(q), q <= 9, or GF(p) for gf's modulus search), so
+_distinct_degree, _coprime_part, _frobenius_images and _orbits take and
+return exponent lists, and is_irreducible, roots_in and the divisor
+supports convert once at their boundary.  one_root runs one loop whose
+kernels the kind of GF(Q) picks: exponent lists, each trace form
+coefficient one Zech sum, where GF(Q) has tables, and Poly operations on
+forms built on coefficient tuples where it is packed.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, division, gcd, evaluation and root multiplicity run
@@ -35,8 +43,9 @@ these five; a power series product is a plain product cut to its
 precision.  Powers and sums of scaled polynomials are built from them.
 RatFunc lives over table fields only (TooLarge above the cap), so its
 products, reduction to lowest terms and Mobius substitution
-(RatFunc.compose_fractional) have only the exponent form.  gf finds each
-field's modulus with is_irreducible here, over GF(p).
+(RatFunc.compose_fractional) have only the exponent form, and a sum or
+product of two with denominator 1 takes no gcd.  gf finds each field's
+modulus with the distinct-degree kernel here, over GF(p).
 
 QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
 dense RatFunc coordinate vectors as elements.  The torsion field
@@ -49,6 +58,7 @@ extended Euclid runs over GF(q)(T).
 """
 
 import functools
+import itertools
 import operator
 
 from . import gf
@@ -288,17 +298,10 @@ class Poly:
         return acc
 
     def frob_power(self, j):
-        """The p^j-th power, using (sum c_i X^i)^(p^j) = sum c_i^(p^j) X^(i p^j)."""
-        p = self.ctx.p
-        step = p ** j
-        zero = self.ctx.zero
-        if self.is_zero():
-            return self
-        out = [zero] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out[i * step] = c ** step
-        return Poly(self.ctx, out)
+        """The p^j-th power, sum c_i^(p^j) X^(i p^j), by ``_exp_frob``; the
+        field needs log tables."""
+        ctx = self.ctx
+        return _from_exps(ctx, _exp_frob(_to_exps(self, ctx), ctx.p ** j, ctx))
 
     def __str__(self):
         return format_poly(self)
@@ -326,12 +329,13 @@ def is_irreducible(f):
     """Irreducibility over the coefficient field GF(q): f of degree d has
     no factor of degree <= d/2 (Ben-Or, FOCS 1981).  The first part that
     _distinct_degree yields settles it, so a candidate with a factor of
-    degree i is rejected after i Frobenius steps mod f.
+    degree i is rejected after i Frobenius steps mod f.  GF(q) needs log
+    tables (TooLarge above gf.TABLE_CAP).
     """
     d = f.degree
     if d is NEG_INF or d < 1:
         raise ConstantPolynomial("irreducibility needs degree >= 1")
-    return next(_distinct_degree(f, d // 2))[0] == 0
+    return next(_distinct_degree(_to_exps(f, f.ctx), d // 2, f.ctx))[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +356,8 @@ def _to_exps(f, ctx):
     if a is not None:
         return list(a)
     log = ctx._log
+    if log is None:
+        raise TooLarge(f"{ctx.name} is past the log tables")
     return [log.get(c.coeffs) for c in f.coeffs]
 
 
@@ -384,6 +390,27 @@ def _exp_mul(a, b, ctx):
             else:
                 z = zech[(t - c) % m]
                 out[j] = None if z is None else (c + z) % m
+    return out
+
+
+def _exp_trim(a):
+    """a without its trailing None entries, in place."""
+    while a and a[-1] is None:
+        a.pop()
+    return a
+
+
+def _exp_scale(a, c, ctx):
+    """g^c * a; _exp_scale(a, -a[-1], ctx) is a made monic."""
+    return [None if k is None else (k + c) % (ctx.order - 1) for k in a]
+
+
+def _exp_frob(a, step, ctx):
+    """a^step for a power step of p: g^k X^i becomes g^(k step) X^(i step),
+    since the step-th power is additive."""
+    out = [None] * ((len(a) - 1) * step + 1)
+    out[::step] = [None if k is None else k * step % (ctx.order - 1)
+                   for k in a]
     return out
 
 
@@ -438,9 +465,7 @@ def _exp_reduce(rem, b, ctx, quo=None):
                 z = zech[(t - c) % m]
                 rem[j] = None if z is None else (c + z) % m
     del rem[db:]
-    while rem and rem[-1] is None:
-        rem.pop()
-    return rem
+    return _exp_trim(rem)
 
 
 def _exp_divmod(a, b, ctx):
@@ -464,8 +489,7 @@ def _exp_gcd(a, b, ctx):
     """Monic gcd; a and b are consumed."""
     while b:
         a, b = b, _exp_reduce(a, b, ctx)
-    m, lc = ctx.order - 1, a[-1]
-    return [None if k is None else (k - lc) % m for k in a]
+    return _exp_scale(a, -a[-1], ctx)
 
 
 def _exp_add_scaled(acc, c, b, ctx):
@@ -483,9 +507,7 @@ def _exp_add_scaled(acc, c, b, ctx):
         else:
             z = zech[(t - u) % m]
             acc[j] = None if z is None else (u + z) % m
-    while acc and acc[-1] is None:
-        acc.pop()
-    return acc
+    return _exp_trim(acc)
 
 
 def _exp_reduce_fraction(num, den, ctx):
@@ -497,10 +519,9 @@ def _exp_reduce_fraction(num, den, ctx):
     if len(g) > 1:
         num = _exp_divmod(num, g, ctx)[0]
         den = _exp_divmod(den, g, ctx)[0]
-    m, lc = ctx.order - 1, den[-1]
+    lc = den[-1]
     if lc:
-        num = [None if k is None else (k - lc) % m for k in num]
-        den = [None if k is None else (k - lc) % m for k in den]
+        num, den = _exp_scale(num, -lc, ctx), _exp_scale(den, -lc, ctx)
     return _from_exps(ctx, num), _from_exps(ctx, den)
 
 
@@ -511,8 +532,8 @@ def roots_in(f, ext):
     irreducible factors of f over F whose degree d divides k:
     ``_distinct_degree`` gives the product of each degree's factors and
     ``_orbits`` splits the ones with d | k into Frobenius orbits over F.
-    Lex order of coefficient vectors is the order of
-    ``ext.iter_elements()``.
+    f is converted to its exponent list once, so F needs log tables.  Lex
+    order of coefficient vectors is the order of ``ext.iter_elements()``.
     """
     if f.is_zero():
         raise ZeroPolynomial("every point is a root of 0")
@@ -521,23 +542,22 @@ def roots_in(f, ext):
         raise NoEmbedding(f"{F.name} is not a subfield of {ext.name}")
     if f.is_constant():
         return []
-    f = f.monic()
     k = ext.n // F.n
-    *parts, _ = _distinct_degree(f, k)
+    *parts, _ = _distinct_degree(_to_exps(f.monic(), F), k, F)
     distinct = [r for d, part in parts if k % d == 0
-                for orbit in _orbits(part, ext) for r in orbit]
+                for orbit in _orbits(part, F, ext) for r in orbit]
     roots = []
     for e in sorted(distinct, key=lambda r: r.coeffs):
         roots.extend([e] * root_multiplicity(f, e))
     return roots
 
 
-def _distinct_degree(f, top):
-    """Yields (d, part) for f over F = GF(q), for each d <= top at which f
-    has an irreducible factor, part the monic product of the distinct ones,
-    and then (0, rest): f with every copy of them divided out.  Each part
-    is yielded before it is divided out, so a caller that stops at the
-    first pays for nothing past it.
+def _distinct_degree(f, top, ctx):
+    """Yields (d, part) for the exponent list f over F = ctx = GF(q), for
+    each d <= top at which f has an irreducible factor, part the monic
+    product of the distinct ones, and then (0, rest): f with every copy of
+    them divided out.  Each part is yielded before it is divided out, so a
+    caller that stops at the first pays for nothing past it.
 
     Once every factor of degree < d is gone from rest, gcd(rest, X^(q^d) - X)
     is the degree-d part, squarefree whatever the multiplicities in f
@@ -546,60 +566,63 @@ def _distinct_degree(f, top):
     would have a factor of degree <= deg rest / 2 < d, so rest is
     irreducible, its own part if deg rest <= top.  t = X^(q^d) mod rest is
     carried forward, one Frobenius step per degree: t has its coefficients
-    in F, so its q-th power only spreads them (``Poly.frob_power``) before
-    one reduction, and rest only loses factors, so the last t reduced mod
-    the new rest is still X^(q^(d-1)) there.
+    in F, so its q-th power only spreads them (``_exp_frob``) before one
+    reduction, and rest only loses factors, so the last t reduced mod the
+    new rest is still X^(q^(d-1)) there.
     """
-    x = Poly.gen(f.ctx)
-    rest, t = f, x
+    rest, t = f, [None, 0]
     for d in range(1, top + 1):
-        if rest.is_constant():
+        # 2d > deg rest, or rest is constant
+        if 2 * d >= len(rest):
+            if 1 < len(rest) <= top + 1:
+                yield len(rest) - 1, _exp_scale(rest, -rest[-1], ctx)
+                rest = [0]
             break
-        if 2 * d > rest.degree:
-            if rest.degree <= top:
-                yield rest.degree, rest.monic()
-                rest = Poly.one(f.ctx)
-            break
-        t = t.frob_power(f.ctx.n) % rest
-        part = poly_gcd(rest, t - x)
-        if not part.is_constant():
+        t = _exp_reduce(_exp_frob(t, ctx.order, ctx), rest, ctx)
+        part = _exp_gcd(list(rest), _exp_add_scaled(list(t), ctx._neg_exp,
+                                                    [None, 0], ctx), ctx)
+        if len(part) > 1:
             yield d, part
-            rest = _coprime_part(rest, part)
+            rest = _coprime_part(rest, part, ctx)
     yield 0, rest
 
 
-def _coprime_part(f, g):
-    """f with every copy of each irreducible factor it shares with g
-    divided out, by one gcd loop."""
-    c = poly_gcd(f, g)
-    while not c.is_constant():
-        f = f // c
-        c = poly_gcd(f, c)
+def _coprime_part(f, g, ctx):
+    """The exponent list f with every copy of each irreducible factor it
+    shares with g divided out, by one gcd loop; f and g are not consumed."""
+    c = _exp_gcd(list(f), list(g), ctx)
+    while len(c) > 1:
+        f = _exp_divmod(list(f), c, ctx)[0]
+        c = _exp_gcd(list(f), c, ctx)
     return f
 
 
-def _orbits(g, ext):
-    """The Frobenius orbits over F = g.ctx of the roots of g in ext, for g a
-    product of distinct irreducibles over F whose roots all lie in ext.
+def _orbits(g, F, ext):
+    """The Frobenius orbits over F of the roots in ext of the exponent list
+    g over F, a product of distinct irreducibles whose roots all lie in
+    ext.
 
     Each round takes one root r of what is left (``one_root``) and divides
     out prod (X - s) over the orbit s = r^(|F|^i), a polynomial over F read
-    back through ``gf.preimages``, so what is left stays over F and is never
-    split further than one root per factor.  A remainder raises
-    CertificateFailed.
+    back through ``gf.preimages`` as an exponent list, so what is left
+    stays over F and is never split further than one root per factor.  A
+    remainder raises CertificateFailed.  When the orbit is as long as the
+    degree of what is left and r is a root of it, the orbit's roots are
+    all of its roots, so that product is what is left and is not
+    multiplied out.
     """
-    F = g.ctx
-    back = gf.preimages(F, ext)
-    out = []
-    while not g.is_constant():
-        r = one_root(g, ext)
+    back, log, out = gf.preimages(F, ext), F._log, []
+    while len(g) > 1:
+        h = _from_exps(F, g)
+        r = one_root(h, ext)
         orbit, nxt = [r], r.frob(F.n)
         while nxt != r:
             orbit.append(nxt)
             nxt = nxt.frob(F.n)
-        m = functools.reduce(operator.mul,
-                             [Poly(ext, (-s, ext.one)) for s in orbit])
-        g, rem = divmod(g, Poly(F, [back[c] for c in m.coeffs]))
+        m = list(g) if len(orbit) == len(g) - 1 and not h(r) else [
+            log.get(back[c].coeffs) for c in functools.reduce(operator.mul, [
+                Poly(ext, (-s, ext.one)) for s in orbit]).coeffs]
+        g, rem = _exp_divmod(list(g), m, F)
         if rem:
             raise CertificateFailed("a Frobenius orbit of roots does not "
                                     "divide the polynomial it came from")
@@ -608,8 +631,8 @@ def _orbits(g, ext):
 
 
 def one_root(f, ext):
-    """One root in ext of f, a polynomial over a subfield F of ext whose
-    roots all lie in ext and are distinct.
+    """One root in ext of f, a polynomial over a subfield F of ext with
+    log tables whose roots all lie in ext and are distinct.
 
     Berlekamp's trace splitter (*Math. Comp.* 24, 1970) on Frobenius
     images computed once (von zur Gathen-Shoup, *Comput. Complexity* 2,
@@ -622,62 +645,89 @@ def one_root(f, ext):
     so any two distinct roots differ in some Tr(a r), and one pass leaves
     a linear factor; a = 1 comes last, since Tr(r) is constant on a
     Frobenius orbit and so cannot part two roots of one factor over GF(p).
-    T_a is built coefficient by coefficient, on coefficient tuples.  Every
-    part is a gcd with g and every quotient exact, so that factor divides f
-    whatever the images are; CertificateFailed if no shift splits what is
-    left, as when f has a repeated root or a root outside ext.  Only p-th
-    powers over F and products in ext are formed, no powering modulo a
-    polynomial over ext.
+
+    The field kind of ext picks the kernels of that one loop.  With log
+    tables, g and T_a are exponent lists over ext: g_F^k reaches ext as
+    g^(s k) for s = log embed(g_F), a = t^k has log k log t, so coefficient
+    i of T_a is the value at a of sum_j g^(s tau_j[i]) Z^(p^j), one Zech
+    sum (``_exp_value``), and the reductions and gcds are the ``_exp_*``
+    kernels.  A packed ext builds T_a coefficient by coefficient on
+    coefficient tuples (``_tuple_forms``) and splits with Poly operations.
+    Every part is a gcd with g and every quotient exact, so that factor
+    divides f whatever the images are; CertificateFailed if no shift
+    splits what is left, as when f has a repeated root or a root outside
+    ext.  Only p-th powers over F and products in ext are formed, no
+    powering modulo a polynomial over ext.
     """
-    f = f.monic()
-    g = f.embed_into(ext)
-    if g.degree > 1:
-        p, N = ext.p, ext.n
-        # on coefficient tuples: cols[i] = (tau_j[i] for j < N), and T_a's
-        # coefficient i is sum_j a^(p^j) tau_j[i]
-        mul, add, zero = ext._mul, ext._add, ext.zero.coeffs
-        width = f.degree
-        cols = list(zip(*[[c.coeffs for c in tau.embed_into(ext).coeffs]
-                          + [zero] * (width - len(tau.coeffs))
-                          for tau in _frobenius_images(f, N)]))
-        tpow = [ext.t_class.coeffs]
-        for _ in range(N - 1):
-            tpow.append(ext._pow(tpow[-1], p))
-        # apow[j] = a^(p^j) for a = t^k, k = 1..N-1, and then a = 1
-        apow = tpow
-        for k in range(1, N + 1):
-            if g.degree == 1:
+    F, f, p, N = f.ctx, _to_exps(f.monic(), f.ctx), ext.p, ext.n
+    # cols[i][j] is coefficient i of tau_j, None past its end
+    cols = list(itertools.zip_longest(*_frobenius_images(f, N, F)))
+    if ext._zech is not None:
+        m, log, lt = ext.order - 1, ext._log, ext._log.get(ext.t_class.coeffs)
+        s = log[gf.embed(F.generator, ext).coeffs]
+        g = [None if k is None else k * s % m for k in f]
+        terms = [[(p ** j, k * s % m) for j, k in _exp_terms(col)]
+                 for col in cols]
+        forms = ([_exp_value(t, k * lt % m if k < N else 0, ext)
+                  for t in terms] for k in range(1, N + 1))
+        shifts = [log.get(ext.elem(-c).coeffs) for c in range(p)]
+        size, leaf = len, functools.partial(_from_exps, ext)
+        mod, quo = (functools.partial(k, ctx=ext)
+                    for k in (_exp_reduce, _exp_divmod))
+
+        def split(h, u, c):
+            u = _exp_add_scaled(list(u), shifts[c], [0], ext) if c else list(u)
+            return _exp_gcd(list(h), u, ext)
+    else:
+        zero, g = ext.zero.coeffs, _from_exps(F, f).embed_into(ext)
+        forms = _tuple_forms([[zero if k is None else gf.embed(
+            F._elems[k], ext).coeffs for k in col] for col in cols], ext)
+        # g is a monic Poly already
+        mod, quo, leaf = operator.mod, divmod, Poly.monic
+
+        def size(h):
+            return len(h.coeffs)
+
+        def split(h, u, c):
+            return poly_gcd(h, u - c)
+    for u in forms:
+        u = mod(u, g)
+        for c in range(p):
+            if size(u) < 2:
                 break
-            if k == N:
-                apow = [ext.one.coeffs] * N
-            elif k > 1:
-                apow = list(map(mul, apow, tpow))
-            u = Poly(ext, [gf.FieldElem(ext, functools.reduce(
-                add, map(mul, apow, col))) for col in cols])
-            if u.degree >= g.degree:
-                u = u % g
-            for c in range(p):
-                if u.is_constant():
-                    break
-                part = poly_gcd(g, u - c)
-                if 0 < part.degree < g.degree:
-                    rest = g // part
-                    g = part if part.degree <= rest.degree else rest
-                    u = u % g
+            part = split(g, u, c)
+            if 1 < size(part) < size(g):
+                rest = quo(g, part)[0]
+                g = part if size(part) <= size(rest) else rest
+                u = mod(u, g)
+        if size(g) == 2:
+            break
+    g = leaf(g)
     if g.degree != 1:
         raise CertificateFailed(f"{format_poly(g, 'X')} does not split into "
                                 "distinct linear factors")
     return -g.coeffs[0]
 
 
-def _frobenius_images(f, count):
-    """X^(p^j) mod f for j < count, over f's field; each image is the
-    p-th power of the one before, by ``Poly.frob_power``."""
-    t = Poly.gen(f.ctx) % f
-    out = [t]
+def _tuple_forms(cols, ext):
+    """T_a over ext on coefficient tuples, for a = t^k, k = 1..N-1, and
+    then a = 1: coefficient i is sum_j a^(p^j) cols[i][j]."""
+    mul, add, N = ext._mul, ext._add, ext.n
+    a = tpow = [ext.t_class.coeffs]
+    for _ in range(N - 1):
+        tpow.append(ext._pow(tpow[-1], ext.p))
+    for k in range(1, N + 1):
+        yield Poly(ext, [gf.FieldElem(ext, functools.reduce(
+            add, map(mul, a, col))) for col in cols])
+        a = list(map(mul, a, tpow)) if k < N - 1 else [ext.one.coeffs] * N
+
+
+def _frobenius_images(f, count, ctx):
+    """X^(p^j) mod the exponent list f for j < count, over ctx; each image
+    is the p-th power of the one before, by ``_exp_frob``."""
+    out = [_exp_reduce([None, 0], f, ctx)]
     for _ in range(count - 1):
-        t = t.frob_power(1) % f
-        out.append(t)
+        out.append(_exp_reduce(_exp_frob(out[-1], ctx.p, ctx), f, ctx))
     return out
 
 
@@ -1104,13 +1154,12 @@ class QuotientElem:
         alg, ctx = self.alg, self.alg.ctx
         w = alg.galois_image(k).coords
         if w[1:] and w[1].is_constant() and not any(w[:1] + w[2:]):
-            c, ci, out = w[1].num.coeff(0), ctx.one, []
-            for r in self.coords:
-                out.append(r if not r else RatFunc(
-                    Poly(ctx, [x * ci for x in r.num.coeffs]), r.den,
-                    _reduced=True))
-                ci = ci * c
-            return QuotientElem(alg, tuple(out))
+            c = ctx._log[w[1].num.coeff(0).coeffs]
+            return QuotientElem(alg, tuple(
+                RatFunc(_from_exps(ctx, _exp_scale(_to_exps(r.num, ctx),
+                                                   i * c, ctx)),
+                        r.den, _reduced=True) if r and i else r
+                for i, r in enumerate(self.coords)))
         w = QuotientElem(alg, w)
         acc = alg.scalar(self.coords[-1])
         for r in reversed(self.coords[:-1]):

@@ -57,7 +57,7 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
     # no tied point, a rational point where no coordinate has a zero or a
     # pole peels no (v - a), and a one-term element whose numerator and
     # denominator lie wholly on the ramified locus splits nothing and takes
-    # no gcd with h.num * h.den
+    # no gcd with h.num * h.den, on exponent lists or on polynomials
     draws = load_draws()
     curves = draws.standard_curves()
     keys = [f"{q}:{i}" for q in draws.POOL for i in range(20)]
@@ -67,6 +67,7 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
     real_peel = places._exp_peel
     real_split = places._closed_points
     real_gcd = polyalg.poly_gcd
+    real_exp_gcd = polyalg._exp_gcd
     series, shifts, tied, peeled, split, gcds = [], [], [], set(), [], []
 
     def counted_series(curve, coords, c, ys):
@@ -96,6 +97,12 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
         gcds.append((f, g))
         return real_gcd(f, g)
 
+    def counted_exp_gcd(a, b, ctx):
+        # the kernel consumes its arguments, so the spy keeps polynomials
+        gcds.append((polyalg._from_exps(ctx, polyalg._exp_trim(list(a))),
+                     polyalg._from_exps(ctx, polyalg._exp_trim(list(b)))))
+        return real_exp_gcd(a, b, ctx)
+
     monkeypatch.setattr(places, "_generic_valuation", counted_series)
     monkeypatch.setattr(places, "_taylor_shift", counted_shift)
     monkeypatch.setattr(places, "_tied_fiber", counted_tied)
@@ -103,6 +110,7 @@ def test_divisor_skips_work_that_cannot_change_it(monkeypatch):
     monkeypatch.setattr(places, "_closed_points", counted_split)
     monkeypatch.setattr(places, "poly_gcd", counted_gcd)
     monkeypatch.setattr(polyalg, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(polyalg, "_exp_gcd", counted_exp_gcd)
     one_term_generic = skipped = on_locus = 0
     settled = Counter()
     for key, e in draws.elements(curves, keys):
@@ -153,9 +161,9 @@ def test_each_divisor_makes_one_distinct_degree_pass(monkeypatch):
     real = places._distinct_degree
     passes = []
 
-    def counted(f, top):
+    def counted(f, top, ctx):
         passes.append(f)
-        return real(f, top)
+        return real(f, top, ctx)
 
     monkeypatch.setattr(places, "_distinct_degree", counted)
     several = 0

@@ -116,6 +116,19 @@ def test_modulus_matches_oracle(p, n):
     assert gf.create_field(p, n).modulus == oracle_least_irreducible(p, n)
 
 
+@pytest.mark.parametrize("p,n", sorted(k for k in EXPECTED_MODULI if k[1] > 1))
+def test_modulus_is_the_lex_least_irreducible(p, n):
+    # the search tests exponent lists with the distinct-degree kernel; by
+    # trial division every candidate it walks past is reducible (a tail
+    # with c_0 = 0 is divisible by T) and the modulus is not
+    modulus = gf.create_field(p, n).modulus
+    for tail in itertools.product(range(p), repeat=n):
+        if tail + (1,) == modulus:
+            break
+        assert tail[0] == 0 or not oracle_is_irreducible(p, tail + (1,))
+    assert oracle_is_irreducible(p, modulus)
+
+
 def test_caching_gives_identical_contexts():
     assert gf.create_field(3, 2) is gf.create_field(3, 2)
     assert gf.create_field(5) is gf.create_field(5, 1)
@@ -275,6 +288,27 @@ def test_division_by_zero():
     ctx = gf.create_field(5)
     with pytest.raises(DivisionByZero):
         ctx.one / ctx.zero
+    with pytest.raises(DivisionByZero):
+        ctx.zero.inverse()
+
+
+@pytest.mark.parametrize("p,n", [(3, 7), (3, 8), (3, 9), (5, 8), (2, 11)])
+def test_packed_inverse_matches_fermat(p, n):
+    # past the tables an inverse is extended Euclid against the modulus;
+    # a^(Q-2) is the oracle
+    ctx = gf.create_field(p, n)
+    assert ctx.order > gf.TABLE_CAP
+    rng = random.Random(f"inverse:{p}^{n}")
+    units = [ctx.one.coeffs, ctx.t_class.coeffs, (p - 1,) + (0,) * (n - 1),
+             (0,) * (n - 1) + (1,)]
+    units += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(200)]
+    for a in units:
+        if any(a):
+            inv = ctx._poly_inv(a)
+            assert inv == ctx._poly_pow(a, ctx.order - 2)
+            assert ctx._mul(a, inv) == ctx.one.coeffs
+    with pytest.raises(DivisionByZero):
+        ctx._poly_inv(ctx.zero.coeffs)
     with pytest.raises(DivisionByZero):
         ctx.zero.inverse()
 

@@ -15,7 +15,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cycloff import autgroup, cli, gf, places, polyalg
 from cycloff.carlitz import iter_irreducible_moduli
@@ -746,9 +746,9 @@ def test_closed_points_match_the_per_degree_scan(curve, monkeypatch):
     split = places._orbits
     parts = []
 
-    def spy(part, E):
-        parts.append(part)
-        return split(part, E)
+    def spy(part, F, E):
+        parts.append(polyalg._from_exps(F, part))
+        return split(part, F, E)
 
     monkeypatch.setattr(places, "_orbits", spy)
     assert _closed_points(curve, f * factors[3]) == want
@@ -768,7 +768,8 @@ def test_closed_points_match_the_per_degree_scan(curve, monkeypatch):
 def orbit_leaders(f, E):
     """Least root by to_int of each orbit of ``polyalg._orbits``, sorted."""
     return sorted((min(orbit, key=lambda e: e.to_int())
-                   for orbit in places._orbits(f, E)),
+                   for orbit in places._orbits(polyalg._to_exps(f, f.ctx),
+                                               f.ctx, E)),
                   key=lambda e: e.to_int())
 
 
@@ -861,14 +862,95 @@ def test_orbit_leaders_match_the_powering_oracle(pn, d, count):
     assert orbit_leaders(f, E) == want
 
 
+TABLE_CURVES = [C3, C4, C5, C8, C9]
+
+
+def irreducible_from(ctx, d, k):
+    """The first monic irreducible of degree d over ctx at or after the
+    tail numbered k in base |ctx|, constant digit first, wrapping."""
+    q = ctx.order
+    for j in itertools.count(k):
+        j %= q ** d
+        f = Poly(ctx, [ctx.from_int(j // q ** i % q) for i in range(d)]
+                 + [ctx.one])
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("curve", TABLE_CURVES,
+                         ids=["q3", "q4", "q5", "q8", "q9"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_closed_points_on_table_fields_match_both_oracles(curve, data):
+    # every splitting field here has log tables, so the trace splitter runs
+    # on exponent lists and the coefficients reach it through s = log
+    # embed(g_F), an embedding of a field past GF(p) for q = 4, 8, 9; a
+    # squarefree product of random irreducibles must give the points of the
+    # scan of GF(q^d), and per degree the leaders of the powering splitter
+    ctx = curve.ctx
+    top = max(d for d in range(1, 11) if ctx.order ** d <= gf.TABLE_CAP)
+    ram = curve.ram_numerator.monic()
+    factors = {}
+    for d in data.draw(st.lists(st.integers(2, top), min_size=1, max_size=3)):
+        f = irreducible_from(ctx, d, data.draw(st.integers(0, ctx.order ** d)))
+        if f != ram:
+            factors.setdefault(d, set()).add(f)
+    assume(factors)
+    f = functools.reduce(operator.mul, [g for fs in factors.values()
+                                        for g in fs])
+    got = _closed_points(curve, f)
+    assert got == scan_closed_points(curve, f, max(factors))
+    for d, fs in factors.items():
+        E = create_field(ctx.p, ctx.n * d)
+        want = leaders_by_powering(functools.reduce(operator.mul, fs), E,
+                                   ctx.n)
+        assert [r for e, r in got if e == d] == want
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5], ids=["q3", "q4", "q5"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cleared_support_matches_the_norm(curve, data):
+    # divisor splits N D, from the norm of the cleared element sum b_i z^i
+    # with z = hd y, and reads v_c(N e) = v_c(N) - n v_c(D); the points and
+    # valuations must be those of e.norm() and the coordinate denominators
+    ctx, n = curve.ctx, curve.q - 1
+    coeff = st.integers(0, ctx.order - 1).map(ctx.from_int)
+    poly = st.tuples(st.lists(coeff, max_size=2),
+                     st.integers(1, ctx.order - 1).map(ctx.from_int)).map(
+        lambda t: Poly(ctx, t[0] + [t[1]]))
+    dens = [Poly.one(ctx), Poly.gen(ctx), vpoly(curve, 1, 1),
+            vpoly(curve, 2, 0, 1), vpoly(curve, 1, 1, 1)]
+    filled = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2,
+                                      max_size=min(n, 3))))
+    coords = [RatFunc.zero(ctx)] * n
+    for i in filled:
+        coords[i] = RatFunc(data.draw(poly),
+                            data.draw(st.sampled_from(dens)))
+    e = curve.from_coords(coords)
+    norm = e.norm()
+    N, D = places._cleared_norm(curve, e.coords, filled)
+    support = functools.reduce(operator.mul,
+                               [e.coords[i].den for i in filled], norm.num)
+    try:
+        want = _closed_points(curve, support)
+    except GenericPlaceUnsupported:
+        assume(False)
+    assert _closed_points(curve, N * D) == want
+    for _, c in want:
+        assert (root_multiplicity(N, c) - n * root_multiplicity(D, c)
+                == norm.valuation(c))
+
+
 def test_orbit_leaders_power_only_over_the_small_field(monkeypatch):
     # the roots in GF(3^9) come from Frobenius images over GF(3): no
     # polynomial over the big field is powered, by square-and-multiply or
-    # by a Frobenius step
+    # by a Frobenius step, on polynomials or on exponent lists
     E = create_field(3, 9)
     (f,) = least_irreducibles(F3, 9, 1)
     powered = []
     real_power, real_frob = gf.power, Poly.frob_power
+    real_exp_frob = polyalg._exp_frob
 
     def power_spy(x, e, mul, one):
         if isinstance(x, Poly):
@@ -879,9 +961,15 @@ def test_orbit_leaders_power_only_over_the_small_field(monkeypatch):
         powered.append(self.ctx)
         return real_frob(self, j)
 
+    def exp_frob_spy(a, step, ctx):
+        powered.append(ctx)
+        return real_exp_frob(a, step, ctx)
+
     monkeypatch.setattr(gf, "power", power_spy)
     monkeypatch.setattr(Poly, "frob_power", frob_spy)
-    assert [len(orbit) for orbit in polyalg._orbits(f, E)] == [9]
+    monkeypatch.setattr(polyalg, "_exp_frob", exp_frob_spy)
+    orbits = polyalg._orbits(polyalg._to_exps(f, F3), F3, E)
+    assert [len(orbit) for orbit in orbits] == [9]
     assert F3 in powered and E not in powered
 
 
@@ -891,7 +979,7 @@ def test_a_wrong_root_fails_the_orbit_certificate(monkeypatch):
     real = polyalg.one_root
     monkeypatch.setattr(polyalg, "one_root", lambda g, E: real(g, E) + 1)
     with pytest.raises(CertificateFailed, match="does not divide"):
-        polyalg._orbits(f, create_field(3, 7))
+        polyalg._orbits(polyalg._to_exps(f, F3), F3, create_field(3, 7))
 
 
 def test_a_short_orbit_fails_the_orbit_certificate(monkeypatch):
@@ -899,9 +987,9 @@ def test_a_short_orbit_fails_the_orbit_certificate(monkeypatch):
     # the distinct-degree pass never hands such a part over, so a patched
     # one does
     (f,) = least_irreducibles(F3, 7, 1)
-    part = f * vpoly(C3, 2, 1)
+    part = polyalg._to_exps(f * vpoly(C3, 2, 1), F3)
     monkeypatch.setattr(places, "_distinct_degree",
-                        lambda g, top: iter([(7, part), (0, Poly.one(F3))]))
+                        lambda g, top, ctx: iter([(7, part), (0, [0])]))
     with pytest.raises(CertificateFailed, match="length 1"):
         _closed_points(C3, f)
 

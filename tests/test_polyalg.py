@@ -177,16 +177,17 @@ HALF_DEGREE = [(F3, d) for d in (1, 2, 3, 5, 6, 7)] + [(F9, d)
                          ids=[f"{ctx.name}-deg{d}" for ctx, d in HALF_DEGREE])
 def test_distinct_degree_stops_at_half_degree(ctx, d, monkeypatch):
     # an irreducible f of degree d has no factor of degree <= d/2, so after
-    # floor(d/2) Frobenius steps what is left is f itself, yielded monic
-    # as its own part, or as the rest when d is past top
+    # floor(d/2) Frobenius steps, each a q-th power, what is left is f
+    # itself, yielded monic as its own part, or as the rest when d is past
+    # top
     f = next(f for f in all_monic(ctx, d) if is_irreducible(f))
-    real, steps = Poly.frob_power, []
+    real, steps = polyalg._exp_frob, []
 
-    def counted(self, j):
-        steps.append(j)
-        return real(self, j)
+    def counted(a, step, field):
+        steps.append(step)
+        return real(a, step, field)
 
-    monkeypatch.setattr(Poly, "frob_power", counted)
+    monkeypatch.setattr(polyalg, "_exp_frob", counted)
     one = Poly.one(ctx)
     cases = [(f, d, [(d, f), (0, one)]), (f * ctx.generator, d,
                                           [(d, f), (0, one)])]
@@ -194,8 +195,9 @@ def test_distinct_degree_stops_at_half_degree(ctx, d, monkeypatch):
         cases.append((f, d - 1, [(0, f)]))
     for g, top, parts in cases:
         steps.clear()
-        assert list(polyalg._distinct_degree(g, top)) == parts
-        assert steps == [ctx.n] * (d // 2)
+        got = polyalg._distinct_degree(polyalg._to_exps(g, ctx), top, ctx)
+        assert [(e, polyalg._from_exps(ctx, a)) for e, a in got] == parts
+        assert steps == [ctx.order] * (d // 2)
 
 
 def test_roots_in_extension_frozen():
@@ -244,9 +246,9 @@ def test_one_root_with_a_corrupt_frobenius_image(pn, d, monkeypatch):
     ext = gf.create_field(F.p, F.n * d)
     real = polyalg._frobenius_images
 
-    def corrupt(f, count):
-        images = real(f, count)
-        images[1] = Poly.gen(f.ctx)
+    def corrupt(f, count, ctx):
+        images = real(f, count, ctx)
+        images[1] = [None, 0]
         return images
 
     monkeypatch.setattr(polyalg, "_frobenius_images", corrupt)

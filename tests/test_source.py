@@ -134,7 +134,9 @@ def test_kernel_forks_only_where_large_fields_reach():
     # gf.TABLE_CAP reach: gcds and products over the root-finding fields,
     # evaluations and valuations at extension points; series over fiber
     # fields multiply by the product kernel and cut the result, and RatFunc
-    # lives over table fields only, so neither has a twin
+    # lives over table fields only, so neither has a twin.  The trace
+    # splitter picks the kernels of its one loop by the kind of its
+    # splitting field
     forks = []
     for mod, tree in _package_trees().items():
         scopes = [(node, f"{outer.name}.{node.name}")
@@ -152,7 +154,7 @@ def test_kernel_forks_only_where_large_fields_reach():
     assert sorted(forks) == sorted(
         f"polyalg.py:{name}" for name in (
             "Poly.__mul__", "Poly.__divmod__", "Poly.__call__", "poly_gcd",
-            "root_multiplicity"))
+            "root_multiplicity", "one_root"))
 
 
 def test_records_compare_only_through_record():
