@@ -27,7 +27,9 @@ exceeds the parent's interquartile range.  Each pair also prints, per side,
 the key of the job at the tail rank of every untraced pass, read from the
 result file that run.py writes and ranked by run.py's own ``tail``, and the
 summary counts those keys per side, so a change in ``job_tail_s`` can be
-traced to the jobs that sit at that rank.
+traced to the jobs that sit at that rank.  The same is printed and counted
+for the job at the median rank of every untraced pass (the lower median of
+its job times), the draws behind ``job_p50_s``.
 """
 
 import argparse
@@ -42,6 +44,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+RANKS = ("tail", "median")
 
 
 def checkout(rev, path):
@@ -61,10 +64,10 @@ def load_tail():
 
 
 def run_once(path, workload, seed, tail):
-    """(failed jobs, metrics {name: value}, tail keys) of one run.py
-    invocation in ``path``, the tail keys one per untraced pass from its
-    result file; RuntimeError if its output differs from the golden
-    files."""
+    """(failed jobs, metrics {name: value}, {rank: keys}) of one run.py
+    invocation in ``path``, with one key per untraced pass from its result
+    file for the ranks "tail" and "median"; RuntimeError if its output
+    differs from the golden files."""
     out = subprocess.run(
         [sys.executable, os.path.join(path, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed)],
@@ -79,12 +82,14 @@ def run_once(path, workload, seed, tail):
                if line.strip().startswith(marker))
     with open(os.path.join(path, rel), encoding="utf-8") as fh:
         passes = json.load(fh)["passes"]
-    keys = []
+    keys = {rank: [] for rank in RANKS}
     for p in passes:
         if not p["traced"]:
-            at = tail([seconds for _, seconds, _ in p["jobs"]])[0]
-            keys.append(next(key for key, seconds, _ in p["jobs"]
-                             if seconds == at))
+            times = [seconds for _, seconds, _ in p["jobs"]]
+            for rank, at in zip(RANKS, (tail(times)[0],
+                                        statistics.median_low(times))):
+                keys[rank].append(next(key for key, seconds, _ in p["jobs"]
+                                       if seconds == at))
     return result["failed"], {k: v["value"]
                               for k, v in result["metrics"].items()}, keys
 
@@ -124,7 +129,8 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     tail = load_tail()
-    tail_keys = {side: collections.Counter() for side in SIDES}
+    rank_keys = {(side, rank): collections.Counter()
+                 for side in SIDES for rank in RANKS}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         paths = {side: os.path.join(tmp, side) for side in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
@@ -137,14 +143,16 @@ def main(argv=None):
                 failed[side], metrics_i, keys[side] = run_once(
                     paths[side], args.workload, args.seed + i, tail)
                 runs[side].append(metrics_i)
-                tail_keys[side].update(keys[side])
+                for rank in RANKS:
+                    rank_keys[side, rank].update(keys[side][rank])
             print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, "
                   f"{order[0]} first): failed {failed['parent']} -> "
                   f"{failed['change']}  " + "  ".join(
                       f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
                       f"{runs['change'][-1][m['name']]:.4g}"
-                      for m in metrics) + f"  tail keys "
-                  f"{','.join(keys['parent'])} -> {','.join(keys['change'])}",
+                      for m in metrics) + "".join(
+                      f"  {rank} keys {','.join(keys['parent'][rank])} -> "
+                      f"{','.join(keys['change'][rank])}" for rank in RANKS),
                   flush=True)
     rows = summarize(runs, metrics)
     print(f"\n{args.workload}: {args.pairs} alternating pairs, parent "
@@ -157,9 +165,11 @@ def main(argv=None):
               f"{'/'.join(f'{x:.4g}' for x in pa):>30s} "
               f"{'/'.join(f'{x:.4g}' for x in pb):>30s} "
               f"{ratio:7.3f} {wins:>3d}/{n:<2d} {beyond}")
-    for side in SIDES:
-        print(f"tail keys, {side}: " + " ".join(
-            f"{key} x{count}" for key, count in tail_keys[side].most_common()))
+    for rank in RANKS:
+        for side in SIDES:
+            print(f"{rank} keys, {side}: " + " ".join(
+                f"{key} x{count}"
+                for key, count in rank_keys[side, rank].most_common()))
     return 0
 
 

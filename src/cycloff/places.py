@@ -527,31 +527,54 @@ def _tied_fiber(fiber, s0, tied, vn):
 
 
 def _ramified_orders(r, points, quad):
-    """(orders, num, den) for a coordinate r: v(r) at the rational points
-    of ``points``, infinity and M's point, and r's numerator and
-    denominator with each v - a and M divided out, as exponent lists.
-    v - a is divided only where an evaluation finds a root, until what is
-    left is linear; a linear rest over GF(q) has its one root at
-    log a = log(-c_0 / c_1), which needs no evaluation."""
-    ctx = r.num.ctx
-    out = []
-    for f in (r.num, r.den):
-        a, orders = _to_exps(f, ctx), [0] * len(points)
-        terms = _exp_terms(a)
-        for k, (i, lin) in points.items():
-            if len(a) < 3:
-                break
-            if _exp_value(terms, k, ctx) is None:
-                orders[i], a = _exp_peel(a, lin, ctx)
-                terms = _exp_terms(a)
+    """(orders, num, den) for a coordinate r: ``orders`` maps an index into
+    the catalog's booked places to v(r) there, for the nonzero orders only:
+    the rational points of ``points`` where r has a zero or a pole,
+    infinity at index q and M's point at index q+1; every other booked
+    place takes its value from `_y_divisor`.  num and den are r's
+    numerator and denominator with each v - a and M divided out, as
+    exponent lists.  v - a is divided only where an evaluation finds a
+    root, until what is left is linear; a linear rest over GF(q) has its
+    one root at log a = log(-c_0 / c_1), which needs no evaluation, and
+    one exact division by v - a, found by `_exp_peel`'s equal-degree test.
+    The order at infinity is a difference of lengths."""
+    ctx, q = r.num.ctx, len(points)
+    top = len(r.den.coeffs) - len(r.num.coeffs)
+    orders, out = ({q: top} if top else {}), []
+    for f, sign in ((r.num, 1), (r.den, -1)):
+        a = _to_exps(f, ctx)
+        if len(a) > 2:
+            terms = _exp_terms(a)
+            for k, (i, lin) in points.items():
+                if _exp_value(terms, k, ctx) is None:
+                    m, a = _exp_peel(a, lin, ctx)
+                    orders[i] = sign * m
+                    if len(a) < 3:
+                        break
+                    terms = _exp_terms(a)
         if len(a) == 2:
             i, lin = points[None if a[0] is None else
                             (a[0] + ctx._neg_exp - a[1]) % (ctx.order - 1)]
-            orders[i], a = _exp_peel(a, lin, ctx)
-        m, a = _exp_peel(a, quad, ctx)
-        out.append((orders + [-f.degree, m], a))
-    (on, num), (od, den) = out
-    return [x - y for x, y in zip(on, od)], num, den
+            m, a = _exp_peel(a, lin, ctx)
+            orders[i] = sign * m
+        elif len(a) > 2:
+            # no rational root is left, so only M can divide
+            m, a = _exp_peel(a, quad, ctx)
+            if m:
+                orders[q + 1] = sign * m
+        out.append(a)
+    return orders, *out
+
+
+@functools.lru_cache(maxsize=None)
+def _y_divisor(curve, lo, hi):
+    """v_P(e) at each booked place P where no filled coordinate of e has a
+    nonzero order, for lo and hi the least and greatest filled exponents:
+    there v_P(e) = min_i i v_P(y) = min(lo v_P(y), hi v_P(y)), since
+    i v_P(y) is linear in i.  Only the nonzero values are kept."""
+    _, booked, vys, *_ = _catalog(curve)
+    return {P: v for P, vy in zip(booked, vys)
+            if (v := min(lo * vy, hi * vy))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,13 +591,16 @@ def _cleared_norm(curve, coords, filled):
     element sum b_i z^i in `_cleared_algebra`, b_i = r_i D hd^(n-1-i), so
     that e = sum b_i z^i / (D hd^(n-1)) and N(e) = N / (D hd^(n-1))^n.
     Every coordinate and the relation are polynomials, so the norm's
-    products and sums take no gcd."""
+    products and sums take no gcd; a factor D / den_i or hd^(n-1-i) that
+    is 1 is not multiplied in."""
     alg, pows = _cleared_algebra(curve)
     D = functools.reduce(operator.mul, {coords[i].den for i in filled})
-    return alg.from_pairs(
-        (i, RatFunc.from_poly(coords[i].num * (D // coords[i].den)
-                              * pows[alg.n - 1 - i])) for i in filled
-    ).norm().num, D
+    pairs = []
+    for i in filled:
+        r, hd = coords[i], pows[alg.n - 1 - i]
+        b = r.num if r.den == D else r.num * (D // r.den)
+        pairs.append((i, RatFunc.from_poly(b * hd if hd.degree else b)))
+    return alg.from_pairs(pairs).norm().num, D
 
 
 def divisor(e):
@@ -584,8 +610,14 @@ def divisor(e):
     totally ramified and v_P(y) = v(h) = -1, q-2 or +1, prime to q-1, so
     the values v_P(r_i y^i) = (q-1) v(r_i) + i v(h) differ for distinct i
     and v_P(e) is their minimum (Stichtenoth, *Algebraic Function Fields
-    and Codes*, Prop. 3.7.3).  Each v(r_i) comes from one peel of r_i's
-    numerator and denominator against the curve's `_catalog`.
+    and Codes*, Prop. 3.7.3).  One peel of each filled coordinate's
+    numerator and denominator against the curve's `_catalog` gives its
+    nonzero orders v(r_i) only (`_ramified_orders`).  At a place where no
+    coordinate has one the minimum is min_i i v_P(y), read from the
+    curve's `_y_divisor` for the least and greatest filled exponents; each
+    place where some coordinate has one is set to the minimum over all
+    terms, and dropped where that is 0.  So a one-term element r y^i is
+    booked as (q-1) div(r) + i div(y) on these places.
 
     Unramified places.  A closed point c carries support only if it is a
     pole of some coordinate or a zero of the numerator of N(e), so one
@@ -599,7 +631,9 @@ def divisor(e):
     polynomials b_i and D the product of the distinct coordinate
     denominators, so N(e) = N / (D hd^(n-1))^n for the norm N of
     sum b_i z^i, found with no gcd.  The support is N D, and off the
-    ramified locus, where hd is a unit, v_c(N e) = v_c(N) - n v_c(D).
+    ramified locus, where hd is a unit, v_c(N e) = v_c(N) - n v_c(D);
+    v_c(D) is 0 there unless some coordinate's peeled denominator is
+    non-constant.
     At a place P over c, y is a unit (h has no zero or
     pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
     v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate pole.  If no
@@ -626,17 +660,27 @@ def divisor(e):
     _, booked, vys, points, quad, _, _ = _catalog(curve)
     n = curve.q - 1
     peeled = [(i, *_ramified_orders(coords[i], points, quad)) for i in filled]
-    rows = [[n * x + i * vy for x, vy in zip(o, vys)] for i, o, _, _ in peeled]
-    coeffs = {P: c for P, c in zip(booked, map(min, zip(*rows))) if c}
-    ctx = curve.ctx
+    coeffs = dict(_y_divisor(curve, filled[0], filled[-1]))
     if len(filled) == 1:
-        _, _, num, den = peeled[0]
+        (i, orders, num, den), = peeled
+        spots = ((j, n * x + i * vys[j]) for j, x in orders.items())
         # a constant rest, the common case, splits nothing
         support = (None if len(num) + len(den) < 3
-                   else _from_exps(ctx, _exp_mul(num, den, ctx)))
+                   else _from_exps(curve.ctx, _exp_mul(num, den, curve.ctx)))
     else:
+        spots = ((j, min(n * o.get(j, 0) + i * vys[j]
+                         for i, o, _, _ in peeled))
+                 for j in {j for _, o, _, _ in peeled for j in o})
         norm, cleared = _cleared_norm(curve, coords, filled)
         support = norm * cleared
+        # D has a root off the ramified locus only where a peeled
+        # denominator rest does
+        poles = any(len(den) > 1 for *_, den in peeled)
+    for j, c in spots:
+        if c:
+            coeffs[booked[j]] = c
+        else:
+            coeffs.pop(booked[j], None)
     for d, c in (() if support is None or support.is_constant()
                  else _closed_points(curve, support)):
         fiber = _fiber_places(curve, d, c)
@@ -648,7 +692,8 @@ def divisor(e):
                 coeffs[P] = s0
             continue
         # off the ramified locus hd is a unit
-        vn = root_multiplicity(norm, c) - n * root_multiplicity(cleared, c)
+        vn = root_multiplicity(norm, c) - (
+            n * root_multiplicity(cleared, c) if poles else 0)
         settled, left = _tied_fiber(fiber, s0, tied, vn)
         for P in left:
             settled[P] = valuation(e, P)

@@ -475,9 +475,14 @@ def _exp_divmod(a, b, ctx):
 
 def _exp_peel(a, b, ctx):
     """(m, a / b^m) for the largest m with b^m | a, a nonzero; a is not
-    consumed."""
+    consumed.  At equal degrees b | a exactly when a = g^c b for
+    c = a[-1] - b[-1], a test entry by entry with no division."""
     m = 0
     while len(a) >= len(b):
+        if len(a) == len(b):
+            c, order = a[-1] - b[-1], ctx.order - 1
+            exact = a == [None if y is None else (y + c) % order for y in b]
+            return (m + 1, [c % order]) if exact else (m, a)
         quo, rem = _exp_divmod(list(a), b, ctx)
         if rem:
             break

@@ -15,7 +15,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cycloff import autgroup, cli, gf, places, polyalg
 from cycloff.carlitz import iter_irreducible_moduli
@@ -1138,12 +1138,90 @@ def test_a_wrong_valuation_fails_the_degree_certificate(monkeypatch):
 
         def off_by_one(r, points, quad, j=j):
             orders, num, den = real(r, points, quad)
-            orders[j] += 1
+            orders[j] = orders.get(j, 0) + 1
             return orders, num, den
 
         monkeypatch.setattr(places, "_ramified_orders", off_by_one)
         with pytest.raises(CertificateFailed, match="degree"):
             divisor(e)
+
+
+def booked_minima(curve, e):
+    """min_i [(q-1) v(r_i) + i v_P(h)] at each booked ramified place, in
+    the catalog's order, with no peel: v(r_i) is RatFunc.valuation at the
+    rational points, a degree difference at infinity and the multiplicity
+    of M's monic factor at M's point."""
+    q, n = curve.q, curve.q - 1
+    M = curve.ram_numerator.monic()
+
+    def at_m(f):
+        k = 0
+        while (f % M).is_zero():
+            f, k = f // M, k + 1
+        return k
+
+    rows = []
+    for i, r in enumerate(e.coords):
+        if r:
+            orders = [r.valuation(a) for a in curve.ctx.iter_elements()] + [
+                r.den.degree - r.num.degree, at_m(r.num) - at_m(r.den)]
+            rows.append([n * x + i * vh
+                         for x, vh in zip(orders, [-1] * q + [q - 2, 1])])
+    return [min(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5, C7, C8, C9],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9"])
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_booked_ramified_places_are_the_minimum_over_terms(curve, data):
+    # divisor books a ramified place from the divisor of y and the sparse
+    # orders of the coordinates; every booked place must carry the dense
+    # minimum over all terms.  Coordinates are units times factors v - a
+    # and M over such factors, beside draw_filled's low-degree numerators.
+    # In the "cancel" draws slot 0 is a unit at a rational a and every
+    # other filled slot vanishes there, so the minimum at a is 0 while
+    # i v_P(y) = -i is not
+    ctx, n = curve.ctx, curve.q - 1
+    rational = list(ctx.iter_elements())
+    menu = [Poly(ctx, (-a, ctx.one)) for a in rational] + [
+        curve.ram_numerator.monic()]
+    cancel = data.draw(st.booleans())
+    at = data.draw(st.integers(0, len(rational) - 1))
+    if cancel:
+        others = data.draw(st.sets(st.integers(1, n - 1), min_size=1,
+                                   max_size=min(2, n - 1)))
+        filled = [0, *sorted(others)]
+    else:
+        filled = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                          max_size=min(3, n))))
+
+    def product(skip):
+        picks = data.draw(st.lists(st.sampled_from(
+            [f for j, f in enumerate(menu) if j != skip]), max_size=2))
+        return functools.reduce(operator.mul, picks, Poly.one(ctx))
+
+    coords = [RatFunc.zero(ctx)] * n
+    for i in filled:
+        unit = ctx.from_int(data.draw(st.integers(1, ctx.order - 1)))
+        num = product(at if cancel and i == 0 else None) * unit
+        if cancel and i:
+            num = num * menu[at] ** data.draw(st.integers(1, 2))
+        elif not cancel and data.draw(st.booleans()):
+            num = num * vpoly(curve, data.draw(
+                st.integers(0, ctx.order - 1)), 1)
+        coords[i] = RatFunc(num, product(at if cancel else None))
+    e = curve.from_coords(coords)
+    try:
+        dv = divisor(e)
+    except GenericPlaceUnsupported:
+        assume(False)
+    want = booked_minima(curve, e)
+    if cancel:
+        assert want[at] == 0
+    booked = ramified_places(curve)[:curve.q + 2]
+    assert [dv.coeff(P) for P in booked] == want
 
 
 def draw_filled(curve, rng):

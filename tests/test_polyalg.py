@@ -538,6 +538,48 @@ def test_kept_exponents_equal_a_fresh_conversion(data):
         log.get(c.coeffs) for c in f.coeffs]
 
 
+def peel_by_division(a, b, ctx):
+    """(m, a / b^m) by the division loop alone."""
+    m = 0
+    while len(a) >= len(b):
+        quo, rem = polyalg._exp_divmod(list(a), b, ctx)
+        if rem:
+            break
+        a, m = quo, m + 1
+    return m, a
+
+
+@pytest.mark.parametrize("pn", [(2, 2), (2, 3), (3, 2), (3, 5)],
+                         ids=["GF(4)", "GF(8)", "GF(9)", "GF(3^5)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equal_degree_peel_matches_division(pn, data):
+    # at equal degrees _exp_peel compares a with g^c b slot by slot and
+    # divides nothing; it must agree with the division loop on exact pairs,
+    # on pairs one slot away from exact (a zero entry made nonzero or a
+    # nonzero one zero or changed) and on unrelated pairs
+    ctx = gf.create_field(*pn)
+    m = ctx.order - 1
+    entry = st.one_of(st.none(), st.integers(0, m - 1))
+    b = data.draw(st.lists(entry, min_size=1, max_size=4)) + [
+        data.draw(st.integers(0, m - 1))]
+    kind = data.draw(st.sampled_from(["exact", "moved", "unrelated"]))
+    if kind == "unrelated":
+        a = data.draw(st.lists(entry, min_size=len(b) - 1,
+                               max_size=len(b) - 1)) + [
+            data.draw(st.integers(0, m - 1))]
+    else:
+        c = data.draw(st.integers(0, m - 1))
+        a = [None if y is None else (y + c) % m for y in b]
+        if kind == "moved":
+            j = data.draw(st.integers(0, len(b) - 2))
+            a[j] = data.draw(entry.filter(lambda x, old=a[j]: x != old))
+    got = polyalg._exp_peel(a, b, ctx)
+    assert got == peel_by_division(a, b, ctx)
+    if kind != "unrelated":
+        assert got[0] == (kind == "exact")
+
+
 @pytest.mark.parametrize("pn", TABLE_FIELDS + LOOP_FIELDS)
 def test_kernel_edge_cases(pn):
     ctx = gf.create_field(*pn)
