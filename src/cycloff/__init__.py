@@ -7,10 +7,8 @@ from .autgroup import (
     GroupTable,
     act_on_place,
     closure,
+    galois_aut,
     group_report,
-    identity,
-    invert,
-    is_automorphism,
     make_epsilon,
     make_mu,
     make_omega,

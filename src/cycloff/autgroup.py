@@ -16,12 +16,12 @@ exactly, so an Aut that exists at all really is an automorphism of the
 function field.  Every denominator is monic, so the law is compared
 cross-multiplied, num(f)^(q-1) num(h) den(H) = num(H) den(f)^(q-1) den(h)
 with H = h o mobius, without reducing a product to lowest terms.
-make_rho does not guess its matrix: it pushes the generator of the residue
-units through x = gamma v - y^(q-1) inside the curve algebra and reads the
-fractional-linear shape off the result; TransportFailure fires if that
-shape ever fails to emerge.  Its order q^2 - 1 is certified by powering:
-rho^N = 1 and rho^(N/r) != 1 for every prime r | N, each power by
-square-and-multiply compose (epsilon's order 3 likewise).
+galois_aut writes the Galois automorphism sigma_u: y -> C_u(y) of a residue
+unit u = c0 + c1 T in closed form, v -> ((c0 - a c1) v - c1 b/gamma) /
+(c1 gamma v + c0), y -> (c0 + c1 gamma v) y, and the law certifies it.
+make_rho is sigma_u at the unit-group generator; its order q^2 - 1 is
+certified by powering: rho^N = 1 and rho^(N/r) != 1 for every prime r | N,
+each power by square-and-multiply compose (epsilon's order 3 likewise).
 
 compose(a, b) applies b first, then a.  closure never lists the group: it
 closes the generators' permutations of the q+3 ramified places, and
@@ -45,7 +45,6 @@ from .errors import (
     CertificateFailed,
     CtxMismatch,
     GenericPlaceUnsupported,
-    TransportFailure,
     WrongCharacteristic,
     WrongOrder,
     WrongQ,
@@ -195,15 +194,6 @@ class Aut:
         return f"<aut {self}>"
 
 
-def identity(curve):
-    return Aut(curve, (1, 0, 0, 1), 1)
-
-
-def is_automorphism(candidate, curve):
-    """Does the candidate satisfy the defining relation for this curve?"""
-    return candidate._satisfies_law(curve)
-
-
 def compose(a, b):
     """a o b: apply b, then a."""
     if a.curve is not b.curve:
@@ -219,17 +209,6 @@ def compose(a, b):
     return Aut(curve, mob, fc * a.f)
 
 
-def invert(a):
-    curve = a.curve
-    aa, ab, ac, ad = a.mobius
-    ext = curve.ext
-    fv = a.f.compose_fractional(Poly(ext, (-ab, ad)), Poly(ext, (aa, -ac)))
-    out = Aut(curve, (ad, -ab, -ac, aa), fv ** -1)
-    if not (compose(a, out).is_identity and compose(out, a).is_identity):
-        raise CertificateFailed("inverse does not compose to the identity")
-    return out
-
-
 def _has_order(a, n):
     """Is the order of a exactly n?  a^n = 1 and a^(n/r) != 1 for every
     prime r | n; a handful of powerings instead of n steps."""
@@ -242,37 +221,37 @@ def _has_order(a, n):
 # -- the concrete generators ------------------------------------------------
 
 
-def make_rho(curve):
-    """Transport the unit-group generator to an Aut on (v, y)."""
+def galois_aut(curve, u):
+    """The Galois automorphism sigma_u: y -> C_u(y) of a residue unit
+    u = c0 + c1 T mod M, in closed form.
+
+    The Kummer model has x = gamma v - y^(q-1), so C_T(y) = y^q + x y =
+    gamma v y and sigma_u(y) = C_u(y) = f y with f = c0 + c1 gamma v.  sigma_u fixes x, so
+    sigma_u(v) = v + (f^(q-1) - 1) h/gamma, and with f^q - f =
+    c1 gamma (v^q - v) and h (v^q - v) = -(gamma v^2 + a v + b/gamma) this is
+    v -> ((c0 - a c1) v - c1 b/gamma)/(c1 gamma v + c0).  Its determinant
+    c0^2 - a c0 c1 + b c1^2 is the norm of u, nonzero for every unit.  Aut
+    certifies the law f^(q-1) h = h o mobius.
+    """
     if not isinstance(curve, KummerCurve):
-        raise CtxMismatch("rho lives on a Kummer curve")
-    mod = curve.modulus
-    q, ctx = curve.q, curve.ctx
-    u = mod.unit_group_generator()
+        raise CtxMismatch("Galois automorphisms live on a Kummer curve")
+    mod, gamma = curve.modulus, curve.gamma
     c0, c1 = u.rep.coeff(0), u.rep.coeff(1)
-    v = Poly.gen(ctx)
-    # x = gamma v - y^(q-1) inside the curve algebra
-    x_sc = curve.scalar(Poly.constant(curve.gamma) * v) - curve.y() ** (q - 1)
-    sy = (curve.y() ** q).scale(c1) + (x_sc.scale(c1)
-                                       + curve.scalar(c0)) * curve.y()
-    if any(sy.coords[i] for i in range(q - 1) if i != 1):
-        raise TransportFailure("image of y is not an f(v) multiple of y")
-    f = sy.coords[1]
-    if not f:
-        raise TransportFailure("image of y collapsed to zero")
-    sv = (x_sc + sy ** (q - 1)).scale(curve.gamma.inverse())
-    if any(sv.coords[i] for i in range(1, q - 1)):
-        raise TransportFailure("image of v leaves the rational subfield")
-    w = sv.coords[0]
-    if w.num.degree > 1 or w.den.degree > 1:
-        raise TransportFailure("image of v is not fractional-linear")
-    rho = Aut(curve, (w.num.coeff(1), w.num.coeff(0),
-                      w.den.coeff(1), w.den.coeff(0)), f)
+    return Aut(curve, (c0 - mod.a * c1, -c1 * mod.b * gamma.inverse(),
+                       c1 * gamma, c0),
+               RatFunc.from_poly(Poly(curve.ctx, (c0, c1 * gamma))))
+
+
+def make_rho(curve):
+    """sigma_u at the unit-group generator u, certified to have order
+    q^2 - 1 and to fix both quadratic places."""
+    rho = galois_aut(curve, curve.modulus.unit_group_generator())
+    q = curve.q
     if not _has_order(rho, q * q - 1):
         raise WrongOrder(f"rho does not have order {q * q - 1}")
     for pl in ramified_places(curve):
         if isinstance(pl, RamQuadratic) and act_on_place(rho, pl) != pl:
-            raise TransportFailure(f"rho moves the quadratic place {pl}")
+            raise CertificateFailed(f"rho moves the quadratic place {pl}")
     return rho
 
 

@@ -84,10 +84,6 @@ class FunctionalEquationViolated(CycloffError, ArithmeticError):
     code = "FunctionalEquationViolated"
 
 
-class TransportFailure(CycloffError, ArithmeticError):
-    code = "TransportFailure"
-
-
 class WrongCharacteristic(CycloffError, ValueError):
     code = "WrongCharacteristic"
 

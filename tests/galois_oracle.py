@@ -1,0 +1,35 @@
+"""The reference Galois action for the automorphism tests.
+
+``transport`` pushes a residue unit u = c0 + c1 T through the torsion
+relation x = gamma v - y^(q-1) inside the curve's Kummer algebra and reads
+the map off the result: sigma_u(y) = C_u(y) = c1 (y^q + x y) + c0 y must
+be f(v) y, and sigma_u(v) = (x + sigma_u(y)^(q-1))/gamma must be a
+fractional-linear function of v.  ``autgroup.galois_aut`` writes the same
+map in closed form; the tests compare the two.
+"""
+
+from cycloff import autgroup as ag
+from cycloff.polyalg import Poly
+
+
+def transport(curve, u):
+    """sigma_u on (v, y) by arithmetic in the curve algebra, as an Aut."""
+    q = curve.q
+    c0, c1 = u.rep.coeff(0), u.rep.coeff(1)
+    y = curve.y()
+    x = curve.scalar(Poly.constant(curve.gamma) * Poly.gen(curve.ctx)) \
+        - y ** (q - 1)
+    sy = (y ** q).scale(c1) + (x.scale(c1) + curve.scalar(c0)) * y
+    if any(sy.coords[i] for i in range(q - 1) if i != 1):
+        raise ValueError("image of y is not an f(v) multiple of y")
+    f = sy.coords[1]
+    if not f:
+        raise ValueError("image of y collapsed to zero")
+    sv = (x + sy ** (q - 1)).scale(curve.gamma.inverse())
+    if any(sv.coords[i] for i in range(1, q - 1)):
+        raise ValueError("image of v leaves the rational subfield")
+    w = sv.coords[0]
+    if w.num.degree > 1 or w.den.degree > 1:
+        raise ValueError("image of v is not fractional-linear")
+    return ag.Aut(curve, (w.num.coeff(1), w.num.coeff(0),
+                          w.den.coeff(1), w.den.coeff(0)), f)

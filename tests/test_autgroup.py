@@ -1,4 +1,4 @@
-"""Automorphism-side checks: generator transport, closure orders, the
+"""Automorphism-side checks: the Galois action, closure orders, the
 action on ramified places, and the q=3 exceptional quotient.
 
 Fixtures named ``table*`` and ``rho_set5`` list every group element as an
@@ -24,7 +24,7 @@ from cycloff.errors import (
     WrongOrder,
     WrongQ,
 )
-from cycloff.carlitz import iter_irreducible_moduli
+from cycloff.carlitz import Modulus, UnitClass, iter_irreducible_moduli
 from cycloff.gf import create_field, embed
 from cycloff.gf import power as gf_power
 from cycloff.kummer import KummerCurve
@@ -40,15 +40,18 @@ from cycloff.places import (
 from cycloff.polyalg import Poly, RatFunc, parse_poly
 
 
-def _load_oracle():
-    path = pathlib.Path(__file__).resolve().parent / "aut_oracle.py"
-    spec = importlib.util.spec_from_file_location("aut_oracle", path)
+def _load_oracle(name):
+    path = pathlib.Path(__file__).resolve().parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.aut_closure
+    return module
 
 
-aut_closure = _load_oracle()
+_aut = _load_oracle("aut_oracle")
+aut_closure, identity = _aut.aut_closure, _aut.identity
+invert, is_automorphism = _aut.invert, _aut.is_automorphism
+transport = _load_oracle("galois_oracle").transport
 
 F3 = create_field(3)
 F4 = create_field(2, 2)
@@ -138,9 +141,9 @@ def table4():
 
 def test_identity_is_automorphism():
     for curve in (C3, C5, C4):
-        ident = ag.identity(curve)
+        ident = identity(curve)
         assert ident.is_identity
-        assert ag.is_automorphism(ident, curve)
+        assert is_automorphism(ident, curve)
 
 
 def test_non_automorphism_rejected_at_construction():
@@ -151,10 +154,10 @@ def test_non_automorphism_rejected_at_construction():
 
 def test_is_automorphism_false_across_models(mu5):
     # same constant field, different a: the flip lands on the wrong h
-    assert ag.is_automorphism(mu5, C5B) is False
-    assert ag.is_automorphism(ag.identity(C5), C5B) is True
+    assert is_automorphism(mu5, C5B) is False
+    assert is_automorphism(identity(C5), C5B) is True
     # another constant field: mu5's coefficients lie outside C3's GF(9)
-    assert ag.is_automorphism(mu5, C3) is False
+    assert is_automorphism(mu5, C3) is False
 
 
 def test_aut_field_validation():
@@ -173,7 +176,7 @@ def test_mu_paper_flip(mu3, mu5):
         assert mu.f.den.is_one()
         assert [x.to_int() for x in mu.mobius] == [1, 0, 0,
                                                    (-ext.one).to_int()]
-        assert ag.is_automorphism(mu, curve)
+        assert is_automorphism(mu, curve)
 
 
 def test_mu_square_generates_the_scaling_subgroup(mu5):
@@ -187,7 +190,7 @@ def test_mu_square_generates_the_scaling_subgroup(mu5):
 
 def test_omega_q4_involution():
     om = ag.make_omega(C4)
-    assert ag.is_automorphism(om, C4)
+    assert is_automorphism(om, C4)
     assert om.f.is_one()
     assert ag.compose(om, om).is_identity
     assert om.mobius[1] == embed(F4.one, E16)  # shift by a/gamma = 1
@@ -204,7 +207,7 @@ def test_characteristic_and_q_guards():
         ag.make_epsilon(C3)  # gamma = 1 is not the normalized model
 
 
-# -- the transported generator ----------------------------------------------
+# -- the Galois action in closed form ---------------------------------------
 
 
 def test_rho_q3_frozen_transport(rho3):
@@ -233,6 +236,50 @@ def test_rho_q4_frozen_transport():
     a_, b_, c_, d_ = rho4.mobius
     assert (a_, c_, d_) == (E16.one, E16.one, E16.zero)
     assert b_ == embed(F4.t_class, E16)
+
+
+FIELDS = {3: F3, 4: F4, 5: F5, 7: F7, 8: F8, 9: F9}
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS), ids=lambda q: f"q{q}")
+def test_galois_aut_matches_the_transport_at_the_generator(q):
+    # every (M, gamma): the closed form against the generator pushed
+    # through x = gamma v - y^(q-1) in the curve algebra
+    ctx = FIELDS[q]
+    checked = 0
+    for mod in iter_irreducible_moduli(ctx):
+        gen = mod.unit_group_generator()
+        for gamma in ctx.iter_elements():
+            if gamma.is_zero():
+                continue
+            curve = KummerCurve(mod.a, mod.b, gamma)
+            sigma = ag.galois_aut(curve, gen)
+            oracle = transport(curve, gen)
+            assert sigma == oracle and str(sigma) == str(oracle)
+            checked += 1
+    assert checked == {3: 6, 4: 18, 5: 40, 7: 126, 8: 196, 9: 288}[q]
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5B], ids=lambda c: f"q{c.q}")
+def test_galois_aut_matches_the_transport_at_every_unit(curve):
+    units = list(curve.modulus.iter_units())
+    assert len(units) == curve.q ** 2 - 1
+    for u in units:
+        assert ag.galois_aut(curve, u) == transport(curve, u)
+
+
+@pytest.mark.parametrize("curve", [C3, C4, C5, C7, C8, C9],
+                         ids=lambda c: f"q{c.q}")
+def test_galois_action_is_a_homomorphism(curve):
+    # sigma_u o sigma_w = sigma_(uw), the product reduced mod M
+    m = curve.modulus.as_poly()
+    units = list(curve.modulus.iter_units())
+    rng = random.Random(20261020 + curve.q)
+    for _ in range(20):
+        u, w = rng.choice(units), rng.choice(units)
+        uw = UnitClass(u.rep * w.rep % m)
+        assert ag.compose(ag.galois_aut(curve, u),
+                          ag.galois_aut(curve, w)) == ag.galois_aut(curve, uw)
 
 
 @pytest.mark.parametrize("curve", [C3, C4, C5])
@@ -332,7 +379,7 @@ def test_closure_rejects_mixed_curves(rho3):
 def test_group_axioms_on_the_q5_table(table5, group5):
     assert any(z.is_identity for z in table5)
     for x in table5:
-        inv = ag.invert(x)  # invert raises unless x inv = inv x = id
+        inv = invert(x)  # invert raises unless x inv = inv x = id
         assert inv in table5
     rng = random.Random(20260822)
     for _ in range(12):
@@ -383,24 +430,66 @@ def test_make_rho_order_check_is_a_typed_error(monkeypatch):
         ag.make_rho(C3)
 
 
+def test_a_generator_of_lower_order_fails_make_rho(monkeypatch):
+    # at odd q, gen^2 has order (q^2-1)/2, so the powering certificate
+    # rejects it (at even q, q^2-1 is odd and gen^2 generates again)
+    real = Modulus.unit_group_generator
+    monkeypatch.setattr(Modulus, "unit_group_generator",
+                        lambda self: self.unit_pow(real(self), 2))
+    for curve in (C3, C5B, C9):
+        with pytest.raises(WrongOrder):
+            ag.make_rho(curve)
+
+
+def test_a_wrong_sign_in_the_closed_form_fails_the_law():
+    # c0 + a c1 for c0 - a c1 in the Mobius part, at a != 0: Aut's law
+    # rejects every unit that has c1 != 0
+    curve = C5B
+    mod, gamma = curve.modulus, curve.gamma
+    assert not mod.a.is_zero()
+    wrong = 0
+    for u in mod.iter_units():
+        c0, c1 = u.rep.coeff(0), u.rep.coeff(1)
+        if c1.is_zero():
+            continue
+        f = RatFunc.from_poly(Poly(F5, (c0, c1 * gamma)))
+        mob = [c0 - mod.a * c1, -c1 * mod.b * gamma.inverse(), c1 * gamma, c0]
+        assert ag.Aut(curve, mob, f) == ag.galois_aut(curve, u)
+        mob[0] = c0 + mod.a * c1
+        with pytest.raises(CertificateFailed, match="map violates"):
+            ag.Aut(curve, mob, f)
+        wrong += 1
+    assert wrong == 20
+
+
+def test_a_moved_quadratic_place_fails_make_rho(monkeypatch):
+    qb, qg = [p for p in ramified_places(C5) if isinstance(p, RamQuadratic)]
+    swap = {qb: qg, qg: qb}
+    real = ag.act_on_place
+    monkeypatch.setattr(ag, "act_on_place",
+                        lambda a, pl: swap.get(pl) or real(a, pl))
+    with pytest.raises(CertificateFailed, match="moves the quadratic place"):
+        ag.make_rho(C5)
+
+
 def test_invert_check_is_a_typed_error(monkeypatch, rho5):
     monkeypatch.setattr(ag, "compose", lambda a, b: rho5)
     with pytest.raises(CertificateFailed):
-        ag.invert(rho5)
+        invert(rho5)
 
 
 def test_every_table_element_satisfies_the_relation(table5):
     for z in table5:
-        assert ag.is_automorphism(z, C5)
+        assert is_automorphism(z, C5)
 
 
 def test_conjugation_keeps_the_cyclic_part(table5, rho5, mu5, rho_set5,
                                            cyclic5):
-    conj = ag.compose(ag.compose(mu5, rho5), ag.invert(mu5))
+    conj = ag.compose(ag.compose(mu5, rho5), invert(mu5))
     assert conj in rho_set5
     # the whole table normalizes the cyclic part
     for s in table5:
-        conj = ag.compose(ag.compose(s, rho5), ag.invert(s))
+        conj = ag.compose(ag.compose(s, rho5), invert(s))
         assert conj in rho_set5 and conj in cyclic5
     rho4 = ag.make_rho(C4)
     om = ag.make_omega(C4)
@@ -524,7 +613,7 @@ def test_cached_scalar_decides_each_multiple_afresh(mu5):
     with pytest.raises(CertificateFailed, match="map violates"):
         ag.Aut(curve, mu5.mobius, mu5.f * c)
     twisted = ag.Aut(curve, mu5.mobius, mu5.f * zeta)
-    assert twisted.f == mu5.f * zeta and ag.is_automorphism(twisted, curve)
+    assert twisted.f == mu5.f * zeta and is_automorphism(twisted, curve)
     with pytest.raises(CertificateFailed, match="map violates"):
         ag.Aut(curve, mu5.mobius, mu5.f * c)
     after = ag._law_scalar.cache_info()
@@ -532,9 +621,9 @@ def test_cached_scalar_decides_each_multiple_afresh(mu5):
 
 
 def test_cached_law_keys_on_the_curve(mu5):
-    assert ag.is_automorphism(mu5, C5) is True
-    assert ag.is_automorphism(mu5, C5B) is False
-    assert ag.is_automorphism(mu5, C5) is True
+    assert is_automorphism(mu5, C5) is True
+    assert is_automorphism(mu5, C5B) is False
+    assert is_automorphism(mu5, C5) is True
 
 
 def test_cached_place_action_still_raises(mu5, rho3):
@@ -550,10 +639,10 @@ def test_cached_place_action_still_raises(mu5, rho3):
         ag.act_on_place(rho3, pl)
     # the identity has the same Mobius part on both curves
     quad5 = next(p for p in ramified_places(C5) if isinstance(p, RamQuadratic))
-    assert ag.act_on_place(ag.identity(C5), quad5) == quad5
+    assert ag.act_on_place(identity(C5), quad5) == quad5
     for _ in range(2):
         with pytest.raises(UnknownPlace):
-            ag.act_on_place(ag.identity(C5B), quad5)
+            ag.act_on_place(identity(C5B), quad5)
         with pytest.raises(UnknownPlace):
             ag.act_on_place(mu5, other_quad)
         with pytest.raises(UnknownPlace):
@@ -689,7 +778,7 @@ def test_epsilon_frozen(norm3):
     assert ag.compose(eps, sq).is_identity  # order exactly 3
     assert ag._has_order(eps, 3)
     assert not ag._has_order(eps, 1) and not ag._has_order(eps, 6)
-    assert ag.is_automorphism(eps, C3N)
+    assert is_automorphism(eps, C3N)
 
 
 def _s4_order_histogram():

@@ -210,7 +210,7 @@ def test_verify_accepts_every_section_that_all_runs(capsys):
 
 
 def test_aut_builds_no_torsion_model(monkeypatch, capsys):
-    # rho is transported on the curve alone
+    # rho is read off the curve's modulus and gamma alone
     def refuse(self, *args):
         raise AssertionError("aut built a CycModel")
     monkeypatch.setattr(cli.CycModel, "__init__", refuse)

@@ -95,6 +95,20 @@ def test_every_private_helper_is_referenced():
             if read[node.name] == _names_read(node)[node.name]] == []
 
 
+def test_every_error_class_is_named_elsewhere():
+    # a CycloffError subclass that no other module names (raises, builds
+    # or catches) is a code that no run can report
+    trees = _package_trees()
+    errors = trees.pop("errors.py")
+    classes = [node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "CycloffError"
+                       for b in node.bases)]
+    read = _names_read(*trees.values())
+    assert classes
+    assert [name for name in classes if not read[name]] == []
+
+
 def test_one_square_and_multiply_loop():
     # every power goes through gf.power, so its e >>= 1 is the only one; a
     # second would be a new copy of the loop
