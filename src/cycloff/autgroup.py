@@ -19,15 +19,16 @@ with H = h o mobius, without reducing a product to lowest terms.
 galois_aut writes the Galois automorphism sigma_u: y -> C_u(y) of a residue
 unit u = c0 + c1 T in closed form, v -> ((c0 - a c1) v - c1 b/gamma) /
 (c1 gamma v + c0), y -> (c0 + c1 gamma v) y, and the law certifies it.
-make_rho is sigma_u at the unit-group generator; its order q^2 - 1 is
-certified by powering: rho^N = 1 and rho^(N/r) != 1 for every prime r | N,
-each power by square-and-multiply compose (epsilon's order 3 likewise).
+make_rho is sigma_u at the unit-group generator.
 
+Every order is certified by _order: if a permutes the q+3 ramified places
+with order m, then a^m = (v -> v, y -> c y), as a Mobius map that fixes
+three points is the identity, and a has order m times the order of c.
 compose(a, b) applies b first, then a.  closure never lists the group: it
-closes the generators' permutations of the q+3 ramified places, and
-certifies the kernel of that action, the maps y -> c y with c in mu_(q-1),
-by one power of each generator.  The order, membership, stabilizers and the
-q=3 quotient are read from those permutations.  Every Aut passes the law in
+closes the generators' permutations, and the orders of their scalars c
+certify the kernel of that action, the maps y -> c y with c in mu_(q-1).
+The order, membership, orbits, stabilizers and the q=3 quotient are read
+from those permutations.  Every Aut passes the law in
 Aut.__init__, but the law, h o mobius included, is evaluated once per
 scalar class (curve, Mobius part, f up to a constant; see `_law_scalar`),
 and the action on a ramified place once per (Mobius part, place) pair; the
@@ -175,7 +176,7 @@ class Aut:
     def __eq__(self, other):
         if not isinstance(other, Aut):
             return NotImplemented
-        return self._key == other._key
+        return self.curve is other.curve and self._key == other._key
 
     def __hash__(self):
         return hash(self._key)
@@ -209,13 +210,20 @@ def compose(a, b):
     return Aut(curve, mob, fc * a.f)
 
 
-def _has_order(a, n):
-    """Is the order of a exactly n?  a^n = 1 and a^(n/r) != 1 for every
-    prime r | n; a handful of powerings instead of n steps."""
-    if not gf.power(a, n, compose, None).is_identity:
-        return False
-    return not any(gf.power(a, n // r, compose, None).is_identity
-                   for r in gf.factorize(n))
+def _order(a):
+    """(m, k): m is the order of a's permutation of the ramified places and
+    k the order of c in a^m = (v -> v, y -> c y), which is checked on the
+    one power computed; a has order m k (see the module docstring)."""
+    perm = _permutation(a, ramified_places(a.curve))
+    ident = tuple(range(len(perm)))
+    acc, m = perm, 1
+    while acc != ident:
+        acc, m = tuple(perm[i] for i in acc), m + 1
+    am = gf.power(a, m, compose, None)
+    if am._key[0] != (1, 0, 0, 1) or not am.f.is_constant():
+        raise CertificateFailed(
+            f"a power fixes every ramified place but is {am}")
+    return m, am.f.num.coeff(0).order()
 
 
 # -- the concrete generators ------------------------------------------------
@@ -243,12 +251,13 @@ def galois_aut(curve, u):
 
 
 def make_rho(curve):
-    """sigma_u at the unit-group generator u, certified to have order
-    q^2 - 1 and to fix both quadratic places."""
+    """sigma_u at the unit-group generator u, certified by _order to have
+    order q^2 - 1, and to fix both quadratic places."""
     rho = galois_aut(curve, curve.modulus.unit_group_generator())
     q = curve.q
-    if not _has_order(rho, q * q - 1):
-        raise WrongOrder(f"rho does not have order {q * q - 1}")
+    m, k = _order(rho)
+    if m * k != q * q - 1:
+        raise WrongOrder(f"rho has order {m * k}, not {q * q - 1}")
     for pl in ramified_places(curve):
         if isinstance(pl, RamQuadratic) and act_on_place(rho, pl) != pl:
             raise CertificateFailed(f"rho moves the quadratic place {pl}")
@@ -268,13 +277,12 @@ def make_mu(curve):
     mu = Aut(curve, (-ext.one, -gf.embed(shift, ext), ext.zero, ext.one),
              lam)
     # mu^2 fixes v and rescales y by a generator of the scaling subgroup
-    sq = compose(mu, mu)
-    if not sq.f.is_constant():
+    m, k = _order(mu)
+    if m != 2:
         raise CertificateFailed("mu^2 is not a constant rescaling of y")
-    scale_order = sq.f.num.coeff(0).order()
-    if scale_order != q - 1:
-        raise WrongOrder(f"mu^2 rescales y by an element of order "
-                         f"{scale_order}, expected {q - 1}")
+    if k != q - 1:
+        raise WrongOrder(f"mu^2 rescales y by an element of order {k}, "
+                         f"expected {q - 1}")
     return mu
 
 
@@ -285,27 +293,36 @@ def make_omega(curve):
     ext = curve.ext
     shift = curve.modulus.a * curve.gamma.inverse()
     w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1)
-    if not compose(w, w).is_identity:
+    if _order(w) != (2, 1):
         raise WrongOrder("omega is not an involution")
     return w
 
 
 def make_epsilon(curve):
-    """The extra order-3 map of the q=3 model y^2 = (v^2+1)/(v^3-v)."""
+    """The extra order-3 map of a q=3 curve.
+
+    Every q=3 modulus has b = a^2 + 1, so h(v) = h0(w) for w = -gamma v + a
+    and h0 = (v^2+1)/(v^3-v).  On h0 the map eps0 is v -> (-v - i)/(v - i),
+    y -> f0(v) y with i^2 = -1 and f0 = c (v^2 - 1)/(v + i), c = i (1 - i).
+    Here it is w^-1 o eps0 o w, y -> f0(w) y, certified by the law and by
+    _order.
+    """
     if curve.q != 3:
         raise WrongQ("epsilon exists for q = 3 only")
-    ctx = curve.ctx
-    if not (curve.modulus.a.is_zero() and curve.modulus.b == ctx.one
-            and curve.gamma == ctx.elem(2)):
-        raise ValueError("epsilon needs the model y^2 = (v^2+1)/(v^3-v)")
     ext = curve.ext
     i = min((e for e in ext.iter_elements() if e * e == -ext.one),
             key=lambda e: e.to_int())
     c = i * (ext.one - i)
-    num = Poly(ext, (-c, ext.zero, c))
-    den = Poly(ext, (i, ext.one))
-    eps = Aut(curve, (-ext.one, -i, ext.one, -i), RatFunc(num, den))
-    if not _has_order(eps, 3):
+    f0 = RatFunc(Poly(ext, (-c, ext.zero, c)), Poly(ext, (i, ext.one)))
+    g = gf.embed(curve.gamma, ext)
+    a = gf.embed(curve.modulus.a, ext)
+    # W^-1 E0 W for E0 = [[-1, -i], [1, -i]], W = [[-g, a], [0, 1]] and
+    # W^-1 = [[1, -a], [0, -g]] up to a scalar
+    mob = (g + a * g, -a - i - a * a + a * i, g * g, g * i - g * a)
+    f = f0.compose_fractional(Poly(ext, (a, -g)), Poly.one(ext))
+    eps = Aut(curve, mob, f)
+    m, k = _order(eps)
+    if m * k != 3:
         raise WrongOrder("epsilon does not have order 3")
     return eps
 
@@ -363,9 +380,9 @@ def closure(gens):
     v -> v, y -> c y, and the law gives c^(q-1) = 1: it is a subgroup of
     mu_(q-1).  The image is the closure of the generators' permutations,
     at most (q+3)(q+2)(q+1) of them by sharp 3-transitivity.  For each
-    generator g, with a permutation of order m, g^m lies in the kernel;
-    the orders of those scalars must reach q-1, so the kernel is all of
-    mu_(q-1) and the order is exactly (q-1) times the size of the image.
+    generator g, _order gives the scalar g^m in the kernel; the lcm of
+    their orders must reach q-1, so the kernel is all of mu_(q-1) and the
+    order is exactly (q-1) times the size of the image.
     """
     gens = tuple(gens)
     if not gens:
@@ -385,16 +402,7 @@ def closure(gens):
             if z not in seen:
                 seen.add(z)
                 found.append(z)
-    kernel = 1
-    for g, perm in zip(gens, moves):
-        acc, m = perm, 1  # m: the order of g's permutation
-        while acc != ident:
-            acc, m = tuple(perm[i] for i in acc), m + 1
-        gm = gf.power(g, m, compose, None)
-        if gm._key[0] != (1, 0, 0, 1) or not gm.f.is_constant():
-            raise CertificateFailed(
-                f"a generator power fixes every ramified place but is {gm}")
-        kernel = lcm(kernel, gm.f.num.coeff(0).order())
+    kernel = lcm(*(_order(g)[1] for g in gens))
     if kernel != curve.q - 1:
         raise CertificateFailed(
             f"the generators reach a kernel of order {kernel}, "
@@ -442,25 +450,16 @@ def _place_image(curve, mobius, place):
 
 
 def orbits(table):
-    """Partition of the ramified places under the table's group."""
+    """Partition of the ramified places under the table's permutations."""
     out = []
     seen = set()
-    for start in ramified_places(table.curve):
-        if start in seen:
+    for i in range(len(table.places)):
+        if i in seen:
             continue
-        orb = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for pl in frontier:
-                for g in table.generators:
-                    img = act_on_place(g, pl)
-                    if img not in orb:
-                        orb.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orb = {p[i] for p in table.perms}
         seen |= orb
-        out.append(tuple(sorted(orb, key=_place_key)))
+        out.append(tuple(sorted((table.places[j] for j in orb),
+                                key=_place_key)))
     return tuple(out)
 
 
@@ -520,16 +519,11 @@ def group_report(curve):
     else:
         gens.append(make_mu(curve))
     if curve.q == 3:
-        try:
-            gens.append(make_epsilon(curve))
-        except ValueError:
-            pass  # only the normalized model carries epsilon
+        gens.append(make_epsilon(curve))
     table = closure(gens)
     orbs = orbits(table)
     stabs = {str(pl): stabilizer(table, pl) for pl in table.places}
-    q3 = None
-    if curve.q == 3 and table.order == 48:
-        q3 = quotient_is_pgl23(table)
+    q3 = quotient_is_pgl23(table) if curve.q == 3 else None
     return {
         "generators": [str(g) for g in gens],
         "order": table.order,

@@ -185,7 +185,7 @@ def test_mu_square_generates_the_scaling_subgroup(mu5):
     assert sq.f.is_constant()
     xi = sq.f.num.coeff(0)
     assert xi.order() == 4  # primitive (q-1)-th root of unity
-    assert ag._has_order(mu5, 2 * (C5.q - 1))
+    assert ag._order(mu5) == (2, C5.q - 1)
 
 
 def test_omega_q4_involution():
@@ -203,8 +203,17 @@ def test_characteristic_and_q_guards():
         ag.make_omega(C3)
     with pytest.raises(WrongQ):
         ag.make_epsilon(C5)
-    with pytest.raises(ValueError):
-        ag.make_epsilon(C3)  # gamma = 1 is not the normalized model
+    # gamma = 1 is not the normalized model, and epsilon lives there too
+    assert ag._order(ag.make_epsilon(C3)) == (3, 1)
+
+
+def test_aut_equality_keys_on_the_curve():
+    # the identities of two curves share their canonical data, yet they are
+    # maps of different function fields
+    ids = [identity(curve) for curve in (C3, C5, C5B)]
+    assert ids[1]._key == ids[2]._key
+    assert len(set(ids)) == 3
+    assert ids[1] != ids[2] and ids[1] == identity(C5)
 
 
 # -- the Galois action in closed form ---------------------------------------
@@ -286,24 +295,25 @@ def test_galois_action_is_a_homomorphism(curve):
 def test_rho_order_exactly_q2_minus_1(curve):
     rho = ag.make_rho(curve)
     n = curve.q ** 2 - 1
-    # the exact order: each n/r for a prime r | n and the multiple 2n
-    # are rejected
-    assert ag._has_order(rho, n)
+    m, k = ag._order(rho)
+    assert m * k == n
+    # the exact order by powering: rho^n = 1 and rho^(n/r) != 1 for each
+    # prime r | n
+    assert gf_power(rho, n, ag.compose, None).is_identity
     for r in (2, 3, 5):
         if n % r == 0:
-            assert not ag._has_order(rho, n // r)
-    assert not ag._has_order(rho, 2 * n)
+            assert not gf_power(rho, n // r, ag.compose, None).is_identity
 
 
 def test_order_certificate_matches_a_linear_walk():
-    # the exact order by brute force agrees with the powering certificate
+    # the exact order by brute force agrees with the order certificate
     for a, n in ((ag.make_rho(C3), 8), (ag.make_mu(C5), 8)):
         acc, m = a, 1
         while not acc.is_identity:
             acc, m = ag.compose(a, acc), m + 1
         assert m == n
-        assert ag._has_order(a, n)
-        assert not any(ag._has_order(a, d) for d in range(1, n))
+        perm_order, k = ag._order(a)
+        assert perm_order * k == n
 
 
 @pytest.mark.parametrize("curve", [C3, C5])
@@ -425,9 +435,30 @@ def test_stabilizer_guards(group5):
 
 
 def test_make_rho_order_check_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(ag, "_has_order", lambda a, n: False)
+    # epsilon and omega read the same certificate
+    monkeypatch.setattr(ag, "_order", lambda a: (1, 1))
     with pytest.raises(WrongOrder):
         ag.make_rho(C3)
+    with pytest.raises(WrongOrder):
+        ag.make_epsilon(C3)
+    with pytest.raises(WrongOrder):
+        ag.make_omega(C4)
+
+
+def test_a_shorter_place_cycle_fails_the_order_certificate(monkeypatch):
+    # the square of rho's permutation has half its order at odd q; rho to
+    # that power moves v, so it is no rescaling of y and the certificate
+    # refuses it rather than report a smaller order
+    real = ag._permutation
+    monkeypatch.setattr(ag, "_permutation", lambda a, places: tuple(
+        p[i] for p in [real(a, places)] for i in p))
+    for curve in (C3, C5B, C9):
+        with pytest.raises(CertificateFailed, match="fixes every ramified"):
+            ag.make_rho(curve)
+    # mu's 2-cycles square to the identity; mu itself rescales y by a
+    # constant, so only its Mobius part shows that it is no kernel element
+    with pytest.raises(CertificateFailed, match="fixes every ramified"):
+        ag.make_mu(C5)
 
 
 def test_a_generator_of_lower_order_fails_make_rho(monkeypatch):
@@ -704,9 +735,9 @@ def _chain(e):
 
 
 def test_group_report_composes_only_certificate_powers(monkeypatch):
-    # q=9, M = T^2+g+1: make_rho's order powers rho^N and rho^(N/r) for
-    # N = 80, make_mu's square, and one power per generator in closure
-    # (rho^(q+1) and mu^2, the orders of their permutations)
+    # q=9, M = T^2+g+1: _order powers each generator once to the order of
+    # its permutation (rho^(q+1), mu^2), in make_rho and make_mu and again
+    # for the kernel in closure
     curve = KummerCurve(F9.zero, F9.generator + F9.one, F9.one)
     counts = {"compose": 0, "Aut": 0}
     real_compose, real_init = ag.compose, ag.Aut.__init__
@@ -723,10 +754,9 @@ def test_group_report_composes_only_certificate_powers(monkeypatch):
     monkeypatch.setattr(ag.Aut, "__init__", counted_init)
     rep = ag.group_report(curve)
     assert rep["order"] == 160
-    n, q = 9 * 9 - 1, 9
-    bound = (_chain(n) + sum(_chain(n // r) for r in (2, 5))
-             + 1 + _chain(q + 1) + _chain(2))
-    assert counts["compose"] <= bound == 23
+    q = 9
+    bound = 2 * (_chain(q + 1) + _chain(2))
+    assert counts["compose"] <= bound == 10
     # one Aut per product, and rho and mu themselves
     assert counts["Aut"] <= bound + 2
 
@@ -748,7 +778,7 @@ def test_closure_agrees_with_the_oracle(q):
         gens = [ag.make_rho(curve)]
         gens.append(ag.make_omega(curve) if ctx.p == 2
                     else ag.make_mu(curve))
-        if q == 3 and a.is_zero() and b == ctx.one and gamma == ctx.elem(2):
+        if q == 3:
             gens.append(ag.make_epsilon(curve))
         table = ag.closure(gens)
         elems = aut_closure(gens)
@@ -776,9 +806,24 @@ def test_epsilon_frozen(norm3):
     sq = ag.compose(eps, eps)
     assert not sq.is_identity
     assert ag.compose(eps, sq).is_identity  # order exactly 3
-    assert ag._has_order(eps, 3)
-    assert not ag._has_order(eps, 1) and not ag._has_order(eps, 6)
+    assert ag._order(eps) == (3, 1)
     assert is_automorphism(eps, C3N)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("gamma", [1, 2])
+def test_epsilon_on_every_q3_model(a, b, gamma):
+    # b = a^2 + 1 at q = 3, so h(v) = h0(-gamma v + a) for the normalized
+    # h0 = (v^2+1)/(v^3-v), and each model carries the order-48 group
+    curve = KummerCurve(F3.elem(a), F3.elem(b), F3.elem(gamma))
+    w = (Poly(F3, (F3.elem(a), -F3.elem(gamma))), Poly.one(F3))
+    assert C3N.h.compose_fractional(*w) == curve.h
+    eps = ag.make_epsilon(curve)
+    assert is_automorphism(eps, curve)
+    assert ag._order(eps) == (3, 1)
+    rep = ag.group_report(curve)
+    assert rep["order"] == 48 and rep["q3_pgl23"] is True
+    assert rep["generators"][2] == str(eps)
 
 
 def _s4_order_histogram():
@@ -870,10 +915,12 @@ def test_group_report_q5():
 
 
 def test_group_report_q3_plain_model():
+    # the gamma = 1 model carries epsilon too: the whole group, as on C3N
     rep = ag.group_report(C3)
-    assert rep["order"] == 16
-    assert rep["q3_pgl23"] is None
-    assert len(rep["generators"]) == 2
+    assert rep["order"] == 48
+    assert rep["q3_pgl23"] is True
+    assert len(rep["generators"]) == 3
+    assert rep["orbit_sizes"] == [6]
 
 
 def test_cyclic_part_fits_the_abelian_bound():

@@ -189,13 +189,15 @@ def test_verify_aut_q5(capsys):
 
 def test_verify_aut_q3_untwisted_model(capsys):
     # gamma = 1 pins the plain model; it is isomorphic to the gamma = 2
-    # model and has the order-48 group too, but make_epsilon constructs
-    # epsilon only at gamma = 2, so the closure stops at the two generators
+    # model, and make_epsilon carries epsilon to it, so the closure reaches
+    # the order-48 group there too
     code, doc = _run_json(["verify", "-q", "3", "-M", "T^2+1",
                            "--gamma", "1", "aut"], capsys)
     assert code == 0
-    assert doc["aut_order"] == 16 == 2 * (3 ** 2 - 1)
-    assert "quotient" not in doc
+    assert doc["aut_order"] == 48 == 6 * (3 ** 2 - 1)
+    assert doc["quotient"] == "PGL(2,3)"
+    assert doc["paper_claims"] == {"aut_order_matches": True,
+                                   "aut_quotient_pgl23": True}
 
 
 def test_verify_accepts_every_section_that_all_runs(capsys):

@@ -123,6 +123,27 @@ def test_one_square_and_multiply_loop():
     assert mod == "gf.py" and power.lineno <= line <= power.end_lineno
 
 
+def test_automorphisms_are_powered_only_in_the_order_certificate():
+    # every order of an automorphism comes from autgroup._order; a second
+    # gf.power over compose would be a second order certificate
+    sites = []
+    for mod, tree in _package_trees().items():
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "power"
+                    and any(isinstance(arg, ast.Name) and arg.id == "compose"
+                            for arg in node.args)):
+                continue
+            owner = max((d for d in defs
+                         if d.lineno <= node.lineno <= d.end_lineno),
+                        key=lambda d: d.lineno)
+            sites.append(f"{mod}:{owner.name}")
+    assert sites == ["autgroup.py:_order"]
+
+
 def test_every_traced_name_resolves():
     # perfbench/spans.py patches these names from outside the package, so a
     # rename or deletion must fail here, not later under --trace 1; the file
