@@ -3,7 +3,7 @@
 and pair wins per end-to-end metric.
 
     python3 scripts/bench_pairs.py --parent REV [--change REV]
-        [--workload divisors] [--pairs 10] [--seed 24000]
+        [--workload divisors [verify-sweep ...]] [--pairs 10] [--seed 24000]
 
 Each revision is written with ``git archive`` into ``parent`` and
 ``change`` under one temporary directory, two paths of equal length,
@@ -11,8 +11,11 @@ because ``peak_rss_mb`` moves with the length of the checkout's path.
 Pair i runs ``perfbench/run.py --workload W --seed SEED+i`` once in each
 checkout, at run.py's own fixed run length, the parent first in even pairs
 and the change first in odd ones, so a drift in machine speed over the
-session falls on both sides.  Each run writes its result file into its own
-checkout; this script writes nothing under the repository's
+session falls on both sides.  Several workloads run one after another,
+each with its own pairs and seeds, against the same two checkouts, and
+each gets its own summary block, so one invocation shows a claimed gain
+beside the rows that must not move.  Each run writes its result file
+into its own checkout; this script writes nothing under the repository's
 ``perfbench/``.  A run whose output differs from the golden files stops
 the script, and each pair prints the failed jobs of both sides, so a
 change with wrong output or more failures cannot show as a gain.  The
@@ -118,44 +121,36 @@ def summarize(runs, metrics):
     return rows
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", required=True, help="git revision")
-    ap.add_argument("--change", default="HEAD", help="git revision")
-    ap.add_argument("--workload", default="divisors")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=24000)
-    args = ap.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
-    tail = load_tail()
+def run_pairs(workload, args, paths, metrics, tail):
+    """(runs, rank keys) of ``args.pairs`` alternating pairs of one
+    workload, printing one line per pair."""
     rank_keys = {(side, rank): collections.Counter()
                  for side in SIDES for rank in RANKS}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        paths = {side: os.path.join(tmp, side) for side in SIDES}
-        for side, rev in zip(SIDES, (args.parent, args.change)):
-            checkout(rev, paths[side])
-        runs = {side: [] for side in SIDES}
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            failed, keys = {}, {}
-            for side in order:
-                failed[side], metrics_i, keys[side] = run_once(
-                    paths[side], args.workload, args.seed + i, tail)
-                runs[side].append(metrics_i)
-                for rank in RANKS:
-                    rank_keys[side, rank].update(keys[side][rank])
-            print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, "
-                  f"{order[0]} first): failed {failed['parent']} -> "
-                  f"{failed['change']}  " + "  ".join(
-                      f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
-                      f"{runs['change'][-1][m['name']]:.4g}"
-                      for m in metrics) + "".join(
-                      f"  {rank} keys {','.join(keys['parent'][rank])} -> "
-                      f"{','.join(keys['change'][rank])}" for rank in RANKS),
-                  flush=True)
+    runs = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        failed, keys = {}, {}
+        for side in order:
+            failed[side], metrics_i, keys[side] = run_once(
+                paths[side], workload, args.seed + i, tail)
+            runs[side].append(metrics_i)
+            for rank in RANKS:
+                rank_keys[side, rank].update(keys[side][rank])
+        print(f"{workload} pair {i + 1}/{args.pairs} (seed {args.seed + i}, "
+              f"{order[0]} first): failed {failed['parent']} -> "
+              f"{failed['change']}  " + "  ".join(
+                  f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
+                  f"{runs['change'][-1][m['name']]:.4g}"
+                  for m in metrics) + "".join(
+                  f"  {rank} keys {','.join(keys['parent'][rank])} -> "
+                  f"{','.join(keys['change'][rank])}" for rank in RANKS),
+              flush=True)
+    return runs, rank_keys
+
+
+def print_summary(workload, args, runs, rank_keys, metrics):
     rows = summarize(runs, metrics)
-    print(f"\n{args.workload}: {args.pairs} alternating pairs, parent "
+    print(f"\n{workload}: {args.pairs} alternating pairs, parent "
           f"{args.parent}, change {args.change}, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}")
     print(f"{'metric':12s} {'better':6s} {'parent q1/med/q3':>30s} "
@@ -170,6 +165,27 @@ def main(argv=None):
             print(f"{rank} keys, {side}: " + " ".join(
                 f"{key} x{count}"
                 for key, count in rank_keys[side, rank].most_common()))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision")
+    ap.add_argument("--change", default="HEAD", help="git revision")
+    ap.add_argument("--workload", nargs="+", default=["divisors"])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=24000)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    tail = load_tail()
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        paths = {side: os.path.join(tmp, side) for side in SIDES}
+        for side, rev in zip(SIDES, (args.parent, args.change)):
+            checkout(rev, paths[side])
+        results = [(w, *run_pairs(w, args, paths, metrics, tail))
+                   for w in args.workload]
+    for workload, runs, rank_keys in results:
+        print_summary(workload, args, runs, rank_keys, metrics)
     return 0
 
 

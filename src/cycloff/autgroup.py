@@ -24,9 +24,11 @@ make_rho is sigma_u at the unit-group generator.
 Every order is certified by _order: if a permutes the q+3 ramified places
 with order m, then a^m = (v -> v, y -> c y), as a Mobius map that fixes
 three points is the identity, and a has order m times the order of c.
-compose(a, b) applies b first, then a.  closure never lists the group: it
-closes the generators' permutations, and the orders of their scalars c
-certify the kernel of that action, the maps y -> c y with c in mu_(q-1).
+Each make_* generator keeps the (m, k) it was certified with, and closure
+reads it rather than powering again.  compose(a, b) applies b first, then
+a.  closure never lists the group: it closes the generators'
+permutations, and the orders of their scalars c certify the kernel of
+that action, the maps y -> c y with c in mu_(q-1).
 The order, membership, orbits, stabilizers and the q=3 quotient are read
 from those permutations.  Every Aut passes the law in
 Aut.__init__, but the law, h o mobius included, is evaluated once per
@@ -131,9 +133,11 @@ class Aut:
     quadratic pair, so m permutes the q+3 branch points, at least q-1 of
     the rational ones land on rational ones, and k = 1 mod q-1; at q = 3
     the range 1..q-2 holds only 1 anyway.  So k is always 1 and not stored.
+    ``order_cert`` is the (m, k) that a make_* function certified, kept
+    for `closure`; None otherwise.
     """
 
-    __slots__ = ("curve", "mobius", "f", "_key")
+    __slots__ = ("curve", "mobius", "f", "_key", "order_cert")
 
     def __init__(self, curve, mobius, f):
         ext = curve.ext
@@ -155,6 +159,7 @@ class Aut:
         self._key = (tuple(x.to_int() for x in entries),
                      tuple(c.to_int() for c in fe.num.coeffs),
                      tuple(c.to_int() for c in fe.den.coeffs))
+        self.order_cert = None
         if not self._satisfies_law(curve):
             raise CertificateFailed("map violates f^(q-1) * h = h o mobius")
 
@@ -226,6 +231,12 @@ def _order(a):
     return m, am.f.num.coeff(0).order()
 
 
+def _certify(a):
+    """_order(a), kept on a as its ``order_cert``."""
+    a.order_cert = _order(a)
+    return a.order_cert
+
+
 # -- the concrete generators ------------------------------------------------
 
 
@@ -255,7 +266,7 @@ def make_rho(curve):
     order q^2 - 1, and to fix both quadratic places."""
     rho = galois_aut(curve, curve.modulus.unit_group_generator())
     q = curve.q
-    m, k = _order(rho)
+    m, k = _certify(rho)
     if m * k != q * q - 1:
         raise WrongOrder(f"rho has order {m * k}, not {q * q - 1}")
     for pl in ramified_places(curve):
@@ -265,19 +276,18 @@ def make_rho(curve):
 
 
 def make_mu(curve):
-    """The odd-characteristic involution-like flip v -> -v - a/gamma."""
+    """The odd-characteristic involution-like flip v -> -v - a/gamma,
+    y -> lambda y; Aut's law certifies lambda^(q-1) = -1."""
     if curve.ctx.p == 2:
         raise WrongCharacteristic("mu needs odd characteristic")
     q = curve.q
     ext = curve.ext
     lam = ext.generator ** ((q + 1) // 2)
-    if lam ** (q - 1) != -ext.one:
-        raise CertificateFailed("lambda^(q-1) is not -1")
     shift = curve.modulus.a * curve.gamma.inverse()
     mu = Aut(curve, (-ext.one, -gf.embed(shift, ext), ext.zero, ext.one),
              lam)
     # mu^2 fixes v and rescales y by a generator of the scaling subgroup
-    m, k = _order(mu)
+    m, k = _certify(mu)
     if m != 2:
         raise CertificateFailed("mu^2 is not a constant rescaling of y")
     if k != q - 1:
@@ -293,7 +303,7 @@ def make_omega(curve):
     ext = curve.ext
     shift = curve.modulus.a * curve.gamma.inverse()
     w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1)
-    if _order(w) != (2, 1):
+    if _certify(w) != (2, 1):
         raise WrongOrder("omega is not an involution")
     return w
 
@@ -321,7 +331,7 @@ def make_epsilon(curve):
     mob = (g + a * g, -a - i - a * a + a * i, g * g, g * i - g * a)
     f = f0.compose_fractional(Poly(ext, (a, -g)), Poly.one(ext))
     eps = Aut(curve, mob, f)
-    m, k = _order(eps)
+    m, k = _certify(eps)
     if m * k != 3:
         raise WrongOrder("epsilon does not have order 3")
     return eps
@@ -382,7 +392,8 @@ def closure(gens):
     at most (q+3)(q+2)(q+1) of them by sharp 3-transitivity.  For each
     generator g, _order gives the scalar g^m in the kernel; the lcm of
     their orders must reach q-1, so the kernel is all of mu_(q-1) and the
-    order is exactly (q-1) times the size of the image.
+    order is exactly (q-1) times the size of the image.  A generator
+    that carries its ``order_cert`` is not powered again.
     """
     gens = tuple(gens)
     if not gens:
@@ -402,7 +413,7 @@ def closure(gens):
             if z not in seen:
                 seen.add(z)
                 found.append(z)
-    kernel = lcm(*(_order(g)[1] for g in gens))
+    kernel = lcm(*((g.order_cert or _order(g))[1] for g in gens))
     if kernel != curve.q - 1:
         raise CertificateFailed(
             f"the generators reach a kernel of order {kernel}, "

@@ -11,9 +11,9 @@ GF(q)(x)[y]/(P) with
 
 and y * P(y) = C_M(y).  P is Eisenstein at M, which CycModel checks, so
 the quotient is a field.  CycModel is the polyalg.QuotientAlgebra with that
-trinomial relation: elements are dense RatFunc vectors in the basis
-1, y, ..., y^(q^2-2), and products and q-th powers fold exponent overflow
-with
+trinomial relation: elements are exponent-list coordinates in the basis
+1, y, ..., y^(q^2-2) over one denominator, and products and q-th powers
+fold exponent overflow with
 
     y^e = -(x^q+x+a) y^(e-(q^2-1)+(q-1)) - (x^2+ax+b) y^(e-(q^2-1)).
 

@@ -63,8 +63,7 @@ class KummerAlgebra(QuotientAlgebra):
     def galois_image(self, k):
         """zeta^k y, with zeta = g^((q-1)/n) for the generator g of GF(q)*."""
         ctx = self.ctx
-        zeta = ctx.generator ** ((ctx.order - 1) // self.n * k)
-        return self.from_pairs([(1, RatFunc.constant(zeta))])
+        return self.y().scale(ctx.generator ** ((ctx.order - 1) // self.n * k))
 
     def __repr__(self):
         return f"<algebra Y^{self.n} = {self.h} over {self.ctx.name}(v)>"

@@ -16,7 +16,6 @@ must tell them apart.
 """
 
 import functools
-import operator
 from math import gcd
 
 from . import gf
@@ -34,11 +33,10 @@ from .errors import (
     ZeroElement,
 )
 from .gf import create_field, embed
-from .kummer import KummerAlgebra, KummerCurve
+from .kummer import KummerCurve
 from .polyalg import (
     INFINITY,
     Poly,
-    RatFunc,
     _coprime_part,
     _distinct_degree,
     _exp_mul,
@@ -286,7 +284,7 @@ def _validate_place(curve, P):
 def valuation(e, P):
     """Exact valuation of a nonzero element at a place of its curve."""
     curve = _curve_of(e)
-    if all(r.is_zero() for r in e.coords):
+    if e.is_zero():
         raise ZeroElement("the zero element has no valuation")
     _validate_place(curve, P)
     if not isinstance(P, Generic):
@@ -428,14 +426,13 @@ def _closed_points(curve, f):
     return out
 
 
-def _fiber_norm(curve, d, c):
-    """N = h(c)^((q^d-1)/(q-1)), in GF(q)*, for c in GF(q^d).
+def _fiber_norm(q, d, hc):
+    """N = h(c)^((q^d-1)/(q-1)), in GF(q)*, for hc = h(c), c in GF(q^d).
 
     A root y of Y^(q-1) = h(c) has y^(q^d) = y N, so y^(q^(dj)) = y N^j:
     the fiber over c splits exactly in GF(q^(dj)) for j the order of N.
     """
-    q = curve.q
-    return curve.h(c) ** ((q ** d - 1) // (q - 1))
+    return hc ** ((q ** d - 1) // (q - 1))
 
 
 def _fiber_places(curve, d, c):
@@ -449,13 +446,14 @@ def _fiber_places(curve, d, c):
     at a conjugate point.
     """
     p, n, q = curve.ctx.p, curve.ctx.n, curve.q
-    norm = _fiber_norm(curve, d, c)
+    hc = curve.h(c)
+    norm = _fiber_norm(q, d, hc)
     j = norm.order()
     if p ** (n * d * j) > gf.ORDER_CAP:
         raise GenericPlaceUnsupported(
             f"fiber splitting field GF({q}^{d * j}) exceeds the cap")
     E = create_field(p, n * d * j)
-    roots = E.nth_roots(embed(curve.h(c), E), q - 1)
+    roots = E.nth_roots(embed(hc, E), q - 1)
     if not roots:
         raise CertificateFailed(
             f"Y^{q - 1} = h(c) has no root in {E.name}, where its fiber "
@@ -471,33 +469,31 @@ def _fiber_places(curve, d, c):
     return sorted(out, key=_place_key)
 
 
-def _leading_term(r, c):
-    """(v_c(r), a, b): near c, r = (v - c)^(v_c(r)) u with u(c) = a/b.
-
-    a and b lie in c's field.  A polynomial with no root at c costs one
-    evaluation there; each root is peeled by one exact division by v - c.
-    """
+def _leading_term(f, c):
+    """(v_c(f), a): near c, f = (v - c)^(v_c(f)) u with u(c) = a, for a
+    nonzero polynomial f; a lies in c's field.  With no root at c this
+    costs one evaluation there; each root is peeled by one exact division
+    by v - c."""
     K = c.ctx
     lin = Poly(K, (-c, K.one))
-    out = []
-    for f in (r.num, r.den):
-        g, m = f.embed_into(K), 0
+    g, m = f.embed_into(K), 0
+    value = g(c)
+    while not value:
+        g, m = g // lin, m + 1
         value = g(c)
-        while not value:
-            g, m = g // lin, m + 1
-            value = g(c)
-        out.append((m, value))
-    (mn, a), (md, b) = out
-    return mn - md, a, b
+    return m, value
 
 
 def _tied_fiber(fiber, s0, tied, vn):
-    """(settled, left) over the fiber of a point c where the terms (i, a, b)
-    of ``tied`` all attain s0 = min_i v_c(r_i), with leading coefficient
-    a/b in c's field (`_leading_term`); vn = v_c(N e).
+    """(settled, left) over the fiber of a point c where the terms (i, a)
+    of ``tied`` all attain s0 = min_i v_c(r_i), for r_i = num_i / D and a
+    in c's field the leading coefficient of num_i (`_leading_term`);
+    vn = v_c(N e).
 
-    At P, e = t^s0 (sum_tied (a/b) ys^i + O(t)) for t = v - c: a nonzero
-    sum gives v_P(e) = s0, a zero one v_P(e) > s0.  With j = deg P / deg c
+    At P, e = t^s0 (sum_tied (a/b) ys^i + O(t)) for t = v - c and b the
+    leading coefficient of D, so the sum is zero exactly when
+    sum_tied a ys^i is: a nonzero sum gives v_P(e) = s0, a zero one
+    v_P(e) > s0.  With j = deg P / deg c
     for every P over c, j sum_P v_P(e) = vn (see `divisor`), so a lone
     cancelling place gets vn / j - (k - 1) s0 for k places over c;
     CertificateFailed unless that is an integer above s0.  ``left`` holds
@@ -505,7 +501,7 @@ def _tied_fiber(fiber, s0, tied, vn):
     """
     E = fiber[0].ys.ctx
     # the leading values reach the fiber field through c's field, as c does
-    leads = [(i, embed(a / b, E)) for i, a, b in tied]
+    leads = [(i, embed(a, E)) for i, a in tied]
     settled, left = {}, []
     for P in fiber:
         acc = E.zero
@@ -526,29 +522,29 @@ def _tied_fiber(fiber, s0, tied, vn):
     return settled, left
 
 
-def _ramified_orders(r, points, quad):
-    """(orders, num, den) for a coordinate r: ``orders`` maps an index into
-    the catalog's booked places to v(r) there, for the nonzero orders only:
-    the rational points of ``points`` where r has a zero or a pole,
-    infinity at index q and M's point at index q+1; every other booked
-    place takes its value from `_y_divisor`.  num and den are r's
-    numerator and denominator with each v - a and M divided out, as
-    exponent lists.  v - a is divided only where an evaluation finds a
-    root, until what is left is linear; a linear rest over GF(q) has its
-    one root at log a = log(-c_0 / c_1), which needs no evaluation, and
-    one exact division by v - a, found by `_exp_peel`'s equal-degree test.
-    The order at infinity is a difference of lengths."""
-    ctx, q = r.num.ctx, len(points)
-    top = len(r.den.coeffs) - len(r.num.coeffs)
+def _ramified_orders(num, den, points, quad, ctx):
+    """(orders, num, den) for a coordinate r = num/den, given as exponent
+    lists over ctx and not necessarily in lowest terms: ``orders`` maps an
+    index into the catalog's booked places to v(r) there, for the rational
+    points of ``points`` where num or den has a root, infinity at index q
+    and M's point at index q+1, and may hold zeros; every other booked
+    place takes its value from `_y_divisor`.  The returned num and den have
+    each v - a and M divided out.  v - a is divided only where an
+    evaluation finds a root, until what is left is linear; a linear rest
+    over GF(q) has its one root at log a = log(-c_0 / c_1), which needs no
+    evaluation, and one exact division by v - a, found by `_exp_peel`'s
+    equal-degree test.  The order at infinity is a difference of
+    lengths."""
+    q = len(points)
+    top = len(den) - len(num)
     orders, out = ({q: top} if top else {}), []
-    for f, sign in ((r.num, 1), (r.den, -1)):
-        a = _to_exps(f, ctx)
+    for a, sign in ((num, 1), (den, -1)):
         if len(a) > 2:
             terms = _exp_terms(a)
             for k, (i, lin) in points.items():
                 if _exp_value(terms, k, ctx) is None:
                     m, a = _exp_peel(a, lin, ctx)
-                    orders[i] = sign * m
+                    orders[i] = orders.get(i, 0) + sign * m
                     if len(a) < 3:
                         break
                     terms = _exp_terms(a)
@@ -556,12 +552,12 @@ def _ramified_orders(r, points, quad):
             i, lin = points[None if a[0] is None else
                             (a[0] + ctx._neg_exp - a[1]) % (ctx.order - 1)]
             m, a = _exp_peel(a, lin, ctx)
-            orders[i] = sign * m
+            orders[i] = orders.get(i, 0) + sign * m
         elif len(a) > 2:
             # no rational root is left, so only M can divide
             m, a = _exp_peel(a, quad, ctx)
             if m:
-                orders[q + 1] = sign * m
+                orders[q + 1] = orders.get(q + 1, 0) + sign * m
         out.append(a)
     return orders, *out
 
@@ -577,32 +573,6 @@ def _y_divisor(curve, lo, hi):
             if (v := min(lo * vy, hi * vy))}
 
 
-@functools.lru_cache(maxsize=None)
-def _cleared_algebra(curve):
-    """(A, [hd^k for k < n]) for h = hn/hd: A is GF(q)(v)[Z]/(Z^n - G)
-    with G = hn hd^(n-1), the relation of z = hd y, a polynomial."""
-    pows = [curve.h.den ** k for k in range(curve.q - 1)]
-    return KummerAlgebra(curve.ctx, curve.q - 1, curve.h.num * pows[-1]), pows
-
-
-def _cleared_norm(curve, coords, filled):
-    """(N, D) for e = sum r_i y^i: D is the product of the distinct
-    denominators of the filled coordinates, and N the norm of the cleared
-    element sum b_i z^i in `_cleared_algebra`, b_i = r_i D hd^(n-1-i), so
-    that e = sum b_i z^i / (D hd^(n-1)) and N(e) = N / (D hd^(n-1))^n.
-    Every coordinate and the relation are polynomials, so the norm's
-    products and sums take no gcd; a factor D / den_i or hd^(n-1-i) that
-    is 1 is not multiplied in."""
-    alg, pows = _cleared_algebra(curve)
-    D = functools.reduce(operator.mul, {coords[i].den for i in filled})
-    pairs = []
-    for i in filled:
-        r, hd = coords[i], pows[alg.n - 1 - i]
-        b = r.num if r.den == D else r.num * (D // r.den)
-        pairs.append((i, RatFunc.from_poly(b * hd if hd.degree else b)))
-    return alg.from_pairs(pairs).norm().num, D
-
-
 def divisor(e):
     """Principal divisor of a nonzero element, booked on closed points.
 
@@ -610,13 +580,15 @@ def divisor(e):
     totally ramified and v_P(y) = v(h) = -1, q-2 or +1, prime to q-1, so
     the values v_P(r_i y^i) = (q-1) v(r_i) + i v(h) differ for distinct i
     and v_P(e) is their minimum (Stichtenoth, *Algebraic Function Fields
-    and Codes*, Prop. 3.7.3).  One peel of each filled coordinate's
-    numerator and denominator against the curve's `_catalog` gives its
-    nonzero orders v(r_i) only (`_ramified_orders`).  At a place where no
-    coordinate has one the minimum is min_i i v_P(y), read from the
-    curve's `_y_divisor` for the least and greatest filled exponents; each
-    place where some coordinate has one is set to the minimum over all
-    terms, and dropped where that is 0.  So a one-term element r y^i is
+    and Codes*, Prop. 3.7.3).  e is read in its native form, numerators
+    num_i over one denominator D, so v(r_i) = v(num_i) - v(D), and one
+    peel of each filled numerator and of D against the curve's `_catalog`
+    gives the orders at the places where either has a root
+    (`_ramified_orders`).  At a place where neither has one the minimum is
+    min_i i v_P(y), read from the curve's `_y_divisor` for the least and
+    greatest filled exponents; each place where some coordinate has an
+    order is set to the minimum over all terms, and dropped where that is
+    0.  So a one-term element r y^i is
     booked as (q-1) div(r) + i div(y) on these places.
 
     Unramified places.  A closed point c carries support only if it is a
@@ -625,15 +597,11 @@ def divisor(e):
     by `_closed_points`.  A one-term element r y^i has
     N(e) = r^(q-1) N(y)^i with N(y) = +-h a unit off the ramified locus,
     so its support is what the peel leaves of r, and a constant rest
-    splits nothing.  For more terms the norm is taken of the cleared
-    element (`_cleared_norm`): with h = hn/hd and z = hd y, z^n =
-    hn hd^(n-1) is a polynomial and e = sum b_i z^i / (D hd^(n-1)) for
-    polynomials b_i and D the product of the distinct coordinate
-    denominators, so N(e) = N / (D hd^(n-1))^n for the norm N of
-    sum b_i z^i, found with no gcd.  The support is N D, and off the
-    ramified locus, where hd is a unit, v_c(N e) = v_c(N) - n v_c(D);
-    v_c(D) is 0 there unless some coordinate's peeled denominator is
-    non-constant.
+    splits nothing.  For more terms the norm N(e) = N / D_N comes from the
+    native form with no gcd (`QuotientElem.norm_exps`): D_N is D^n times a
+    power of h's denominator, a unit off the ramified locus, so the support
+    is N times D's peeled rest, and v_c(N e) = v_c(N) - v_c(D_N) is v_c(N)
+    unless that rest is non-constant.
     At a place P over c, y is a unit (h has no zero or
     pole there) and e(P|c) = 1, so v_P(r_i y^i) = v_c(r_i) and
     v_P(e) >= min_i v_c(r_i): a pole of e needs a coordinate pole.  If no
@@ -641,8 +609,9 @@ def divisor(e):
     v_c(N e) = sum_{P|c} f(P|c) v_P(e) (Stichtenoth, ch. 3) is positive
     once one v_P(e) is.  The same formula makes v_c(N e) < 0 force a
     coordinate pole, so neither the coordinate numerators nor the
-    denominator of N(e) can add a point.  Each coordinate's order and
-    leading coefficient at c come from `_leading_term`.  When one term
+    denominator of N(e) can add a point.  Each numerator's order and
+    leading coefficient at c come from `_leading_term`, and so does D's
+    order where its peeled rest is non-constant.  When one term
     alone attains min_i v_c(r_i), that minimum is v_P(e) by the strict
     triangle inequality.  A tied minimum is settled by `_tied_fiber` from
     the leading terms and v_c(N e); only two or more cancelling places of
@@ -653,29 +622,30 @@ def divisor(e):
     CertificateFailed.
     """
     curve = _curve_of(e)
-    coords = e.coords
-    filled = [i for i, r in enumerate(coords) if r]
+    ctx, nums, den = curve.ctx, e.nums, e.den
+    filled = [i for i, a in enumerate(nums) if a]
     if not filled:
         raise ZeroElement("the zero element has no divisor")
     _, booked, vys, points, quad, _, _ = _catalog(curve)
     n = curve.q - 1
-    peeled = [(i, *_ramified_orders(coords[i], points, quad)) for i in filled]
+    peeled = [(i, *_ramified_orders(nums[i], den, points, quad, ctx))
+              for i in filled]
+    # D has a root off the ramified locus only where its peeled rest does,
+    # and the norm's denominator D_N has no others there
+    poles = len(peeled[0][-1]) > 1
     coeffs = dict(_y_divisor(curve, filled[0], filled[-1]))
     if len(filled) == 1:
-        (i, orders, num, den), = peeled
+        (i, orders, num, rest), = peeled
         spots = ((j, n * x + i * vys[j]) for j, x in orders.items())
         # a constant rest, the common case, splits nothing
-        support = (None if len(num) + len(den) < 3
-                   else _from_exps(curve.ctx, _exp_mul(num, den, curve.ctx)))
+        support = (None if len(num) + len(rest) < 3
+                   else _from_exps(ctx, _exp_mul(num, rest, ctx)))
     else:
         spots = ((j, min(n * o.get(j, 0) + i * vys[j]
                          for i, o, _, _ in peeled))
                  for j in {j for _, o, _, _ in peeled for j in o})
-        norm, cleared = _cleared_norm(curve, coords, filled)
-        support = norm * cleared
-        # D has a root off the ramified locus only where a peeled
-        # denominator rest does
-        poles = any(len(den) > 1 for *_, den in peeled)
+        norm, norm_den = e.norm_exps()
+        support = _from_exps(ctx, _exp_mul(norm, peeled[0][-1], ctx))
     for j, c in spots:
         if c:
             coeffs[booked[j]] = c
@@ -684,16 +654,18 @@ def divisor(e):
     for d, c in (() if support is None or support.is_constant()
                  else _closed_points(curve, support)):
         fiber = _fiber_places(curve, d, c)
-        terms = {i: _leading_term(coords[i], c) for i in filled}
-        s0 = min(o for o, _, _ in terms.values())
-        tied = [(i, a, b) for i, (o, a, b) in terms.items() if o == s0]
+        # off the ramified locus D has a root only where its rest does
+        md = _leading_term(_from_exps(ctx, den), c)[0] if poles else 0
+        terms = {i: _leading_term(_from_exps(ctx, nums[i]), c)
+                 for i in filled}
+        s0 = min(o for o, _ in terms.values()) - md
+        tied = [(i, a) for i, (o, a) in terms.items() if o - md == s0]
         if len(tied) == 1:
             for P in fiber:
                 coeffs[P] = s0
             continue
-        # off the ramified locus hd is a unit
-        vn = root_multiplicity(norm, c) - (
-            n * root_multiplicity(cleared, c) if poles else 0)
+        vn = root_multiplicity(_from_exps(ctx, norm), c) - (
+            root_multiplicity(_from_exps(ctx, norm_den), c) if poles else 0)
         settled, left = _tied_fiber(fiber, s0, tied, vn)
         for P in left:
             settled[P] = valuation(e, P)
@@ -759,24 +731,12 @@ def lspace_check(elems, D):
     ctx = curve.ctx
     den = Poly.one(ctx)
     for e in elems:
-        for r in e.coords:
-            g = poly_gcd(den, r.den)
-            den = den * (r.den // g)
-    rows = []
-    width = 0
-    for e in elems:
-        row = []
-        for r in e.coords:
-            cleared = r.num * (den // r.den)
-            row.append(cleared)
-            width = max(width, cleared.degree + 1)
-        rows.append(row)
-    flat = []
-    for row in rows:
-        vec = []
-        for poly in row:
-            vec.extend(poly.coeff(i) for i in range(width))
-        flat.append(vec)
+        d = _from_exps(ctx, e.den)
+        den = den * (d // poly_gcd(den, d))
+    rows = [[_from_exps(ctx, a) * (den // _from_exps(ctx, e.den))
+             for a in e.nums] for e in elems]
+    width = max(len(f.coeffs) for row in rows for f in row)
+    flat = [[f.coeff(i) for f in row for i in range(width)] for row in rows]
     independent = _gf_rank(flat, ctx) == len(elems)
     return LSpaceReport(tuple(members), independent, tuple(divisors_))
 

@@ -47,14 +47,17 @@ products, reduction to lowest terms and Mobius substitution
 product of two with denominator 1 takes no gcd.  gf finds each field's
 modulus with the distinct-degree kernel here, over GF(p).
 
-QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y, with
-dense RatFunc coordinate vectors as elements.  The torsion field
-(carlitz.CycModel) and the Kummer algebras (kummer.KummerAlgebra) are its
-two instances.  Each is Galois over GF(q)(T) with a cyclic group of order
-n, and supplies its relation and the image of Y under a generator sigma.
-Norms are products of the n conjugates, taken one prime-order subgroup at
-a time; the inverse is the cofactor of that product over the norm, so no
-extended Euclid runs over GF(q)(T).
+QuotientAlgebra is GF(q)(T)[Y] modulo a sparse monic relation in Y.  An
+element is one exponent list per coordinate over one common monic
+denominator, not in lowest terms, so its sums, products and folds are the
+exponent kernels above and take no gcd; RatFunc is only its boundary
+(from_coords, coords, norm).  The torsion field (carlitz.CycModel) and
+the Kummer algebras (kummer.KummerAlgebra) are its two instances.  Each is
+Galois over GF(q)(T) with a cyclic group of order n, and supplies its
+relation and the image of Y under a generator sigma; y -> c y shifts the
+exponents of each coordinate.  Norms are products of the n conjugates,
+taken one prime-order subgroup at a time; the inverse is the cofactor of
+that product over the norm, so no extended Euclid runs over GF(q)(T).
 """
 
 import functools
@@ -371,13 +374,14 @@ def _from_exps(ctx, a):
     return f
 
 
-def _exp_mul(a, b, ctx):
-    """a*b."""
+def _exp_mul(a, b, ctx, acc=None):
+    """a*b, or acc + a*b added into the list acc in place."""
+    out = [] if acc is None else acc
     if not a or not b:
-        return []
+        return out
     zech, m = ctx._zech, ctx.order - 1
     terms = [(j, y) for j, y in enumerate(b) if y is not None]
-    out = [None] * (len(a) + len(b) - 1)
+    out.extend([None] * (len(a) + len(b) - 1 - len(out)))
     for i, x in enumerate(a):
         if x is None:
             continue
@@ -390,7 +394,7 @@ def _exp_mul(a, b, ctx):
             else:
                 z = zech[(t - c) % m]
                 out[j] = None if z is None else (c + z) % m
-    return out
+    return _exp_trim(out)
 
 
 def _exp_trim(a):
@@ -885,12 +889,6 @@ class RatFunc:
             raise DivisionByZero("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
@@ -937,11 +935,6 @@ class RatFunc:
         return RatFunc(self.num.embed_into(tgt_ctx),
                        self.den.embed_into(tgt_ctx), _reduced=True)
 
-    def frob_power(self, j):
-        """p^j-th power; Frobenius keeps reducedness and monic denominators."""
-        return RatFunc(self.num.frob_power(j), self.den.frob_power(j),
-                       _reduced=True)
-
     def compose_fractional(self, np_, dp_):
         """Substitute the variable by np_/dp_ (polynomials), exactly."""
         d = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
@@ -983,52 +976,49 @@ def _exp_homogenized(num, den, np_, dp_, d, ctx):
 
 
 # ---------------------------------------------------------------------------
-# The quotient algebras GF(q)(T)[Y]/(relation), with dense RatFunc
-# coordinate lists.  Products share _yp_product, then fold sparsely against
-# the relation; norms and inverses multiply Galois conjugates.
-
-def _yp_product(a, b):
-    """Coefficients of a*b, None where no term lands.
-
-    Accumulating into None slots skips the gcd that a RatFunc sum with a
-    zero summand would pay.
-    """
-    buf = [None] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    t = x * y
-                    buf[i + j] = t if buf[i + j] is None else buf[i + j] + t
-    return buf
+# The quotient algebras GF(q)(T)[Y]/(relation), on exponent-list
+# coordinates over one denominator; RatFunc appears only at the boundary.
 
 
-def _as_ratfunc(ctx, r):
-    if isinstance(r, RatFunc):
-        return r
-    if isinstance(r, Poly):
-        return RatFunc.from_poly(r)
-    return RatFunc.constant(ctx.elem(r) if isinstance(r, int) else r)
+def _fraction(ctx, r):
+    """(num, den) exponent lists of a scalar of GF(q)(T), anything RatFunc
+    arithmetic takes; den is monic."""
+    r = RatFunc.one(ctx)._coerce(r)
+    return _to_exps(r.num, ctx), _to_exps(r.den, ctx)
+
+
+def _common_den(fracs, ctx):
+    """(nums, D) for (num, den) exponent lists with monic den: D is the
+    product of the distinct denominators of the nonzero fractions and
+    nums[i] = num_i D / den_i, found with no gcd and no division."""
+    dens = []
+    for num, den in fracs:
+        if num and den != [0] and den not in dens:
+            dens.append(den)
+    mul = functools.partial(_exp_mul, ctx=ctx)
+    return ([functools.reduce(mul, [d for d in dens if d != den], num)
+             for num, den in fracs], functools.reduce(mul, dens, [0]))
 
 
 class QuotientAlgebra:
     """GF(q)(T)[Y] modulo a monic relation Y^n = -sum_{i<n} r_i Y^i.
 
-    Elements are dense RatFunc vectors in the basis 1, Y, ..., Y^(n-1).
-    The relation is kept only at its nonzero exponents, so folding one
-    overflowing exponent costs one product per nonzero r_i: two for the
-    torsion field's trinomial, one for a Kummer binomial.
+    The relation is kept only at its nonzero exponents, as numerators p_i
+    over one monic denominator d, so folding one overflowing exponent costs
+    one product per nonzero r_i: two for the torsion field's trinomial, one
+    for a Kummer binomial.
     """
 
     def __init__(self, ctx, n, relation):
         """``relation`` maps each exponent i < n with r_i != 0 to r_i."""
         self.ctx = ctx
         self.n = n
-        self._zero = RatFunc.zero(ctx)
-        self._one = RatFunc.one(ctx)
-        # Y^e = sum_i (-r_i) Y^(e-n+i) for every e >= n
-        self._fold_terms = tuple((i, -_as_ratfunc(ctx, r))
-                                 for i, r in sorted(relation.items()))
+        # Y^e = sum_i (p_i / d) Y^(e-n+i) for every e >= n, p_i / d = -r_i
+        exps, rs = zip(*sorted(relation.items()))
+        nums, self._fold_den = _common_den([_fraction(ctx, -r) for r in rs],
+                                           ctx)
+        self._fold_terms = tuple(zip(exps, nums))
+        self._images = {}
 
     def galois_image(self, k):
         """sigma^k(y) for a fixed generator sigma of the cyclic Galois group
@@ -1036,61 +1026,88 @@ class QuotientAlgebra:
         raise NotImplementedError
 
     def zero(self):
-        return QuotientElem(self, (self._zero,) * self.n)
+        return QuotientElem(self, [[]] * self.n, [0])
 
     def one(self):
-        return self.scalar(self._one)
+        return self.scalar(1)
 
     def scalar(self, r):
-        return self.from_pairs([(0, _as_ratfunc(self.ctx, r))])
+        num, den = _fraction(self.ctx, r)
+        return QuotientElem(self, [num] + [[]] * (self.n - 1), den)
 
     def y(self):
-        return self.from_pairs([(1, self._one)])
+        return self._reduce([None, [0]], [0])
 
     def from_pairs(self, pairs):
-        """Element from (exponent, RatFunc) pairs; exponents may overflow."""
+        """Element from (exponent, scalar) pairs; exponents may overflow."""
         pairs = list(pairs)
-        top = max((e for e, _ in pairs), default=0)
-        buf = [None] * max(top + 1, self.n)
-        for e, c in pairs:
-            buf[e] = c if buf[e] is None else buf[e] + c
-        return QuotientElem(self, self._fold(buf))
+        nums, den = _common_den([_fraction(self.ctx, c) for _, c in pairs],
+                                self.ctx)
+        buf = [None] * (max((e for e, _ in pairs), default=0) + 1)
+        for (e, _), a in zip(pairs, nums):
+            buf[e] = _exp_add_scaled(buf[e] or [], 0, a, self.ctx)
+        return self._reduce(buf, den)
 
     def from_coords(self, coords):
+        """The element sum coords_i Y^i of n RatFunc coordinates, which it
+        keeps as its ``coords``."""
         coords = tuple(coords)
         if len(coords) != self.n:
             raise ValueError(f"{len(coords)} coordinates for rank {self.n}")
-        return QuotientElem(self, coords)
+        nums, den = _common_den([_fraction(self.ctx, r) for r in coords],
+                                self.ctx)
+        return QuotientElem(self, nums, den, coords)
 
-    def _fold(self, buf):
-        """Reduce a None-padded coefficient buffer, highest exponent first.
+    def _reduce(self, buf, den):
+        """The element sum_e buf[e] Y^e / den; buf is consumed, a list of
+        exponent lists or None of any length.
 
-        Each overflowing slot is folded once, after every term that lands
-        on it has been added.
+        Each round folds every filled slot at or past n once, after every
+        term that lands on it has been added.  A relation with denominator
+        d != 1 first lifts the slots below n and den by d, so one round
+        leaves every numerator over the same denominator.
         """
-        n = self.n
-        for e in range(len(buf) - 1, n - 1, -1):
-            c = buf[e]
-            if c is None or not c:
-                continue
-            for i, r in self._fold_terms:
-                k = e - n + i
-                t = r * c
-                buf[k] = t if buf[k] is None else buf[k] + t
-        return tuple(self._zero if c is None else c for c in buf[:n])
+        n, ctx, d = self.n, self.ctx, self._fold_den
+        while any(buf[n:]):
+            top, buf = buf[n:], buf[:n]
+            if d != [0]:
+                buf = [a and _exp_mul(a, d, ctx) for a in buf]
+                den = _exp_mul(den, d, ctx)
+            buf.extend([None] * (len(top) + n - 1 - len(buf)))
+            for e, c in enumerate(top):
+                if c:
+                    for i, p in self._fold_terms:
+                        buf[e + i] = _exp_mul(c, p, ctx, buf[e + i])
+        buf.extend([None] * (n - len(buf)))
+        return QuotientElem(self, [a or [] for a in buf[:n]], den)
 
 
 class QuotientElem:
-    """Element sum coords_i Y^i of a QuotientAlgebra; immutable."""
+    """Element sum (nums_i / den) Y^i of a QuotientAlgebra; immutable.
 
-    __slots__ = ("alg", "coords")
+    ``nums`` holds one exponent list per coordinate and ``den`` is one
+    monic exponent list; no list is changed once stored.  The fraction is
+    not kept in lowest terms, so equality cross-multiplies, and the
+    reduced RatFunc coordinates are built when ``coords`` is first read.
+    """
 
-    def __init__(self, alg, coords):
-        self.alg = alg
-        self.coords = coords
+    __slots__ = ("alg", "nums", "den", "_coords")
+
+    def __init__(self, alg, nums, den, coords=None):
+        self.alg, self.nums, self.den, self._coords = alg, nums, den, coords
+
+    @property
+    def coords(self):
+        """The coordinates as RatFuncs in lowest terms."""
+        if self._coords is None:
+            ctx, den = self.alg.ctx, self.den
+            self._coords = tuple(
+                RatFunc(*_exp_reduce_fraction(list(a), list(den), ctx),
+                        _reduced=True) for a in self.nums)
+        return self._coords
 
     def is_zero(self):
-        return all(not c for c in self.coords)
+        return not any(self.nums)
 
     def __bool__(self):
         return not self.is_zero()
@@ -1098,7 +1115,8 @@ class QuotientElem:
     def __eq__(self, other):
         if not isinstance(other, QuotientElem):
             return NotImplemented
-        return self.alg is other.alg and self.coords == other.coords
+        return other.alg is self.alg and (self._scaled(other.den, [0]).nums
+                                          == other._scaled(self.den, [0]).nums)
 
     def __hash__(self):
         return hash((id(self.alg), self.coords))
@@ -1110,38 +1128,59 @@ class QuotientElem:
             raise CtxMismatch("elements of different algebras")
         return other
 
-    def __add__(self, other):
-        other = self._chk(other)
-        return QuotientElem(self.alg, tuple(
-            a + b for a, b in zip(self.coords, other.coords)))
+    def _scaled(self, num, den):
+        """self * num / den for exponent lists num and den, den monic; a
+        constant num only shifts exponents."""
+        ctx, nums = self.alg.ctx, self.nums
+        if not num:
+            return self.alg.zero()
+        if num != [0]:
+            nums = [_exp_scale(a, num[0], ctx) if len(num) == 1
+                    else _exp_mul(a, num, ctx) for a in nums]
+        return QuotientElem(self.alg, nums, self.den if den == [0]
+                            else _exp_mul(self.den, den, ctx))
 
-    def __sub__(self, other):
-        other = self._chk(other)
-        return QuotientElem(self.alg, tuple(
-            a - b for a, b in zip(self.coords, other.coords)))
+    def __add__(self, other):
+        a, b, ctx = self, self._chk(other), self.alg.ctx
+        if a.den != b.den:
+            a, b = a._scaled(b.den, b.den), b._scaled(a.den, a.den)
+        return QuotientElem(self.alg, [
+            _exp_add_scaled(list(x), 0, y, ctx) if x and y else x or y
+            for x, y in zip(a.nums, b.nums)], a.den)
 
     def __neg__(self):
-        return QuotientElem(self.alg, tuple(-a for a in self.coords))
+        return self._scaled([self.alg.ctx._neg_exp], [0])
+
+    def __sub__(self, other):
+        return self + -self._chk(other)
 
     def scale(self, r):
         """Multiply by a scalar from GF(q)(T)."""
-        r = _as_ratfunc(self.alg.ctx, r)
-        return QuotientElem(self.alg, tuple(a * r for a in self.coords))
+        return self._scaled(*_fraction(self.alg.ctx, r))
 
     def __mul__(self, other):
         if isinstance(other, (RatFunc, Poly, gf.FieldElem, int)):
             return self.scale(other)
         other = self._chk(other)
-        buf = _yp_product(self.coords, other.coords)
-        return QuotientElem(self.alg, self.alg._fold(buf))
+        ctx = self.alg.ctx
+        terms = [(j, b) for j, b in enumerate(other.nums) if b]
+        buf = [None] * (2 * self.alg.n - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in terms:
+                    buf[i + j] = _exp_mul(a, b, ctx, buf[i + j])
+        return self.alg._reduce(buf, _exp_mul(self.den, other.den, ctx))
 
     __rmul__ = __mul__
 
     def qpow(self):
         """q-th power: coefficients move to q-times-higher basis slots."""
-        ctx = self.alg.ctx
-        return self.alg.from_pairs((i * ctx.order, c.frob_power(ctx.n))
-                                   for i, c in enumerate(self.coords) if c)
+        ctx, q = self.alg.ctx, self.alg.ctx.order
+        buf = [None] * ((self.alg.n - 1) * q + 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                buf[i * q] = _exp_frob(a, q, ctx)
+        return self.alg._reduce(buf, _exp_frob(self.den, q, ctx))
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -1153,24 +1192,24 @@ class QuotientElem:
     def conjugate(self, k):
         """sigma^k(self): the algebra's sigma^k(y) substituted for y.
 
-        When sigma^k(y) = c*y for a constant c, coordinate i only scales by
-        c^i; otherwise the substitution runs by Horner.
+        Each image is asked of the algebra once.  When sigma^k(y) = c*y for
+        a constant c, coordinate i only shifts its exponents by i log c;
+        otherwise the substitution runs by Horner on the numerators.
         """
         alg, ctx = self.alg, self.alg.ctx
-        w = alg.galois_image(k).coords
-        if w[1:] and w[1].is_constant() and not any(w[:1] + w[2:]):
-            c = ctx._log[w[1].num.coeff(0).coeffs]
-            return QuotientElem(alg, tuple(
-                RatFunc(_from_exps(ctx, _exp_scale(_to_exps(r.num, ctx),
-                                                   i * c, ctx)),
-                        r.den, _reduced=True) if r and i else r
-                for i, r in enumerate(self.coords)))
-        w = QuotientElem(alg, w)
-        acc = alg.scalar(self.coords[-1])
-        for r in reversed(self.coords[:-1]):
-            acc = acc * w
-            acc = QuotientElem(alg, (acc.coords[0] + r,) + acc.coords[1:])
-        return acc
+        w = alg._images.get(k)
+        if w is None:
+            w = alg._images[k] = alg.galois_image(k)
+        if (w.nums[1:] and w.den == [0] and len(w.nums[1]) == 1
+                and not any(w.nums[:1] + w.nums[2:])):
+            c = w.nums[1][0]
+            return QuotientElem(alg, [_exp_scale(a, i * c, ctx)
+                                      for i, a in enumerate(self.nums)],
+                                self.den)
+        acc = alg.zero()
+        for a in reversed(self.nums):
+            acc = acc * w + QuotientElem(alg, [a] + [[]] * (alg.n - 1), [0])
+        return acc._scaled([0], self.den)
 
     def _conjugate_product(self, step, count):
         """prod of sigma^(j*step)(self) for j = 1..count, by doubling:
@@ -1184,8 +1223,8 @@ class QuotientElem:
         return out
 
     def _norm_tower(self):
-        """(N, factors): N is the norm, the product of all n conjugates,
-        and self times the product of the factors is N.
+        """(N, factors): N is the norm, the product of all n conjugates, as
+        a scalar element, and self times the product of the factors is N.
 
         The cyclic group is peeled one prime r | m at a time.  Multiplying
         by the r-1 other conjugates under the order-r subgroup
@@ -1200,31 +1239,35 @@ class QuotientElem:
                 b = a._conjugate_product(m, r - 1)
                 factors.append(b)
                 a = a * b
-        if any(a.coords[1:]):
+        if any(a.nums[1:]):
             raise CertificateFailed("the product of the Galois conjugates "
                                     "is not a scalar")
-        return a.coords[0], factors
+        return a, factors
+
+    def norm_exps(self):
+        """The norm as (numerator, monic denominator) exponent lists, not
+        in lowest terms."""
+        a = self._norm_tower()[0]
+        return a.nums[0], a.den
 
     def norm(self):
         """Norm down to GF(q)(T): the product of the Galois conjugates."""
-        return self._norm_tower()[0]
+        num, den = self.norm_exps()
+        return RatFunc(*_exp_reduce_fraction(list(num), list(den),
+                                             self.alg.ctx), _reduced=True)
 
     def inverse(self):
         """The conjugate cofactor over the norm."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero in a quotient algebra")
         nm, factors = self._norm_tower()
-        if not nm:
+        num, ctx = nm.nums[0], self.alg.ctx
+        if not num:
             raise DivisionByZero("element shares a factor with the modulus")
-        acc = factors[0] if factors else self.alg.one()
-        for b in factors[1:]:
-            acc = acc * b
-        return acc.scale(nm.inverse())
-
-    def __truediv__(self, other):
-        if isinstance(other, QuotientElem):
-            return self * other.inverse()
-        return NotImplemented
+        acc = functools.reduce(operator.mul, factors, self.alg.one())
+        # times den / num, with the new denominator made monic
+        return acc._scaled(_exp_scale(nm.den, -num[-1], ctx),
+                           _exp_scale(num, -num[-1], ctx))
 
     def __str__(self):
         parts = []

@@ -370,10 +370,35 @@ def test_closure_without_the_kernel_is_a_typed_error():
 def test_a_generator_power_off_the_kernel_is_a_typed_error(monkeypatch,
                                                            rho5):
     # the power of rho that fixes every place must be y -> c y; a power
-    # that comes out as anything else fails the certificate
+    # that comes out as anything else fails the certificate.  rho5 keeps
+    # its certificate, so closure powers the same map built afresh
+    fresh = ag.galois_aut(C5, C5.modulus.unit_group_generator())
+    assert fresh == rho5 and fresh.order_cert is None
     monkeypatch.setattr(ag.gf, "power", lambda *args: rho5)
     with pytest.raises(CertificateFailed, match="fixes every ramified"):
-        ag.closure([rho5])
+        ag.closure([fresh])
+
+
+def test_closure_reads_the_kept_certificate():
+    # a generator handed over with a wrong k reaches the wrong kernel; one
+    # with its certificate dropped is powered again and gives the same table
+    rho = ag.make_rho(C5)
+    m, k = rho.order_cert
+    assert (m, k) == ag._order(rho) == (C5.q + 1, C5.q - 1)
+    assert ag.closure([rho]).order == C5.q ** 2 - 1
+    rho.order_cert = (m, k // 2)
+    with pytest.raises(CertificateFailed, match="kernel of order 2"):
+        ag.closure([rho])
+    rho.order_cert = None
+    assert ag.closure([rho]).order == C5.q ** 2 - 1
+
+
+def test_a_wrong_mu_scale_fails_the_law(mu5):
+    # make_mu keeps no check of its own on lambda^(q-1) = -1: the law does
+    lam = E25.generator
+    assert lam ** (C5.q - 1) != -E25.one
+    with pytest.raises(CertificateFailed, match="violates"):
+        ag.Aut(C5, mu5.mobius, lam)
 
 
 def test_closure_rejects_mixed_curves(rho3):
@@ -736,8 +761,8 @@ def _chain(e):
 
 def test_group_report_composes_only_certificate_powers(monkeypatch):
     # q=9, M = T^2+g+1: _order powers each generator once to the order of
-    # its permutation (rho^(q+1), mu^2), in make_rho and make_mu and again
-    # for the kernel in closure
+    # its permutation (rho^(q+1), mu^2), in make_rho and make_mu; closure
+    # reads the kept certificates and powers nothing
     curve = KummerCurve(F9.zero, F9.generator + F9.one, F9.one)
     counts = {"compose": 0, "Aut": 0}
     real_compose, real_init = ag.compose, ag.Aut.__init__
@@ -755,8 +780,8 @@ def test_group_report_composes_only_certificate_powers(monkeypatch):
     rep = ag.group_report(curve)
     assert rep["order"] == 160
     q = 9
-    bound = 2 * (_chain(q + 1) + _chain(2))
-    assert counts["compose"] <= bound == 10
+    bound = _chain(q + 1) + _chain(2)
+    assert counts["compose"] <= bound == 5
     # one Aut per product, and rho and mu themselves
     assert counts["Aut"] <= bound + 2
 

@@ -842,11 +842,14 @@ def test_compose_fractional_matches_evaluation(fn, fd, k):
 
 @settings(max_examples=30, deadline=None)
 @given(polys(F9, 2), polys(F9, 2))
-def test_ratfunc_frob_power(fn, fd):
+def test_qpow_of_a_rational_scalar(fn, fd):
+    # qpow spreads a scalar's numerator and denominator exponent lists
     if fd.is_zero():
         return
-    f = RatFunc(fn, fd)
-    assert f.frob_power(1) == f * f * f
+    alg = KummerAlgebra(F9, 2, RatFunc.gen(F9))
+    f = alg.scalar(RatFunc(fn, fd))
+    assert f.qpow() == f ** 9
+    assert f.qpow().coords[0] == RatFunc(fn ** 9, fd ** 9)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,6 +1015,79 @@ def test_norm_is_the_multiplication_determinant(build, q):
     assert e * e.inverse() == e.alg.one()
     assert (e * e).norm() == nm * nm
     assert e.alg.y().norm() == _mult_det(e.alg.y())
+
+
+def _mixed_dens(ctx, n, rng):
+    """n coordinates over the distinct denominators v, v + 1 and 1 in
+    turn, each numerator v^2 + c with no root at 0 or -1."""
+    dens = [Poly.gen(ctx), Poly.from_ints(ctx, [1, 1]), Poly.one(ctx)]
+    cs = [c for c in ctx.iter_elements() if c and c != -ctx.one]
+    return [RatFunc(Poly(ctx, (rng.choice(cs), ctx.zero, ctx.one)),
+                    dens[i % 3]) for i in range(n)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 8], ids=lambda q: f"q{q}")
+def test_native_norm_is_the_multiplication_determinant(q):
+    # the norm read off the native form (numerators over one denominator,
+    # here the product of distinct coordinate denominators, so in no
+    # lowest terms) against the determinant oracle
+    ctx = gf.field_from_order(q)
+    m = next(iter_irreducible_moduli(ctx))
+    curve = KummerCurve(m.a, m.b, ctx.one)
+    e = curve.from_coords(_mixed_dens(ctx, curve.n, random.Random(q)))
+    assert e.den == polyalg._to_exps(Poly.from_ints(ctx, [0, 1, 1]), ctx)
+    num, den = e.norm_exps()
+    assert len(den) > 1 and den[-1] == 0
+    norm = RatFunc(polyalg._from_exps(ctx, num), polyalg._from_exps(ctx, den))
+    assert norm == e.norm() == _mult_det(e)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_from_coords_and_coords_round_trip(q, data):
+    # coords reads back the reduced RatFuncs that from_coords took, kept and
+    # also rebuilt from the numerators over the common denominator
+    ctx = gf.field_from_order(q)
+    alg = KummerAlgebra(ctx, q - 1, RatFunc.gen(ctx))
+    poly = st.lists(st.integers(0, q - 1), max_size=3).map(
+        lambda c: Poly.from_ints(ctx, c))
+    den = st.lists(st.integers(0, q - 1), max_size=2).map(
+        lambda c: Poly.from_ints(ctx, c + [1]))
+    coords = tuple(RatFunc(data.draw(poly), data.draw(den))
+                   for _ in range(alg.n))
+    e = alg.from_coords(coords)
+    assert e.coords == coords
+    assert polyalg.QuotientElem(alg, e.nums, e.den).coords == coords
+    assert (e + alg.zero()).coords == coords
+
+
+@pytest.mark.parametrize("q", [3, 5, 9], ids=lambda q: f"q{q}")
+def test_sums_over_different_denominators(q):
+    # a sum brings both operands to one denominator; the RatFunc sums of
+    # the coordinates are the oracle
+    ctx, rng = gf.field_from_order(q), random.Random(f"sums:{q}")
+    alg = KummerAlgebra(ctx, q - 1, RatFunc.gen(ctx))
+    a = alg.from_coords(_mixed_dens(ctx, alg.n, rng))
+    b = alg.from_coords([RatFunc(r.num, r.den ** 2)
+                         for r in _mixed_dens(ctx, alg.n, rng)])
+    assert a.den != b.den
+    assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+    r = RatFunc(Poly.gen(ctx) + 1, Poly.from_ints(ctx, [2 % q, 1]))
+    assert a.scale(r).coords == tuple(x * r for x in a.coords)
+    assert (a + b) * a == a * a + b * a
+
+
+def test_only_an_overflow_lifts_the_denominator():
+    # y^i for i < n is a monomial over 1; y^n = h folds once, over h's
+    # denominator, and the inverse y^(n-1) / h keeps no larger one
+    curve, _ = _curve(5)
+    y, ctx = curve.y(), curve.ctx
+    assert (y * y).den == (y * y * y).den == [0]
+    assert (y ** curve.n).den == polyalg._to_exps(curve.h.den, ctx)
+    assert y.inverse().den == polyalg._to_exps(curve.h.num.monic(), ctx)
+    assert len(y.inverse().nums[-1]) == len(curve.h.den.coeffs)
 
 
 @pytest.mark.parametrize("i,j", [(7, 6), (2, 7)])
