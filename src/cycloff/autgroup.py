@@ -24,11 +24,12 @@ make_rho is sigma_u at the unit-group generator.
 Every order is certified by _order: if a permutes the q+3 ramified places
 with order m, then a^m = (v -> v, y -> c y), as a Mobius map that fixes
 three points is the identity, and a has order m times the order of c.
-Each make_* generator keeps the (m, k) it was certified with, and closure
-reads it rather than powering again.  compose(a, b) applies b first, then
-a.  closure never lists the group: it closes the generators'
-permutations, and the orders of their scalars c certify the kernel of
-that action, the maps y -> c y with c in mu_(q-1).
+_order reads a^m in closed form, from the m-th power of a's 2x2 matrix
+and one product of f along an orbit, and builds no Aut.  compose(a, b)
+applies b first, then a; no product path calls it, and the tests use it
+as the group law.  closure never lists the group: it closes the
+generators' permutations, and the orders of their scalars c certify the
+kernel of that action, the maps y -> c y with c in mu_(q-1).
 The order, membership, orbits, stabilizers and the q=3 quotient are read
 from those permutations.  Every Aut passes the law in
 Aut.__init__, but the law, h o mobius included, is evaluated once per
@@ -133,11 +134,9 @@ class Aut:
     quadratic pair, so m permutes the q+3 branch points, at least q-1 of
     the rational ones land on rational ones, and k = 1 mod q-1; at q = 3
     the range 1..q-2 holds only 1 anyway.  So k is always 1 and not stored.
-    ``order_cert`` is the (m, k) that a make_* function certified, kept
-    for `closure`; None otherwise.
     """
 
-    __slots__ = ("curve", "mobius", "f", "_key", "order_cert")
+    __slots__ = ("curve", "mobius", "f", "_key")
 
     def __init__(self, curve, mobius, f):
         ext = curve.ext
@@ -159,7 +158,6 @@ class Aut:
         self._key = (tuple(x.to_int() for x in entries),
                      tuple(c.to_int() for c in fe.num.coeffs),
                      tuple(c.to_int() for c in fe.den.coeffs))
-        self.order_cert = None
         if not self._satisfies_law(curve):
             raise CertificateFailed("map violates f^(q-1) * h = h o mobius")
 
@@ -187,54 +185,74 @@ class Aut:
         return hash(self._key)
 
     def __str__(self):
-        ext = self.mobius[0].ctx
-        a_, b_, c_, d_ = self.mobius
-        vpart = _vstr(Poly(ext, (b_, a_)), Poly(ext, (d_, c_)))
         if self.f.is_one():
             ystr = "y"
         else:
             ystr = f"({_vstr(self.f.num, self.f.den)})*y"
-        return f"v -> {vpart}; y -> {ystr}"
+        return f"{_mobius_str(self.mobius)}; y -> {ystr}"
 
     def __repr__(self):
         return f"<aut {self}>"
+
+
+def _mobius_str(mob):
+    a_, b_, c_, d_ = mob
+    return f"v -> {_vstr(Poly(a_.ctx, (b_, a_)), Poly(a_.ctx, (d_, c_)))}"
+
+
+def _mobius_product(x, y):
+    """The 2x2 product x y of Mobius parts (a, b, c, d) = [[a, b], [c, d]];
+    as maps of v it is x o y."""
+    (xa, xb, xc, xd), (ya, yb, yc, yd) = x, y
+    return (xa * ya + xb * yc, xa * yb + xb * yd,
+            xc * ya + xd * yc, xc * yb + xd * yd)
 
 
 def compose(a, b):
     """a o b: apply b, then a."""
     if a.curve is not b.curve:
         raise CtxMismatch("automorphisms of different curves")
-    curve = a.curve
     aa, ab, ac, ad = a.mobius
-    ba, bb, bc, bd = b.mobius
-    # field maps compose contravariantly on the matrix side
-    mob = (ba * aa + bb * ac, ba * ab + bb * ad,
-           bc * aa + bd * ac, bc * ab + bd * ad)
-    ext = curve.ext
+    ext = a.curve.ext
     fc = b.f.compose_fractional(Poly(ext, (ab, aa)), Poly(ext, (ad, ac)))
-    return Aut(curve, mob, fc * a.f)
+    # field maps compose contravariantly on the matrix side
+    return Aut(a.curve, _mobius_product(b.mobius, a.mobius), fc * a.f)
 
 
 def _order(a):
     """(m, k): m is the order of a's permutation of the ramified places and
-    k the order of c in a^m = (v -> v, y -> c y), which is checked on the
-    one power computed; a has order m k (see the module docstring)."""
+    k the order of c in a^m = (v -> v, y -> c y); a has order m k (see the
+    module docstring).
+
+    a^m is read in closed form.  Its Mobius part is the m-th power of a's
+    matrix, which must be scalar.  Its y-multiplier is
+    F(v) = prod_(i<m) f(A^i(v)), and the law for a^m gives F^(q-1) = 1, so
+    F is the constant c = F(v0) at any v0.  The law for a gives
+    (q-1) div f = div(h o A) - div h, so f has its zeros and poles at
+    branch points only, which A permutes; v0, the least element of GF(q^2)
+    outside GF(q) and the quadratic pair, keeps every factor finite and
+    nonzero.
+    """
     perm = _permutation(a, ramified_places(a.curve))
     ident = tuple(range(len(perm)))
     acc, m = perm, 1
     while acc != ident:
         acc, m = tuple(perm[i] for i in acc), m + 1
-    am = gf.power(a, m, compose, None)
-    if am._key[0] != (1, 0, 0, 1) or not am.f.is_constant():
+    am = gf.power(a.mobius, m, _mobius_product, None)
+    if not (am[1].is_zero() and am[2].is_zero() and am[0] == am[3]):
         raise CertificateFailed(
-            f"a power fixes every ramified place but is {am}")
-    return m, am.f.num.coeff(0).order()
-
-
-def _certify(a):
-    """_order(a), kept on a as its ``order_cert``."""
-    a.order_cert = _order(a)
-    return a.order_cert
+            f"a power fixes every ramified place but is {_mobius_str(am)}")
+    ext, q = a.curve.ext, a.curve.q
+    x = next(v for v in map(ext.from_int, range(ext.order))
+             if v ** q != v and v not in a.curve.quad_roots)
+    aa, ab, ac, ad = a.mobius
+    c = ext.one
+    for _ in range(m):
+        c *= a.f(x)
+        x = (aa * x + ab) * (ac * x + ad).inverse()
+    if c ** (q - 1) != ext.one:
+        raise CertificateFailed(f"a^{m} rescales y by {c}, off mu_(q-1)")
+    return m, c.order()
 
 
 # -- the concrete generators ------------------------------------------------
@@ -266,7 +284,7 @@ def make_rho(curve):
     order q^2 - 1, and to fix both quadratic places."""
     rho = galois_aut(curve, curve.modulus.unit_group_generator())
     q = curve.q
-    m, k = _certify(rho)
+    m, k = _order(rho)
     if m * k != q * q - 1:
         raise WrongOrder(f"rho has order {m * k}, not {q * q - 1}")
     for pl in ramified_places(curve):
@@ -287,7 +305,7 @@ def make_mu(curve):
     mu = Aut(curve, (-ext.one, -gf.embed(shift, ext), ext.zero, ext.one),
              lam)
     # mu^2 fixes v and rescales y by a generator of the scaling subgroup
-    m, k = _certify(mu)
+    m, k = _order(mu)
     if m != 2:
         raise CertificateFailed("mu^2 is not a constant rescaling of y")
     if k != q - 1:
@@ -303,7 +321,7 @@ def make_omega(curve):
     ext = curve.ext
     shift = curve.modulus.a * curve.gamma.inverse()
     w = Aut(curve, (ext.one, gf.embed(shift, ext), ext.zero, ext.one), 1)
-    if _certify(w) != (2, 1):
+    if _order(w) != (2, 1):
         raise WrongOrder("omega is not an involution")
     return w
 
@@ -331,7 +349,7 @@ def make_epsilon(curve):
     mob = (g + a * g, -a - i - a * a + a * i, g * g, g * i - g * a)
     f = f0.compose_fractional(Poly(ext, (a, -g)), Poly.one(ext))
     eps = Aut(curve, mob, f)
-    m, k = _certify(eps)
+    m, k = _order(eps)
     if m * k != 3:
         raise WrongOrder("epsilon does not have order 3")
     return eps
@@ -390,10 +408,10 @@ def closure(gens):
     v -> v, y -> c y, and the law gives c^(q-1) = 1: it is a subgroup of
     mu_(q-1).  The image is the closure of the generators' permutations,
     at most (q+3)(q+2)(q+1) of them by sharp 3-transitivity.  For each
-    generator g, _order gives the scalar g^m in the kernel; the lcm of
-    their orders must reach q-1, so the kernel is all of mu_(q-1) and the
-    order is exactly (q-1) times the size of the image.  A generator
-    that carries its ``order_cert`` is not powered again.
+    generator g, _order gives the scalar g^m in the kernel, in closed form
+    and without building g^m; the lcm of their orders must reach q-1, so
+    the kernel is all of mu_(q-1) and the order is exactly (q-1) times the
+    size of the image.
     """
     gens = tuple(gens)
     if not gens:
@@ -413,7 +431,7 @@ def closure(gens):
             if z not in seen:
                 seen.add(z)
                 found.append(z)
-    kernel = lcm(*((g.order_cert or _order(g))[1] for g in gens))
+    kernel = lcm(*(_order(g)[1] for g in gens))
     if kernel != curve.q - 1:
         raise CertificateFailed(
             f"the generators reach a kernel of order {kernel}, "
@@ -523,12 +541,8 @@ def quotient_is_pgl23(table):
 
 def group_report(curve):
     """JSON-ready summary of the computed group and its place action."""
-    rho = make_rho(curve)
-    gens = [rho]
-    if curve.ctx.p == 2:
-        gens.append(make_omega(curve))
-    else:
-        gens.append(make_mu(curve))
+    gens = [make_rho(curve),
+            make_omega(curve) if curve.ctx.p == 2 else make_mu(curve)]
     if curve.q == 3:
         gens.append(make_epsilon(curve))
     table = closure(gens)

@@ -196,16 +196,17 @@ def cmd_zeta(run):
 def cmd_aut(run):
     q = run.cfg.q
     rep = group_report(run.curve)
-    # epsilon, a third generator, exists on every q=3 model
+    # aut_order_matches compares the closure of the generators with
+    # 2(q^2-1), or 48 at q = 3, where epsilon, a third generator, exists on
+    # every model.  The closure is a subgroup of that order.  That it is
+    # the full group is the paper's theorem at odd q; at q = 4 and 8 the
+    # order is MXY2016's group over F_q.  tests/aut_oracle.py counts the
+    # lawful maps v -> m(v), y -> f y over GF(q^2) by enumeration, a second
+    # route to the same number; neither step verifies the geometric group.
+    expected = (6 if q == 3 else 2) * (q ** 2 - 1)
+    claims = {"aut_order_matches": rep["order"] == expected}
     if q == 3:
-        expected = 6 * (q ** 2 - 1)
-        claims = {
-            "aut_order_matches": rep["order"] == expected,
-            "aut_quotient_pgl23": rep["q3_pgl23"] is True,
-        }
-    else:
-        expected = 2 * (q ** 2 - 1)
-        claims = {"aut_order_matches": rep["order"] == expected}
+        claims["aut_quotient_pgl23"] = rep["q3_pgl23"] is True
     return rep, claims
 
 

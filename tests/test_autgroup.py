@@ -50,6 +50,7 @@ def _load_oracle(name):
 
 _aut = _load_oracle("aut_oracle")
 aut_closure, identity = _aut.aut_closure, _aut.identity
+lawful_map_count = _aut.lawful_map_count
 invert, is_automorphism = _aut.invert, _aut.is_automorphism
 transport = _load_oracle("galois_oracle").transport
 
@@ -305,15 +306,45 @@ def test_rho_order_exactly_q2_minus_1(curve):
             assert not gf_power(rho, n // r, ag.compose, None).is_identity
 
 
+def _generators(curve):
+    gens = [ag.make_rho(curve)]
+    gens.append(ag.make_omega(curve) if curve.ctx.p == 2
+                else ag.make_mu(curve))
+    if curve.q == 3:
+        gens.append(ag.make_epsilon(curve))
+    return gens
+
+
+def _sweep_curves(q):
+    # the standard modulus at q, at gamma = 1 and gamma = the generator
+    ctx = create_field(*{3: (3,), 4: (2, 2), 5: (5,), 7: (7,), 8: (2, 3),
+                         9: (3, 2)}[q])
+    m = parse_poly(ctx, {3: "T^2+1", 4: "T^2+T+g", 5: "T^2+2", 7: "T^2+1",
+                         8: "T^2+T+1", 9: "T^2+g+1"}[q])
+    return [KummerCurve(m.coeff(1), m.coeff(0), g)
+            for g in (ctx.one, ctx.generator)]
+
+
 def test_order_certificate_matches_a_linear_walk():
-    # the exact order by brute force agrees with the order certificate
-    for a, n in ((ag.make_rho(C3), 8), (ag.make_mu(C5), 8)):
-        acc, m = a, 1
-        while not acc.is_identity:
-            acc, m = ag.compose(a, acc), m + 1
-        assert m == n
-        perm_order, k = ag._order(a)
-        assert perm_order * k == n
+    # the exact order by brute force, the first n with a^n = 1 under the
+    # compose oracle, agrees with the closed-form certificate m k for every
+    # generator of every (M, gamma) at q <= 5 and of the sweep moduli at
+    # q = 7, 8, 9: a^(m k) = 1 and a^(m k / r) != 1 for each prime r | m k
+    curves = [KummerCurve(m.a, m.b, g) for ctx in (F3, F4, F5)
+              for m in iter_irreducible_moduli(ctx)
+              for g in ctx.iter_elements() if not g.is_zero()]
+    curves += [c for q in (7, 8, 9) for c in _sweep_curves(q)]
+    assert len(curves) == 6 + 18 + 40 + 6
+    walked = 0
+    for curve in curves:
+        for a in _generators(curve):
+            acc, n = a, 1
+            while not acc.is_identity:
+                acc, n = ag.compose(a, acc), n + 1
+            m, k = ag._order(a)
+            assert m * k == n
+            walked += 1
+    assert walked == 2 * 70 + 6
 
 
 @pytest.mark.parametrize("curve", [C3, C5])
@@ -369,28 +400,40 @@ def test_closure_without_the_kernel_is_a_typed_error():
 
 def test_a_generator_power_off_the_kernel_is_a_typed_error(monkeypatch,
                                                            rho5):
-    # the power of rho that fixes every place must be y -> c y; a power
-    # that comes out as anything else fails the certificate.  rho5 keeps
-    # its certificate, so closure powers the same map built afresh
-    fresh = ag.galois_aut(C5, C5.modulus.unit_group_generator())
-    assert fresh == rho5 and fresh.order_cert is None
-    monkeypatch.setattr(ag.gf, "power", lambda *args: rho5)
+    # the power of rho's matrix that fixes every place must be scalar; a
+    # matrix power that comes out as anything else, here one step short of
+    # the permutation's order, fails the certificate
+    real = ag.gf.power
+
+    def short_power(x, e, mul, one):
+        if mul is ag._mobius_product:
+            e -= 1
+        return real(x, e, mul, one)
+
+    monkeypatch.setattr(ag.gf, "power", short_power)
     with pytest.raises(CertificateFailed, match="fixes every ramified"):
-        ag.closure([fresh])
+        ag.closure([rho5])
 
 
-def test_closure_reads_the_kept_certificate():
-    # a generator handed over with a wrong k reaches the wrong kernel; one
-    # with its certificate dropped is powered again and gives the same table
+def test_a_scalar_off_the_kernel_fails_the_order_certificate(monkeypatch):
+    # the law makes c^(q-1) = 1 for every lawful map; with the law switched
+    # off, y -> lambda y for lambda of order q^2-1 reaches the guard
+    monkeypatch.setattr(ag.Aut, "_satisfies_law", lambda self, curve: True)
+    a = ag.Aut(C5, (1, 0, 0, 1), E25.generator)
+    with pytest.raises(CertificateFailed, match="rescales y"):
+        ag._order(a)
+
+
+def test_closure_reads_each_generators_order(monkeypatch):
+    # closure takes each generator's kernel scalar from _order: a generator
+    # certified with a wrong k reaches the wrong kernel
     rho = ag.make_rho(C5)
-    m, k = rho.order_cert
-    assert (m, k) == ag._order(rho) == (C5.q + 1, C5.q - 1)
+    m, k = ag._order(rho)
+    assert (m, k) == (C5.q + 1, C5.q - 1)
     assert ag.closure([rho]).order == C5.q ** 2 - 1
-    rho.order_cert = (m, k // 2)
+    monkeypatch.setattr(ag, "_order", lambda a: (m, k // 2))
     with pytest.raises(CertificateFailed, match="kernel of order 2"):
         ag.closure([rho])
-    rho.order_cert = None
-    assert ag.closure([rho]).order == C5.q ** 2 - 1
 
 
 def test_a_wrong_mu_scale_fails_the_law(mu5):
@@ -752,17 +795,9 @@ def test_each_law_and_place_image_is_computed_once(monkeypatch):
     assert len(places_seen) == 2 * len(table.generators) * len(places)
 
 
-def _chain(e):
-    """The products gf.power takes for x^e, counted on integers."""
-    calls = []
-    gf_power(1, e, lambda a, b: calls.append(1) or a + b, None)
-    return len(calls)
-
-
-def test_group_report_composes_only_certificate_powers(monkeypatch):
-    # q=9, M = T^2+g+1: _order powers each generator once to the order of
-    # its permutation (rho^(q+1), mu^2), in make_rho and make_mu; closure
-    # reads the kept certificates and powers nothing
+def test_group_report_composes_nothing(monkeypatch):
+    # q=9, M = T^2+g+1: _order reads each generator's power in closed form
+    # (rho^(q+1), mu^2), so the report builds rho and mu and no other Aut
     curve = KummerCurve(F9.zero, F9.generator + F9.one, F9.one)
     counts = {"compose": 0, "Aut": 0}
     real_compose, real_init = ag.compose, ag.Aut.__init__
@@ -779,11 +814,19 @@ def test_group_report_composes_only_certificate_powers(monkeypatch):
     monkeypatch.setattr(ag.Aut, "__init__", counted_init)
     rep = ag.group_report(curve)
     assert rep["order"] == 160
-    q = 9
-    bound = _chain(q + 1) + _chain(2)
-    assert counts["compose"] <= bound == 5
-    # one Aut per product, and rho and mu themselves
-    assert counts["Aut"] <= bound + 2
+    assert counts["compose"] == 0
+    assert counts["Aut"] == len(rep["generators"]) == 2
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_closure_order_matches_the_enumeration(q):
+    # the second route to aut_order: every lawful map v -> m(v), y -> f y
+    # over GF(q^2), counted from the Mobius maps that keep the branch points
+    # and their classes of v_P(h) mod q-1, at gamma = 1 and the generator
+    expected = {3: 48, 4: 30, 5: 48, 7: 96, 8: 126, 9: 160}[q]
+    for curve in _sweep_curves(q):
+        assert ag.closure(_generators(curve)).order == expected
+        assert lawful_map_count(curve) == expected
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
@@ -800,11 +843,7 @@ def test_closure_agrees_with_the_oracle(q):
     assert len(cases) == {3: 6, 4: 18, 5: 40}.get(q, 1)
     for a, b, gamma in cases:
         curve = KummerCurve(a, b, gamma)
-        gens = [ag.make_rho(curve)]
-        gens.append(ag.make_omega(curve) if ctx.p == 2
-                    else ag.make_mu(curve))
-        if q == 3:
-            gens.append(ag.make_epsilon(curve))
+        gens = _generators(curve)
         table = ag.closure(gens)
         elems = aut_closure(gens)
         assert table.order == len(elems)

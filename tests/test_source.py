@@ -123,25 +123,21 @@ def test_one_square_and_multiply_loop():
     assert mod == "gf.py" and power.lineno <= line <= power.end_lineno
 
 
-def test_automorphisms_are_powered_only_in_the_order_certificate():
-    # every order of an automorphism comes from autgroup._order; a second
-    # gf.power over compose would be a second order certificate
-    sites = []
-    for mod, tree in _package_trees().items():
-        defs = [node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "power"
-                    and any(isinstance(arg, ast.Name) and arg.id == "compose"
-                            for arg in node.args)):
-                continue
-            owner = max((d for d in defs
-                         if d.lineno <= node.lineno <= d.end_lineno),
-                        key=lambda d: d.lineno)
-            sites.append(f"{mod}:{owner.name}")
-    assert sites == ["autgroup.py:_order"]
+def test_no_function_in_the_package_calls_compose():
+    # autgroup.compose is the group law of the test oracles: every order is
+    # read in closed form and the closure composes permutations, so a
+    # compose in the package, called or passed on (as to gf.power), would
+    # build an Aut that no product path needs
+    trees = _package_trees()
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "compose"
+               for node in trees["autgroup.py"].body)
+    sites = [f"{mod}:{node.lineno}" for mod, tree in trees.items()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "compose")
+             or (isinstance(node, ast.Attribute) and node.attr == "compose"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("autgroup", "ag"))]
+    assert sites == []
 
 
 def test_every_traced_name_resolves():
