@@ -171,11 +171,6 @@ class Aut:
                           RatFunc(f.num.monic(), f.den, _reduced=True))
         return lam is not None and c ** (curve.q - 1) == lam
 
-    @property
-    def is_identity(self):
-        # canonical key of v -> v, y -> y: to_int packs 1 as 1 and 0 as 0
-        return self._key == ((1, 0, 0, 1), (1,), (1,))
-
     def __eq__(self, other):
         if not isinstance(other, Aut):
             return NotImplemented

@@ -20,14 +20,21 @@ fold exponent overflow with
 q-th powers cost almost nothing in characteristic p because they just
 move coefficients: (sum r_i y^i)^q = sum r_i^q y^(iq).
 
-The unit group of GF(q)[x]/(M) is cyclic of order q^2 - 1 and acts on the
-model by y |-> C_u(y); galois_map materializes that action and proves it
-well defined on the spot by checking C_M(C_u(y)) = 0 with C_u(y) != 0,
-which forces P(C_u(y)) = 0 in the field.  That action is the whole Galois
-group, so the generator's images give CycModel its norms and inverses.
+The unit group of GF(q)[x]/(M) is cyclic of order q^2 - 1.  It is read
+once per modulus, from one table of discrete logs in GF(q^2) (`_unit_logs`):
+x -> beta, a root of M, maps GF(q)[x]/(M) onto GF(q^2), so a unit is its
+log mod q^2 - 1, and products, powers, orders and the generator, the first
+unit whose log is prime to q^2 - 1, are arithmetic on logs.  That the
+generator's automorphism has order q^2 - 1 is certified on the curve, by
+`autgroup._order` in `make_rho`.  The units act on the model by
+y |-> C_u(y); galois_map materializes that action and proves it well
+defined on the spot by checking C_M(C_u(y)) = 0 with C_u(y) != 0, which
+forces P(C_u(y)) = 0 in the field.  That action is the whole Galois group,
+so the generator's images give CycModel its norms and inverses.
 """
 
 import functools
+from math import gcd
 
 from . import gf
 from .errors import (
@@ -42,6 +49,7 @@ from .polyalg import (
     QuotientAlgebra,
     format_poly,
     is_irreducible,
+    one_root,
 )
 from .record import Record, set_field
 
@@ -190,20 +198,16 @@ class Modulus(Record):
         return UnitClass(rep)
 
     def unit_mul(self, u, w):
-        return self.unit(u.rep * w.rep)
+        logs, units = _unit_logs(self)
+        return units[(logs[u] + logs[w]) % len(units)]
 
     def unit_pow(self, u, e):
-        m = self.as_poly()
-        return UnitClass(gf.power(u.rep, e % (self.q ** 2 - 1),
-                                  lambda a, b: a * b % m, Poly.one(self.ctx)))
+        logs, units = _unit_logs(self)
+        return units[logs[u] * e % len(units)]
 
     def unit_order(self, u):
         n = self.q ** 2 - 1
-        order = n
-        for p in gf.factorize(n):
-            while order % p == 0 and self.unit_pow(u, order // p).rep.is_one():
-                order //= p
-        return order
+        return n // gcd(_unit_logs(self)[0][u], n)
 
     def iter_units(self):
         """All q^2 - 1 residue classes, lex on (constant, linear) coefficients."""
@@ -214,11 +218,10 @@ class Modulus(Record):
                 yield UnitClass(Poly(self.ctx, (c0, c1)))
 
     def unit_group_generator(self):
-        full = self.q ** 2 - 1
-        for u in self.iter_units():
-            if self.unit_order(u) == full:
-                return u
-        raise NotAUnit("no generator found; modulus arithmetic is broken")
+        """The first unit, in `iter_units` order, of order q^2 - 1."""
+        n = self.q ** 2 - 1
+        return next(u for u, e in _unit_logs(self)[0].items()
+                    if gcd(e, n) == 1)
 
     def __str__(self):
         return format_poly(self.as_poly())
@@ -232,6 +235,25 @@ def iter_irreducible_moduli(ctx):
                 yield Modulus(a, b)
             except ReducibleModulus:
                 continue
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_logs(modulus):
+    """(logs, units), built once per modulus: logs maps each unit
+    c0 + c1 x of GF(q)[x]/(M), in `iter_units` order, to the discrete log
+    of c0 + c1 beta in K = GF(q^2), and units[e] is the unit of log e.
+
+    beta is `one_root` of M in K, so x -> beta is an isomorphism of
+    GF(q)[x]/(M) onto K, and the logs of the q^2 - 1 units are 0..q^2 - 2,
+    each once.
+    """
+    ctx = modulus.ctx
+    K = gf.create_field(ctx.p, 2 * ctx.n)
+    beta = one_root(modulus.as_poly(), K)
+    image = {c: gf.embed(c, K) for c in ctx.iter_elements()}
+    logs = {u: K.dlog(image[u.rep.coeff(0)] + image[u.rep.coeff(1)] * beta)
+            for u in modulus.iter_units()}
+    return logs, tuple(sorted(logs, key=logs.get))
 
 
 class UnitClass(Record):
@@ -294,14 +316,11 @@ class CycModel(QuotientAlgebra):
         minpoly[0], minpoly[q - 1], minpoly[-1] = c0, c1, Poly.one(ctx)
         self.minpoly = tuple(minpoly)
 
-    @functools.cached_property
-    def _unit_generator(self):
-        return self.modulus.unit_group_generator()
-
     def galois_image(self, k):
-        """C_(u^k)(y) for the least generator u of the unit group."""
-        u = self.modulus.unit_pow(self._unit_generator, k)
-        return galois_map(u, self)
+        """C_(u^k)(y) for the unit-group generator u, u^k read from the
+        modulus's log table."""
+        mod = self.modulus
+        return galois_map(mod.unit_pow(mod.unit_group_generator(), k), self)
 
     def __repr__(self):
         return f"<torsion field for {self.modulus} over {self.ctx.name}>"

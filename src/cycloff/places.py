@@ -32,6 +32,7 @@ from .errors import (
     WrongRamification,
     ZeroElement,
 )
+from .carlitz import UnitClass, _unit_logs
 from .gf import create_field, embed
 from .kummer import KummerCurve
 from .polyalg import (
@@ -47,7 +48,6 @@ from .polyalg import (
     _orbits,
     _to_exps,
     format_poly,
-    one_root,
     poly_gcd,
     root_multiplicity,
 )
@@ -812,18 +812,19 @@ def count_degree_one(curve, k):
 def _log_histogram(modulus):
     """hist[e] = #{a in GF(q): log(beta + a) = e} in GF(q^2)*.
 
-    beta is `one_root` of M in GF(q^2), so GF(q)[T]/(M) is GF(q^2) with
-    T -> beta and hist[e] counts the residues T + a of discrete log e.  The
-    other root beta^q gives hist[e q mod (q^2 - 1)] in place of hist[e],
-    which `l_polynomial` cannot tell apart: the odd characters are closed
-    under j -> j q.
+    The logs are those of the units T + a in the modulus's one unit-log
+    table (`carlitz._unit_logs`), which maps GF(q)[T]/(M) onto GF(q^2) by
+    T -> beta, a root of M; the unit group, its generator and this
+    histogram all read that one table, and `make_rho`'s `_order` certifies
+    the generator.  The other root beta^q gives hist[e q mod (q^2 - 1)] in
+    place of hist[e], which `l_polynomial` cannot tell apart: the odd
+    characters are closed under j -> j q.
     """
     ctx = modulus.ctx
-    K = create_field(ctx.p, 2 * ctx.n)
-    beta = one_root(modulus.as_poly(), K)
-    hist = [0] * (K.order - 1)
+    logs = _unit_logs(modulus)[0]
+    hist = [0] * len(logs)
     for a in ctx.iter_elements():
-        hist[K.dlog(beta + embed(a, K))] += 1
+        hist[logs[UnitClass(Poly(ctx, (a, ctx.one)))]] += 1
     return hist
 
 

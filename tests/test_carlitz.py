@@ -7,6 +7,8 @@ symbolic coefficients evaluated at xi.  That route never touches the
 twisted-ring code path.
 """
 
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -30,7 +32,19 @@ from cycloff.errors import (
     ReducibleModulus,
     ZeroPolynomial,
 )
-from cycloff.polyalg import Poly, RatFunc
+from cycloff.places import _log_histogram
+from cycloff.polyalg import Poly, RatFunc, one_root
+
+
+def _load_oracle(name):
+    path = pathlib.Path(__file__).resolve().parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+galois_oracle = _load_oracle("galois_oracle")
 
 F3 = gf.create_field(3)
 F4 = gf.create_field(2, 2)
@@ -171,7 +185,7 @@ def test_unit_group_is_cyclic_of_full_order():
     seen = set()
     u = M31.unit(1)
     for _ in range(8):
-        u = M31.unit_mul(u, gen)
+        u = galois_oracle.unit_mul(M31, u, gen)
         seen.add(u.rep.coeffs)
     assert len(seen) == 8                              # all units hit
 
@@ -180,9 +194,42 @@ def test_unit_order_matches_brute_force():
     for u in M31.iter_units():
         k, w = 1, u
         while not w.rep.is_one():
-            w = M31.unit_mul(w, u)
+            w = galois_oracle.unit_mul(M31, w, u)
             k += 1
         assert M31.unit_order(u) == k
+
+
+def test_unit_log_table_matches_the_poly_product_oracle():
+    # all 104 moduli with q <= 9: the table's generator is the order scan's;
+    # the j-th Poly-product power of that generator has log j l, with l the
+    # log of the generator at beta, so the histogram of the T + a follows;
+    # at q <= 5 unit_pow and unit_order agree with Poly powering everywhere
+    moduli = 0
+    for q in (3, 4, 5, 7, 8, 9):
+        ctx = gf.field_from_order(q)
+        K, n = gf.create_field(ctx.p, 2 * ctx.n), q * q - 1
+        for mod in iter_irreducible_moduli(ctx):
+            gen = galois_oracle.unit_group_generator(mod)
+            assert mod.unit_group_generator() == gen
+            step = K.dlog(gen.rep(one_root(mod.as_poly(), K)))
+            logs, w = {}, mod.unit(1)
+            for j in range(n):
+                logs[w] = j * step % n
+                w = galois_oracle.unit_mul(mod, w, gen)
+            assert carlitz._unit_logs(mod)[0] == logs
+            hist = [0] * n
+            for a in ctx.iter_elements():
+                hist[logs[mod.unit(Poly(ctx, (a, ctx.one)))]] += 1
+            assert _log_histogram(mod) == hist
+            if q <= 5:
+                for u in mod.iter_units():
+                    assert (mod.unit_order(u)
+                            == galois_oracle.unit_order(mod, u))
+                    for e in (0, 1, 2, q, n - 1, n + 2, -1):
+                        assert (mod.unit_pow(u, e)
+                                == galois_oracle.unit_pow(mod, u, e))
+            moduli += 1
+    assert moduli == 104
 
 
 def test_unit_guards():

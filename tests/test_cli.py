@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end and its JSON contract."""
 
+import functools
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cycloff import autgroup, cli
+from cycloff import autgroup, carlitz, cli, places
 
 ROOT = Path(__file__).resolve().parents[1]
 # read only: the benchmark's reference reports, one per sweep modulus
@@ -133,6 +134,29 @@ def test_verify_all_builds_one_curve_and_one_model(monkeypatch, capsys):
     code, _ = _run(["verify", "-q", "3", "-M", "T^2+1", "all"], capsys)
     assert code == 0
     assert sorted(calls) == ["CycModel", "KummerCurve", "resolve"]
+
+
+def test_verify_all_builds_one_unit_log_table_per_modulus(monkeypatch,
+                                                          capsys):
+    # make_rho (aut) and the L-polynomial (zeta) both read GF(q)[T]/(M)
+    # from the one unit-log table; a fresh cache counts its builds and reads
+    built, reads, build = [], [], carlitz._unit_logs.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def fresh(mod):
+        built.append(mod)
+        return build(mod)
+
+    def read(mod):
+        reads.append(mod)
+        return fresh(mod)
+    monkeypatch.setattr(carlitz, "_unit_logs", read)
+    monkeypatch.setattr(places, "_unit_logs", read)
+    for modulus in ("T^2+2", "T^2+3"):
+        code, _ = _run(["verify", "-q", "5", "-M", modulus, "all"], capsys)
+        assert code == 0
+    assert [str(m) for m in built] == ["T^2+2", "T^2+3"]
+    assert len(reads) > len(built)
 
 
 GOLDEN_RUNS = [(3, "T^2+1"), (4, "T^2+T+g"), (5, "T^2+2"), (7, "T^2+1"),

@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from cycloff import autgroup, cli, gf, places, polyalg
+from cycloff import autgroup, carlitz, cli, gf, places, polyalg
 from cycloff.carlitz import iter_irreducible_moduli
 from cycloff.errors import (
     CertificateFailed,
@@ -1578,15 +1578,17 @@ def test_corrupt_histogram_raises(curve, monkeypatch):
 def test_l_polynomial_from_either_root_of_m(curve, monkeypatch):
     # beta^q, the other root of M, permutes the histogram by e -> e q
     # (at q = 4 and 8 onto itself) and leaves L as it is, so no caller
-    # depends on which root one_root finds
+    # depends on which root one_root finds; the unit-log table is rebuilt
+    # uncached, so the conjugate table stays out of the cache
     first = _log_histogram(curve.modulus)
-    real, used = places.one_root, []
+    real, used = carlitz.one_root, []
 
     def conjugate(f, K):
         used.append((real(f, K), real(f, K).frob(K.n // 2)))
         return used[-1][1]
 
-    monkeypatch.setattr(places, "one_root", conjugate)
+    monkeypatch.setattr(carlitz, "one_root", conjugate)
+    monkeypatch.setattr(places, "_unit_logs", carlitz._unit_logs.__wrapped__)
     other = _log_histogram(curve.modulus)
     n, q = len(first), curve.q
     assert used[0][0] != used[0][1]

@@ -232,3 +232,25 @@ def test_series_are_lifted_from_one_site():
 
     assert callers("_generic_valuation") == ["valuation"]
     assert callers("valuation").count("divisor") == 1
+
+
+def test_the_residue_ring_is_embedded_in_one_place():
+    # GF(q)[T]/(M) is read from one table of logs in GF(q^2): one one_root
+    # of a modulus (M.as_poly()) in the package, and carlitz neither powers
+    # nor factors, so no Poly-product order scan or unit arithmetic is left
+    trees = _package_trees()
+    roots = [f"{mod}:{node.lineno}" for mod, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and _names_read(node.func)["one_root"] and node.args
+             and isinstance(node.args[0], ast.Call)
+             and _names_read(node.args[0].func)["as_poly"]]
+    assert len(roots) == 1 and roots[0].startswith("carlitz.py:")
+    banned = ("power", "factorize")
+    sites = [node.lineno for node in ast.walk(trees["carlitz.py"])
+             if (isinstance(node, ast.Attribute) and node.attr in banned
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "gf")
+             or (isinstance(node, ast.ImportFrom)
+                 and any(a.name in banned for a in node.names))]
+    assert sites == []
