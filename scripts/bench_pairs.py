@@ -23,16 +23,26 @@ change is HEAD by default; an uncommitted tree can be measured through the
 commit ``git stash create`` prints.
 
 For every metric of ``BENCHMARK.json``'s ``end_to_end`` list it prints the
-median and quartiles of each side, the ratio of the medians, and the pairs
-the change wins in the metric's better direction.  A gain counts when the
-change wins at least nine of ten pairs and the difference of the medians
-exceeds the parent's interquartile range.  Each pair also prints, per side,
-the key of the job at the tail rank of every untraced pass, read from the
-result file that run.py writes and ranked by run.py's own ``tail``, and the
-summary counts those keys per side, so a change in ``job_tail_s`` can be
-traced to the jobs that sit at that rank.  The same is printed and counted
-for the job at the median rank of every untraced pass (the lower median of
-its job times), the draws behind ``job_p50_s``.
+median and quartiles of each side, the ratio of the medians, the pairs
+the change wins in the metric's better direction (ties count for
+neither), and a verdict (``verdict``), the first of these that holds:
+
+- ``gain``: the change wins at least nine of ten pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range is wider than the
+  bound, unless every run of the change is better than every run of the
+  parent;
+- ``within bound``: otherwise.
+
+Each pair also prints, per side, the key of the job at the tail rank of
+every untraced pass, read from the result file that run.py writes and
+ranked by run.py's own ``tail``, and the summary counts those keys per
+side, so a change in ``job_tail_s`` can be traced to the jobs that sit at
+that rank.  The same is printed and counted for the job at the median rank
+of every untraced pass (the lower median of its job times), the draws
+behind ``job_p50_s``.
 """
 
 import argparse
@@ -104,20 +114,45 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def pair_wins(parent, change, better):
+    """The pairs whose change run is better; ties count for neither."""
+    lower = better == "lower"
+    return sum((y < x) if lower else (y > x) for x, y in zip(parent, change))
+
+
+def verdict(parent, change, better, bound):
+    """The reading of one metric from its runs, parent[i] and change[i]
+    being pair i, by the rule in this module's docstring: "gain", "worse",
+    "unresolved" or "within bound"."""
+    lower = better == "lower"
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    wins = pair_wins(parent, change, better)
+    ahead = pm - cm if lower else cm - pm
+    limit = bound * abs(pm)
+    if 10 * wins >= 9 * len(parent) and ahead > p3 - p1:
+        return "gain"
+    if -ahead > limit:
+        return "worse"
+    every = (max(change) < min(parent) if lower
+             else min(change) > max(parent))
+    if p3 - p1 > limit and not every:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs, metrics):
     """One row per metric: (name, better, parent q1/med/q3, change
-    q1/med/q3, ratio of medians, wins, pairs, whether the medians differ
-    by more than the parent's interquartile range)."""
+    q1/med/q3, ratio of medians, wins, pairs, verdict)."""
     rows = []
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name = m["name"]
         a = [r[name] for r in runs["parent"]]
         b = [r[name] for r in runs["change"]]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        wins = pair_wins(a, b, m["better"])
         pa, pb = quartiles(a), quartiles(b)
         ratio = pb[1] / pa[1] if pa[1] else float("nan")
         rows.append((name, m["better"], pa, pb, ratio, wins, len(a),
-                     abs(pb[1] - pa[1]) > pa[2] - pa[0]))
+                     verdict(a, b, m["better"], m["bound"])))
     return rows
 
 
@@ -154,12 +189,12 @@ def print_summary(workload, args, runs, rank_keys, metrics):
           f"{args.parent}, change {args.change}, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}")
     print(f"{'metric':12s} {'better':6s} {'parent q1/med/q3':>30s} "
-          f"{'change q1/med/q3':>30s} {'ratio':>7s} {'wins':>6s} beyond_iqr")
-    for name, better, pa, pb, ratio, wins, n, beyond in rows:
+          f"{'change q1/med/q3':>30s} {'ratio':>7s} {'wins':>6s} verdict")
+    for name, better, pa, pb, ratio, wins, n, reading in rows:
         print(f"{name:12s} {better:6s} "
               f"{'/'.join(f'{x:.4g}' for x in pa):>30s} "
               f"{'/'.join(f'{x:.4g}' for x in pb):>30s} "
-              f"{ratio:7.3f} {wins:>3d}/{n:<2d} {beyond}")
+              f"{ratio:7.3f} {wins:>3d}/{n:<2d} {reading}")
     for rank in RANKS:
         for side in SIDES:
             print(f"{rank} keys, {side}: " + " ".join(

@@ -197,17 +197,9 @@ class Modulus(Record):
             raise NotAUnit("zero residue class")
         return UnitClass(rep)
 
-    def unit_mul(self, u, w):
-        logs, units = _unit_logs(self)
-        return units[(logs[u] + logs[w]) % len(units)]
-
     def unit_pow(self, u, e):
         logs, units = _unit_logs(self)
         return units[logs[u] * e % len(units)]
-
-    def unit_order(self, u):
-        n = self.q ** 2 - 1
-        return n // gcd(_unit_logs(self)[0][u], n)
 
     def iter_units(self):
         """All q^2 - 1 residue classes, lex on (constant, linear) coefficients."""

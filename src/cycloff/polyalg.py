@@ -10,29 +10,27 @@ square-and-multiply.  Modulo a polynomial only Frobenius steps are taken,
 a spread of the coefficients (Poly.frob_power, or _exp_frob on exponent
 lists) and one reduction: X^(q^d) in _distinct_degree and X^(p^j) in
 _frobenius_images (von zur Gathen-Gerhard, *Modern Computer Algebra*,
-14.2).  Roots in an extension GF(Q) come from one splitting routine for
-every characteristic, one_root: Berlekamp's trace splitter (Math. Comp.
-24, 1970) on the Frobenius images X^(p^j) mod f, computed once over f's
-own field, one p-th power each (von zur Gathen-Shoup, Comput. Complexity
-2, 1992).  It follows one branch to a single root with gcds and products
-in GF(Q) only, each trace form built coefficient by coefficient and the
-trace of a = 1, which cannot part two roots of one factor over GF(p),
-tried last; nothing is powered modulo a polynomial over GF(Q).
-Splitting happens in one place, for roots_in, the divisor supports and
-the irreducibility test alike: _distinct_degree takes f apart by the
-degree of its irreducible factors over f's own field, with no radical,
-and stops at half the degree of what is left, which is then irreducible;
-_orbits turns each such part into the Frobenius orbits of its roots, one
-one_root call per orbit.  is_irreducible reads only its first part: f
-of degree d is irreducible iff gcd(f, T^(q^i) - T) = 1 for every
-i <= d/2 (Ben-Or, FOCS 1981).  The polynomials split have coefficients in
-a field with tables (GF(q), q <= 9, or GF(p) for gf's modulus search), so
-_distinct_degree, _coprime_part, _frobenius_images and _orbits take and
-return exponent lists, and is_irreducible, roots_in and the divisor
-supports convert once at their boundary.  one_root runs one loop whose
-kernels the kind of GF(Q) picks: exponent lists, each trace form
-coefficient one Zech sum, where GF(Q) has tables, and Poly operations on
-forms built on coefficient tuples where it is packed.
+14.2).  Roots in an extension GF(Q) come from one routine, one_root, with
+one method per kind of GF(Q).  Where GF(Q) has log tables it scans: f's
+exponent list is evaluated at 0 and then at g^0, g^1, ... by Zech sums
+until it vanishes.  A packed GF(Q) runs Berlekamp's trace splitter (Math.
+Comp. 24, 1970) with Poly operations, on the Frobenius images X^(p^j) mod
+f, computed once over f's own field, one p-th power each (von zur
+Gathen-Shoup, Comput. Complexity 2, 1992); each trace form is built
+coefficient by coefficient, and the trace of a = 1, which cannot part two
+roots of one factor over GF(p), is tried last.  Splitting happens in one
+place, for roots_in, the divisor supports and the irreducibility test
+alike: _distinct_degree takes f apart by the degree of its irreducible
+factors over f's own field, with no radical, and stops at half the degree
+of what is left, which is then irreducible; _orbits turns each such part
+into the Frobenius orbits of its roots, one one_root call per orbit.
+is_irreducible reads only its first part: f of degree d is irreducible
+iff gcd(f, T^(q^i) - T) = 1 for every i <= d/2 (Ben-Or, FOCS 1981).  The
+polynomials split have coefficients in a field with tables (GF(q),
+q <= 9, or GF(p) for gf's modulus search), so _distinct_degree,
+_coprime_part, _frobenius_images and _orbits take and return exponent
+lists, and is_irreducible, roots_in and the divisor supports convert once
+at their boundary.
 
 Over every field with log/antilog tables (order up to gf.TABLE_CAP, GF(2)
 included), product, division, gcd, evaluation and root multiplicity run
@@ -640,78 +638,65 @@ def _orbits(g, F, ext):
 
 
 def one_root(f, ext):
-    """One root in ext of f, a polynomial over a subfield F of ext with
-    log tables whose roots all lie in ext and are distinct.
+    """One root in ext of f, a nonzero polynomial over a subfield F of ext
+    with log tables.
 
-    Berlekamp's trace splitter (*Math. Comp.* 24, 1970) on Frobenius
-    images computed once (von zur Gathen-Shoup, *Comput. Complexity* 2,
-    1992): tau_j = X^(p^j) mod f for j < N = [ext:GF(p)], over F, one p-th
-    power each.  For a in ext, T_a = sum_j a^(p^j) tau_j takes the value
-    Tr(a r) in GF(p) at every root r, so the gcds of g with T_a - c,
-    c in GF(p), split the roots of g by that value, and the smaller part
-    is kept; once T_a mod g is constant, all roots of g share it.  a runs
-    through the power basis of ext, where the trace form is nondegenerate,
-    so any two distinct roots differ in some Tr(a r), and one pass leaves
-    a linear factor; a = 1 comes last, since Tr(r) is constant on a
-    Frobenius orbit and so cannot part two roots of one factor over GF(p).
+    Where ext has log tables (order up to gf.TABLE_CAP), a scan: f's
+    exponent list reaches ext as g^(s k) for s = log embed(generator of F),
+    and 0 is returned if f(0) = 0; otherwise f is evaluated by
+    ``_exp_value``, one Zech sum per term, at g^0, g^1, ... until it
+    vanishes, so at most TABLE_CAP - 1 evaluations.  There
+    CertificateFailed means f has no root in ext.
 
-    The field kind of ext picks the kernels of that one loop.  With log
-    tables, g and T_a are exponent lists over ext: g_F^k reaches ext as
-    g^(s k) for s = log embed(g_F), a = t^k has log k log t, so coefficient
-    i of T_a is the value at a of sum_j g^(s tau_j[i]) Z^(p^j), one Zech
-    sum (``_exp_value``), and the reductions and gcds are the ``_exp_*``
-    kernels.  A packed ext builds T_a coefficient by coefficient on
-    coefficient tuples (``_tuple_forms``) and splits with Poly operations.
-    Every part is a gcd with g and every quotient exact, so that factor
-    divides f whatever the images are; CertificateFailed if no shift
-    splits what is left, as when f has a repeated root or a root outside
-    ext.  Only p-th powers over F and products in ext are formed, no
-    powering modulo a polynomial over ext.
+    A packed ext runs Berlekamp's trace splitter (*Math. Comp.* 24, 1970)
+    on f's roots, which must all lie in ext and be distinct, with Poly
+    operations.  The Frobenius images tau_j = X^(p^j) mod f for
+    j < N = [ext:GF(p)] are computed once over F, one p-th power each
+    (von zur Gathen-Shoup, *Comput. Complexity* 2, 1992).  For a in ext,
+    T_a = sum_j a^(p^j) tau_j takes the value Tr(a r) in GF(p) at every
+    root r, so the gcds of g with T_a - c, c in GF(p), split the roots of g
+    by that value, and the smaller part is kept; once T_a mod g is
+    constant, all roots of g share it.  a runs through the power basis of
+    ext, where the trace form is nondegenerate, so any two distinct roots
+    differ in some Tr(a r), and one pass leaves a linear factor; a = 1
+    comes last, since Tr(r) is constant on a Frobenius orbit and so cannot
+    part two roots of one factor over GF(p).  T_a is built coefficient by
+    coefficient on coefficient tuples (``_tuple_forms``).  Every part is a
+    gcd with g and every quotient exact, so that factor divides f whatever
+    the images are; CertificateFailed if no shift splits what is left, as
+    when f has a repeated root or a root outside ext.  Only p-th powers
+    over F and products in ext are formed, no powering modulo a polynomial
+    over ext.
     """
-    F, f, p, N = f.ctx, _to_exps(f.monic(), f.ctx), ext.p, ext.n
-    # cols[i][j] is coefficient i of tau_j, None past its end
-    cols = list(itertools.zip_longest(*_frobenius_images(f, N, F)))
+    F, a = f.ctx, _to_exps(f.monic(), f.ctx)
     if ext._zech is not None:
-        m, log, lt = ext.order - 1, ext._log, ext._log.get(ext.t_class.coeffs)
-        s = log[gf.embed(F.generator, ext).coeffs]
-        g = [None if k is None else k * s % m for k in f]
-        terms = [[(p ** j, k * s % m) for j, k in _exp_terms(col)]
-                 for col in cols]
-        forms = ([_exp_value(t, k * lt % m if k < N else 0, ext)
-                  for t in terms] for k in range(1, N + 1))
-        shifts = [log.get(ext.elem(-c).coeffs) for c in range(p)]
-        size, leaf = len, functools.partial(_from_exps, ext)
-        mod, quo = (functools.partial(k, ctx=ext)
-                    for k in (_exp_reduce, _exp_divmod))
-
-        def split(h, u, c):
-            u = _exp_add_scaled(list(u), shifts[c], [0], ext) if c else list(u)
-            return _exp_gcd(list(h), u, ext)
-    else:
-        zero, g = ext.zero.coeffs, _from_exps(F, f).embed_into(ext)
-        forms = _tuple_forms([[zero if k is None else gf.embed(
-            F._elems[k], ext).coeffs for k in col] for col in cols], ext)
-        # g is a monic Poly already
-        mod, quo, leaf = operator.mod, divmod, Poly.monic
-
-        def size(h):
-            return len(h.coeffs)
-
-        def split(h, u, c):
-            return poly_gcd(h, u - c)
-    for u in forms:
-        u = mod(u, g)
-        for c in range(p):
-            if size(u) < 2:
+        if a[0] is None:
+            return ext.zero
+        m = ext.order - 1
+        s = ext._log[gf.embed(F.generator, ext).coeffs]
+        terms = [(j, k * s % m) for j, k in _exp_terms(a)]
+        for k in range(m):
+            if _exp_value(terms, k, ext) is None:
+                return ext._elems[k]
+        raise CertificateFailed(f"{format_poly(f, 'X')} has no root in "
+                                f"{ext.name}")
+    zero = ext.zero.coeffs
+    # cols[i][j] is coefficient i of tau_j, None past its end
+    cols = itertools.zip_longest(*_frobenius_images(a, ext.n, F))
+    g = _from_exps(F, a).embed_into(ext)
+    for u in _tuple_forms([[zero if k is None else gf.embed(
+            F._elems[k], ext).coeffs for k in col] for col in cols], ext):
+        u %= g
+        for c in range(ext.p):
+            if u.degree < 1:
                 break
-            part = split(g, u, c)
-            if 1 < size(part) < size(g):
-                rest = quo(g, part)[0]
-                g = part if size(part) <= size(rest) else rest
-                u = mod(u, g)
-        if size(g) == 2:
+            part = poly_gcd(g, u - c)
+            if 0 < part.degree < g.degree:
+                rest = g // part
+                g = part if part.degree <= rest.degree else rest
+                u %= g
+        if g.degree == 1:
             break
-    g = leaf(g)
     if g.degree != 1:
         raise CertificateFailed(f"{format_poly(g, 'X')} does not split into "
                                 "distinct linear factors")

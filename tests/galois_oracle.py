@@ -10,8 +10,9 @@ map in closed form; the tests compare the two.
 ``unit_mul``, ``unit_pow``, ``unit_order`` and ``unit_group_generator``
 are the unit group of GF(q)[T]/(M) by Poly products reduced mod M, the
 order by powering at each prime factor of q^2 - 1 and the generator by
-the first unit of full order.  ``carlitz.Modulus`` reads the same group
-from its table of discrete logs in GF(q^2); the tests compare the two.
+the first unit of full order.  ``carlitz.Modulus`` reads its generator
+and powers from its table of discrete logs in GF(q^2); the tests compare
+the two, and check the Galois action against products taken here.
 """
 
 from cycloff import autgroup as ag

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from cycloff import autgroup, carlitz, cli, places
+from cycloff import autgroup, carlitz, cli, gf, places
+from cycloff.carlitz import iter_irreducible_moduli
+from cycloff.kummer import KummerCurve
 
 ROOT = Path(__file__).resolve().parents[1]
 # read only: the benchmark's reference reports, one per sweep modulus
@@ -191,6 +193,44 @@ def test_verify_zeta_capped(capsys):
                           capsys)
     assert code == 2
     assert doc["error"]["code"] == "TooLarge"
+
+
+def _load_oracle(name):
+    path = Path(__file__).resolve().parent / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_past_the_caps(monkeypatch, capsys):
+    # the first modulus of fields no golden reaches: characteristics 11 and
+    # 13, GF(2^4), GF(5^2) and GF(3^3), each splitting M by the log-table
+    # scan in GF(q^2) of order 121 to 729.  zeta runs at q = 11, 13 and 16
+    # only: past them it alone takes seconds, as its cost grows about as
+    # q^5 (0.02 s at q = 9, 1.25 s at q = 23 and 8.0 s at q = 31, 96 % of
+    # it l_polynomial's cyclic convolutions).  GF(37^2) is past the log
+    # tables, so q = 37 is refused.  The test takes about 1.5 s, half of it
+    # the enumeration oracle at q = 16
+    oracle = _load_oracle("aut_oracle")
+    for q in (11, 13, 16, 25, 27, 37):
+        for owner in (places, cli):
+            monkeypatch.setattr(owner, "PIPELINE_Q_CAP", 37)
+            monkeypatch.setattr(owner, "ZETA_Q_CAP",
+                                q if q in (11, 13, 16) else 5)
+        ctx = gf.field_from_order(q)
+        mod = next(iter_irreducible_moduli(ctx))
+        code, doc = _run_json(["verify", "-q", str(q), "-M", str(mod),
+                               "all"], capsys)
+        if q == 37:
+            assert code == 2 and doc["error"]["code"] == "TooLarge"
+            continue
+        assert code == 0 and all(doc["paper_claims"].values())
+        assert ("zeta" in doc["reports"]) == (q in (11, 13, 16))
+        assert doc["aut_order"] == 2 * (q * q - 1)
+        if q in (11, 16):
+            curve = KummerCurve(mod.a, mod.b, ctx.one)
+            assert oracle.lawful_map_count(curve) == doc["aut_order"]
 
 
 def test_verify_genus_q5(capsys):

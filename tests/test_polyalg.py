@@ -221,34 +221,45 @@ def test_root_multiplicity():
         roots_in(Poly.zero(F5), F5)
 
 
-@pytest.mark.parametrize("pn", [(3, 2), (2, 3), (5, 2)])
+@pytest.mark.parametrize("pn", [(3, 2), (2, 3), (5, 2), (2, 10)])
 def test_one_root_finds_a_root_or_refuses(pn):
-    # every product of three distinct linear factors has a root found; an
-    # irreducible quadratic has none, and no shift splits it
+    # every product of one to three distinct linear factors has a root
+    # found; an irreducible quadratic has none, and the scan refuses it.  In
+    # GF(2^10), the largest field with log tables, the roots are drawn from
+    # the last three powers of the generator, so the scan runs to its last
+    # index for X - g^1022 and through all of them for the refusal
     ctx = gf.create_field(*pn)
     x = Poly.gen(ctx)
-    elems = list(ctx.iter_elements())
-    for roots in itertools.combinations(elems, 3):
-        g = functools.reduce(operator.mul, [x - r for r in roots])
-        assert one_root(g, ctx) in roots
-    irreducible = next(f for f in (x * x + x * b + c for b in elems
-                                   for c in elems) if is_irreducible(f))
-    with pytest.raises(CertificateFailed, match="distinct linear"):
+    top = ctx.order - 1
+    pool = list(ctx.iter_elements()) if ctx.order < gf.TABLE_CAP else [
+        ctx.generator ** k for k in range(top - 3, top)]
+    for size in (1, 2, 3):
+        for roots in itertools.combinations(pool, size):
+            g = functools.reduce(operator.mul, [x - r for r in roots])
+            assert one_root(g, ctx) in roots
+    irreducible = next(f for f in (x * x + x * b + c
+                                   for b in ctx.iter_elements()
+                                   for c in ctx.iter_elements())
+                       if is_irreducible(f))
+    with pytest.raises(CertificateFailed, match="has no root in"):
         one_root(irreducible, ctx)
 
 
 @pytest.mark.parametrize("pn,d", [((3, 1), 7), ((2, 1), 6), ((5, 1), 4),
-                                  ((3, 2), 3), ((2, 2), 4)])
+                                  ((3, 2), 3), ((2, 2), 4), ((5, 1), 5)])
 def test_one_root_with_a_corrupt_frobenius_image(pn, d, monkeypatch):
     # tau_1 replaced by X: the shifts no longer read traces, but every part
-    # is still a gcd with g, so one_root finds a true root or refuses
+    # is still a gcd with g, so one_root finds a true root or refuses.  Only
+    # packed fields, GF(3^7) and GF(5^5) here, read the Frobenius images;
+    # fields with log tables are scanned and must not read them
     F = gf.create_field(*pn)
     ext = gf.create_field(F.p, F.n * d)
-    real = polyalg._frobenius_images
+    real, reads = polyalg._frobenius_images, []
 
     def corrupt(f, count, ctx):
         images = real(f, count, ctx)
         images[1] = [None, 0]
+        reads.append(count)
         return images
 
     monkeypatch.setattr(polyalg, "_frobenius_images", corrupt)
@@ -262,6 +273,7 @@ def test_one_root_with_a_corrupt_frobenius_image(pn, d, monkeypatch):
         except CertificateFailed:
             continue
         assert f(r).is_zero()
+    assert bool(reads) == (ext._zech is None)
 
 
 @pytest.mark.parametrize("src,tgt", [((2, 2), (2, 4)), ((2, 3), (2, 6)),

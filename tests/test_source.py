@@ -165,9 +165,9 @@ def test_kernel_forks_only_where_large_fields_reach():
     # gf.TABLE_CAP reach: gcds and products over the root-finding fields,
     # evaluations and valuations at extension points; series over fiber
     # fields multiply by the product kernel and cut the result, and RatFunc
-    # lives over table fields only, so neither has a twin.  The trace
-    # splitter picks the kernels of its one loop by the kind of its
-    # splitting field
+    # lives over table fields only, so neither has a twin.  one_root forks
+    # once on the kind of its field: with log tables it scans exponents,
+    # and a packed field runs the trace splitter on Poly operations
     forks = []
     for mod, tree in _package_trees().items():
         scopes = [(node, f"{outer.name}.{node.name}")
